@@ -3,8 +3,9 @@
 // metric readout. Useful for exploring the design space beyond the paper's
 // figures.
 //
-//   $ ./build/examples/protocol_explorer --protocol=ps-aa --workload=hicon \
-//         --write-prob=0.2 --locality=high --clients=10 --commits=2000 \
+// Example (all on one command line):
+//   $ ./build/examples/protocol_explorer --protocol=ps-aa --workload=hicon
+//         --write-prob=0.2 --locality=high --clients=10 --commits=2000
 //         --servers=2 --csv=timeseries.csv --sample=0.5
 
 #include <cstdio>

@@ -1,27 +1,15 @@
 #include "metrics/timeseries.h"
 
-#include <cstdarg>
-#include <cstdio>
-
 #include "util/check.h"
+#include "util/text_writer.h"
 
 namespace psoodb::metrics {
 
 namespace {
 
-void Appendf(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void Appendf(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  out.append(buf, static_cast<std::size_t>(n) < sizeof(buf)
-                      ? static_cast<std::size_t>(n)
-                      : sizeof(buf) - 1);
-}
+using util::Append;
+using util::Fixed;
+using util::General;
 
 /// Nearest-rank percentile over a bucket-count delta (the window's samples).
 /// Reports the bucket's representative value; no [min, max] clamping — the
@@ -118,27 +106,26 @@ void TimeSeries::SampleOne() {
 std::string TimeSeries::SerializeJsonl(const Meta& meta) const {
   std::string out;
   out.reserve(rows_.size() * (tracks_.size() * 12 + 24) + 1024);
-  Appendf(out,
-          "{\"psoodb_telemetry\":1,\"protocol\":\"%s\",\"clients\":%d,"
-          "\"servers\":%d,\"seed\":%llu,\"tick\":%.9g,\"partitions\":%d,"
-          "\"tracks\":[",
-          meta.protocol.c_str(), meta.num_clients, meta.num_servers,
-          static_cast<unsigned long long>(meta.seed), tick_, meta.partitions);
+  Append(out, "{\"psoodb_telemetry\":1,\"protocol\":\"", meta.protocol,
+         "\",\"clients\":", meta.num_clients, ",\"servers\":", meta.num_servers,
+         ",\"seed\":", meta.seed, ",\"tick\":", General{tick_, 9},
+         ",\"partitions\":", meta.partitions, ",\"tracks\":[");
   for (std::size_t i = 0; i < tracks_.size(); ++i) {
-    Appendf(out, "%s{\"name\":\"%s\",\"kind\":\"%s\"}", i == 0 ? "" : ",",
-            tracks_[i].name.c_str(),
-            tracks_[i].is_counter ? "counter" : "gauge");
+    Append(out, i == 0 ? "{\"name\":\"" : ",{\"name\":\"", tracks_[i].name,
+           "\",\"kind\":\"", tracks_[i].is_counter ? "counter" : "gauge",
+           "\"}");
   }
   out += "]}\n";
   for (const Row& row : rows_) {
-    Appendf(out, "{\"t\":%.9g,\"v\":[", row.t);
+    Append(out, "{\"t\":", General{row.t, 9}, ",\"v\":[");
     for (std::size_t i = 0; i < row.v.size(); ++i) {
-      Appendf(out, "%s%.9g", i == 0 ? "" : ",", row.v[i]);
+      if (i != 0) out += ',';
+      Append(out, General{row.v[i], 9});
     }
     out += "]}\n";
   }
-  Appendf(out, "{\"summary\":1,\"ticks\":%llu,\"measure_start\":%.9g}\n",
-          static_cast<unsigned long long>(rows_.size()), measure_start_);
+  Append(out, "{\"summary\":1,\"ticks\":", rows_.size(),
+         ",\"measure_start\":", General{measure_start_, 9}, "}\n");
   return out;
 }
 
@@ -148,10 +135,9 @@ std::string TimeSeries::RenderChromeCounters() const {
   for (const Row& row : rows_) {
     for (std::size_t i = 0; i < tracks_.size(); ++i) {
       if (!out.empty()) out += ",\n";
-      Appendf(out,
-              "{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":%.3f,\"name\":\"%s\","
-              "\"args\":{\"v\":%.9g}}",
-              row.t * 1e6, tracks_[i].name.c_str(), row.v[i]);
+      Append(out, "{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":",
+             Fixed{row.t * 1e6, 3}, ",\"name\":\"", tracks_[i].name,
+             "\",\"args\":{\"v\":", General{row.v[i], 9}, "}}");
     }
   }
   return out;

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <map>
+
+#include "util/text_writer.h"
 
 namespace psoodb::trace {
 
@@ -33,18 +33,8 @@ constexpr const char* kEventCategories[kNumEventKinds] = {
 /// (NodeId < 0, server i == -1 - i) map to 1001..1000+M.
 int TidOf(int node) { return node >= 0 ? node + 1 : 1000 - node; }
 
-void Appendf(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void Appendf(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  out.append(buf, static_cast<std::size_t>(std::min<int>(
-                      n, static_cast<int>(sizeof(buf)) - 1)));
-}
+using util::Append;
+using util::Fixed;
 
 }  // namespace
 
@@ -154,23 +144,19 @@ void Tracer::ResetMeasurement() {
   violations_ = 0;
 }
 
-std::vector<Event> Tracer::Events() const {
-  if (ring_.size() < capacity_ || ring_next_ == 0) return ring_;
-  std::vector<Event> out;
-  out.reserve(ring_.size());
-  out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(ring_next_),
-             ring_.end());
-  out.insert(out.end(), ring_.begin(),
-             ring_.begin() + static_cast<std::ptrdiff_t>(ring_next_));
-  return out;
+std::array<std::span<const Event>, 2> Tracer::Events() const {
+  // ring_next_ stays 0 until the ring wraps, so this covers both cases.
+  const std::span<const Event> ring(ring_);
+  return {ring.subspan(ring_next_), ring.first(ring_next_)};
 }
 
 namespace {
 
 /// Everything the sinks render, decoupled from Tracer members so the
-/// single-tracer and merged-partition paths share one formatter.
+/// single-tracer and merged-partition paths share one formatter. `events`
+/// are rendered in order, the second span after the first.
 struct SinkData {
-  std::vector<Event> events;
+  std::array<std::span<const Event>, 2> events;
   std::uint64_t dropped = 0;
   std::int32_t page_filter = -1;
   std::uint64_t commits = 0;
@@ -179,34 +165,27 @@ struct SinkData {
 };
 
 std::string RenderJsonl(const TraceMeta& meta, const SinkData& d) {
+  const std::size_t num_events = d.events[0].size() + d.events[1].size();
   std::string out;
-  out.reserve(d.events.size() * 96 + 512);
-  Appendf(out,
-          "{\"psoodb_trace\":1,\"protocol\":\"%s\",\"clients\":%d,"
-          "\"servers\":%d,\"seed\":%llu,\"events\":%llu,\"dropped\":%llu,"
-          "\"page_filter\":%ld}\n",
-          meta.protocol.c_str(), meta.num_clients, meta.num_servers,
-          static_cast<unsigned long long>(meta.seed),
-          static_cast<unsigned long long>(d.events.size()),
-          static_cast<unsigned long long>(d.dropped),
-          static_cast<long>(d.page_filter));
-  for (const Event& e : d.events) {
-    Appendf(out,
-            "{\"t\":%.9f,\"k\":\"%s\",\"node\":%d,\"txn\":%llu,\"page\":%d,"
-            "\"a\":%lld,\"b\":%lld,\"aux\":%d,\"dur\":%.9f,\"seq\":%llu}\n",
-            e.t, EventKindName(e.kind), static_cast<int>(e.node),
-            static_cast<unsigned long long>(e.txn), e.page,
-            static_cast<long long>(e.a), static_cast<long long>(e.b),
-            static_cast<int>(e.aux), e.dur,
-            static_cast<unsigned long long>(e.seq));
+  out.reserve(num_events * 128 + 512);  // a line is ~115 bytes
+  Append(out, "{\"psoodb_trace\":1,\"protocol\":\"", meta.protocol,
+         "\",\"clients\":", meta.num_clients, ",\"servers\":", meta.num_servers,
+         ",\"seed\":", meta.seed, ",\"events\":", num_events,
+         ",\"dropped\":", d.dropped, ",\"page_filter\":", d.page_filter,
+         "}\n");
+  for (const std::span<const Event> half : d.events) {
+    for (const Event& e : half) {
+      Append(out, "{\"t\":", Fixed{e.t, 9}, ",\"k\":\"", EventKindName(e.kind),
+             "\",\"node\":", e.node, ",\"txn\":", e.txn, ",\"page\":", e.page,
+             ",\"a\":", e.a, ",\"b\":", e.b, ",\"aux\":", e.aux,
+             ",\"dur\":", Fixed{e.dur, 9}, ",\"seq\":", e.seq, "}\n");
+    }
   }
-  Appendf(out,
-          "{\"summary\":1,\"commits\":%llu,\"violations\":%llu,\"phases\":{",
-          static_cast<unsigned long long>(d.commits),
-          static_cast<unsigned long long>(d.violations));
+  Append(out, "{\"summary\":1,\"commits\":", d.commits,
+         ",\"violations\":", d.violations, ",\"phases\":{");
   for (int p = 0; p < kNumPhases; ++p) {
-    Appendf(out, "%s\"%s\":%.9f", p == 0 ? "" : ",", PhaseName(p),
-            d.phase_totals[p]);
+    Append(out, p == 0 ? "\"" : ",\"", PhaseName(p), "\":",
+           Fixed{d.phase_totals[p], 9});
   }
   out += "}}\n";
   return out;
@@ -231,7 +210,7 @@ namespace {
 /// a pre-rendered ",\n"-separated fragment appended inside the traceEvents
 /// array — telemetry counter tracks, already time-ordered per track.
 std::string RenderChrome(const TraceMeta& meta,
-                         const std::vector<Event>& events,
+                         std::span<const Event> events,
                          const std::string* extra_events = nullptr) {
   // Name each track once; std::map keeps the metadata block ordered by tid.
   std::map<int, std::string> tracks;
@@ -239,59 +218,44 @@ std::string RenderChrome(const TraceMeta& meta,
     const int node = e.node;
     auto [it, inserted] = tracks.try_emplace(TidOf(node));
     if (inserted) {
-      char name[32];
       if (node >= 0) {
-        std::snprintf(name, sizeof(name), "client %d", node);
+        Append(it->second, "client ", node);
       } else {
-        std::snprintf(name, sizeof(name), "server %d", -1 - node);
+        Append(it->second, "server ", -1 - node);
       }
-      it->second = name;
     }
   }
   std::string out;
-  out.reserve(events.size() * 160 + 1024);
-  Appendf(out,
-          "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"protocol\":\"%s\","
-          "\"seed\":%llu},\"traceEvents\":[\n",
-          meta.protocol.c_str(), static_cast<unsigned long long>(meta.seed));
-  bool first = true;
-  Appendf(out,
-          "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
-          "\"args\":{\"name\":\"psoodb %s\"}}",
-          meta.protocol.c_str());
-  first = false;
+  // An event is ~155-165 bytes.
+  out.reserve(events.size() * 176 +
+              (extra_events != nullptr ? extra_events->size() : 0) + 1024);
+  Append(out, "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"protocol\":\"",
+         meta.protocol, "\",\"seed\":", meta.seed, "},\"traceEvents\":[\n");
+  Append(out,
+         "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
+         "\"args\":{\"name\":\"psoodb ",
+         meta.protocol, "\"}}");
   for (const auto& [tid, name] : tracks) {
-    Appendf(out,
-            ",\n{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":\"thread_name\","
-            "\"args\":{\"name\":\"%s\"}}",
-            tid, name.c_str());
+    Append(out, ",\n{\"ph\":\"M\",\"pid\":1,\"tid\":", tid,
+           ",\"name\":\"thread_name\",\"args\":{\"name\":\"", name, "\"}}");
   }
   for (const Event& e : events) {
-    if (!first) out += ",\n";
-    first = false;
-    const char* kind_name = EventKindName(e.kind);
-    const char* cat = kEventCategories[static_cast<int>(e.kind)];
+    const Fixed ts{e.t * 1e6, 3};
     if (e.dur > 0) {
-      Appendf(out,
-              "{\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,"
-              "\"name\":\"%s\",\"cat\":\"%s\"",
-              TidOf(e.node), e.t * 1e6, e.dur * 1e6, kind_name, cat);
+      Append(out, ",\n{\"ph\":\"X\",\"pid\":1,\"tid\":", TidOf(e.node),
+             ",\"ts\":", ts, ",\"dur\":", Fixed{e.dur * 1e6, 3});
     } else {
-      Appendf(out,
-              "{\"ph\":\"i\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"s\":\"t\","
-              "\"name\":\"%s\",\"cat\":\"%s\"",
-              TidOf(e.node), e.t * 1e6, kind_name, cat);
+      Append(out, ",\n{\"ph\":\"i\",\"pid\":1,\"tid\":", TidOf(e.node),
+             ",\"ts\":", ts, ",\"s\":\"t\"");
     }
-    Appendf(out,
-            ",\"args\":{\"txn\":%llu,\"page\":%d,\"a\":%lld,\"b\":%lld,"
-            "\"aux\":%d,\"seq\":%llu}}",
-            static_cast<unsigned long long>(e.txn), e.page,
-            static_cast<long long>(e.a), static_cast<long long>(e.b),
-            static_cast<int>(e.aux), static_cast<unsigned long long>(e.seq));
+    Append(out, ",\"name\":\"", EventKindName(e.kind), "\",\"cat\":\"",
+           kEventCategories[static_cast<int>(e.kind)],
+           "\",\"args\":{\"txn\":", e.txn, ",\"page\":", e.page,
+           ",\"a\":", e.a, ",\"b\":", e.b, ",\"aux\":", e.aux,
+           ",\"seq\":", e.seq, "}}");
   }
   if (extra_events != nullptr && !extra_events->empty()) {
-    if (!first) out += ",\n";
-    out += *extra_events;
+    Append(out, ",\n", *extra_events);
   }
   out += "\n]}\n";
   return out;
@@ -308,8 +272,10 @@ std::vector<Event> MergePartitionEvents(const std::vector<Tracer*>& parts) {
   };
   std::vector<Tagged> all;
   for (std::size_t p = 0; p < parts.size(); ++p) {
-    for (const Event& e : parts[p]->Events()) {
-      all.push_back(Tagged{e, static_cast<int>(p)});
+    for (const std::span<const Event> half : parts[p]->Events()) {
+      for (const Event& e : half) {
+        all.push_back(Tagged{e, static_cast<int>(p)});
+      }
     }
   }
   std::sort(all.begin(), all.end(), [](const Tagged& x, const Tagged& y) {
@@ -326,27 +292,13 @@ std::vector<Event> MergePartitionEvents(const std::vector<Tracer*>& parts) {
   return out;
 }
 
-/// Aggregates summed in partition order (fixed order: the phase totals are
-/// floating-point sums).
-SinkData MergePartitionData(const std::vector<Tracer*>& parts) {
-  SinkData d;
-  d.events = MergePartitionEvents(parts);
-  for (const Tracer* t : parts) {
-    d.dropped += t->events_dropped();
-    d.commits += t->commits();
-    d.violations += t->violations();
-    for (int p = 0; p < kNumPhases; ++p) {
-      d.phase_totals[p] += t->phase_totals()[p];
-    }
-  }
-  return d;
-}
-
 }  // namespace
 
 std::string Tracer::SerializeChrome(const TraceMeta& meta,
                                     const std::string* extra_events) const {
-  std::vector<Event> events = Events();
+  const auto [older, newer] = Events();
+  std::vector<Event> events(older.begin(), older.end());
+  events.insert(events.end(), newer.begin(), newer.end());
   std::stable_sort(events.begin(), events.end(),
                    [](const Event& x, const Event& y) {
                      if (x.t != y.t) return x.t < y.t;
@@ -357,8 +309,20 @@ std::string Tracer::SerializeChrome(const TraceMeta& meta,
 
 std::string Tracer::SerializeJsonlMerged(const std::vector<Tracer*>& parts,
                                          const TraceMeta& meta) {
-  SinkData d = MergePartitionData(parts);
+  const std::vector<Event> events = MergePartitionEvents(parts);
+  SinkData d;
+  d.events[0] = events;
   d.page_filter = parts.empty() ? -1 : parts.front()->page_filter_;
+  // Summed in partition order (fixed order: the phase totals are
+  // floating-point sums).
+  for (const Tracer* t : parts) {
+    d.dropped += t->dropped_;
+    d.commits += t->commits_;
+    d.violations += t->violations_;
+    for (int p = 0; p < kNumPhases; ++p) {
+      d.phase_totals[p] += t->phase_totals_[p];
+    }
+  }
   return RenderJsonl(meta, d);
 }
 

@@ -29,8 +29,10 @@
 #define PSOODB_TRACE_TRACE_H_
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -193,8 +195,10 @@ class Tracer {
   std::uint64_t events_dropped() const { return dropped_; }
   const double* phase_totals() const { return phase_totals_; }
 
-  /// Events currently retained, in emission order (ring unrolled).
-  std::vector<Event> Events() const;
+  /// Events currently retained, in emission order: the ring's older part,
+  /// then its newer part (empty until the ring wraps). Views into the ring,
+  /// valid until the next Emit or ResetMeasurement.
+  std::array<std::span<const Event>, 2> Events() const;
 
   // --- sinks ------------------------------------------------------------
 

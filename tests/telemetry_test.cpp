@@ -148,6 +148,22 @@ TEST(TimeSeriesTest, SerializedSinksAreWellFormed) {
   EXPECT_NE(chrome.back(), ',');
 }
 
+TEST(TimeSeriesTest, LongTrackNamesAreWrittenWhole) {
+  // Longer than any fixed formatting buffer a sink line could be cut at.
+  const std::string name(300, 'g');
+  TimeSeries ts(0.5);
+  ts.AddGauge(name, [] { return 1.5; });
+  ts.SampleUpTo(0.5);
+  const std::string jsonl = ts.SerializeJsonl(TimeSeries::Meta{});
+  const std::string meta_line = jsonl.substr(0, jsonl.find('\n'));
+  EXPECT_NE(meta_line.find("\"tracks\":[{\"name\":\"" + name +
+                           "\",\"kind\":\"gauge\"}]}"),
+            std::string::npos);
+  EXPECT_EQ(ts.RenderChromeCounters(),
+            "{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":500000.000,\"name\":\"" +
+                name + "\",\"args\":{\"v\":1.5}}");
+}
+
 // --- System integration --------------------------------------------------
 
 /// The simulation-result fields that must be bit-identical whether or not

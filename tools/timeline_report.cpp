@@ -30,50 +30,13 @@
 #include <string>
 #include <vector>
 
+#include "jsonl_fields.h"
+
 namespace {
 
-// --- Minimal JSONL field extraction ------------------------------------------
-// Scalar fields are flat one-line "key":value pairs with unique keys, so
-// scanning for "key": is unambiguous; only the tracks array needs a scan.
-
-bool FindValue(const std::string& line, const char* key, std::string* out) {
-  std::string needle = "\"";
-  needle += key;
-  needle += "\":";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  std::size_t v = pos + needle.size();
-  if (v >= line.size()) return false;
-  if (line[v] == '"') {  // string value
-    const std::size_t end = line.find('"', v + 1);
-    if (end == std::string::npos) return false;
-    *out = line.substr(v + 1, end - v - 1);
-    return true;
-  }
-  std::size_t end = v;
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  *out = line.substr(v, end - v);
-  return true;
-}
-
-double NumField(const std::string& line, const char* key, double def = 0) {
-  std::string s;
-  if (!FindValue(line, key, &s)) return def;
-  return std::atof(s.c_str());
-}
-
-long long IntField(const std::string& line, const char* key,
-                   long long def = -1) {
-  std::string s;
-  if (!FindValue(line, key, &s)) return def;
-  return std::atoll(s.c_str());
-}
-
-std::string StrField(const std::string& line, const char* key) {
-  std::string s;
-  FindValue(line, key, &s);
-  return s;
-}
+using psoodb::jsonl::IntField;
+using psoodb::jsonl::NumField;
+using psoodb::jsonl::StrField;
 
 struct Track {
   std::string name;
