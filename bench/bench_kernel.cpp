@@ -22,17 +22,21 @@
 //                  tracks.
 //   telemetry_point  fig08_point with time-series telemetry sampling on;
 //                  the perf gate pairs it against fig08_point to bound the
-//                  telemetry overhead at 10%.
+//                  telemetry overhead at 10% (median of the per-repetition
+//                  ratios).
 //   parallel_point one partitioned PS-AA run (4 servers, sim_shards = 4):
 //                  the by-server sharded event loops plus the window
 //                  barrier, mailbox merge and cross-partition transport —
 //                  the intra-run parallel hot path.
 //
-// Each scenario runs PSOODB_BENCH_KERNEL_REPS repetitions (default 3; 1 in
-// --quick mode) and reports the fastest (best-of-N rejects host scheduler
-// noise; the simulations themselves are deterministic). `--quick` shrinks
-// the workloads so the whole suite finishes in a few seconds — that mode is
-// registered as the `bench_kernel_quick` ctest.
+// The suite runs PSOODB_BENCH_KERNEL_REPS repetitions (default 3; 1 in
+// --quick mode); each repetition runs every selected scenario once, in the
+// order listed, so fig08_point and telemetry_point always run back to back.
+// Each scenario reports its fastest repetition (best-of-N rejects host
+// scheduler noise; the simulations themselves are deterministic) plus every
+// repetition's rate, which the paired telemetry gate reads. `--quick`
+// shrinks the workloads so the whole suite finishes in a few seconds — that
+// mode is registered as the `bench_kernel_quick` ctest.
 //
 // Usage: bench_kernel [--quick] [scenario...]
 //   scenario...                run only the named scenarios (default: all)
@@ -239,33 +243,32 @@ std::uint64_t ParallelPoint(const Sizes& sz, double* serial_share) {
 
 // --- driver ----------------------------------------------------------------
 
-KernelScenarioResult RunScenario(const char* name,
-                                 std::uint64_t (*fn)(const Sizes&, double*),
-                                 const Sizes& sz, int reps) {
-  KernelScenarioResult best;
-  best.name = name;
-  for (int r = 0; r < reps; ++r) {
-    const double t0 = Now();
-    double serial_share = -1;
-    const std::uint64_t events = fn(sz, &serial_share);
-    const double wall = Now() - t0;
-    const double rate = wall > 0 ? static_cast<double>(events) / wall : 0;
-    if (r == 0 || rate > best.events_per_sec) {
-      best.events = events;
-      best.wall_seconds = wall;
-      best.events_per_sec = rate;
-      best.serial_share = serial_share;
-    }
+// Runs one repetition of a scenario and folds it into `row`: the fastest
+// repetition sets the headline numbers, and every repetition's rate is kept.
+void RunRepetition(std::uint64_t (*fn)(const Sizes&, double*),
+                   const Sizes& sz, KernelScenarioResult* row) {
+  const double t0 = Now();
+  double serial_share = -1;
+  const std::uint64_t events = fn(sz, &serial_share);
+  const double wall = Now() - t0;
+  const double rate = wall > 0 ? static_cast<double>(events) / wall : 0;
+  if (row->rep_events_per_sec.empty() || rate > row->events_per_sec) {
+    row->events = events;
+    row->wall_seconds = wall;
+    row->events_per_sec = rate;
+    row->serial_share = serial_share;
   }
-  std::printf("%-14s %12llu events %10.3fs %14.0f events/sec", name,
-              static_cast<unsigned long long>(best.events), best.wall_seconds,
-              best.events_per_sec);
-  if (best.serial_share >= 0) {
-    std::printf("  serial_share=%.3f", best.serial_share);
+  row->rep_events_per_sec.push_back(rate);
+}
+
+void PrintRow(const KernelScenarioResult& row) {
+  std::printf("%-14s %12llu events %10.3fs %14.0f events/sec",
+              row.name.c_str(), static_cast<unsigned long long>(row.events),
+              row.wall_seconds, row.events_per_sec);
+  if (row.serial_share >= 0) {
+    std::printf("  serial_share=%.3f", row.serial_share);
   }
   std::printf("\n");
-  std::fflush(stdout);
-  return best;
 }
 
 int Main(int argc, char** argv) {
@@ -306,10 +309,21 @@ int Main(int argc, char** argv) {
                     {"telemetry_point", TelemetryPoint},
                     {"parallel_point", ParallelPoint}};
 
+  std::vector<std::uint64_t (*)(const Sizes&, double*)> fns;
   std::vector<KernelScenarioResult> rows;
   for (const auto& s : kScenarios) {
-    if (selected(s.name)) rows.push_back(RunScenario(s.name, s.fn, sz, reps));
+    if (!selected(s.name)) continue;
+    fns.push_back(s.fn);
+    rows.emplace_back();
+    rows.back().name = s.name;
   }
+  for (int r = 0; r < reps; ++r) {
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      RunRepetition(fns[i], sz, &rows[i]);
+    }
+  }
+  for (const KernelScenarioResult& row : rows) PrintRow(row);
+  std::fflush(stdout);
 
   const char* json_dir = std::getenv("PSOODB_BENCH_JSON_DIR");
   if (json_dir == nullptr) json_dir = ".";

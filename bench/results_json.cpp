@@ -214,7 +214,7 @@ std::string KernelResultsJson(bool quick, int repetitions,
   JsonWriter w;
   w.BeginObject();
   w.Key("bench"); w.Value(std::string("kernel"));
-  w.Key("schema_version"); w.Value(std::uint64_t{2});
+  w.Key("schema_version"); w.Value(std::uint64_t{3});
   w.Key("quick"); w.Value(quick);
   w.Key("repetitions"); w.Value(static_cast<std::uint64_t>(repetitions));
   w.Key("scenarios");
@@ -225,6 +225,10 @@ std::string KernelResultsJson(bool quick, int repetitions,
     w.Key("events"); w.Value(r.events);
     w.Key("wall_seconds"); w.Value(r.wall_seconds);
     w.Key("events_per_sec"); w.Value(r.events_per_sec);
+    w.Key("rep_events_per_sec");
+    w.BeginArray();
+    for (double rate : r.rep_events_per_sec) w.Value(rate);
+    w.EndArray();
     if (r.serial_share >= 0) { w.Key("serial_share"); w.Value(r.serial_share); }
     w.EndObject();
   }

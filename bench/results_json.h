@@ -63,6 +63,9 @@ struct KernelScenarioResult {
   std::uint64_t events = 0;
   double wall_seconds = 0;
   double events_per_sec = 0;
+  /// Every repetition's rate, in run order. Repetition r of every scenario
+  /// ran in the same pass, so two scenarios' entries pair up by index.
+  std::vector<double> rep_events_per_sec;
   /// Fraction of partitioned wall time spent in the serial phase:
   /// serial / (serial + sum of per-partition busy). Only the partitioned
   /// scenario (parallel_point) reports it; -1 means not applicable and the
@@ -71,14 +74,17 @@ struct KernelScenarioResult {
 };
 
 /// Renders the kernel-bench document (no trailing newline). Schema:
-///   { "bench": "kernel", "schema_version": 2, "quick": false,
+///   { "bench": "kernel", "schema_version": 3, "quick": false,
 ///     "repetitions": N,
 ///     "scenarios": [ { "name", "events", "wall_seconds",
-///                      "events_per_sec", "serial_share"? }, ... ] }
-/// (2 added the optional per-scenario "serial_share".) The CI perf-smoke
-/// job compares "events_per_sec" per scenario against the committed
-/// baseline in bench/baselines/BENCH_kernel.json and gates parallel_point's
-/// serial_share structurally (--max-serial-share).
+///                      "events_per_sec", "rep_events_per_sec",
+///                      "serial_share"? }, ... ] }
+/// (2 added the optional per-scenario "serial_share"; 3 added
+/// "rep_events_per_sec", one rate per repetition.) The CI perf-smoke job
+/// compares "events_per_sec" per scenario against the committed baseline
+/// in bench/baselines/BENCH_kernel.json, gates the median of the
+/// per-repetition telemetry_point / fig08_point ratios, and gates
+/// parallel_point's serial_share structurally (--max-serial-share).
 std::string KernelResultsJson(bool quick, int repetitions,
                               const std::vector<KernelScenarioResult>& rows);
 

@@ -8,15 +8,16 @@
 #ifndef PSOODB_CC_LOCAL_LOCKS_H_
 #define PSOODB_CC_LOCAL_LOCKS_H_
 
-#include <unordered_map>
-#include <unordered_set>
-
 #include "storage/types.h"
 #include "trace/trace.h"
+#include "util/flat_set.h"
 
 namespace psoodb::cc {
 
-/// Read/write footprint of a client's active transaction.
+/// Read/write footprint of a client's active transaction. The tables are
+/// util::FlatSets: Clear() keeps their capacity, so a client records each
+/// transaction's footprint without allocating once the tables have grown
+/// to its size.
 class LocalTxnLocks {
  public:
   /// Wires the optional event tracer (null when tracing is off): grants and
@@ -62,16 +63,16 @@ class LocalTxnLocks {
     return read_pages_.count(page) > 0 || write_pages_.count(page) > 0;
   }
 
-  const std::unordered_set<storage::ObjectId>& read_objects() const {
+  const util::FlatSet<storage::ObjectId>& read_objects() const {
     return read_objects_;
   }
-  const std::unordered_set<storage::ObjectId>& write_objects() const {
+  const util::FlatSet<storage::ObjectId>& write_objects() const {
     return write_objects_;
   }
-  const std::unordered_set<storage::PageId>& read_pages() const {
+  const util::FlatSet<storage::PageId>& read_pages() const {
     return read_pages_;
   }
-  const std::unordered_set<storage::PageId>& write_pages() const {
+  const util::FlatSet<storage::PageId>& write_pages() const {
     return write_pages_;
   }
 
@@ -101,10 +102,10 @@ class LocalTxnLocks {
   bool HasObjectWrite(storage::ObjectId oid) const {
     return object_write_locks_.count(oid) > 0;
   }
-  const std::unordered_set<storage::PageId>& page_write_locks() const {
+  const util::FlatSet<storage::PageId>& page_write_locks() const {
     return page_write_locks_;
   }
-  const std::unordered_set<storage::ObjectId>& object_write_locks() const {
+  const util::FlatSet<storage::ObjectId>& object_write_locks() const {
     return object_write_locks_;
   }
 
@@ -112,14 +113,14 @@ class LocalTxnLocks {
   trace::Tracer* tracer_ = nullptr;
   storage::ClientId client_ = storage::kNoClient;
   storage::TxnId txn_ = storage::kNoTxn;
-  std::unordered_set<storage::ObjectId> read_objects_;
-  std::unordered_set<storage::ObjectId> write_objects_;
-  std::unordered_set<storage::PageId> read_pages_;
-  std::unordered_set<storage::PageId> write_pages_;
+  util::FlatSet<storage::ObjectId> read_objects_;
+  util::FlatSet<storage::ObjectId> write_objects_;
+  util::FlatSet<storage::PageId> read_pages_;
+  util::FlatSet<storage::PageId> write_pages_;
   /// Pages on which the server granted this transaction a page write lock.
-  std::unordered_set<storage::PageId> page_write_locks_;
+  util::FlatSet<storage::PageId> page_write_locks_;
   /// Objects on which the server granted this transaction an object X lock.
-  std::unordered_set<storage::ObjectId> object_write_locks_;
+  util::FlatSet<storage::ObjectId> object_write_locks_;
 };
 
 }  // namespace psoodb::cc

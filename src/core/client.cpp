@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <unordered_map>
 
 #include "cc/abort.h"
 #include "util/check.h"
@@ -79,6 +80,9 @@ static bool TraceViolations() {
 }
 
 sim::Task Client::MainLoop() {
+  // One reference string, refilled for every transaction: generation then
+  // allocates nothing once it has grown to the workload's size.
+  workload::ReferenceString refs;
   for (;;) {
     if (ctx_.tracer != nullptr) cycle_.Clear();
     if (ctx_.params.think_time > 0) {
@@ -88,7 +92,7 @@ sim::Task Client::MainLoop() {
         cycle_.Add(trace::Phase::kThink, ctx_.sim.now() - think_start);
       }
     }
-    workload::ReferenceString refs = source_.NextTransaction();
+    source_.NextTransaction(refs);
     const sim::SimTime first_start = ctx_.sim.now();
     bool committed = false;
     while (!committed) {
@@ -190,7 +194,7 @@ bool PageFamilyClient::CachedAvailable(ObjectId oid) const {
 }
 
 void PageFamilyClient::PinForTxn(PageId page) {
-  if (pinned_pages_.insert(page).second) cache_.Pin(page);
+  if (pinned_pages_.insert(page)) cache_.Pin(page);
 }
 
 void PageFamilyClient::UnpinAll() {

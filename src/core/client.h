@@ -11,8 +11,6 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cc/local_locks.h"
@@ -25,6 +23,7 @@
 #include "storage/object_cache.h"
 #include "trace/trace.h"
 #include "util/annotations.h"
+#include "util/flat_set.h"
 #include "workload/workload.h"
 
 namespace psoodb::core {
@@ -189,7 +188,7 @@ class Client {
   bool txn_committing_ = false;
   bool txn_aborting_ = false;
   cc::LocalTxnLocks locks_;
-  std::unordered_map<storage::ObjectId, storage::Version> read_versions_;
+  util::FlatMap<storage::ObjectId, storage::Version> read_versions_;
   std::vector<sim::InlineFunction> deferred_;
 
   /// Client-side phase accumulator for the current commit cycle (think,
@@ -246,7 +245,7 @@ class PageFamilyClient : public Client {
   void PinForTxn(storage::PageId page) PSOODB_ACQUIRES(pin);
 
   storage::PageCache cache_;
-  std::unordered_set<storage::PageId> pinned_pages_;
+  util::FlatSet<storage::PageId> pinned_pages_;
 };
 
 }  // namespace psoodb::core

@@ -176,7 +176,7 @@ sim::Task OsClient::FetchObject(ObjectId oid) {
 }
 
 void OsClient::PinForTxn(ObjectId oid) {
-  if (pinned_objects_.insert(oid).second) cache_.Pin(oid);
+  if (pinned_objects_.insert(oid)) cache_.Pin(oid);
 }
 
 void OsClient::UnpinAll() {

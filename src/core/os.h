@@ -10,6 +10,7 @@
 
 #include "core/client.h"
 #include "core/server.h"
+#include "util/flat_set.h"
 
 namespace psoodb::core {
 
@@ -85,7 +86,7 @@ class OsClient : public Client {
 
   std::vector<OsServer*> os_servers_;
   storage::ObjectCache cache_;
-  std::unordered_set<storage::ObjectId> pinned_objects_;
+  util::FlatSet<storage::ObjectId> pinned_objects_;
 };
 
 }  // namespace psoodb::core

@@ -596,7 +596,6 @@ RunResult System::Run(const RunConfig& run) {
   result.response_hist = latency_.response;
   result.lock_wait_hist = latency_.lock_wait;
   result.callback_round_hist = latency_.callback_round;
-  std::string counter_fragment;
   if (telemetry_) {
     metrics::TimeSeries::Meta tmeta;
     tmeta.protocol = config::ProtocolName(protocol_);
@@ -605,7 +604,6 @@ RunResult System::Run(const RunConfig& run) {
     tmeta.seed = params_.seed;
     tmeta.partitions = 0;
     result.telemetry_jsonl = telemetry_->SerializeJsonl(tmeta);
-    counter_fragment = telemetry_->RenderChromeCounters();
   }
   if (tracer_) {
     for (int i = 0; i < trace::kNumPhases; ++i) {
@@ -621,6 +619,10 @@ RunResult System::Run(const RunConfig& run) {
     meta.num_servers = params_.num_servers;
     meta.seed = params_.seed;
     result.trace_jsonl = tracer_->SerializeJsonl(meta);
+    // Only the Chrome sink reads the telemetry counter tracks, so a
+    // telemetry-only run never renders them.
+    const std::string counter_fragment =
+        telemetry_ ? telemetry_->RenderChromeCounters() : std::string();
     result.trace_chrome = tracer_->SerializeChrome(
         meta, counter_fragment.empty() ? nullptr : &counter_fragment);
   }
@@ -923,7 +925,6 @@ RunResult System::RunPartitioned(const RunConfig& run) {
   result.response_hist = latency_.response;
   result.lock_wait_hist = latency_.lock_wait;
   result.callback_round_hist = latency_.callback_round;
-  std::string counter_fragment;
   if (telemetry_) {
     metrics::TimeSeries::Meta tmeta;
     tmeta.protocol = config::ProtocolName(protocol_);
@@ -932,7 +933,6 @@ RunResult System::RunPartitioned(const RunConfig& run) {
     tmeta.seed = params_.seed;
     tmeta.partitions = P;
     result.telemetry_jsonl = telemetry_->SerializeJsonl(tmeta);
-    counter_fragment = telemetry_->RenderChromeCounters();
   }
   if (params_.trace) {
     for (auto& part : partitions_) {
@@ -953,6 +953,10 @@ RunResult System::RunPartitioned(const RunConfig& run) {
     tracers.reserve(partitions_.size());
     for (auto& part : partitions_) tracers.push_back(part->tracer.get());
     result.trace_jsonl = trace::Tracer::SerializeJsonlMerged(tracers, meta);
+    // Only the Chrome sink reads the telemetry counter tracks, so a
+    // telemetry-only run never renders them.
+    const std::string counter_fragment =
+        telemetry_ ? telemetry_->RenderChromeCounters() : std::string();
     result.trace_chrome = trace::Tracer::SerializeChromeMerged(
         tracers, meta, counter_fragment.empty() ? nullptr : &counter_fragment);
   }

@@ -1,6 +1,5 @@
 #include "resources/cpu.h"
 
-#include <vector>
 #include "util/check.h"
 
 namespace psoodb::resources {
@@ -99,35 +98,43 @@ void Cpu::Reschedule() {
 void Cpu::OnCompletion(std::uint64_t generation) {
   if (generation != generation_) return;  // stale
   Advance();
-  std::vector<Node*> done;
-  if (!system_.empty() && system_.front()->remaining <= kEpsilonInst) {
-    done.push_back(system_.front());
+  // Wake the due jobs in place: the system head if it is due (user jobs make
+  // no progress while it runs), otherwise every due user job in list order.
+  Node* due = nullptr;  // forced-completion candidate if nothing is due
+  bool woke = false;
+  if (!system_.empty()) {
+    due = system_.front();
+    if (due->remaining <= kEpsilonInst) {
+      Wake(due);
+      woke = true;
+    }
+  } else {
+    for (Node* n = user_.head.next; n != &user_.head;) {
+      Node* next = n->next;
+      if (n->remaining <= kEpsilonInst) {
+        Wake(n);
+        woke = true;
+      } else if (due == nullptr || n->remaining < due->remaining) {
+        due = n;
+      }
+      n = next;
+    }
   }
-  for (Node* n = user_.head.next; n != &user_.head; n = n->next) {
-    if (system_.empty() && n->remaining <= kEpsilonInst) done.push_back(n);
-  }
-  if (done.empty()) {
+  if (!woke && due != nullptr) {
     // This callback was scheduled for a completion, but the clock could not
     // advance far enough for the residual to drain (time resolution limit).
     // Force the due job to complete; the lost work is < kEpsilonInst.
-    Node* due = nullptr;
-    if (!system_.empty()) {
-      due = system_.front();
-    } else {
-      for (Node* n = user_.head.next; n != &user_.head; n = n->next) {
-        if (due == nullptr || n->remaining < due->remaining) due = n;
-      }
-    }
     // Safe: a generation-matching completion event only fires at the due
     // instant computed for the then-minimal job; membership changes bump
     // the generation.
-    if (due != nullptr) done.push_back(due);
-  }
-  for (Node* n : done) {
-    (n->system ? system_ : user_).Remove(n);
-    n->sched = sim_.ScheduleNow(n->handle);
+    Wake(due);
   }
   Reschedule();
+}
+
+void Cpu::Wake(Node* n) {
+  (n->system ? system_ : user_).Remove(n);
+  n->sched = sim_.ScheduleNow(n->handle);
 }
 
 void Cpu::Enqueue(Node* n) {

@@ -89,6 +89,8 @@ class Cpu {
   void Reschedule();
   /// Completion callback: finish all due jobs, wake them, reschedule.
   void OnCompletion(std::uint64_t generation);
+  /// Unlinks a finished job and schedules its resumption.
+  void Wake(Node* n);
 
   void Enqueue(Node* n);
   void Dequeue(Node* n);

@@ -1,8 +1,11 @@
 #include "sim/random.h"
 
+#include <algorithm>
 #include <cmath>
-#include <unordered_set>
+#include <utility>
+
 #include "util/check.h"
+#include "util/small_vector.h"
 
 namespace psoodb::sim {
 
@@ -66,34 +69,38 @@ double Rng::Exponential(double mean) {
 
 bool Rng::Bernoulli(double p) { return NextDouble() < p; }
 
-std::vector<std::int64_t> Rng::SampleWithoutReplacement(std::int64_t lo,
-                                                        std::int64_t hi,
-                                                        std::size_t k) {
+void Rng::SampleWithoutReplacement(std::int64_t lo, std::int64_t hi,
+                                   std::span<std::int64_t> out) {
+  const std::size_t k = out.size();
   const std::uint64_t n = static_cast<std::uint64_t>(hi - lo) + 1;
   PSOODB_CHECK(k <= n, "sample of %llu from a range of %llu",
                static_cast<unsigned long long>(k),
                static_cast<unsigned long long>(n));
-  std::vector<std::int64_t> out;
-  out.reserve(k);
   if (k * 3 >= n) {
     // Dense case: partial Fisher-Yates over the whole range.
-    std::vector<std::int64_t> all;
-    all.reserve(n);
+    util::SmallVector<std::int64_t, kInlineSampleRange> all;
     for (std::int64_t v = lo; v <= hi; ++v) all.push_back(v);
     for (std::size_t i = 0; i < k; ++i) {
       std::size_t j =
           static_cast<std::size_t>(UniformInt(i, static_cast<std::int64_t>(n) - 1));
       std::swap(all[i], all[j]);
-      out.push_back(all[i]);
+      out[i] = all[i];
     }
   } else {
-    // Sparse case: rejection with a hash set.
-    std::unordered_set<std::int64_t> seen;
-    while (out.size() < k) {
-      std::int64_t v = UniformInt(lo, hi);
-      if (seen.insert(v).second) out.push_back(v);
+    // Sparse case: rejection; the values drawn so far are the seen set.
+    for (std::size_t i = 0; i < k;) {
+      const std::int64_t v = UniformInt(lo, hi);
+      const auto drawn = out.first(i);
+      if (std::find(drawn.begin(), drawn.end(), v) == drawn.end()) out[i++] = v;
     }
   }
+}
+
+std::vector<std::int64_t> Rng::SampleWithoutReplacement(std::int64_t lo,
+                                                        std::int64_t hi,
+                                                        std::size_t k) {
+  std::vector<std::int64_t> out(k);
+  SampleWithoutReplacement(lo, hi, std::span<std::int64_t>(out));
   return out;
 }
 

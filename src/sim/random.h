@@ -9,6 +9,7 @@
 #define PSOODB_SIM_RANDOM_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace psoodb::sim {
@@ -38,15 +39,28 @@ class Rng {
   /// True with probability p.
   bool Bernoulli(double p);
 
-  /// Returns `k` distinct values drawn uniformly from [lo, hi] (inclusive).
-  /// Requires k <= hi - lo + 1.
+  /// Fills `out` with out.size() distinct values drawn uniformly from
+  /// [lo, hi] (inclusive). Requires out.size() <= hi - lo + 1. Allocates
+  /// nothing for ranges of up to kInlineSampleRange values (a page's object
+  /// slots). The sparse case tests each draw against the values drawn so
+  /// far, so it is meant for small samples.
+  void SampleWithoutReplacement(std::int64_t lo, std::int64_t hi,
+                                std::span<std::int64_t> out);
+
+  /// Returns `k` distinct values drawn uniformly from [lo, hi] (inclusive):
+  /// the same draws as the form above. Requires k <= hi - lo + 1.
   std::vector<std::int64_t> SampleWithoutReplacement(std::int64_t lo,
                                                      std::int64_t hi,
                                                      std::size_t k);
 
-  /// Fisher-Yates shuffle.
-  template <typename T>
-  void Shuffle(std::vector<T>& v) {
+  /// Ranges up to this size are sampled without heap scratch; it covers a
+  /// page's object slots (storage::kMaxObjectsPerPage).
+  static constexpr std::size_t kInlineSampleRange = 64;
+
+  /// Fisher-Yates shuffle of a random-access container (std::vector or
+  /// util::SmallVector).
+  template <typename Container>
+  void Shuffle(Container& v) {
     for (std::size_t i = v.size(); i > 1; --i) {
       std::size_t j = static_cast<std::size_t>(UniformInt(0, i - 1));
       using std::swap;

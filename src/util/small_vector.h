@@ -67,6 +67,17 @@ class SmallVector {
     data_[size_++] = v;
   }
 
+  void pop_back() {
+    PSOODB_DCHECK(size_ > 0, "SmallVector::pop_back on empty");
+    --size_;
+  }
+
+  /// Resizes to `n` elements; elements past the old size are uninitialized.
+  void resize(std::size_t n) {
+    while (capacity_ < n) Grow();
+    size_ = n;
+  }
+
   /// Inserts `v` before position `pos` (shifting the tail up).
   void insert(std::size_t pos, const T& v) {
     PSOODB_DCHECK(pos <= size_, "SmallVector::insert out of range");

@@ -1,7 +1,8 @@
 #include "workload/workload.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <span>
+
 #include "util/check.h"
 
 namespace psoodb::workload {
@@ -31,10 +32,15 @@ TransactionSource::TransactionSource(const config::WorkloadParams& workload,
                "client %d has neither regions nor a custom generator", client);
 }
 
-std::vector<std::pair<PageId, int>> TransactionSource::ChoosePages(int n) {
-  std::vector<std::pair<PageId, int>> chosen;
-  chosen.reserve(n);
-  std::unordered_set<PageId> used;
+void TransactionSource::ChoosePages(int n, PageDraws& chosen) {
+  // The pages chosen so far are the used set: n is a transaction's page
+  // count, so scanning them beats hashing.
+  const auto fresh = [&chosen](PageId cand) {
+    for (const PageDraw& p : chosen) {
+      if (p.page == cand) return false;
+    }
+    return true;
+  };
   const auto& regions = *regions_;
   for (int i = 0; i < n; ++i) {
     // Select a region by access probability.
@@ -51,14 +57,14 @@ std::vector<std::pair<PageId, int>> TransactionSource::ChoosePages(int n) {
     PageId page = -1;
     for (int attempt = 0; attempt < 64; ++attempt) {
       PageId cand = static_cast<PageId>(rng_.UniformInt(reg.lo, reg.hi));
-      if (used.insert(cand).second) {
+      if (fresh(cand)) {
         page = cand;
         break;
       }
     }
     if (page < 0) {
       for (PageId cand = reg.lo; cand <= reg.hi; ++cand) {
-        if (used.insert(cand).second) {
+        if (fresh(cand)) {
           page = cand;
           break;
         }
@@ -68,71 +74,75 @@ std::vector<std::pair<PageId, int>> TransactionSource::ChoosePages(int n) {
       // Region exhausted; draw from the whole database.
       for (int attempt = 0; attempt < 1024 && page < 0; ++attempt) {
         PageId cand = static_cast<PageId>(rng_.UniformInt(0, sys_.db_pages - 1));
-        if (used.insert(cand).second) page = cand;
+        if (fresh(cand)) page = cand;
       }
     }
-    if (page >= 0) chosen.emplace_back(page, r);
+    if (page >= 0) chosen.push_back({page, r, 0, 0});
   }
-  return chosen;
 }
 
 ReferenceString TransactionSource::NextTransaction() {
+  ReferenceString out;
+  NextTransaction(out);
+  return out;
+}
+
+void TransactionSource::NextTransaction(ReferenceString& out) {
+  out.clear();
   if (workload_.custom_generator) {
     auto accesses = workload_.custom_generator(client_, ordinal_++);
-    ReferenceString out;
     out.reserve(accesses.size());
     for (const auto& a : accesses) out.push_back({a.oid, a.is_write});
-    return out;
+    return;
   }
   ++ordinal_;
   const int opp = sys_.objects_per_page;
-  auto pages = ChoosePages(workload_.trans_size_pages);
+  PageDraws pages;
+  ChoosePages(workload_.trans_size_pages, pages);
 
-  // Per-page object reference groups.
-  std::vector<std::vector<AccessOp>> groups;
-  groups.reserve(pages.size());
-  for (auto [page, r] : pages) {
+  // Per-page object reference groups, laid out in page order.
+  util::SmallVector<AccessOp, kInlineRefs> groups;
+  util::SmallVector<std::int64_t, sim::Rng::kInlineSampleRange> slots;
+  for (PageDraw& p : pages) {
     int k = static_cast<int>(rng_.UniformInt(workload_.page_locality_min,
                                              workload_.page_locality_max));
     k = std::min(k, opp);
-    auto slots = rng_.SampleWithoutReplacement(0, opp - 1,
-                                               static_cast<std::size_t>(k));
-    std::vector<AccessOp> group;
-    group.reserve(slots.size());
-    const double wp = (*regions_)[r].write_prob;
-    for (auto slot : slots) {
-      ObjectId oid = static_cast<ObjectId>(page) * opp + slot;
-      group.push_back({oid, rng_.Bernoulli(wp)});
+    slots.resize(static_cast<std::size_t>(k));
+    rng_.SampleWithoutReplacement(
+        0, opp - 1, std::span<std::int64_t>(slots.begin(), slots.size()));
+    p.begin = static_cast<int>(groups.size());
+    p.size = k;
+    const double wp = (*regions_)[p.region].write_prob;
+    for (std::int64_t slot : slots) {
+      ObjectId oid = static_cast<ObjectId>(p.page) * opp + slot;
+      groups.push_back({oid, rng_.Bernoulli(wp)});
     }
-    groups.push_back(std::move(group));
   }
 
-  ReferenceString out;
   if (workload_.pattern == AccessPattern::kClustered) {
     // All of a page's references appear together; page order is random.
-    rng_.Shuffle(groups);
-    for (auto& g : groups) {
-      out.insert(out.end(), g.begin(), g.end());
+    rng_.Shuffle(pages);
+    for (const PageDraw& p : pages) {
+      out.insert(out.end(), groups.begin() + p.begin,
+                 groups.begin() + p.begin + p.size);
     }
   } else {
     // Unclustered: interleave page groups, preserving within-page order.
-    std::vector<std::size_t> next(groups.size(), 0);
-    std::vector<int> live;
-    for (int i = 0; i < static_cast<int>(groups.size()); ++i) {
-      if (!groups[i].empty()) live.push_back(i);
+    util::SmallVector<int, kInlinePages> live;
+    for (int i = 0; i < static_cast<int>(pages.size()); ++i) {
+      if (pages[i].size > 0) live.push_back(i);
     }
     while (!live.empty()) {
       int pick = static_cast<int>(
           rng_.UniformInt(0, static_cast<std::int64_t>(live.size()) - 1));
-      int g = live[pick];
-      out.push_back(groups[g][next[g]++]);
-      if (next[g] == groups[g].size()) {
+      PageDraw& p = pages[live[pick]];
+      out.push_back(groups[p.begin++]);
+      if (--p.size == 0) {
         live[pick] = live.back();
         live.pop_back();
       }
     }
   }
-  return out;
 }
 
 }  // namespace psoodb::workload

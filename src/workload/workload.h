@@ -16,6 +16,7 @@
 #include "config/params.h"
 #include "sim/random.h"
 #include "storage/types.h"
+#include "util/small_vector.h"
 
 namespace psoodb::workload {
 
@@ -39,13 +40,34 @@ class TransactionSource {
   /// Produces the next transaction's reference string.
   ReferenceString NextTransaction();
 
+  /// Writes the next transaction's reference string into `out` (replacing
+  /// its contents). A client reuses one string across its transactions, so
+  /// generation allocates nothing once that string has grown: the per-call
+  /// scratch lives on the stack and covers every paper workload.
+  void NextTransaction(ReferenceString& out);
+
   const std::vector<config::RegionSpec>& regions() const { return *regions_; }
   std::uint64_t transactions_generated() const { return ordinal_; }
 
  private:
-  /// Chooses `n` distinct pages according to the region probabilities.
-  /// Returns (page, region index) pairs.
-  std::vector<std::pair<storage::PageId, int>> ChoosePages(int n);
+  /// One chosen page: its region, then the span [begin, begin + size) of
+  /// its object references in the page-order scratch.
+  struct PageDraw {
+    storage::PageId page;
+    int region;
+    int begin;
+    int size;
+  };
+  /// Inline capacities of the per-call scratch: the paper's largest
+  /// transactions touch 30 pages (low locality) and 210 objects (30 pages
+  /// x 7); bigger ones spill to the heap.
+  static constexpr std::size_t kInlinePages = 32;
+  static constexpr std::size_t kInlineRefs = 256;
+  using PageDraws = util::SmallVector<PageDraw, kInlinePages>;
+
+  /// Appends `n` distinct pages chosen according to the region
+  /// probabilities to `chosen` (fewer if the database runs out).
+  void ChoosePages(int n, PageDraws& chosen);
 
   const config::WorkloadParams& workload_;
   const config::SystemParams& sys_;

@@ -97,3 +97,24 @@ int SumUnorderedParam(const std::unordered_set<int>& extras) {
   for (int v : extras) s += v;  // EXPECT: unordered-iter
   return s;
 }
+
+// util::FlatSet / FlatMap (src/util/flat_set.h) iterate in slot order, which
+// depends on the hash and the insertion history: the same hazard.
+util::FlatSet<long> footprint;
+
+long SumFlatSet() {
+  long s = 0;
+  for (long v : footprint) {  // EXPECT: unordered-iter
+    s += v;
+  }
+  return s;
+}
+
+// FP guard: probing a FlatSet from inside an ordered loop is order-free.
+long CountFlatHits() {
+  long s = 0;
+  for (int x : vec) {  // FP-GUARD: unordered-iter
+    s += static_cast<long>(footprint.count(x));
+  }
+  return s;
+}

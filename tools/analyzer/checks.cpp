@@ -22,10 +22,6 @@ struct Ctx {
   }
 };
 
-bool IsUnorderedTypeName(const std::string& s) {
-  return s.rfind("unordered_", 0) == 0;
-}
-
 // ---------------------------------------------------------------------------
 // det-hazard
 // ---------------------------------------------------------------------------

@@ -8,10 +8,6 @@ namespace {
 
 using Tokens = std::vector<Token>;
 
-bool IsUnorderedTypeName(const std::string& s) {
-  return s.rfind("unordered_", 0) == 0;
-}
-
 /// Keywords that can directly precede a call and must not be mistaken for a
 /// return type in a `Type name(` declaration pattern.
 bool IsNonTypeKeyword(const std::string& s) {
@@ -359,6 +355,10 @@ void IndexSpawnSite(const Tokens& t, std::size_t i, SymbolIndex& idx) {
 }
 
 }  // namespace
+
+bool IsUnorderedTypeName(const std::string& s) {
+  return s.rfind("unordered_", 0) == 0 || s == "FlatSet" || s == "FlatMap";
+}
 
 bool IsAnnotationMacro(const std::string& s) {
   return s == "PSOODB_GUARDED_BY" || s == "PSOODB_REQUIRES" ||

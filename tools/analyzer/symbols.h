@@ -110,6 +110,11 @@ void IndexSymbolsPassA(const LexedFile& f, SymbolIndex& idx);
 /// Pass B: unordered-typed variables (requires pass A aliases for all files).
 void IndexSymbolsPassB(const LexedFile& f, SymbolIndex& idx);
 
+/// True for the hash-container type names whose iteration order is a layout
+/// detail: std::unordered_* and util::FlatSet / util::FlatMap
+/// (src/util/flat_set.h). Shared by the symbol index and the checks.
+bool IsUnorderedTypeName(const std::string& s);
+
 /// True for the no-op annotation macro names; declaration parsers treat them
 /// as transparent (they sit between a declarator and its `;` / `= init`).
 bool IsAnnotationMacro(const std::string& s);

@@ -14,13 +14,18 @@ import tempfile
 import unittest
 
 TOOL = os.path.join(os.path.dirname(os.path.abspath(__file__)), "perf_smoke")
+COMMITTED_BASELINE = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "bench", "baselines", "BENCH_kernel.json")
 
 
-def scenario(name, rate, serial_share=None):
+def scenario(name, rate, serial_share=None, reps=None):
     s = {"name": name, "events_per_sec": rate, "events": 1000,
          "wall_seconds": 0.1}
     if serial_share is not None:
         s["serial_share"] = serial_share
+    if reps is not None:
+        s["rep_events_per_sec"] = reps
     return s
 
 
@@ -120,6 +125,54 @@ class PerfSmokeTest(unittest.TestCase):
         r = self.run_tool(cur, base)
         self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
         self.assertIn("TELEMETRY OVERHEAD TOO HIGH", r.stdout)
+
+    def test_one_slow_telemetry_repetition_does_not_fail(self):
+        # One repetition hit by host noise (0.50x) is outvoted by the two
+        # clean pairs: the median ratio is 0.95x, inside the bound.
+        cur = self.write("cur.json", doc([
+            scenario("fig08_point", 1e6, reps=[1e6, 1e6, 1e6]),
+            scenario("telemetry_point", 0.96e6,
+                     reps=[0.95e6, 0.5e6, 0.96e6])]))
+        base = self.write("base.json", doc([scenario("fig08_point", 1e6)]))
+        r = self.run_tool(cur, base)
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        self.assertIn("median  0.95x of 3", r.stdout)
+
+    def test_one_fast_telemetry_repetition_does_not_pass(self):
+        # Every clean pair shows 20% overhead; one lucky repetition (1.2x)
+        # would make the best-of-N pair pass, but the median still fails.
+        cur = self.write("cur.json", doc([
+            scenario("fig08_point", 1e6, reps=[1e6, 1e6, 1e6]),
+            scenario("telemetry_point", 1.2e6,
+                     reps=[0.8e6, 1.2e6, 0.8e6])]))
+        base = self.write("base.json", doc([scenario("fig08_point", 1e6)]))
+        r = self.run_tool(cur, base)
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        self.assertIn("TELEMETRY OVERHEAD TOO HIGH", r.stdout)
+
+    def test_mismatched_repetition_lists_fail_loudly(self):
+        cur = self.write("cur.json", doc([
+            scenario("fig08_point", 1e6, reps=[1e6, 1e6]),
+            scenario("telemetry_point", 1e6, reps=[1e6])]))
+        base = self.write("base.json", doc([scenario("fig08_point", 1e6)]))
+        r = self.run_tool(cur, base)
+        self.assertNotEqual(r.returncode, 0)
+        self.assertIn("per-repetition rates", r.stderr)
+
+    def test_committed_schema2_baseline_is_still_read(self):
+        # The committed baseline predates per-repetition rates: as the
+        # baseline it compares as before, and as a current file its one
+        # best-of-N telemetry pair is gated.
+        cur = self.write("cur.json", doc([
+            scenario("fig08_point", 2.9e6, reps=[2.9e6, 2.8e6, 2.9e6]),
+            scenario("telemetry_point", 2.8e6,
+                     reps=[2.8e6, 2.7e6, 2.8e6])]))
+        r = self.run_tool(cur, COMMITTED_BASELINE)
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        self.assertIn("of 3 paired", r.stdout)
+        r = self.run_tool(COMMITTED_BASELINE, COMMITTED_BASELINE)
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        self.assertIn("of 1 paired", r.stdout)
 
     def test_telemetry_pair_absent_is_not_checked(self):
         # Runs without the telemetry scenario (e.g. a scenario subset) skip
