@@ -1,8 +1,6 @@
 #include "figure_harness.h"
 
-#include <cerrno>
 #include <chrono>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -32,21 +30,6 @@ void PrintCell(const char* fmt, double value, const core::RunResult& r) {
 }
 
 }  // namespace
-
-int EnvInt(const char* name, int def) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return def;
-  errno = 0;
-  char* end = nullptr;
-  const long n = std::strtol(v, &end, 10);
-  if (errno != 0 || end == v || *end != '\0' || n < INT_MIN || n > INT_MAX) {
-    std::fprintf(stderr,
-                 "warning: %s=\"%s\" is not an integer; using default %d\n",
-                 name, v, def);
-    return def;
-  }
-  return static_cast<int>(n);
-}
 
 core::RunConfig BenchRunConfig() {
   core::RunConfig rc;

@@ -51,6 +51,7 @@
 
 #include "config/params.h"
 #include "core/system.h"
+#include "util/env.h"
 
 namespace psoodb::bench {
 
@@ -72,10 +73,11 @@ struct SweepOptions {
 using WorkloadFactory =
     std::function<config::WorkloadParams(const config::SystemParams&, double)>;
 
-/// Strictly validated integer environment lookup: the whole value must be a
-/// base-10 integer, otherwise the default is used and a warning printed
-/// (unlike atoi, "4k" does not silently become 4 nor garbage become 0).
-int EnvInt(const char* name, int def);
+/// Strictly validated integer environment lookup (util/env.h): the whole
+/// value must be a base-10 integer, otherwise the default is used and a
+/// warning printed (unlike atoi, "4k" does not silently become 4 nor
+/// garbage become 0).
+using util::EnvInt;
 
 /// Experiment-control values resolved from the environment.
 core::RunConfig BenchRunConfig();

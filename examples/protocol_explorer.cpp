@@ -6,7 +6,11 @@
 // Example (all on one command line):
 //   $ ./build/examples/protocol_explorer --protocol=ps-aa --workload=hicon
 //         --write-prob=0.2 --locality=high --clients=10 --commits=2000
-//         --servers=2 --csv=timeseries.csv --sample=0.5
+//         --servers=2 --telemetry=telemetry.jsonl
+//
+// --telemetry=<path> turns on the time-series telemetry
+// (SystemParams::telemetry) and writes its JSONL sink to <path>; read it
+// with timeline_report.
 
 #include <cstdio>
 #include <cstdlib>
@@ -54,13 +58,13 @@ int main(int argc, char** argv) {
   const int commits = std::atoi(Arg(argc, argv, "commits", "1500"));
   const int db_pages = std::atoi(Arg(argc, argv, "db-pages", "1250"));
   const int servers = std::atoi(Arg(argc, argv, "servers", "1"));
-  const std::string csv = Arg(argc, argv, "csv", "");
-  const double sample = std::atof(Arg(argc, argv, "sample", "0"));
+  const std::string telemetry = Arg(argc, argv, "telemetry", "");
 
   config::SystemParams sys;
   sys.num_clients = clients;
   sys.db_pages = db_pages;
   sys.num_servers = servers;
+  sys.telemetry = !telemetry.empty();
   const auto loc = locality_s == "high" ? config::Locality::kHigh
                                         : config::Locality::kLow;
 
@@ -86,12 +90,19 @@ int main(int argc, char** argv) {
   core::RunConfig rc;
   rc.warmup_commits = commits / 5;
   rc.measure_commits = commits;
-  if (!csv.empty()) rc.sample_interval = sample > 0 ? sample : 1.0;
   const auto protocol = ParseProtocol(proto_s);
   auto r = core::RunSimulation(protocol, sys, w, rc);
-  if (!csv.empty()) {
-    core::WriteSamplesCsv(r.samples, csv);
-    std::printf("wrote %zu samples to %s\n", r.samples.size(), csv.c_str());
+  if (!telemetry.empty()) {
+    const std::string& jsonl = r.telemetry_jsonl;
+    std::FILE* f = std::fopen(telemetry.c_str(), "w");
+    bool ok = f != nullptr &&
+              std::fwrite(jsonl.data(), 1, jsonl.size(), f) == jsonl.size();
+    if (f != nullptr && std::fclose(f) != 0) ok = false;
+    if (!ok) {
+      std::fprintf(stderr, "cannot write %s\n", telemetry.c_str());
+      return 1;
+    }
+    std::printf("wrote telemetry to %s\n", telemetry.c_str());
   }
 
   const auto& c = r.counters;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <map>
 #include <string>
 #include <type_traits>
@@ -20,6 +19,7 @@
 #include "core/ps_oo.h"
 #include "core/ps_wt.h"
 #include "util/check.h"
+#include "util/env.h"
 
 namespace psoodb::core {
 
@@ -73,12 +73,11 @@ System::System(Protocol protocol, const config::SystemParams& params,
       env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0')) {
     params_.trace = true;
   }
-  if (const char* env = std::getenv("PSOODB_TRACE_PAGE"); env != nullptr) {
-    params_.trace_page = static_cast<storage::PageId>(std::atol(env));
-  }
-  if (const char* env = std::getenv("PSOODB_SIM_SHARDS"); env != nullptr) {
-    params_.sim_shards = std::atoi(env);
-  }
+  // Numeric overrides are validated: empty, garbage or trailing junk
+  // ("4x") keeps the programmatic value (with a warning for the latter two)
+  // instead of reading as 0 or a prefix.
+  params_.trace_page = util::EnvInt("PSOODB_TRACE_PAGE", params_.trace_page);
+  params_.sim_shards = util::EnvInt("PSOODB_SIM_SHARDS", params_.sim_shards);
   // Unlike PSOODB_TRACE (enable-only), "0" force-disables: the scaled
   // figure benches default telemetry *on*, and the environment must be able
   // to turn it back off.
@@ -86,9 +85,15 @@ System::System(Protocol protocol, const config::SystemParams& params,
       env != nullptr && env[0] != '\0') {
     params_.telemetry = !(env[0] == '0' && env[1] == '\0');
   }
-  if (const char* env = std::getenv("PSOODB_TELEMETRY_TICK");
-      env != nullptr) {
-    if (const double t = std::atof(env); t > 0) params_.telemetry_tick = t;
+  if (const double tick =
+          util::EnvDouble("PSOODB_TELEMETRY_TICK", params_.telemetry_tick);
+      tick > 0) {
+    params_.telemetry_tick = tick;
+  } else if (tick != params_.telemetry_tick) {
+    std::fprintf(stderr,
+                 "warning: PSOODB_TELEMETRY_TICK=%g is not positive; using "
+                 "default %g\n",
+                 tick, params_.telemetry_tick);
   }
 
   const bool partitioned = params_.sim_shards > 0;
@@ -523,9 +528,6 @@ RunResult System::Run(const RunConfig& run) {
   // --- Measurement ------------------------------------------------------------
   const std::uint64_t target = static_cast<std::uint64_t>(run.measure_commits);
   events = 0;
-  double next_sample = run.sample_interval > 0
-                           ? measure_start + run.sample_interval
-                           : std::numeric_limits<double>::infinity();
   while (!stalled && counters_.commits < target) {
     if (!sim_->Step()) {
       stalled = true;
@@ -533,18 +535,6 @@ RunResult System::Run(const RunConfig& run) {
     }
     if (invariants_) invariants_->OnEvent();
     if (telemetry_) telemetry_->SampleUpTo(sim_->now());
-    while (sim_->now() >= next_sample) {
-      MetricsSample s;
-      s.t = next_sample - measure_start;
-      s.commits = counters_.commits;
-      s.aborts = counters_.aborts;
-      s.msgs = counters_.msgs_total;
-      s.server_cpu_util = server(0).cpu().Utilization();
-      s.disk_util = server(0).disks().AverageUtilization();
-      s.network_util = network_->Utilization();
-      result.samples.push_back(s);
-      next_sample += run.sample_interval;
-    }
     if (++events > run.max_events ||
         sim_->now() - measure_start > run.max_sim_seconds) {
       break;
@@ -697,8 +687,6 @@ RunResult System::RunPartitioned(const RunConfig& run) {
   PSOODB_CHECK(!run.record_history,
                "record_history needs the sequential simulator (sim_shards=0): "
                "the history log is a single serialized stream");
-  PSOODB_CHECK(run.sample_interval <= 0,
-               "sample_interval needs the sequential simulator (sim_shards=0)");
 
   const int P = shards_->partitions();
   for (auto& part : partitions_) {
@@ -968,23 +956,6 @@ RunResult RunSimulation(Protocol protocol, const config::SystemParams& params,
                         const RunConfig& run) {
   System system(protocol, params, workload);
   return system.Run(run);
-}
-
-void WriteSamplesCsv(const std::vector<MetricsSample>& samples,
-                     const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return;
-  std::fprintf(f,
-               "t,commits,aborts,msgs,server_cpu_util,disk_util,"
-               "network_util\n");
-  for (const auto& s : samples) {
-    std::fprintf(f, "%.6f,%llu,%llu,%llu,%.4f,%.4f,%.4f\n", s.t,
-                 static_cast<unsigned long long>(s.commits),
-                 static_cast<unsigned long long>(s.aborts),
-                 static_cast<unsigned long long>(s.msgs), s.server_cpu_util,
-                 s.disk_util, s.network_util);
-  }
-  std::fclose(f);
 }
 
 }  // namespace psoodb::core

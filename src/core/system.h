@@ -41,20 +41,6 @@ struct RunConfig {
   std::uint64_t max_events = 400'000'000;  ///< hard cap on events (hang guard)
   bool record_history = false;  ///< record commits for serializability checks
   int ci_batches = 20;          ///< batch-means batches for the response CI
-  /// If > 0, sample cumulative metrics every this many simulated seconds
-  /// during the measurement window (RunResult::samples).
-  double sample_interval = 0;
-};
-
-/// One point of the sampled time series (cumulative since measurement start).
-struct MetricsSample {
-  double t = 0;  ///< simulated seconds since measurement start
-  std::uint64_t commits = 0;
-  std::uint64_t aborts = 0;
-  std::uint64_t msgs = 0;
-  double server_cpu_util = 0;  ///< window-cumulative utilization
-  double disk_util = 0;
-  double network_util = 0;
 };
 
 /// Results of one simulation run (measurement window only).
@@ -75,8 +61,6 @@ struct RunResult {
   bool serializable = true;     ///< only meaningful if history was recorded
   bool no_lost_updates = true;  ///< only meaningful if history was recorded
   std::uint64_t events = 0;     ///< events processed during measurement
-  /// Time series sampled every RunConfig::sample_interval (empty if 0).
-  std::vector<MetricsSample> samples;
 
   // --- Latency distributions (always collected; pure observation) ----------
   metrics::Histogram response_hist;        ///< per-commit response time, s
@@ -131,10 +115,6 @@ struct RunResult {
   std::uint64_t shard_scans_skipped = 0;
   std::uint64_t shard_deltas_applied = 0;  ///< edge deltas folded
 };
-
-/// Writes a sampled time series as CSV (header + one row per sample).
-void WriteSamplesCsv(const std::vector<MetricsSample>& samples,
-                     const std::string& path);
 
 /// A fully wired simulated system. Construct, call Run() once, inspect.
 class System {

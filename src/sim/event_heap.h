@@ -1,7 +1,7 @@
 /// \file event_heap.h
 /// The simulator's event queue: an index-tracked 4-ary min-heap with
 /// in-place tombstones, slot-encoded event ids, and small-buffer-optimized
-/// callback storage.
+/// callback storage, plus a slot-free FIFO lane for same-instant wakeups.
 ///
 /// Design (see docs/SIMULATOR.md "Scheduler internals"):
 ///
@@ -24,11 +24,22 @@
 ///    counter triggers compaction when more than half the heap is dead, so
 ///    timeout-heavy workloads (every fired event racing a cancelled timer)
 ///    keep the queue bounded by ~2x the live event count.
+///  - Same-instant coroutine wakeups (`PushNow`, about half of all events)
+///    bypass the heap: a FIFO ring of (seq, handle) with no slot, no
+///    generation and no sift. Every lane entry is at the current instant
+///    and the clock cannot advance past it, so popping the lane front
+///    unless the heap top is at the same time with a smaller seq is the
+///    exact (time, seq) merge. Lane ids are `kLaneTag | seq`; cancelling
+///    one tombstones the entry in place (found by binary search, since lane
+///    seqs increase front to back).
 ///
 /// Determinism: pops are ordered by (time, seq) with seq assigned in
-/// schedule order — exact FIFO tie-break at equal timestamps, identical to
-/// the old kernel. Slot reuse is LIFO and single-threaded, so ids and all
-/// heap states are a pure function of the schedule/cancel sequence.
+/// schedule order across heap and lane — exact FIFO tie-break at equal
+/// timestamps, identical to the old kernel. Slot reuse is LIFO and
+/// single-threaded, so ids and all queue states are a pure function of the
+/// schedule/cancel sequence. Lane entries and lane tombstones count toward
+/// `live()`, `size()` and the compaction rule exactly as heap entries would,
+/// so those observers read the same values as a heap-only queue.
 
 #ifndef PSOODB_SIM_EVENT_HEAP_H_
 #define PSOODB_SIM_EVENT_HEAP_H_
@@ -70,7 +81,10 @@ using InlineFunction = detail::EventCallback;
 /// The cancellable event queue. Single-threaded; owned by Simulation.
 class EventHeap {
  public:
-  EventHeap() = default;
+  // The lane's ring is allocated up front: allocated at the first wakeup,
+  // in the middle of a run's setup, it raised peak RSS by ~0.9 MB on a
+  // traced run (allocator placement).
+  EventHeap() : lane_(kLaneInitialCapacity) {}
   EventHeap(const EventHeap&) = delete;
   EventHeap& operator=(const EventHeap&) = delete;
   ~EventHeap() { Clear(); }
@@ -94,9 +108,27 @@ class EventHeap {
     return PushEntry(at, slot, s.gen);
   }
 
-  /// Cancels a pending event: O(1) tombstone write plus payload teardown.
-  /// Safe for stale / fired / zero ids. Returns true if an event was live.
+  /// Schedules a coroutine resumption at `now`, the current instant, after
+  /// everything already queued for it. Goes to the lane: no slot, no sift.
+  /// `now` must not precede any queued time, and must not change while
+  /// the lane holds entries (Simulation guarantees both).
+  EventId PushNow(SimTime now, std::coroutine_handle<> h) {
+    PSOODB_DCHECK(lane_size_ == 0 || now == lane_time_,
+                  "same-instant lane spans two instants");
+    if (lane_size_ == lane_.size()) GrowLane();
+    lane_time_ = now;
+    const std::uint64_t seq = ++last_seq_;
+    LaneAt(lane_size_) = LaneEntry{seq, h};
+    ++lane_size_;
+    ++live_;
+    return kLaneTag | seq;
+  }
+
+  /// Cancels a pending event: O(1) tombstone write plus payload teardown
+  /// (O(log lane) for a lane id). Safe for stale / fired / zero ids.
+  /// Returns true if an event was live.
   bool Cancel(EventId id) {
+    if ((id & kLaneTag) != 0) return CancelLane(id & ~kLaneTag);
     const std::uint32_t slot = static_cast<std::uint32_t>(id);
     const std::uint32_t gen = static_cast<std::uint32_t>(id >> 32);
     if (slot >= slot_count_) return false;
@@ -110,15 +142,14 @@ class EventHeap {
     --live_;
     if (s.kind == Slot::kCallback) s.cb.Reset();
     FreeSlot(slot, s);
-    // Compact when over half the heap is tombstones, so cancel-heavy runs
-    // (timeouts racing completions) keep the queue bounded by ~2x live.
-    if (dead_ > heap_.size() / 2 && heap_.size() >= kCompactMin) Compact();
+    MaybeCompact();
     return true;
   }
 
   /// An event extracted by PopLive. Exactly one of handle/callback is set;
-  /// the slot is already freed, so the payload may reschedule or cancel
-  /// anything (including its own now-stale id) while running.
+  /// its slot or lane entry is already released, so the payload may
+  /// reschedule or cancel anything (including its own now-stale id) while
+  /// running.
   struct Fired {
     SimTime at = 0;
     std::coroutine_handle<> handle;
@@ -127,7 +158,19 @@ class EventHeap {
 
   /// Extracts the earliest live event. Returns false if none remain.
   bool PopLive(Fired* out) {
-    while (!heap_.empty()) {
+    for (;;) {
+      if (LaneFirst()) {
+        const LaneEntry e = PopLane();
+        if (!e.handle) {
+          --dead_;
+          continue;
+        }
+        --live_;
+        out->at = lane_time_;
+        out->handle = e.handle;
+        return true;
+      }
+      if (heap_.empty()) return false;
       const Entry top = heap_[0];
       RemoveTop();
       if (top.flags & kDead) {
@@ -145,12 +188,21 @@ class EventHeap {
       FreeSlot(top.slot, s);
       return true;
     }
-    return false;
   }
 
-  /// Time of the earliest live event (purging dead entries from the top).
+  /// Time of the earliest live event (purging dead entries from the front).
   bool PeekLiveTime(SimTime* at) {
-    while (!heap_.empty()) {
+    for (;;) {
+      if (LaneFirst()) {
+        if (!LaneAt(0).handle) {
+          PopLane();
+          --dead_;
+          continue;
+        }
+        *at = lane_time_;
+        return true;
+      }
+      if (heap_.empty()) return false;
       if (heap_[0].flags & kDead) {
         RemoveTop();
         --dead_;
@@ -159,7 +211,6 @@ class EventHeap {
       *at = heap_[0].at;
       return true;
     }
-    return false;
   }
 
   /// Destroys every pending payload without running it and resets the heap.
@@ -172,6 +223,8 @@ class EventHeap {
     }
     chunks_.clear();
     heap_.clear();
+    lane_head_ = 0;
+    lane_size_ = 0;
     slot_count_ = 0;
     live_ = 0;
     dead_ = 0;
@@ -181,14 +234,20 @@ class EventHeap {
   bool empty() const { return live_ == 0; }
   /// Live (schedulable) events.
   std::size_t live() const { return live_; }
-  /// Heap entries including tombstones — what the memory bound tracks.
-  std::size_t size() const { return heap_.size(); }
+  /// Queued entries (heap and lane) including tombstones — what the memory
+  /// bound tracks.
+  std::size_t size() const { return heap_.size() + lane_size_; }
   std::size_t dead() const { return dead_; }
   std::uint64_t compactions() const { return compactions_; }
 
  private:
   static constexpr std::uint32_t kDead = 1;
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  /// Marks a lane id. Slot generations stay below 2^31 (FreeSlot), so a
+  /// slot id never has this bit, and 0 stays invalid for both kinds.
+  static constexpr EventId kLaneTag = EventId{1} << 63;
+  static constexpr std::uint32_t kMaxGen = 0x7fffffffu;
+  static constexpr std::size_t kLaneInitialCapacity = 64;
   static constexpr std::size_t kCompactMin = 64;
   static constexpr std::uint32_t kChunkShift = 8;  // 256 slots per chunk
   static constexpr std::uint32_t kChunkMask = (1u << kChunkShift) - 1;
@@ -203,6 +262,12 @@ class EventHeap {
   // record is a kernel-wide perf regression; think twice.
   static_assert(sizeof(Entry) == 24, "event record must stay 3 words");
   static_assert(std::is_trivially_copyable_v<Entry>);
+
+  /// A same-instant wakeup; a null handle is a cancelled entry (tombstone).
+  struct LaneEntry {
+    std::uint64_t seq;
+    std::coroutine_handle<> handle;
+  };
 
   struct Slot {
     enum Kind : std::uint8_t { kFree, kHandle, kCallback };
@@ -231,7 +296,8 @@ class EventHeap {
   }
 
   void FreeSlot(std::uint32_t i, Slot& s) {
-    ++s.gen;  // invalidate outstanding ids
+    // Invalidate outstanding ids; wrap within 31 bits (see kLaneTag).
+    s.gen = s.gen == kMaxGen ? 1 : s.gen + 1;
     s.kind = Slot::kFree;
     s.handle = {};
     s.next_free = free_head_;
@@ -241,6 +307,62 @@ class EventHeap {
   static bool Earlier(const Entry& a, const Entry& b) {
     if (a.at != b.at) return a.at < b.at;
     return a.seq < b.seq;
+  }
+
+  LaneEntry& LaneAt(std::size_t i) {
+    return lane_[(lane_head_ + i) & (lane_.size() - 1)];
+  }
+
+  /// True when the lane front precedes the heap top in (time, seq) order.
+  /// Every heap time is >= the lane's instant, so the heap goes first only
+  /// with an entry at that same instant and a smaller seq.
+  bool LaneFirst() {
+    return lane_size_ != 0 &&
+           (heap_.empty() ||
+            !(heap_[0].at == lane_time_ && heap_[0].seq < LaneAt(0).seq));
+  }
+
+  LaneEntry PopLane() {
+    const LaneEntry e = lane_[lane_head_];
+    lane_head_ = (lane_head_ + 1) & (lane_.size() - 1);
+    --lane_size_;
+    return e;
+  }
+
+  /// Doubles the ring (power-of-two capacity), unwrapping it to index 0.
+  void GrowLane() {
+    std::vector<LaneEntry> grown(2 * lane_.size());
+    for (std::size_t i = 0; i < lane_size_; ++i) grown[i] = LaneAt(i);
+    lane_.swap(grown);
+    lane_head_ = 0;
+  }
+
+  bool CancelLane(std::uint64_t seq) {
+    // Lane seqs increase front to back (tombstones keep theirs).
+    std::size_t lo = 0;
+    std::size_t hi = lane_size_;
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (LaneAt(mid).seq < seq) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    if (lo == lane_size_) return false;
+    LaneEntry& e = LaneAt(lo);
+    if (e.seq != seq || !e.handle) return false;
+    e.handle = {};
+    ++dead_;
+    --live_;
+    MaybeCompact();
+    return true;
+  }
+
+  /// Compacts when over half the queue is tombstones, so cancel-heavy runs
+  /// (timeouts racing completions) keep it bounded by ~2x live.
+  void MaybeCompact() {
+    if (dead_ > size() / 2 && size() >= kCompactMin) Compact();
   }
 
   /// Writes `e` at heap position `i`, maintaining the slot's back-index.
@@ -294,9 +416,15 @@ class EventHeap {
     if (!heap_.empty()) SiftDown(0, last);
   }
 
-  /// Drops every tombstone and re-heapifies (Floyd, bottom-up), then
-  /// rebuilds the slot back-indexes. O(n) with n = live entries.
+  /// Drops every tombstone (heap and lane) and re-heapifies (Floyd,
+  /// bottom-up), then rebuilds the slot back-indexes. O(n) with n = live
+  /// entries.
   void Compact() {
+    std::size_t lw = 0;
+    for (std::size_t r = 0; r < lane_size_; ++r) {
+      if (LaneAt(r).handle) LaneAt(lw++) = LaneAt(r);
+    }
+    lane_size_ = lw;
     std::size_t w = 0;
     for (std::size_t r = 0; r < heap_.size(); ++r) {
       if ((heap_[r].flags & kDead) == 0) heap_[w++] = heap_[r];
@@ -317,6 +445,12 @@ class EventHeap {
   }
 
   std::vector<Entry> heap_;
+  /// Same-instant ring: lane_size_ entries from lane_head_, all at
+  /// lane_time_; lane_.size() is a power of two.
+  std::vector<LaneEntry> lane_;
+  std::size_t lane_head_ = 0;
+  std::size_t lane_size_ = 0;
+  SimTime lane_time_ = 0;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t slot_count_ = 0;
   std::uint32_t free_head_ = kNoSlot;

@@ -6,7 +6,9 @@
 /// The event queue is an index-tracked 4-ary tombstone heap (event_heap.h):
 /// scheduling is a heap push, cancellation an O(1) in-place tombstone, and
 /// callback events store small callables inline — no per-event allocation
-/// and no hash lookups anywhere on the hot path.
+/// and no hash lookups anywhere on the hot path. Same-instant wakeups
+/// (ScheduleNow) skip the heap through a FIFO lane merged in (time, seq)
+/// order.
 
 #ifndef PSOODB_SIM_SIMULATION_H_
 #define PSOODB_SIM_SIMULATION_H_
@@ -60,8 +62,13 @@ class Simulation {
     return heap_.PushCallback(at < now_ ? now_ : at, std::forward<F>(fn));
   }
 
-  /// Schedules `h` to run after the currently executing event, at now().
-  EventId ScheduleNow(std::coroutine_handle<> h) { return Schedule(now_, h); }
+  /// Schedules `h` to run after the currently executing event, at now(),
+  /// behind everything already scheduled for now(): the same order as
+  /// Schedule(now(), h), through the queue's slot-free same-instant lane.
+  EventId ScheduleNow(std::coroutine_handle<> h) {
+    PSOODB_CHECK(h, "null coroutine handle");
+    return heap_.PushNow(now_, h);
+  }
 
   /// Cancels a pending event. Safe to call with stale or zero ids.
   void Cancel(EventId id) { heap_.Cancel(id); }

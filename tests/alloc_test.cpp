@@ -5,7 +5,9 @@
 //     built per completion shows up;
 //   - a client's transaction footprint: LocalTxnLocks Clear / Record /
 //     Clear cycles over a fixed footprint, so node-based tables show up;
-//   - transaction generation into a client's reused reference string.
+//   - transaction generation into a client's reused reference string;
+//   - CondVar / Promise hand-offs, where every event is a same-instant
+//     wakeup through the event queue's lane.
 // Every task is spawned before counting starts: under AddressSanitizer
 // sim/pool.h passes coroutine frames through to operator new, and frame
 // allocation is not what these tests measure.
@@ -15,10 +17,12 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "cc/local_locks.h"
 #include "config/params.h"
 #include "resources/cpu.h"
+#include "sim/awaitables.h"
 #include "sim/simulation.h"
 #include "sim/task.h"
 #include "workload/workload.h"
@@ -77,6 +81,47 @@ TEST(AllocationFree, CpuCompletionsAfterWarmup) {
   const std::uint64_t allocations = news.count();
   EXPECT_GT(events, 4000u);
   EXPECT_EQ(cpu.active_jobs(), 0);
+  EXPECT_EQ(allocations, 0u) << "over " << events << " events";
+}
+
+// A hand-off round: the setter fulfils promise i, then waits on the CondVar
+// that the getter notifies once it has the value.
+sim::Task Setter(sim::CondVar& cv, std::vector<sim::Promise<int>>& promises) {  // analyzer-ok(suspend-ref): referent outlives sim.Run() in the test body
+  for (sim::Promise<int>& p : promises) {
+    p.Set(1);
+    co_await cv.Wait();
+  }
+}
+
+sim::Task Getter(sim::CondVar& cv, std::vector<sim::Future<int>>& futures, int* sum) {  // analyzer-ok(suspend-ref): referent outlives sim.Run() in the test body
+  for (sim::Future<int>& f : futures) {
+    *sum += co_await f;
+    cv.NotifyOne();
+  }
+}
+
+TEST(AllocationFree, WakeupOnlyPingPongAfterWarmup) {
+  constexpr int kRounds = 3000;
+  sim::Simulation sim;
+  sim::CondVar cv(sim);
+  // The channels exist before counting: what is measured is the wakeups.
+  std::vector<sim::Promise<int>> promises;
+  std::vector<sim::Future<int>> futures;
+  promises.reserve(kRounds);
+  futures.reserve(kRounds);
+  for (int i = 0; i < kRounds; ++i) {
+    promises.emplace_back(sim);
+    futures.push_back(promises.back().GetFuture());
+  }
+  int sum = 0;
+  sim.Spawn(Getter(cv, futures, &sum));
+  sim.Spawn(Setter(cv, promises));
+  sim.Run(/*max_events=*/200);  // warmup: the wakeup lane reaches its size
+  const NewCounter news;
+  const std::uint64_t events = sim.Run();
+  const std::uint64_t allocations = news.count();
+  EXPECT_EQ(sum, kRounds);
+  EXPECT_GT(events, 5000u);
   EXPECT_EQ(allocations, 0u) << "over " << events << " events";
 }
 

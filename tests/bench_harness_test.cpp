@@ -14,36 +14,10 @@
 #include <vector>
 
 #include "results_json.h"
+#include "scoped_env.h"
 
 namespace psoodb {
 namespace {
-
-/// Sets an environment variable for one test and restores it afterwards.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_old_ = old != nullptr;
-    if (value != nullptr) {
-      ::setenv(name, value, /*overwrite=*/1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string saved_;
-  bool had_old_ = false;
-};
 
 TEST(EnvIntTest, UnsetReturnsDefault) {
   ScopedEnv e("PSOODB_TEST_ENVINT", nullptr);

@@ -2,14 +2,20 @@
 // brute-force reference scheduler (sorted-vector scan) is driven through
 // randomized schedule/cancel/pop interleavings in lockstep with EventHeap,
 // asserting identical pop sequences (including exact FIFO tie-break at equal
-// timestamps) and identical cancellation outcomes. Plus the tombstone-bound
-// regression test (cancel-heavy queues stay within ~2x live) and behavioral
-// coverage of the small-buffer callable the slots store.
+// timestamps, across the heap and the same-instant lane) and identical
+// cancellation outcomes. Plus the tombstone-bound regression test
+// (cancel-heavy queues stay within ~2x live), a lane-vs-heap-only check of
+// every queue observer, and behavioral coverage of the small-buffer callable
+// the slots store.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <coroutine>
 #include <cstdint>
+#include <deque>
+#include <exception>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -78,35 +84,139 @@ class ReferenceScheduler {
 
 // --- Model check ------------------------------------------------------------
 
-// One fuzz round: interleave schedules (on a coarse time grid, so timestamp
-// ties are common and the FIFO tie-break is actually exercised), cancels
-// (fresh, already-cancelled, already-fired, and never-issued ids), and pops,
-// asserting the heap and the reference agree on every observable.
-void ModelCheckRound(std::uint64_t seed, int ops) {
+// A coroutine that appends its tag to `fired` when resumed: the payload of
+// same-instant wakeups, since the lane stores coroutine handles only.
+// Created suspended; the Wakers container owns and destroys the frames.
+struct Waker {
+  struct promise_type {
+    Waker get_return_object() {
+      return Waker{std::coroutine_handle<promise_type>::from_promise(*this)};
+    }
+    std::suspend_always initial_suspend() noexcept { return {}; }
+    std::suspend_always final_suspend() noexcept { return {}; }
+    void return_void() {}
+    void unhandled_exception() { std::terminate(); }
+  };
+  std::coroutine_handle<promise_type> h;
+};
+
+Waker RecordTag(int tag, std::vector<int>* fired) {
+  fired->push_back(tag);
+  co_return;
+}
+
+class Wakers {
+ public:
+  Wakers() = default;
+  Wakers(const Wakers&) = delete;
+  Wakers& operator=(const Wakers&) = delete;
+  ~Wakers() {
+    for (auto h : frames_) h.destroy();
+  }
+  std::coroutine_handle<> Make(int tag, std::vector<int>* fired) {
+    frames_.push_back(RecordTag(tag, fired).h);
+    return frames_.back();
+  }
+
+ private:
+  std::deque<std::coroutine_handle<Waker::promise_type>> frames_;
+};
+
+/// Runs a popped event: resumes a wakeup or invokes a callback.
+void Fire(EventHeap::Fired& f) {
+  if (f.handle) {
+    f.handle.resume();
+  } else {
+    f.callback.Invoke();
+  }
+}
+
+constexpr EventId kLaneBit = EventId{1} << 63;
+
+// The share of each operation in a fuzz round; pops take the rest.
+struct OpMix {
+  double future;    // schedule on the time grid at or after the frontier
+  double heap_now;  // heap schedule at the frontier: ScheduleCallback(now)
+  double lane_now;  // lane wakeup at the frontier: ScheduleNow
+  double cancel;    // cancel a random issued id
+  double forge;     // cancel never-issued ids
+  int burst;        // lane wakeups issued at once, once early in the round
+  // Coverage floors per 800-op round, well below every seed's count.
+  int min_advances;       // pops that move the frontier forward
+  int min_lane_instants;  // distinct instants that receive lane wakeups
+};
+
+// Schedules outnumber pops, so the queue grows deep; no lane traffic.
+constexpr OpMix kHeapOnlyMix{0.5, 0.0, 0.0, 0.25, 0.05, 0, 8, 0};
+
+// Fewer events arrive at the frontier (~0.15 per op) than are popped
+// (0.5), so after the burst drains the clock keeps advancing and the lane
+// keeps emptying and refilling at later instants. The one burst exceeds the
+// ring's first capacity, so the ring grows with ids pending across the
+// growth, and later cancels pick ids from before it.
+constexpr OpMix kLaneMix{0.22, 0.04, 0.08, 0.13, 0.03, 80, 30, 12};
+
+// What a fuzz round covered, so a mix that stalls the clock shows up.
+struct RoundStats {
+  int advances = 0;       // pops that moved the frontier forward
+  int lane_instants = 0;  // distinct instants that received lane wakeups
+};
+
+// One fuzz round: interleave future schedules (on a coarse time grid, so
+// timestamp ties are common and the FIFO tie-break is actually exercised),
+// same-instant heap schedules and same-instant lane wakeups at the current
+// frontier, cancels (pending, already-cancelled, already-fired, issued
+// before the ring grew or wrapped, and never-issued ids of both kinds), and
+// pops, asserting the queue and the reference agree on every observable.
+void ModelCheckRound(std::uint64_t seed, int ops, const OpMix& mix,
+                     RoundStats* stats) {
   EventHeap heap;
   ReferenceScheduler ref;
   Rng rng(seed);
+  std::vector<int> heap_fired;
+  Wakers wakers;
 
   struct Issued {
     EventId id;
     int ref;
   };
   std::vector<Issued> issued;  // every id ever handed out, fired or not
-  std::vector<int> heap_fired;
   SimTime frontier = 0;  // pops advance this; schedules stay >= it
+  SimTime last_wake_at = -1;
   int next_tag = 0;
+  const auto schedule = [&](SimTime at) {
+    const int tag = next_tag++;
+    const EventId id = heap.PushCallback(
+        at, [tag, &heap_fired] { heap_fired.push_back(tag); });
+    issued.push_back({id, ref.Schedule(at, tag)});
+  };
+  const auto wake_now = [&] {
+    const int tag = next_tag++;
+    const EventId id = heap.PushNow(frontier, wakers.Make(tag, &heap_fired));
+    EXPECT_NE(id, 0u);
+    issued.push_back({id, ref.Schedule(frontier, tag)});
+    if (frontier != last_wake_at) ++stats->lane_instants;
+    last_wake_at = frontier;
+  };
 
+  const std::int64_t burst_op = rng.UniformInt(0, ops / 8);
+  const double heap_now_cut = mix.future + mix.heap_now;
+  const double lane_now_cut = heap_now_cut + mix.lane_now;
+  const double cancel_cut = lane_now_cut + mix.cancel;
+  const double forge_cut = cancel_cut + mix.forge;
   for (int op = 0; op < ops; ++op) {
     const double dice = rng.NextDouble();
-    if (dice < 0.5) {
+    if (op == burst_op && mix.burst > 0) {
+      // More same-instant wakeups than the ring's first capacity.
+      for (int i = 0; i < mix.burst; ++i) wake_now();
+    } else if (dice < mix.future) {
       // Schedule. Grid times force ties; +frontier keeps them schedulable.
-      const SimTime at =
-          frontier + 0.25 * static_cast<double>(rng.UniformInt(0, 7));
-      const int tag = next_tag++;
-      const EventId id = heap.PushCallback(
-          at, [tag, &heap_fired] { heap_fired.push_back(tag); });
-      issued.push_back({id, ref.Schedule(at, tag)});
-    } else if (dice < 0.75) {
+      schedule(frontier + 0.25 * static_cast<double>(rng.UniformInt(0, 7)));
+    } else if (dice < heap_now_cut) {
+      schedule(frontier);  // ScheduleCallback(now) / Delay(0): the heap
+    } else if (dice < lane_now_cut) {
+      wake_now();  // ScheduleNow: the lane
+    } else if (dice < cancel_cut) {
       if (issued.empty()) continue;
       const auto pick = static_cast<std::size_t>(
           rng.UniformInt(0, static_cast<std::int64_t>(issued.size()) - 1));
@@ -114,9 +224,11 @@ void ModelCheckRound(std::uint64_t seed, int ops) {
       // fired, or already cancelled — and double-cancel must stay a no-op.
       EXPECT_EQ(heap.Cancel(issued[pick].id), ref.Cancel(issued[pick].ref));
       EXPECT_FALSE(heap.Cancel(issued[pick].id));
-    } else if (dice < 0.8) {
-      // Forged / never-issued ids are harmless no-ops.
+    } else if (dice < forge_cut) {
+      // Forged / never-issued ids of either kind are harmless no-ops.
       EXPECT_FALSE(heap.Cancel(rng.Next() | 1));
+      EXPECT_FALSE(heap.Cancel(kLaneBit | (rng.Next() >> 1)));
+      EXPECT_FALSE(heap.Cancel(kLaneBit));  // seq 0 is never issued
       EXPECT_FALSE(heap.Cancel(0));
     } else {
       EventHeap::Fired f;
@@ -126,15 +238,17 @@ void ModelCheckRound(std::uint64_t seed, int ops) {
       const bool ref_has = ref.Pop(&ref_at, &ref_tag);
       ASSERT_EQ(heap_has, ref_has);
       if (!heap_has) continue;
-      ASSERT_FALSE(f.handle);
-      f.callback.Invoke();
-      ASSERT_FALSE(heap_fired.empty());
+      const std::size_t before = heap_fired.size();
+      Fire(f);
+      ASSERT_EQ(heap_fired.size(), before + 1);
       EXPECT_EQ(heap_fired.back(), ref_tag);
       EXPECT_EQ(f.at, ref_at);
       EXPECT_GE(f.at, frontier);
+      if (f.at > frontier) ++stats->advances;
       frontier = f.at;
     }
     ASSERT_EQ(heap.live(), ref.live());
+    ASSERT_GE(heap.size(), heap.live());
   }
 
   // Drain both completely; the remaining sequences must match exactly.
@@ -142,8 +256,9 @@ void ModelCheckRound(std::uint64_t seed, int ops) {
   std::vector<std::pair<SimTime, int>> ref_rest;
   EventHeap::Fired f;
   while (heap.PopLive(&f)) {
-    f.callback.Invoke();
+    Fire(f);
     heap_rest.emplace_back(f.at, heap_fired.back());
+    f = EventHeap::Fired{};
   }
   SimTime at;
   int tag;
@@ -153,7 +268,151 @@ void ModelCheckRound(std::uint64_t seed, int ops) {
 
 TEST(EventHeapModelCheck, RandomInterleavingsMatchReferenceScheduler) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    ModelCheckRound(seed, 800);
+    for (const OpMix* mix : {&kHeapOnlyMix, &kLaneMix}) {
+      RoundStats stats;
+      ModelCheckRound(seed, 800, *mix, &stats);
+      if (HasFatalFailure()) return;
+      EXPECT_GE(stats.advances, mix->min_advances) << "seed " << seed;
+      EXPECT_GE(stats.lane_instants, mix->min_lane_instants) << "seed " << seed;
+    }
+  }
+}
+
+TEST(EventHeapModelCheck, LaneIdsSurviveRingGrowthAndWrap) {
+  EventHeap heap;
+  std::vector<int> fired;
+  Wakers wakers;
+  // Advance the ring's head so later entries wrap past the end.
+  std::vector<EventId> early;
+  for (int i = 0; i < 40; ++i) {
+    early.push_back(heap.PushNow(0.0, wakers.Make(i, &fired)));
+  }
+  EventHeap::Fired f;
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_TRUE(heap.PopLive(&f));
+    Fire(f);
+  }
+  // 10 pending; 100 more wrap the 64-entry ring and then grow it.
+  std::vector<EventId> late;
+  for (int i = 40; i < 140; ++i) {
+    late.push_back(heap.PushNow(0.0, wakers.Make(i, &fired)));
+  }
+  // The ring (head at 30) wraps at late[24] and grows at late[54].
+  EXPECT_FALSE(heap.Cancel(early[5]));   // fired before the growth
+  EXPECT_TRUE(heap.Cancel(early[35]));   // pending across the growth
+  EXPECT_FALSE(heap.Cancel(early[35]));  // cancelled twice
+  EXPECT_TRUE(heap.Cancel(late[30]));    // issued after the wrap
+  EXPECT_TRUE(heap.Cancel(late[80]));    // issued after the growth
+  EXPECT_EQ(heap.live(), 107u);
+  EXPECT_EQ(heap.size(), 110u);  // tombstones count until popped
+  std::vector<int> expect;
+  for (int i = 30; i < 140; ++i) {
+    if (i != 35 && i != 70 && i != 120) expect.push_back(i);
+  }
+  fired.clear();
+  while (heap.PopLive(&f)) Fire(f);
+  EXPECT_EQ(fired, expect);
+  EXPECT_EQ(heap.size(), 0u);
+  for (EventId id : late) EXPECT_FALSE(heap.Cancel(id));  // all fired
+}
+
+TEST(EventHeapModelCheck, HeapEntriesAtTheSameInstantMergeBySeq) {
+  // ScheduleCallback(now) / Delay(0) issued before a ScheduleNow fires
+  // first; one issued after fires after.
+  EventHeap heap;
+  std::vector<int> fired;
+  Wakers wakers;
+  heap.PushCallback(1.0, [&fired] { fired.push_back(0); });
+  EventHeap::Fired f;
+  ASSERT_TRUE(heap.PopLive(&f));  // the clock is now 1.0
+  Fire(f);
+  heap.PushCallback(1.0, [&fired] { fired.push_back(1); });
+  heap.PushNow(1.0, wakers.Make(2, &fired));
+  heap.PushCallback(1.0, [&fired] { fired.push_back(3); });
+  heap.PushNow(1.0, wakers.Make(4, &fired));
+  heap.PushCallback(2.0, [&fired] { fired.push_back(6); });
+  heap.PushCallback(1.0, [&fired] { fired.push_back(5); });
+  std::vector<SimTime> times;
+  while (heap.PopLive(&f)) {
+    times.push_back(f.at);
+    Fire(f);
+    f = EventHeap::Fired{};
+  }
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(times, (std::vector<SimTime>{1.0, 1.0, 1.0, 1.0, 1.0, 2.0}));
+}
+
+// The same script of schedules, cancels and pops run twice: once with
+// same-instant wakeups through the lane (PushNow) and once through the heap
+// (PushHandle at the frontier, the path ScheduleNow took before the lane).
+// Every observer the telemetry reads — live(), size(), dead(),
+// compactions() — and the pop sequence must agree after every step,
+// through cancel-heavy phases that trigger compaction.
+TEST(EventHeapModelCheck, LaneMatchesHeapOnlyQueueOnEveryObserver) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    EventHeap lane;
+    EventHeap plain;
+    std::vector<int> lane_fired;
+    std::vector<int> plain_fired;
+    Wakers wakers;
+    Rng rng(seed);
+    std::vector<std::pair<EventId, EventId>> issued;
+    SimTime frontier = 0;
+    int next_tag = 0;
+    for (int op = 0; op < 3000; ++op) {
+      const double dice = rng.NextDouble();
+      // Cancel-heavy phases (cancelling recent ids, so most hit a pending
+      // event) alternate with phases that drain the queue.
+      const bool cancel_phase = (op / 500) % 2 == 1;
+      const double push_cut = 0.3;
+      if (dice < push_cut / 2) {
+        const SimTime at =
+            frontier + 0.25 * static_cast<double>(rng.UniformInt(0, 3));
+        const int tag = next_tag++;
+        issued.emplace_back(
+            lane.PushCallback(at, [tag, &lane_fired] {
+              lane_fired.push_back(tag);
+            }),
+            plain.PushCallback(at, [tag, &plain_fired] {
+              plain_fired.push_back(tag);
+            }));
+      } else if (dice < push_cut) {
+        const int tag = next_tag++;
+        issued.emplace_back(
+            lane.PushNow(frontier, wakers.Make(tag, &lane_fired)),
+            plain.PushHandle(frontier, wakers.Make(tag, &plain_fired)));
+      } else if (dice < (cancel_phase ? 0.98 : 0.35)) {
+        if (issued.empty()) continue;
+        const auto n = static_cast<std::int64_t>(issued.size());
+        const auto pick = static_cast<std::size_t>(
+            rng.UniformInt(std::max<std::int64_t>(0, n - 64), n - 1));
+        EXPECT_EQ(lane.Cancel(issued[pick].first),
+                  plain.Cancel(issued[pick].second));
+      } else {
+        SimTime ta = -1;
+        SimTime tb = -1;
+        ASSERT_EQ(lane.PeekLiveTime(&ta), plain.PeekLiveTime(&tb));
+        ASSERT_EQ(ta, tb);
+        ASSERT_EQ(lane.size(), plain.size());
+        EventHeap::Fired a;
+        EventHeap::Fired b;
+        const bool has = lane.PopLive(&a);
+        ASSERT_EQ(has, plain.PopLive(&b));
+        if (has) {
+          ASSERT_EQ(a.at, b.at);
+          Fire(a);
+          Fire(b);
+          ASSERT_EQ(lane_fired.back(), plain_fired.back());
+          frontier = a.at;
+        }
+      }
+      ASSERT_EQ(lane.live(), plain.live());
+      ASSERT_EQ(lane.size(), plain.size());
+      ASSERT_EQ(lane.dead(), plain.dead());
+      ASSERT_EQ(lane.compactions(), plain.compactions());
+    }
+    EXPECT_GT(lane.compactions(), 0u) << "seed " << seed;
+    EXPECT_EQ(lane_fired, plain_fired);
   }
 }
 
@@ -276,6 +535,50 @@ TEST(InlineFunction, MoveRelocatesSmallAndBoxedCallables) {
   small2.Reset();
   boxed2.Reset();
   EXPECT_EQ(live, 1);  // every stored copy destroyed; the local survives
+}
+
+TEST(InlineFunction, TriviallyCopyableCallableKeepsCapturesThroughMoves) {
+  // Fills the whole 48-byte buffer, so every move must carry every byte.
+  std::uint64_t out[6] = {};
+  const std::uint64_t a = 0x0123456789abcdefULL;
+  const std::uint64_t b = 0xfedcba9876543210ULL;
+  const std::uint64_t c = 3;
+  const std::uint64_t d = 4;
+  const double e = 2.5;
+  std::uint64_t* dst = out;
+  auto fn = [a, b, c, d, e, dst] {
+    dst[0] = a;
+    dst[1] = b;
+    dst[2] = c;
+    dst[3] = d;
+    dst[4] = static_cast<std::uint64_t>(e * 2);
+    dst[5] = 6;
+  };
+  static_assert(std::is_trivially_copyable_v<decltype(fn)>);
+  static_assert(sizeof(fn) == util::InlineFunction<void()>::kInlineBytes);
+  util::InlineFunction<void()> f1 = fn;
+  util::InlineFunction<void()> f2 = std::move(f1);  // move-construct
+  util::InlineFunction<void()> f3 = [] {};
+  f3 = std::move(f2);  // move-assign over a trivial target
+  EXPECT_FALSE(static_cast<bool>(f1));  // NOLINT(bugprone-use-after-move)
+  EXPECT_FALSE(static_cast<bool>(f2));  // NOLINT(bugprone-use-after-move)
+  f3();
+  const std::uint64_t want[6] = {a, b, c, d, 5, 6};
+  EXPECT_TRUE(std::equal(out, out + 6, want));
+
+  // A trip through the event queue: stored in a slot, moved out by PopLive.
+  std::fill(out, out + 6, 0);
+  EventHeap heap;
+  heap.PushCallback(0.0, [] {});  // occupies a slot ahead of `fn`
+  heap.PushCallback(1.0, fn);
+  EventHeap::Fired fired;
+  ASSERT_TRUE(heap.PopLive(&fired));
+  fired.callback.Invoke();
+  EventHeap::Fired fired2;
+  ASSERT_TRUE(heap.PopLive(&fired2));
+  EXPECT_EQ(fired2.at, 1.0);
+  fired2.callback.Invoke();
+  EXPECT_TRUE(std::equal(out, out + 6, want));
 }
 
 TEST(InlineFunction, ReassignmentDestroysPreviousTarget) {

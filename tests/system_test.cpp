@@ -1,14 +1,15 @@
 // System-level edge cases: single client, tiny caches (heavy eviction),
-// clustered access, think time, log-I/O toggle, scaled database, and
-// protocol-specific counter behaviors.
+// clustered access, think time, log-I/O toggle, scaled database,
+// protocol-specific counter behaviors, and validation of the environment
+// overrides System reads at construction.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 
 #include "config/params.h"
 #include "core/system.h"
+#include "scoped_env.h"
 
 namespace psoodb::core {
 namespace {
@@ -175,48 +176,6 @@ TEST(SystemEdgeTest, ServerBufferSmallerThanDbStillCorrect) {
   EXPECT_GT(r.counters.disk_reads, 0u);
 }
 
-TEST(SystemEdgeTest, SamplingProducesMonotoneTimeSeries) {
-  SystemParams sys;
-  sys.num_clients = 4;
-  auto w = config::MakeHotCold(sys, Locality::kLow, 0.1);
-  RunConfig rc = Quick(300);
-  rc.sample_interval = 1.0;
-  auto r = RunSimulation(Protocol::kPSAA, sys, w, rc);
-  ASSERT_GT(r.samples.size(), 3u);
-  for (std::size_t i = 1; i < r.samples.size(); ++i) {
-    EXPECT_GT(r.samples[i].t, r.samples[i - 1].t);
-    EXPECT_GE(r.samples[i].commits, r.samples[i - 1].commits);
-    EXPECT_GE(r.samples[i].msgs, r.samples[i - 1].msgs);
-  }
-  // The last sample precedes the end of the measurement window.
-  EXPECT_LE(r.samples.back().commits, r.measured_commits);
-  // Utilizations are fractions.
-  for (const auto& s : r.samples) {
-    EXPECT_GE(s.server_cpu_util, 0.0);
-    EXPECT_LE(s.server_cpu_util, 1.0 + 1e-9);
-  }
-}
-
-TEST(SystemEdgeTest, SamplesCsvRoundTrips) {
-  SystemParams sys;
-  sys.num_clients = 2;
-  auto w = config::MakeHotCold(sys, Locality::kHigh, 0.1);
-  RunConfig rc = Quick(100);
-  rc.sample_interval = 0.5;
-  auto r = RunSimulation(Protocol::kPS, sys, w, rc);
-  const std::string path = ::testing::TempDir() + "/samples.csv";
-  WriteSamplesCsv(r.samples, path);
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  char line[256];
-  ASSERT_NE(std::fgets(line, sizeof(line), f), nullptr);
-  EXPECT_EQ(std::string(line).rfind("t,commits", 0), 0u);
-  int rows = 0;
-  while (std::fgets(line, sizeof(line), f) != nullptr) ++rows;
-  std::fclose(f);
-  EXPECT_EQ(rows, static_cast<int>(r.samples.size()));
-}
-
 TEST(SystemEdgeTest, CustomWorkloadRunsCorrectlyEndToEnd) {
   // A pointer-chase-style custom workload (fixed chain of pages per client,
   // with write sharing on a common page) through the full simulator.
@@ -262,6 +221,85 @@ TEST(SystemEdgeTest, ResponseTimeCiIsReported) {
   EXPECT_GT(r.response_time.half_width, 0.0);
   // Section 5.1: CIs "within a few percent of the mean".
   EXPECT_LT(r.response_time.RelativeWidth(), 0.25);
+}
+
+// --- Environment overrides ---------------------------------------------------
+
+/// What a System constructed (not run) under one override ended up with.
+struct EnvProbe {
+  SystemParams params;
+  bool partitioned = false;
+  std::string warnings;  ///< everything written to stderr
+};
+
+EnvProbe ConstructWithEnv(const char* name, const char* value,
+                          const SystemParams& sys) {
+  ScopedEnv env(name, value);
+  ::testing::internal::CaptureStderr();
+  const System system(Protocol::kPS, sys,
+                      config::MakeUniform(sys, Locality::kLow, 0.1));
+  EnvProbe probe;
+  probe.warnings = ::testing::internal::GetCapturedStderr();
+  probe.params = system.params();
+  probe.partitioned = system.partitioned();
+  return probe;
+}
+
+SystemParams SmallSystem() {
+  SystemParams sys;
+  sys.num_clients = 2;
+  sys.db_pages = 200;
+  return sys;
+}
+
+TEST(SystemEnvTest, MalformedTracePageKeepsPageTracingOff) {
+  // atol read all three as a page number (0, 0 and 7) and turned on stderr
+  // tracing of that page.
+  for (const char* value : {"", "garbage", "7x"}) {
+    const EnvProbe p =
+        ConstructWithEnv("PSOODB_TRACE_PAGE", value, SmallSystem());
+    EXPECT_EQ(p.params.trace_page, -1) << '"' << value << '"';
+    if (value[0] != '\0') {
+      EXPECT_NE(p.warnings.find("PSOODB_TRACE_PAGE"), std::string::npos)
+          << '"' << value << '"';
+    }
+  }
+  EXPECT_EQ(ConstructWithEnv("PSOODB_TRACE_PAGE", "7", SmallSystem())
+                .params.trace_page,
+            7);
+}
+
+TEST(SystemEnvTest, MalformedSimShardsKeepsTheConfiguredMode) {
+  // atoi read "" and "abc" as 0 (silently the sequential model) and "4x"
+  // as 4.
+  SystemParams sys = SmallSystem();
+  sys.sim_shards = 1;
+  for (const char* value : {"", "abc", "4x"}) {
+    const EnvProbe p = ConstructWithEnv("PSOODB_SIM_SHARDS", value, sys);
+    EXPECT_EQ(p.params.sim_shards, 1) << '"' << value << '"';
+    EXPECT_TRUE(p.partitioned) << '"' << value << '"';
+  }
+  const EnvProbe seq = ConstructWithEnv("PSOODB_SIM_SHARDS", "0", sys);
+  EXPECT_EQ(seq.params.sim_shards, 0);
+  EXPECT_FALSE(seq.partitioned);
+}
+
+TEST(SystemEnvTest, MalformedTelemetryTickWarnsAndKeepsTheDefault) {
+  // atof dropped "", "fast" and "-1" without a word and read "0.5s" as
+  // 0.5.
+  const double def = SmallSystem().telemetry_tick;
+  for (const char* value : {"", "fast", "0.5s", "-1"}) {
+    const EnvProbe p =
+        ConstructWithEnv("PSOODB_TELEMETRY_TICK", value, SmallSystem());
+    EXPECT_EQ(p.params.telemetry_tick, def) << '"' << value << '"';
+    if (value[0] != '\0') {
+      EXPECT_NE(p.warnings.find("PSOODB_TELEMETRY_TICK"), std::string::npos)
+          << '"' << value << '"';
+    }
+  }
+  EXPECT_EQ(ConstructWithEnv("PSOODB_TELEMETRY_TICK", "0.5", SmallSystem())
+                .params.telemetry_tick,
+            0.5);
 }
 
 }  // namespace
