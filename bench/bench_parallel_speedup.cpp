@@ -17,7 +17,7 @@
 //                          Parallel DES speedup depends on event density
 //                          inside the lookahead window; the low-locality
 //                          point is disk-queue-bound and too sparse to gain.
-//   PSOODB_BENCH_SEQ       1 = also run the sequential simulator as a
+//   PSOODB_BENCH_SEQ       1 = also run the one-partition simulator as a
 //                          reference row (default 0: at 2000 clients the
 //                          single shared network segment saturates and the
 //                          run caps out without committing)
@@ -67,7 +67,7 @@ int main() {
   double base_wall = 0;
   std::uint64_t base_events = 0, base_commits = 0;
   bool diverged = false;
-  // shards = 0 is the sequential simulator (single event loop, shared
+  // shards = 0 is the one-partition simulator (single event loop, shared
   // network): a different model, so its events are not comparable and it is
   // excluded from the divergence check; it is shown as the reference the
   // partitioned runs deviate from. Speedup is relative to shards = 1 (the

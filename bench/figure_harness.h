@@ -24,8 +24,9 @@
 ///   PSOODB_BENCH_SERVERS   override SystemParams::num_servers  that call
 ///                          ApplyScaleEnv (the scaled Figures 12-14)
 ///   PSOODB_SIM_SHARDS      read by core::System itself: > 0 partitions each
-///                          run by server and executes it on that many
-///                          worker threads (see docs/SIMULATOR.md)
+///                          run with several servers by server and executes
+///                          it on that many worker threads; one server stays
+///                          one partition (see docs/SIMULATOR.md)
 ///   PSOODB_BENCH_JSON_DIR  directory for BENCH_*.json (default ".";
 ///                          empty string disables the JSON output)
 ///   PSOODB_TRACE=1         enable structured event tracing in every run;

@@ -77,8 +77,8 @@ class DeadlockDetector {
   // loops clear edges on wake *before* re-checking) and are erased only by
   // the CheckVictim throw or RemoveTxn.
 
-  /// Enables the edge-delta log (see EdgeDelta). Only partitioned runs turn
-  /// this on; the sequential simulator pays nothing for the machinery.
+  /// Enables the edge-delta log (see EdgeDelta). Only runs with several
+  /// partitions turn this on; one partition pays nothing for the machinery.
   void EnableDeltaLog() { delta_log_enabled_ = true; }
   /// True when edge mutations are waiting to be drained — the coordinator's
   /// O(1) per-window "did anything change" probe.

@@ -140,10 +140,10 @@ class InvariantChecker {
 /// Cross-validates the incremental cross-partition deadlock coordinator
 /// against the ground truth it mirrors: the multiset union of every
 /// partition detector's edge list. Aborts (PSOODB_CHECK) on any divergence
-/// in edges or multiplicities. Called from the partitioned run's serial
-/// phase when SystemParams::invariant_checks is on — the full
-/// InvariantChecker needs the sequential simulator, but this check is
-/// partition-safe because the serial phase parks all workers.
+/// in edges or multiplicities. Called from the serial phase of a run with
+/// several partitions when SystemParams::invariant_checks is on — the full
+/// InvariantChecker needs one event loop, but this check is partition-safe
+/// because the serial phase parks all workers.
 void ValidateDeadlockCoordinator(
     const cc::DeadlockCoordinator& coordinator,
     const std::vector<const cc::DeadlockDetector*>& detectors);

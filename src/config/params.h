@@ -207,18 +207,21 @@ struct SystemParams {
   }
 
   // --- Intra-run parallel simulation (src/sim/shard.h) --------------------
-  /// When > 0, the simulation runs partitioned by server: each server (and
-  /// the clients homed on it) gets its own event loop, and up to
-  /// `sim_shards` worker threads execute the partitions under conservative
-  /// time windows. Results are byte-identical at any sim_shards >= 1 (the
-  /// partition structure is fixed by num_servers; the thread count only
-  /// changes which thread runs which partition). 0 = the classic single
-  /// event loop. Also settable via PSOODB_SIM_SHARDS=<n>.
+  /// When > 0 and there are several servers, the simulation runs
+  /// partitioned by server: each server (and the clients homed on it) gets
+  /// its own event loop, and up to `sim_shards` worker threads execute the
+  /// partitions under conservative time windows. Results are byte-identical
+  /// at any sim_shards >= 1 (the partition structure is fixed by
+  /// num_servers; the thread count only changes which thread runs which
+  /// partition). 0, or a single server, = one event loop with every node on
+  /// one shared network: the paper's model. Also settable via
+  /// PSOODB_SIM_SHARDS=<n>.
   int sim_shards = 0;
-  /// One-way propagation latency (seconds) of the inter-partition link in
-  /// partitioned mode; it is the conservative lookahead bound, so it must be
-  /// > 0. Cross-partition messages pay this on top of the per-byte wire
-  /// time; intra-partition traffic uses the partition's own network segment.
+  /// One-way propagation latency (seconds) of the inter-partition link when
+  /// the run has several partitions; it is the conservative lookahead
+  /// bound, so it must then be > 0. Cross-partition messages pay this on
+  /// top of the per-byte wire time; intra-partition traffic uses the
+  /// partition's own network segment.
   double cross_partition_latency = 100e-6;
   /// Minimum simulated time (seconds) between union-graph scans of the
   /// cross-partition deadlock coordinator. Cycles confined to one partition
@@ -232,19 +235,6 @@ struct SystemParams {
   /// >= 0; 0 scans at every window whose edge set changed (the pre-throttle
   /// behaviour, ~100x more scans under load).
   double cross_deadlock_interval = 20e-3;
-  /// Adaptive-window stretch for partitioned runs, as a multiple of the
-  /// lookahead: the laggard partition (the one holding the global activity
-  /// minimum T_min) may run its window past the classic uniform bound
-  /// T_min + L, up to min(m2 + L, T_min + sim_window_stretch * L) where m2
-  /// is the second-smallest activity minimum. Clamped to [1, 2]: 2 is the
-  /// causality limit (a chain seeded by the laggard's own next event needs
-  /// two lookaheads to come back to it — see sim/shard.h), 1 restores
-  /// fixed-width uniform windows. Stretching lets the partition limiting
-  /// progress catch up faster, collapsing barrier rounds in skewed phases.
-  /// The window structure is a pure function of the event schedule either
-  /// way, so any value keeps results byte-identical across sim_shards /
-  /// thread counts.
-  double sim_window_stretch = 2;
 };
 
 /// Ordering of object references within a transaction (Section 4.2).

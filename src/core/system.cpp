@@ -4,15 +4,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "check/invariants.h"
 #include "core/os.h"
-#include "sim/pool.h"
 #include "core/ps.h"
 #include "core/ps_aa.h"
 #include "core/ps_oa.h"
@@ -96,46 +93,24 @@ System::System(Protocol protocol, const config::SystemParams& params,
                  tick, params_.telemetry_tick);
   }
 
-  const bool partitioned = params_.sim_shards > 0;
-  if (!partitioned) {
-    detector_ = std::make_unique<cc::DeadlockDetector>();
-    sim_ = std::make_unique<sim::Simulation>();
-    network_ =
-        std::make_unique<resources::Network>(*sim_, params_.network_mbps);
-    transport_ =
-        std::make_unique<Transport>(*sim_, *network_, params_, counters_);
-    ctx_ = std::make_unique<SystemContext>(SystemContext{
-        *sim_, params_, db_, counters_, *transport_, detector_.get(), nullptr,
-        {}});
-    // The tracer must exist before clients/servers are built: they latch the
-    // pointer (clients via LocalTxnLocks::AttachTracing, servers via the lock
-    // manager) at construction time.
-    if (params_.trace) {
-      tracer_ = std::make_unique<trace::Tracer>(
-          *sim_, static_cast<std::size_t>(params_.trace_buffer_events),
-          params_.trace_page);
-      ctx_->tracer = tracer_.get();
-    }
-    ctx_->latency = &latency_;
-    transport_->set_tracer(tracer_.get());
-  } else {
-    // Partitioned mode: one event loop per server partition, each with its
-    // own network segment, transport, detector, tracer, counters and
-    // latency recorders. The partition count is fixed by num_servers —
-    // sim_shards only bounds the worker-thread count — so results are
-    // byte-identical at every sim_shards >= 1 (see sim/shard.h).
+  // The layout: P event-loop partitions, each with its own network segment,
+  // transport, detector, tracer, counters and latency recorders. One
+  // partition holding every node on one shared network is the paper's
+  // model; sim_shards > 0 with several servers gives each server and its
+  // home clients a partition. P is fixed by num_servers — sim_shards only
+  // bounds the worker-thread count — so results are byte-identical at every
+  // sim_shards >= 1 (see sim/shard.h).
+  const int P = params_.sim_shards > 0 ? params_.num_servers : 1;
+  // Server i lives in partition i. A client is homed on the partition of the
+  // server its region-0 (hot) pages live on, so the bulk of its traffic
+  // stays intra-partition; custom workloads fall back to round-robin.
+  auto server_partition = [P](int i) { return P > 1 ? i : 0; };
+  std::vector<int> client_partition(
+      static_cast<std::size_t>(params_.num_clients), 0);
+  if (P > 1) {
     PSOODB_CHECK(params_.cross_partition_latency > 0,
                  "partitioned runs need cross_partition_latency > 0 "
                  "(it is the conservative lookahead)");
-    const int P = params_.num_servers;
-    shards_ = std::make_unique<sim::ShardGroup>(
-        P, std::min(params_.sim_shards, P), params_.cross_partition_latency,
-        params_.sim_window_stretch);
-    coordinator_ = std::make_unique<cc::DeadlockCoordinator>(P);
-    // A client is homed on the partition of the server its region-0 (hot)
-    // pages live on, so the bulk of its traffic stays intra-partition;
-    // custom workloads fall back to round-robin.
-    client_partition_.resize(static_cast<std::size_t>(params_.num_clients));
     for (int c = 0; c < params_.num_clients; ++c) {
       int home = c % P;
       if (static_cast<std::size_t>(c) < workload_.client_regions.size() &&
@@ -144,62 +119,68 @@ System::System(Protocol protocol, const config::SystemParams& params,
             workload_.client_regions[static_cast<std::size_t>(c)].front();
         home = params_.ServerOfPage((r.lo + r.hi) / 2);
       }
-      client_partition_[static_cast<std::size_t>(c)] = home;
+      client_partition[static_cast<std::size_t>(c)] = home;
     }
+  }
+  shards_ = std::make_unique<sim::ShardGroup>(
+      P, std::min(params_.sim_shards, P), params_.cross_partition_latency);
+  for (int p = 0; p < P; ++p) {
+    auto part = std::make_unique<Partition>();
+    sim::Simulation& psim = shards_->sim(p);
+    part->network =
+        std::make_unique<resources::Network>(psim, params_.network_mbps);
+    part->transport = std::make_unique<Transport>(psim, *part->network,
+                                                  params_, part->counters);
+    part->detector = std::make_unique<cc::DeadlockDetector>();
+    part->ctx = std::make_unique<SystemContext>(
+        SystemContext{psim, params_, db_, part->counters, *part->transport,
+                      part->detector.get(), nullptr, {}});
+    // Disjoint txn-id residue classes: txn % P recovers the home partition
+    // (the tracer and the deadlock coordinator rely on it).
+    part->ctx->txn_stride = P;
+    part->ctx->txn_offset = p;
+    // The tracer must exist before clients/servers are built: they latch the
+    // pointer (clients via LocalTxnLocks::AttachTracing, servers via the lock
+    // manager) at construction time.
+    if (params_.trace) {
+      part->tracer = std::make_unique<trace::Tracer>(
+          psim, static_cast<std::size_t>(params_.trace_buffer_events),
+          params_.trace_page);
+      part->tracer->ConfigurePartition(p, P);
+      part->ctx->tracer = part->tracer.get();
+    }
+    part->ctx->latency = &part->latency;
+    part->transport->set_tracer(part->tracer.get());
+    partitions_.push_back(std::move(part));
+  }
+  if (P > 1) {
+    // Cross-partition wiring: point-to-point links between the partitions'
+    // transports, and edge-delta logs for the serial-phase coordinator.
+    coordinator_ = std::make_unique<cc::DeadlockCoordinator>(P);
     const double link_spb = 8.0 / (params_.network_mbps * 1e6);
-    for (int p = 0; p < P; ++p) {
-      auto part = std::make_unique<Partition>();
-      sim::Simulation& psim = shards_->sim(p);
-      part->network =
-          std::make_unique<resources::Network>(psim, params_.network_mbps);
-      part->transport = std::make_unique<Transport>(psim, *part->network,
-                                                    params_, part->counters);
-      part->transport->ConfigurePartition(
-          shards_.get(), p, params_.cross_partition_latency, link_spb);
-      part->detector = std::make_unique<cc::DeadlockDetector>();
-      // Publish edge deltas for the serial-phase DeadlockCoordinator.
-      part->detector->EnableDeltaLog();
-      part->ctx = std::make_unique<SystemContext>(
-          SystemContext{psim, params_, db_, part->counters, *part->transport,
-                        part->detector.get(), nullptr, {}});
-      // Disjoint txn-id residue classes: txn % P recovers the home
-      // partition (the tracer and the deadlock coordinator rely on it).
-      part->ctx->txn_stride = P;
-      part->ctx->txn_offset = p;
-      if (params_.trace) {
-        part->tracer = std::make_unique<trace::Tracer>(
-            psim, static_cast<std::size_t>(params_.trace_buffer_events),
-            params_.trace_page);
-        part->tracer->ConfigurePartition(p, P);
-        part->ctx->tracer = part->tracer.get();
-      }
-      part->ctx->latency = &part->latency;
-      part->transport->set_tracer(part->tracer.get());
-      partitions_.push_back(std::move(part));
-    }
     std::vector<Transport*> peers;
     peers.reserve(partitions_.size());
     for (auto& part : partitions_) peers.push_back(part->transport.get());
-    for (auto& part : partitions_) {
-      part->transport->SetPeers(peers);
-      part->transport->SetClientPartitions(client_partition_);
+    for (int p = 0; p < P; ++p) {
+      Partition& part = *partitions_[static_cast<std::size_t>(p)];
+      part.transport->ConfigurePartition(
+          shards_.get(), p, params_.cross_partition_latency, link_spb);
+      part.transport->SetPeers(peers);
+      part.transport->SetClientPartitions(client_partition);
+      part.detector->EnableDeltaLog();
     }
   }
 
-  // One server per data partition; clients route requests by page. In
-  // partitioned mode each node is built against its home partition's
-  // context (its event loop, transport, counters, ...).
+  // One server per data partition; clients route requests by page. Each
+  // node is built against its home partition's context (its event loop,
+  // transport, counters, ...).
   auto server_ctx = [&](int i) -> SystemContext& {
-    return partitioned ? *partitions_[static_cast<std::size_t>(i)]->ctx
-                       : *ctx_;
+    return *partitions_[static_cast<std::size_t>(server_partition(i))]->ctx;
   };
   auto client_ctx = [&](int c) -> SystemContext& {
-    return partitioned
-               ? *partitions_[static_cast<std::size_t>(
-                                  client_partition_[static_cast<std::size_t>(
-                                      c)])]
-                      ->ctx
-               : *ctx_;
+    return *partitions_[static_cast<std::size_t>(
+                            client_partition[static_cast<std::size_t>(c)])]
+                ->ctx;
   };
 
   auto build = [&](auto make_server, auto make_client) {
@@ -265,36 +246,34 @@ System::System(Protocol protocol, const config::SystemParams& params,
   raw.reserve(clients_.size());
   for (auto& c : clients_) raw.push_back(c.get());
   for (auto& srv : servers_) srv->SetClients(raw);
-  for (std::size_t i = 0; i < servers_.size(); ++i) {
-    trace::Tracer* tr =
-        partitioned ? partitions_[i]->tracer.get() : tracer_.get();
-    metrics::Histogram* lock_wait =
-        partitioned ? &partitions_[i]->latency.lock_wait : &latency_.lock_wait;
-    servers_[i]->lock_manager().AttachTracing(tr, lock_wait,
-                                              servers_[i]->node());
+  for (int i = 0; i < num_servers(); ++i) {
+    Server& srv = server(i);
+    srv.lock_manager().AttachTracing(server_ctx(i).tracer,
+                                     &server_ctx(i).latency->lock_wait,
+                                     srv.node());
   }
 
   if (params_.invariant_checks ||
       std::getenv("PSOODB_INVARIANTS") != nullptr) {
-    if (partitioned) {
+    if (P > 1) {
       // The full invariant checker sweeps cross-partition state (client
       // caches vs. server copy tables) with no synchronization; it only
-      // works under the sequential event loop. The one partitioned-mode
-      // check that is safe — the serial phase runs with all workers parked —
-      // is the coordinator cross-validation: every scan, the incremental
-      // union graph is compared against the per-partition Edges() rebuilt
-      // from scratch (check::ValidateDeadlockCoordinator).
+      // works with one event loop. The one check that is safe with several
+      // — the serial phase runs with all workers parked — is the
+      // coordinator cross-validation: every scan, the incremental union
+      // graph is compared against the per-partition Edges() rebuilt from
+      // scratch (check::ValidateDeadlockCoordinator).
       validate_coordinator_ = true;
       std::fprintf(stderr,
                    "psoodb: invariant checking is unavailable in partitioned "
-                   "runs (sim_shards > 0); only the deadlock-coordinator "
-                   "cross-validation is enabled\n");
+                   "runs (sim_shards > 0, several servers); only the "
+                   "deadlock-coordinator cross-validation is enabled\n");
     } else {
       check::InvariantChecker::Options iopts;
       iopts.failfast = params_.invariant_failfast;
       iopts.event_period = params_.invariant_event_period;
       invariants_ = std::make_unique<check::InvariantChecker>(*this, iopts);
-      ctx_->invariants = invariants_.get();
+      partitions_[0]->ctx->invariants = invariants_.get();
     }
   }
 
@@ -305,70 +284,42 @@ void System::BuildTelemetry() {
   if (!params_.telemetry) return;
   telemetry_ = std::make_unique<metrics::TimeSeries>(params_.telemetry_tick);
   metrics::TimeSeries& ts = *telemetry_;
-  const bool part = partitioned();
-  const int P = part ? static_cast<int>(partitions_.size()) : 0;
+  shards_->EnablePoolAccounting();
+  sim::ShardGroup* g = shards_.get();
+  const int P = g->partitions();
 
   // Every probe is a pure observation of simulation state, evaluated only
-  // from deterministic single-threaded contexts (the sequential run loop /
-  // the window serial phase) in this fixed registration order — the sampled
-  // rows are byte-identical for any sim_shards / worker-thread count.
+  // from deterministic single-threaded contexts (after an event with one
+  // partition, in the window serial phase with several) in this fixed
+  // registration order — the sampled rows are byte-identical for any
+  // worker-thread count. Layer totals are summed over partitions in
+  // partition order.
 
   // --- Kernel layer --------------------------------------------------------
-  if (!part) {
-    sim::Simulation* s = sim_.get();
-    ts.AddGauge("kernel.live_events",
-                [s] { return static_cast<double>(s->live_events()); });
-    ts.AddGauge("kernel.queue_size",
-                [s] { return static_cast<double>(s->event_queue_size()); });
-    ts.AddGauge("kernel.live_processes",
-                [s] { return static_cast<double>(s->live_processes()); });
-    ts.AddCounter("kernel.queue_compactions",
-                  [s] { return static_cast<double>(s->queue_compactions()); });
-    ts.AddCounter("kernel.events",
-                  [s] { return static_cast<double>(s->events_processed()); });
-    ts.AddGauge("kernel.pool_live_bytes",
-                [this] { return static_cast<double>(pool_bytes_); });
-  } else {
-    shards_->EnablePoolAccounting();
-    sim::ShardGroup* g = shards_.get();
-    ts.AddGauge("kernel.live_events", [g, P] {
+  auto summed = [g, P](auto per_sim) {
+    return [g, P, per_sim] {
       double n = 0;
       for (int p = 0; p < P; ++p) {
-        n += static_cast<double>(g->sim(p).live_events());
+        n += static_cast<double>((g->sim(p).*per_sim)());
       }
       return n;
-    });
-    ts.AddGauge("kernel.queue_size", [g, P] {
-      double n = 0;
-      for (int p = 0; p < P; ++p) {
-        n += static_cast<double>(g->sim(p).event_queue_size());
-      }
-      return n;
-    });
-    ts.AddGauge("kernel.live_processes", [g, P] {
-      double n = 0;
-      for (int p = 0; p < P; ++p) {
-        n += static_cast<double>(g->sim(p).live_processes());
-      }
-      return n;
-    });
-    ts.AddCounter("kernel.queue_compactions", [g, P] {
-      double n = 0;
-      for (int p = 0; p < P; ++p) {
-        n += static_cast<double>(g->sim(p).queue_compactions());
-      }
-      return n;
-    });
-    ts.AddCounter("kernel.events", [g] {
-      return static_cast<double>(g->TotalEvents());
-    });
-    ts.AddGauge("kernel.pool_live_bytes", [g, P] {
-      double n = 0;
-      for (int p = 0; p < P; ++p) {
-        n += static_cast<double>(g->pool_live_bytes(p));
-      }
-      return n;
-    });
+    };
+  };
+  ts.AddGauge("kernel.live_events", summed(&sim::Simulation::live_events));
+  ts.AddGauge("kernel.queue_size",
+              summed(&sim::Simulation::event_queue_size));
+  ts.AddGauge("kernel.live_processes",
+              summed(&sim::Simulation::live_processes));
+  ts.AddCounter("kernel.queue_compactions",
+                summed(&sim::Simulation::queue_compactions));
+  ts.AddCounter("kernel.events",
+                [g] { return static_cast<double>(g->TotalEvents()); });
+  ts.AddGauge("kernel.pool_live_bytes", [g, P] {
+    double n = 0;
+    for (int p = 0; p < P; ++p) n += static_cast<double>(g->pool_live_bytes(p));
+    return n;
+  });
+  if (P > 1) {
     ts.AddCounter("kernel.windows",
                   [g] { return static_cast<double>(g->windows()); });
     ts.AddCounter("kernel.windows_stretched", [g] {
@@ -377,13 +328,11 @@ void System::BuildTelemetry() {
   }
 
   // --- Protocol layer ------------------------------------------------------
-  // System-wide counters (summed over partitions in partition order) and
-  // the blocked-transaction gauge. Counters reset once, at the
-  // warmup/measurement boundary.
+  // System-wide counters and the blocked-transaction gauge. Counters reset
+  // once, at the warmup/measurement boundary.
   auto counter_track = [&](const char* name,
                            std::uint64_t metrics::Counters::* field) {
     ts.AddCounter(name, [this, field] {
-      if (!partitioned()) return static_cast<double>(counters_.*field);
       double n = 0;
       for (auto& p : partitions_) {
         n += static_cast<double>(p->counters.*field);
@@ -396,7 +345,6 @@ void System::BuildTelemetry() {
   counter_track("callbacks_sent", &metrics::Counters::callbacks_sent);
   counter_track("msgs", &metrics::Counters::msgs_total);
   ts.AddGauge("blocked_txns", [this] {
-    if (!partitioned()) return static_cast<double>(detector_->parked());
     double n = 0;
     for (auto& p : partitions_) {
       n += static_cast<double>(p->detector->parked());
@@ -428,193 +376,334 @@ void System::BuildTelemetry() {
     });
   }
 
-  // --- Windowed latency histograms (+ per-shard window health) -------------
-  if (!part) {
-    ts.AddWindowedHistogram("lat.response", &latency_.response);
-    ts.AddWindowedHistogram("lat.lock_wait", &latency_.lock_wait);
-    ts.AddWindowedHistogram("lat.cb_round", &latency_.callback_round);
-  } else {
-    sim::ShardGroup* g = shards_.get();
-    for (int p = 0; p < P; ++p) {
-      Partition* pp = partitions_[static_cast<std::size_t>(p)].get();
-      const std::string prefix = "shard" + std::to_string(p);
-      ts.AddWindowedHistogram(prefix + ".lat.response",
-                              &pp->latency.response);
-      ts.AddWindowedHistogram(prefix + ".lat.lock_wait",
-                              &pp->latency.lock_wait);
-      ts.AddWindowedHistogram(prefix + ".lat.cb_round",
-                              &pp->latency.callback_round);
-      ts.AddGauge(prefix + ".outbox_depth", [g, p] {
-        return static_cast<double>(g->OutboxDepth(p));
-      });
-      ts.AddCounter(prefix + ".stall_s", [g, p] {
-        return g->stall_seconds(p);
-      });
-      ts.AddGauge(prefix + ".lag", [g, p] {
-        return std::max(0.0, g->window_end() - g->sim(p).now());
-      });
-    }
+  // --- Windowed latency histograms (+ per-partition window health) ---------
+  // One partition writes the unprefixed lat.* tracks; several write them per
+  // partition, beside each partition's outbox, stall and lag tracks.
+  for (int p = 0; p < P; ++p) {
+    Partition* pp = partitions_[static_cast<std::size_t>(p)].get();
+    const std::string prefix = P > 1 ? "shard" + std::to_string(p) + "." : "";
+    ts.AddWindowedHistogram(prefix + "lat.response", &pp->latency.response);
+    ts.AddWindowedHistogram(prefix + "lat.lock_wait", &pp->latency.lock_wait);
+    ts.AddWindowedHistogram(prefix + "lat.cb_round",
+                            &pp->latency.callback_round);
+    if (P == 1) break;
+    ts.AddGauge(prefix + "outbox_depth",
+                [g, p] { return static_cast<double>(g->OutboxDepth(p)); });
+    ts.AddCounter(prefix + "stall_s", [g, p] { return g->stall_seconds(p); });
+    ts.AddGauge(prefix + "lag", [g, p] {
+      return std::max(0.0, g->window_end() - g->sim(p).now());
+    });
   }
 }
 
 System::~System() {
-  // The Simulation(s) must die first: destroying one destroys every
-  // suspended process, whose awaitable destructors unregister from resource
-  // queues and condition variables that must still be alive. Afterwards the
-  // remaining members (clients, servers, transports, networks) tear down
-  // with empty queues.
-  sim_.reset();
+  // The Simulations must die first: destroying one destroys every suspended
+  // process, whose awaitable destructors unregister from resource queues and
+  // condition variables that must still be alive. Afterwards the remaining
+  // members (clients, servers, transports, networks) tear down with empty
+  // queues.
   shards_.reset();
 }
 
 RunResult System::Run(const RunConfig& run) {
-  if (shards_ != nullptr) return RunPartitioned(run);
   PSOODB_CHECK(!started_, "System::Run may be called once");
   started_ = true;
+  const int P = shards_->partitions();
+  PSOODB_CHECK(P == 1 || !run.record_history,
+               "record_history needs one event loop (sim_shards = 0 or one "
+               "server): the history log is a single serialized stream");
 
-  ctx_->history = run.record_history ? &history_ : nullptr;
-  ctx_->on_commit = [this](storage::ClientId, sim::SimTime start,
-                           sim::SimTime end) {
-    response_times_.push_back(end - start);
-  };
-
+  for (auto& part : partitions_) {
+    Partition* raw = part.get();
+    part->ctx->history = run.record_history ? &history_ : nullptr;
+    part->ctx->on_commit = [raw](storage::ClientId, sim::SimTime start,
+                                 sim::SimTime end) {
+      raw->responses.emplace_back(end, end - start);
+    };
+  }
   for (auto& c : clients_) c->Start();
 
   RunResult result;
   result.protocol = protocol_;
 
-  // Telemetry only: attribute pool allocations/frees during the run to
-  // pool_bytes_ (the kernel.pool_live_bytes gauge). Scoped to this function;
-  // a null scope (telemetry off) keeps accounting disabled.
-  sim::detail::PoolAcctScope pool_acct(telemetry_ ? &pool_bytes_ : nullptr);
+  // --- Warmup/measurement state machine -------------------------------------
+  const std::uint64_t warmup_target =
+      static_cast<std::uint64_t>(run.warmup_commits);
+  const std::uint64_t measure_target =
+      static_cast<std::uint64_t>(run.measure_commits);
 
-  // --- Warmup ---------------------------------------------------------------
-  const std::uint64_t warmup_target = static_cast<std::uint64_t>(
-      run.warmup_commits);
-  std::uint64_t events = 0;
-  bool stalled = false;
-  while (counters_.commits < warmup_target) {
-    if (!sim_->Step()) {
-      stalled = true;
-      break;
-    }
-    if (invariants_) invariants_->OnEvent();
-    if (telemetry_) telemetry_->SampleUpTo(sim_->now());
-    if (++events > run.max_events ||
-        sim_->now() > run.max_sim_seconds) {
-      stalled = true;
-      break;
-    }
-  }
-
-  // --- Reset for measurement -------------------------------------------------
-  const std::uint64_t warmup_deadlocks = detector_->deadlocks_detected();
+  bool measuring = false;
+  bool warmup_capped = false;
+  sim::SimTime measure_start = 0;
+  std::uint64_t measure_start_events = 0;
+  std::uint64_t warmup_deadlocks = 0;
   std::uint64_t warmup_lock_waits = 0;
-  for (auto& srv : servers_) warmup_lock_waits += srv->lock_manager().lock_waits();
-  counters_.Reset();
-  response_times_.clear();
-  for (auto& srv : servers_) {
-    srv->cpu().ResetStats();
-    srv->disks().ResetStats();
-  }
-  network_->ResetStats();
-  for (auto& c : clients_) c->cpu().ResetStats();
-  latency_.Reset();
-  if (tracer_) tracer_->ResetMeasurement();
-  const sim::SimTime measure_start = sim_->now();
-  const std::uint64_t measure_start_events = sim_->events_processed();
-  if (telemetry_) telemetry_->MarkMeasureStart(measure_start);
 
-  // --- Measurement ------------------------------------------------------------
-  const std::uint64_t target = static_cast<std::uint64_t>(run.measure_commits);
-  events = 0;
-  while (!stalled && counters_.commits < target) {
-    if (!sim_->Step()) {
-      stalled = true;
-      break;
+  auto total_deadlocks = [&] {
+    std::uint64_t n = 0;
+    for (auto& part : partitions_) n += part->detector->deadlocks_detected();
+    return n;
+  };
+  auto total_lock_waits = [&] {
+    std::uint64_t n = 0;
+    for (auto& srv : servers_) n += srv->lock_manager().lock_waits();
+    return n;
+  };
+  // Warmup -> measurement boundary: reset every statistic (with several
+  // partitions, in the serial phase while all workers are parked).
+  auto reset_for_measurement = [&] {
+    warmup_deadlocks = total_deadlocks();
+    warmup_lock_waits = total_lock_waits();
+    for (auto& part : partitions_) {
+      part->counters.Reset();
+      part->responses.clear();
+      part->latency.Reset();
+      part->network->ResetStats();
+      if (part->tracer) part->tracer->ResetMeasurement();
     }
+    for (auto& srv : servers_) {
+      srv->cpu().ResetStats();
+      srv->disks().ResetStats();
+    }
+    for (auto& c : clients_) c->cpu().ResetStats();
+    measure_start = shards_->GlobalNow();
+    measure_start_events = shards_->TotalEvents();
+    if (telemetry_) telemetry_->MarkMeasureStart(measure_start);
+    measuring = true;
+  };
+  // The max_events / max_sim_seconds caps, counted from the current phase's
+  // start (event 0 and time 0 during warmup).
+  auto capped = [&](std::uint64_t events, sim::SimTime now) {
+    return events - measure_start_events > run.max_events ||
+           now - measure_start > run.max_sim_seconds;
+  };
+
+  // One partition: the current phase's commit target is checked before the
+  // first event and after every event, behind the invariant checker,
+  // telemetry and the caps. The warmup target starts the measurement at
+  // once, so the measurement target is checked on the same event.
+  sim::Simulation& sim0 = shards_->sim(0);
+  const metrics::Counters& counters0 = partitions_[0]->counters;
+  std::uint64_t target = warmup_target;
+  auto target_met = [&] {
+    if (counters0.commits < target) return false;
+    if (measuring) return true;
+    reset_for_measurement();
+    target = measure_target;
+    return counters0.commits >= target;
+  };
+  // capped and target_met by value, so the per-event checks read the run
+  // state directly rather than through two more closures.
+  auto after_event = [&, capped, target_met](sim::ShardGroup&) {
     if (invariants_) invariants_->OnEvent();
-    if (telemetry_) telemetry_->SampleUpTo(sim_->now());
-    if (++events > run.max_events ||
-        sim_->now() - measure_start > run.max_sim_seconds) {
-      break;
+    if (telemetry_) telemetry_->SampleUpTo(sim0.now());
+    if (capped(sim0.events_processed(), sim0.now())) {
+      warmup_capped = !measuring;
+      return true;
     }
-  }
+    return target_met();
+  };
 
-  // --- Results -----------------------------------------------------------------
+  // Several partitions: the serial phase of every window. The measurement
+  // starts at the window that meets the warmup target, and its target is
+  // first checked at the next one.
+  sim::SimTime next_deadlock_scan = 0;
+  auto after_window = [&](sim::ShardGroup& g) -> bool {
+    if (telemetry_) {
+      // Sample in the serial phase (workers parked): every probe reads
+      // partition state at a deterministic point of the window sequence.
+      const auto t0 = std::chrono::steady_clock::now();  // det-ok: wall-clock serial-phase accounting; never feeds the simulation
+      telemetry_->SampleUpTo(g.GlobalNow());
+      telemetry_seconds_ +=
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)  // det-ok: wall-clock serial-phase accounting; never feeds the simulation
+              .count();
+    }
+    // Move cross-partition trace attributions to their home tracers in a
+    // fixed (home, source) order so phase sums are thread-count independent.
+    if (params_.trace) {
+      const auto t0 = std::chrono::steady_clock::now();  // det-ok: wall-clock serial-phase accounting; never feeds the simulation
+      for (int home = 0; home < P; ++home) {
+        for (int src = 0; src < P; ++src) {
+          if (src == home) continue;
+          partitions_[static_cast<std::size_t>(src)]
+              ->tracer->DrainRemoteAttributions(
+                  home, *partitions_[static_cast<std::size_t>(home)]->tracer);
+        }
+      }
+      trace_seconds_ +=
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)  // det-ok: wall-clock serial-phase accounting; never feeds the simulation
+              .count();
+    }
+    // Cross-partition cycle scan, throttled by simulated time: under load
+    // some detector's edge set moves nearly every window, so scanning every
+    // window would dominate the serial phase. Cycles spanning partitions
+    // tolerate the extra latency (their victims are parked); the one case
+    // that cannot wait is a deadlock that drains every event heap — without
+    // the scan's wake-up poke the run would stall — so an imminent drain
+    // forces a full scan. GlobalNow() is a pure function of the event
+    // sequence, so the throttle is thread-count independent.
+    sim::SimTime next_event;
+    const bool draining = !g.NextEventTime(&next_event);
+    if (draining || g.GlobalNow() >= next_deadlock_scan) {
+      const auto t0 = std::chrono::steady_clock::now();  // det-ok: wall-clock serial-phase accounting; never feeds the simulation
+      CrossPartitionDeadlockStep(/*force_full=*/draining);
+      scan_seconds_ +=
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)  // det-ok: wall-clock serial-phase accounting; never feeds the simulation
+              .count();
+      next_deadlock_scan = g.GlobalNow() + params_.cross_deadlock_interval;
+    }
+    std::uint64_t commits = 0;
+    for (auto& part : partitions_) commits += part->counters.commits;
+    if (!measuring) {
+      if (commits >= warmup_target) {
+        reset_for_measurement();
+        return false;
+      }
+      warmup_capped = capped(g.TotalEvents(), g.GlobalNow());
+      return warmup_capped;
+    }
+    return commits >= measure_target || capped(g.TotalEvents(), g.GlobalNow());
+  };
+
+  sim::ShardGroup::RunResult rr;
+  if (P > 1) {
+    rr = shards_->Run(after_window);
+  } else if (!target_met()) {
+    rr = shards_->Run(after_event);
+  }
+  // If the run ended during warmup (stall or cap), report an empty
+  // measurement window.
+  if (!measuring) reset_for_measurement();
+
+  // --- Results ---------------------------------------------------------------
   // A final full sweep so short runs (and the run's end state) are covered
   // even when fewer than event_period events separate the last two sweeps.
   if (invariants_) invariants_->CheckAll();
-  result.stalled = stalled;
-  result.sim_seconds = sim_->now() - measure_start;
-  result.measured_commits = counters_.commits;
-  result.counters = counters_;
-  result.throughput = result.sim_seconds > 0
-                          ? static_cast<double>(counters_.commits) /
-                                result.sim_seconds
-                          : 0.0;
+  result.stalled = rr.stalled || warmup_capped;
+  result.sim_seconds = shards_->GlobalNow() - measure_start;
+  for (auto& part : partitions_) result.counters.Add(part->counters);
+  const metrics::Counters& merged = result.counters;
+  result.measured_commits = merged.commits;
+  result.throughput =
+      result.sim_seconds > 0
+          ? static_cast<double>(merged.commits) / result.sim_seconds
+          : 0.0;
+  // Merge per-partition response sequences by (commit time, partition).
+  // Each partition's sequence is already in commit-time order, so this is a
+  // deterministic total order, independent of the worker-thread count.
+  struct Resp {
+    double end;
+    int part;
+    std::size_t idx;
+    double rt;
+  };
+  std::vector<Resp> resp;
+  for (int p = 0; p < P; ++p) {
+    const auto& rs = partitions_[static_cast<std::size_t>(p)]->responses;
+    for (std::size_t i = 0; i < rs.size(); ++i) {
+      resp.push_back({rs[i].first, p, i, rs[i].second});
+    }
+  }
+  std::sort(resp.begin(), resp.end(), [](const Resp& a, const Resp& b) {
+    if (a.end != b.end) return a.end < b.end;
+    if (a.part != b.part) return a.part < b.part;
+    return a.idx < b.idx;
+  });
+  std::vector<double> response_times;
+  response_times.reserve(resp.size());
+  for (const Resp& r : resp) response_times.push_back(r.rt);
   result.response_time =
-      metrics::BatchMeansCI(response_times_, run.ci_batches, 0.90);
-  result.deadlocks = detector_->deadlocks_detected() - warmup_deadlocks;
+      metrics::BatchMeansCI(response_times, run.ci_batches, 0.90);
+  result.deadlocks = total_deadlocks() - warmup_deadlocks;
   result.counters.deadlocks = result.deadlocks;
-  std::uint64_t lock_waits = 0;
+  result.counters.lock_waits = total_lock_waits() - warmup_lock_waits;
   double cpu_util = 0, disk_util = 0;
   for (auto& srv : servers_) {
-    lock_waits += srv->lock_manager().lock_waits();
     cpu_util += srv->cpu().Utilization();
     disk_util += srv->disks().AverageUtilization();
   }
-  result.counters.lock_waits = lock_waits - warmup_lock_waits;
-  // Multi-server: report the average utilization across partition servers.
+  // Multi-server: report the average utilization across partition servers
+  // (and network segments).
   result.server_cpu_util = cpu_util / static_cast<double>(servers_.size());
   result.disk_util = disk_util / static_cast<double>(servers_.size());
-  result.network_util = network_->Utilization();
+  double net_util = 0;
+  for (auto& part : partitions_) net_util += part->network->Utilization();
+  result.network_util = net_util / static_cast<double>(P);
   double client_util = 0;
   for (auto& c : clients_) client_util += c->cpu().Utilization();
   result.avg_client_cpu_util =
-      clients_.empty() ? 0 : client_util / static_cast<double>(clients_.size());
+      clients_.empty() ? 0
+                       : client_util / static_cast<double>(clients_.size());
   result.msgs_per_commit =
-      counters_.commits > 0
-          ? static_cast<double>(counters_.msgs_total) /
-                static_cast<double>(counters_.commits)
-          : 0.0;
-  result.events = sim_->events_processed() - measure_start_events;
+      merged.commits > 0 ? static_cast<double>(merged.msgs_total) /
+                               static_cast<double>(merged.commits)
+                         : 0.0;
+  result.events = shards_->TotalEvents() - measure_start_events;
   if (run.record_history) {
     result.serializable = history_.IsSerializable();
     result.no_lost_updates = history_.NoLostUpdates();
   }
-  result.response_hist = latency_.response;
-  result.lock_wait_hist = latency_.lock_wait;
-  result.callback_round_hist = latency_.callback_round;
+  if (P > 1) {
+    result.shard_busy_seconds.reserve(static_cast<std::size_t>(P));
+    double merge_total = 0;
+    for (int p = 0; p < P; ++p) {
+      result.shard_busy_seconds.push_back(shards_->busy_seconds(p));
+      merge_total += shards_->merge_seconds(p);
+    }
+    result.shard_merge_seconds = merge_total;
+    result.shard_serial_seconds = shards_->serial_seconds();
+    result.shard_serial_hook_seconds = shards_->serial_hook_seconds();
+    result.shard_scan_seconds = scan_seconds_;
+    result.shard_telemetry_seconds = telemetry_seconds_;
+    result.shard_trace_seconds = trace_seconds_;
+    result.shard_windows = rr.windows;
+    result.shard_windows_stretched = shards_->windows_stretched();
+    result.shard_scans = coordinator_->scans();
+    result.shard_full_scans = coordinator_->full_scans();
+    result.shard_scans_skipped = coordinator_->scans_skipped_no_boundary();
+    result.shard_deltas_applied = coordinator_->deltas_applied();
+  }
+  // Latency histograms: merge in partition order (deterministic FP sums).
+  for (auto& part : partitions_) {
+    result.response_hist.Merge(part->latency.response);
+    result.lock_wait_hist.Merge(part->latency.lock_wait);
+    result.callback_round_hist.Merge(part->latency.callback_round);
+  }
   if (telemetry_) {
     metrics::TimeSeries::Meta tmeta;
     tmeta.protocol = config::ProtocolName(protocol_);
     tmeta.num_clients = params_.num_clients;
     tmeta.num_servers = params_.num_servers;
     tmeta.seed = params_.seed;
-    tmeta.partitions = 0;
+    tmeta.partitions = P > 1 ? P : 0;
     result.telemetry_jsonl = telemetry_->SerializeJsonl(tmeta);
   }
-  if (tracer_) {
-    for (int i = 0; i < trace::kNumPhases; ++i) {
-      result.phase_seconds[static_cast<std::size_t>(i)] =
-          tracer_->phase_totals()[i];
+  if (params_.trace) {
+    std::vector<trace::Tracer*> tracers;
+    tracers.reserve(partitions_.size());
+    for (auto& part : partitions_) {
+      trace::Tracer* t = part->tracer.get();
+      for (int i = 0; i < trace::kNumPhases; ++i) {
+        result.phase_seconds[static_cast<std::size_t>(i)] +=
+            t->phase_totals()[i];
+      }
+      result.breakdown_txns += t->commits();
+      result.breakdown_violations += t->violations();
+      result.trace_events_dropped += t->events_dropped();
+      tracers.push_back(t);
     }
-    result.breakdown_txns = tracer_->commits();
-    result.breakdown_violations = tracer_->violations();
-    result.trace_events_dropped = tracer_->events_dropped();
     trace::TraceMeta meta;
     meta.protocol = config::ProtocolName(protocol_);
     meta.num_clients = params_.num_clients;
     meta.num_servers = params_.num_servers;
     meta.seed = params_.seed;
-    result.trace_jsonl = tracer_->SerializeJsonl(meta);
+    result.trace_jsonl = trace::Tracer::SerializeJsonlMerged(tracers, meta);
     // Only the Chrome sink reads the telemetry counter tracks, so a
     // telemetry-only run never renders them.
     const std::string counter_fragment =
         telemetry_ ? telemetry_->RenderChromeCounters() : std::string();
-    result.trace_chrome = tracer_->SerializeChrome(
-        meta, counter_fragment.empty() ? nullptr : &counter_fragment);
+    result.trace_chrome = trace::Tracer::SerializeChromeMerged(
+        tracers, meta, counter_fragment.empty() ? nullptr : &counter_fragment);
   }
   return result;
 }
@@ -679,276 +768,6 @@ void System::CrossPartitionDeadlockStep(bool force_full) {
     for (auto& part : partitions_) dets.push_back(part->detector.get());
     check::ValidateDeadlockCoordinator(*coordinator_, dets);
   }
-}
-
-RunResult System::RunPartitioned(const RunConfig& run) {
-  PSOODB_CHECK(!started_, "System::Run may be called once");
-  started_ = true;
-  PSOODB_CHECK(!run.record_history,
-               "record_history needs the sequential simulator (sim_shards=0): "
-               "the history log is a single serialized stream");
-
-  const int P = shards_->partitions();
-  for (auto& part : partitions_) {
-    Partition* raw = part.get();
-    part->ctx->on_commit = [raw](storage::ClientId, sim::SimTime start,
-                                 sim::SimTime end) {
-      raw->responses.emplace_back(end, end - start);
-    };
-  }
-  for (auto& c : clients_) c->Start();
-
-  RunResult result;
-  result.protocol = protocol_;
-
-  const std::uint64_t warmup_target =
-      static_cast<std::uint64_t>(run.warmup_commits);
-  const std::uint64_t measure_target =
-      static_cast<std::uint64_t>(run.measure_commits);
-
-  bool measuring = false;
-  bool warmup_capped = false;
-  sim::SimTime measure_start = 0;
-  std::uint64_t measure_start_events = 0;
-  std::uint64_t warmup_deadlocks = 0;
-  std::uint64_t warmup_lock_waits = 0;
-  sim::SimTime next_deadlock_scan = 0;
-
-  auto total_commits = [&] {
-    std::uint64_t n = 0;
-    for (auto& part : partitions_) n += part->counters.commits;
-    return n;
-  };
-  auto total_deadlocks = [&] {
-    std::uint64_t n = 0;
-    for (auto& part : partitions_) n += part->detector->deadlocks_detected();
-    return n;
-  };
-  auto total_lock_waits = [&] {
-    std::uint64_t n = 0;
-    for (auto& srv : servers_) n += srv->lock_manager().lock_waits();
-    return n;
-  };
-  // Warmup -> measurement boundary: reset every statistic, in the serial
-  // phase (all workers parked), exactly as the sequential Run does.
-  auto reset_for_measurement = [&] {
-    warmup_deadlocks = total_deadlocks();
-    warmup_lock_waits = total_lock_waits();
-    for (auto& part : partitions_) {
-      part->counters.Reset();
-      part->responses.clear();
-      part->latency.Reset();
-      part->network->ResetStats();
-      if (part->tracer) part->tracer->ResetMeasurement();
-    }
-    for (auto& srv : servers_) {
-      srv->cpu().ResetStats();
-      srv->disks().ResetStats();
-    }
-    for (auto& c : clients_) c->cpu().ResetStats();
-    measure_start = shards_->GlobalNow();
-    measure_start_events = shards_->TotalEvents();
-    if (telemetry_) telemetry_->MarkMeasureStart(measure_start);
-    measuring = true;
-  };
-
-  sim::ShardGroup::SerialHook hook = [&](sim::ShardGroup& g) -> bool {
-    // Per-partition barrier-stall accounting moved into the worker loop
-    // (sim/shard.cpp WorkerLoop): it is pure simulated-time arithmetic, so
-    // running it in parallel changes nothing and shortens the serial phase.
-    if (telemetry_) {
-      // Sample in the serial phase (workers parked): every probe reads
-      // partition state at a deterministic point of the window sequence.
-      const auto t0 = std::chrono::steady_clock::now();  // det-ok: wall-clock serial-phase accounting; never feeds the simulation
-      telemetry_->SampleUpTo(g.GlobalNow());
-      telemetry_seconds_ +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)  // det-ok: wall-clock serial-phase accounting; never feeds the simulation
-              .count();
-    }
-    // Move cross-partition trace attributions to their home tracers in a
-    // fixed (home, source) order so phase sums are thread-count independent.
-    if (params_.trace) {
-      const auto t0 = std::chrono::steady_clock::now();  // det-ok: wall-clock serial-phase accounting; never feeds the simulation
-      for (int home = 0; home < P; ++home) {
-        for (int src = 0; src < P; ++src) {
-          if (src == home) continue;
-          partitions_[static_cast<std::size_t>(src)]
-              ->tracer->DrainRemoteAttributions(
-                  home, *partitions_[static_cast<std::size_t>(home)]->tracer);
-        }
-      }
-      trace_seconds_ +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)  // det-ok: wall-clock serial-phase accounting; never feeds the simulation
-              .count();
-    }
-    // Cross-partition cycle scan, throttled by simulated time: under load
-    // some detector's edge set moves nearly every window, so scanning every
-    // window would dominate the serial phase. Cycles spanning partitions
-    // tolerate the extra latency (their victims are parked); the one case
-    // that cannot wait is a deadlock that drains every event heap — without
-    // the scan's wake-up poke the run would stall — so an imminent drain
-    // forces a full scan. GlobalNow() is a pure function of the event
-    // sequence, so the throttle is thread-count independent.
-    sim::SimTime next_event;
-    const bool draining = !g.NextEventTime(&next_event);
-    if (draining || g.GlobalNow() >= next_deadlock_scan) {
-      const auto t0 = std::chrono::steady_clock::now();  // det-ok: wall-clock serial-phase accounting; never feeds the simulation
-      CrossPartitionDeadlockStep(/*force_full=*/draining);
-      scan_seconds_ +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)  // det-ok: wall-clock serial-phase accounting; never feeds the simulation
-              .count();
-      next_deadlock_scan = g.GlobalNow() + params_.cross_deadlock_interval;
-    }
-    const std::uint64_t commits = total_commits();
-    if (!measuring) {
-      if (commits >= warmup_target) {
-        reset_for_measurement();
-        return false;
-      }
-      if (g.TotalEvents() > run.max_events ||
-          g.GlobalNow() > run.max_sim_seconds) {
-        warmup_capped = true;
-        return true;
-      }
-      return false;
-    }
-    if (commits >= measure_target) return true;
-    if (g.TotalEvents() - measure_start_events > run.max_events ||
-        g.GlobalNow() - measure_start > run.max_sim_seconds) {
-      return true;
-    }
-    return false;
-  };
-
-  const sim::ShardGroup::RunResult rr = shards_->Run(hook);
-  // If the run ended during warmup (stall or cap), report an empty
-  // measurement window like the sequential path does.
-  if (!measuring) reset_for_measurement();
-
-  result.stalled = rr.stalled || warmup_capped;
-  result.sim_seconds = shards_->GlobalNow() - measure_start;
-  metrics::Counters merged;
-  for (auto& part : partitions_) merged.Add(part->counters);
-  counters_ = merged;  // keep the counters() accessor meaningful post-run
-  result.measured_commits = merged.commits;
-  result.counters = merged;
-  result.throughput =
-      result.sim_seconds > 0
-          ? static_cast<double>(merged.commits) / result.sim_seconds
-          : 0.0;
-  // Merge per-partition response sequences by (commit time, partition).
-  // Each partition's sequence is already in commit-time order, so this is a
-  // deterministic total order, independent of the worker-thread count.
-  struct Resp {
-    double end;
-    int part;
-    std::size_t idx;
-    double rt;
-  };
-  std::vector<Resp> resp;
-  for (int p = 0; p < P; ++p) {
-    const auto& rs = partitions_[static_cast<std::size_t>(p)]->responses;
-    for (std::size_t i = 0; i < rs.size(); ++i) {
-      resp.push_back({rs[i].first, p, i, rs[i].second});
-    }
-  }
-  std::sort(resp.begin(), resp.end(), [](const Resp& a, const Resp& b) {
-    if (a.end != b.end) return a.end < b.end;
-    if (a.part != b.part) return a.part < b.part;
-    return a.idx < b.idx;
-  });
-  response_times_.clear();
-  response_times_.reserve(resp.size());
-  for (const Resp& r : resp) response_times_.push_back(r.rt);
-  result.response_time =
-      metrics::BatchMeansCI(response_times_, run.ci_batches, 0.90);
-  result.deadlocks = total_deadlocks() - warmup_deadlocks;
-  result.counters.deadlocks = result.deadlocks;
-  result.counters.lock_waits = total_lock_waits() - warmup_lock_waits;
-  double cpu_util = 0, disk_util = 0;
-  for (auto& srv : servers_) {
-    cpu_util += srv->cpu().Utilization();
-    disk_util += srv->disks().AverageUtilization();
-  }
-  result.server_cpu_util = cpu_util / static_cast<double>(servers_.size());
-  result.disk_util = disk_util / static_cast<double>(servers_.size());
-  double net_util = 0;
-  for (auto& part : partitions_) net_util += part->network->Utilization();
-  result.network_util = net_util / static_cast<double>(partitions_.size());
-  double client_util = 0;
-  for (auto& c : clients_) client_util += c->cpu().Utilization();
-  result.avg_client_cpu_util =
-      clients_.empty() ? 0
-                       : client_util / static_cast<double>(clients_.size());
-  result.msgs_per_commit =
-      merged.commits > 0 ? static_cast<double>(merged.msgs_total) /
-                               static_cast<double>(merged.commits)
-                         : 0.0;
-  result.events = shards_->TotalEvents() - measure_start_events;
-  result.shard_busy_seconds.reserve(static_cast<std::size_t>(P));
-  for (int p = 0; p < P; ++p) {
-    result.shard_busy_seconds.push_back(shards_->busy_seconds(p));
-  }
-  result.shard_serial_seconds = shards_->serial_seconds();
-  double merge_total = 0;
-  for (int p = 0; p < P; ++p) merge_total += shards_->merge_seconds(p);
-  result.shard_merge_seconds = merge_total;
-  result.shard_serial_hook_seconds = shards_->serial_hook_seconds();
-  result.shard_scan_seconds = scan_seconds_;
-  result.shard_telemetry_seconds = telemetry_seconds_;
-  result.shard_trace_seconds = trace_seconds_;
-  result.shard_windows = rr.windows;
-  result.shard_windows_stretched = shards_->windows_stretched();
-  result.shard_scans = coordinator_->scans();
-  result.shard_full_scans = coordinator_->full_scans();
-  result.shard_scans_skipped = coordinator_->scans_skipped_no_boundary();
-  result.shard_deltas_applied = coordinator_->deltas_applied();
-  // Latency histograms: merge in partition order (deterministic FP sums).
-  latency_.Reset();
-  for (auto& part : partitions_) {
-    latency_.response.Merge(part->latency.response);
-    latency_.lock_wait.Merge(part->latency.lock_wait);
-    latency_.callback_round.Merge(part->latency.callback_round);
-  }
-  result.response_hist = latency_.response;
-  result.lock_wait_hist = latency_.lock_wait;
-  result.callback_round_hist = latency_.callback_round;
-  if (telemetry_) {
-    metrics::TimeSeries::Meta tmeta;
-    tmeta.protocol = config::ProtocolName(protocol_);
-    tmeta.num_clients = params_.num_clients;
-    tmeta.num_servers = params_.num_servers;
-    tmeta.seed = params_.seed;
-    tmeta.partitions = P;
-    result.telemetry_jsonl = telemetry_->SerializeJsonl(tmeta);
-  }
-  if (params_.trace) {
-    for (auto& part : partitions_) {
-      for (int i = 0; i < trace::kNumPhases; ++i) {
-        result.phase_seconds[static_cast<std::size_t>(i)] +=
-            part->tracer->phase_totals()[i];
-      }
-      result.breakdown_txns += part->tracer->commits();
-      result.breakdown_violations += part->tracer->violations();
-      result.trace_events_dropped += part->tracer->events_dropped();
-    }
-    trace::TraceMeta meta;
-    meta.protocol = config::ProtocolName(protocol_);
-    meta.num_clients = params_.num_clients;
-    meta.num_servers = params_.num_servers;
-    meta.seed = params_.seed;
-    std::vector<trace::Tracer*> tracers;
-    tracers.reserve(partitions_.size());
-    for (auto& part : partitions_) tracers.push_back(part->tracer.get());
-    result.trace_jsonl = trace::Tracer::SerializeJsonlMerged(tracers, meta);
-    // Only the Chrome sink reads the telemetry counter tracks, so a
-    // telemetry-only run never renders them.
-    const std::string counter_fragment =
-        telemetry_ ? telemetry_->RenderChromeCounters() : std::string();
-    result.trace_chrome = trace::Tracer::SerializeChromeMerged(
-        tracers, meta, counter_fragment.empty() ? nullptr : &counter_fragment);
-  }
-  return result;
 }
 
 RunResult RunSimulation(Protocol protocol, const config::SystemParams& params,

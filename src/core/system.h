@@ -3,6 +3,12 @@
 /// server OODBMS (server + N client workstations + network) for one of the
 /// five protocols and runs a warmup + measurement experiment. This is the
 /// main entry point of the library.
+///
+/// Every run is laid out as P event-loop partitions under one
+/// sim::ShardGroup. P = 1 (sim_shards = 0, or one server) puts every server
+/// and client on one shared network segment, the paper's model; P =
+/// num_servers (sim_shards > 0 with several servers) gives each server and
+/// its home clients their own partition.
 
 #ifndef PSOODB_CORE_SYSTEM_H_
 #define PSOODB_CORE_SYSTEM_H_
@@ -83,9 +89,9 @@ struct RunResult {
   /// boundary. Never serialized into the results JSON.
   std::string telemetry_jsonl;
 
-  // --- Wall-clock accounting (partitioned runs only; reporting only — wall
-  // time is nondeterministic, so these are never serialized into results
-  // JSON and never feed the simulation) -------------------------------------
+  // --- Wall-clock accounting (runs with several partitions only; reporting
+  // only — wall time is nondeterministic, so these are never serialized into
+  // results JSON and never feed the simulation) -----------------------------
   /// Wall seconds executing each partition's events (index = partition).
   std::vector<double> shard_busy_seconds;
   /// Wall seconds of shard_busy_seconds spent merging inbound outboxes
@@ -103,9 +109,9 @@ struct RunResult {
   double shard_telemetry_seconds = 0;
   double shard_trace_seconds = 0;
 
-  // --- Parallel-kernel counters (partitioned runs only; deterministic —
-  // pure functions of the event schedule — but reporting-only and kept out
-  // of the results JSON with the fields above) ------------------------------
+  // --- Parallel-kernel counters (runs with several partitions only;
+  // deterministic — pure functions of the event schedule — but
+  // reporting-only and kept out of the results JSON with the fields above) --
   std::uint64_t shard_windows = 0;  ///< conservative windows executed
   /// Windows where an adaptive per-partition end ran past T_min + L.
   std::uint64_t shard_windows_stretched = 0;
@@ -128,50 +134,40 @@ class System {
   /// Runs warmup + measurement and returns the results.
   RunResult Run(const RunConfig& run = RunConfig{});
 
-  /// True when this system runs partitioned (SystemParams::sim_shards > 0 or
-  /// PSOODB_SIM_SHARDS): one event loop per server partition under a
-  /// sim::ShardGroup instead of the single sequential loop.
-  bool partitioned() const { return shards_ != nullptr; }
+  /// True when SystemParams::sim_shards > 0 (or PSOODB_SIM_SHARDS) asks for
+  /// server partitions. With several servers the run then has one event
+  /// loop per server under the sim::ShardGroup's windows; with one server it
+  /// is the same one-partition run as sim_shards = 0.
+  bool partitioned() const { return params_.sim_shards > 0; }
 
   // --- Introspection (tests, examples) ------------------------------------
-  /// The event loop; in partitioned mode, partition 0's loop.
-  sim::Simulation& simulation() {
-    return shards_ != nullptr ? shards_->sim(0) : *sim_;
-  }
+  /// Partition 0's event loop (with one partition, the only one).
+  sim::Simulation& simulation() { return shards_->sim(0); }
   Server& server(int i = 0) { return *servers_.at(i); }
   int num_servers() const { return static_cast<int>(servers_.size()); }
-  /// The deadlock detector; in partitioned mode, partition 0's detector
-  /// (each partition has its own; the cross-partition coordinator runs in
-  /// the window serial phase).
-  cc::DeadlockDetector& detector() {
-    return shards_ != nullptr ? *partitions_[0]->detector : *detector_;
-  }
+  /// Partition 0's deadlock detector (each partition has its own; with
+  /// several, the cross-partition coordinator runs in the window serial
+  /// phase).
+  cc::DeadlockDetector& detector() { return *partitions_[0]->detector; }
   Client& client(int i) { return *clients_.at(i); }
   int num_clients() const { return static_cast<int>(clients_.size()); }
-  metrics::Counters& counters() { return counters_; }
-  History& history() { return history_; }
   storage::Database& db() { return db_; }
   const config::SystemParams& params() const { return params_; }
   config::Protocol protocol() const { return protocol_; }
   /// The protocol invariant checker, or null unless enabled via
   /// SystemParams::invariant_checks or the PSOODB_INVARIANTS environment
-  /// variable.
+  /// variable (and the run has one partition).
   check::InvariantChecker* invariants() { return invariants_.get(); }
-  /// The structured event tracer, or null unless enabled via
-  /// SystemParams::trace or the PSOODB_TRACE environment variable.
-  trace::Tracer* tracer() { return tracer_.get(); }
   /// The time-series telemetry registry, or null unless enabled via
   /// SystemParams::telemetry or PSOODB_TELEMETRY. Retains its sampled rows
   /// after Run() — psoodb_doctor reads peak queue depths and stall windows
   /// through it.
   metrics::TimeSeries* telemetry() { return telemetry_.get(); }
-  /// Always-on latency histograms for the current (or last) run.
-  const metrics::LatencyRecorder& latency() const { return latency_; }
 
  private:
-  /// Everything owned per event-loop partition in partitioned mode. The
-  /// partition's servers/clients live in servers_/clients_ as usual but are
-  /// wired to this partition's context/transport/detector/tracer.
+  /// Everything owned per event-loop partition. The partition's servers/
+  /// clients live in servers_/clients_ as usual but are wired to this
+  /// partition's context/transport/detector/tracer.
   struct Partition {
     std::unique_ptr<resources::Network> network;
     std::unique_ptr<Transport> transport;
@@ -184,7 +180,6 @@ class System {
     std::vector<std::pair<double, double>> responses;
   };
 
-  RunResult RunPartitioned(const RunConfig& run);
   /// Builds the telemetry registry (all three instrumentation layers) once
   /// servers and clients exist; no-op unless params_.telemetry.
   void BuildTelemetry();
@@ -198,18 +193,12 @@ class System {
   config::SystemParams params_;      // owned copies: callers may pass temporaries
   config::WorkloadParams workload_;
   storage::Database db_;
-  metrics::Counters counters_;
   History history_;
-  std::unique_ptr<cc::DeadlockDetector> detector_;
-  std::unique_ptr<sim::Simulation> sim_;
-  std::unique_ptr<resources::Network> network_;
-  std::unique_ptr<Transport> transport_;
-  std::unique_ptr<SystemContext> ctx_;
-  // Partitioned mode only (all null/empty otherwise). ~System tears the
-  // ShardGroup (and its Simulations) down before the partitions.
+  // ~System tears the ShardGroup (and its Simulations) down before the
+  // partitions.
   std::vector<std::unique_ptr<Partition>> partitions_;
-  std::vector<int> client_partition_;  ///< home partition per client id
   std::unique_ptr<sim::ShardGroup> shards_;
+  // Several partitions only (null otherwise).
   /// Incremental cross-partition deadlock coordination. Touched only from
   /// the window serial phase (all workers parked at the barrier), hence
   /// shard-shared in the annotation scheme checked by psoodb-analyze.
@@ -231,14 +220,7 @@ class System {
   std::vector<std::unique_ptr<Server>> servers_;
   std::vector<std::unique_ptr<Client>> clients_;
   std::unique_ptr<check::InvariantChecker> invariants_;
-  std::unique_ptr<trace::Tracer> tracer_;
   std::unique_ptr<metrics::TimeSeries> telemetry_;
-  /// Net pool bytes during a sequential run (telemetry only; the run loop
-  /// scopes sim::detail::t_pool_acct here). Partitioned runs use the
-  /// ShardGroup's per-partition counters instead.
-  std::int64_t pool_bytes_ = 0;
-  metrics::LatencyRecorder latency_;
-  std::vector<double> response_times_;
   bool started_ = false;
 };
 

@@ -6,9 +6,9 @@
 /// simulation results are bit-identical to an untelemetered run.
 ///
 /// Determinism model: the registry itself never schedules simulation events —
-/// sampling is *lazy*. The sequential run loop calls SampleUpTo(now) after
-/// each Step; partitioned runs call it from the window serial phase (all
-/// workers parked) keyed on ShardGroup::GlobalNow(). Both clocks are pure
+/// sampling is *lazy*. A one-partition run calls SampleUpTo(now) after every
+/// event; runs with several partitions call it from the window serial phase
+/// (all workers parked) keyed on ShardGroup::GlobalNow(). Both clocks are pure
 /// functions of the event schedule, and every probe reads partition state in
 /// a fixed registration order, so the sampled rows — and the serialized
 /// sinks — are byte-identical for any `sim_shards` / worker-thread count.
@@ -103,7 +103,7 @@ class TimeSeries {
     int num_clients = 0;
     int num_servers = 0;
     std::uint64_t seed = 0;
-    /// Event-loop partitions (0 = sequential run).
+    /// Event-loop partitions (0 = one partition).
     int partitions = 0;
   };
 

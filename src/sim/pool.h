@@ -11,7 +11,7 @@
 /// 64 KiB bump chunks, so even cold allocations amortize the underlying
 /// allocator to one call per thousand frames.
 ///
-/// Threading/determinism: the pool is thread_local. A sequential simulation
+/// Threading/determinism: the pool is thread_local. A one-partition simulation
 /// run is confined to a single thread (the bench harness runs each (point,
 /// protocol) pair entirely on one worker), so blocks never cross threads.
 /// Partitioned runs (sim/shard.h) may free a block on a different worker

@@ -13,15 +13,13 @@ namespace {
 constexpr SimTime kInf = std::numeric_limits<SimTime>::infinity();
 }  // namespace
 
-ShardGroup::ShardGroup(int partitions, int threads, double lookahead,
-                       double max_window_stretch)
+ShardGroup::ShardGroup(int partitions, int threads, double lookahead)
     : partitions_(partitions),
       threads_(std::clamp(threads, 1, partitions)),
-      lookahead_(lookahead),
-      stretch_(std::clamp(max_window_stretch, 1.0, 2.0)) {
+      lookahead_(lookahead) {
   PSOODB_CHECK(partitions >= 1, "ShardGroup needs >= 1 partition (got %d)",
                partitions);
-  PSOODB_CHECK(lookahead > 0.0,
+  PSOODB_CHECK(partitions == 1 || lookahead > 0.0,
                "conservative windows need positive lookahead (got %g)",
                lookahead);
   sims_.reserve(static_cast<std::size_t>(partitions_));
@@ -164,8 +162,8 @@ bool ShardGroup::ComputeWindows() {
   // by a causal chain seeded from i1's own next event — which must cross to
   // a neighbour (>= m1 + L) and come back (>= m1 + 2L). So the laggard
   // partition — exactly the one limiting progress — may run to
-  // min(m2, m1 + stretch*L) + L with stretch <= 2, letting it catch up two
-  // hops per window (or jump straight to second place) instead of one.
+  // min(m2 + L, m1 + 2L), letting it catch up two hops per window (or jump
+  // straight to second place) instead of one.
   //
   // Stretching anyone else is unsound: it breaks the invariant that every
   // clock stays below all *future* window ends. With only i1 stretched the
@@ -173,16 +171,13 @@ bool ShardGroup::ComputeWindows() {
   // >= min(m2, m1 + L), so the next classic bound min(m2, m1 + L) + L
   // exceeds every clock, including i1's stretched one.
   const SimTime classic = m1 + lookahead_;
-  SimTime wi1 = classic;
-  if (stretch_ > 1.0) {
-    const SimTime cap = m1 + lookahead_ * stretch_;
-    wi1 = m2 == kInf ? cap : std::min(m2 + lookahead_, cap);
-    if (wi1 > classic) ++windows_stretched_;
-  }
+  const SimTime cap = m1 + lookahead_ * 2;
+  const SimTime wi1 = m2 == kInf ? cap : std::min(m2 + lookahead_, cap);
+  if (wi1 > classic) ++windows_stretched_;
   for (int p = 0; p < partitions_; ++p) {
     window_ends_[static_cast<std::size_t>(p)] = p == i1 ? wi1 : classic;
   }
-  window_end_min_ = partitions_ == 1 ? wi1 : classic;
+  window_end_min_ = classic;
   return true;
 }
 
@@ -209,17 +204,15 @@ void ShardGroup::SerialPhase() {
   // partition p, but only at t >= max(window_end(p), sim(p).now()): under
   // adaptive windows a partition that ran ahead can have a clock past its
   // next window edge.
-  if (*hook_ != nullptr) {
-    const auto hook_t0 = std::chrono::steady_clock::now();  // det-ok: serial-phase accounting for speedup reporting; never feeds the simulation
-    const bool stop = (*hook_)(*this);
-    serial_hook_seconds_ +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -  // det-ok: serial-phase accounting for speedup reporting; never feeds the simulation
-                                      hook_t0)
-            .count();
-    if (stop) {
-      done_ = true;
-      return;
-    }
+  const auto hook_t0 = std::chrono::steady_clock::now();  // det-ok: serial-phase accounting for speedup reporting; never feeds the simulation
+  const bool stop = (*hook_)(*this);
+  serial_hook_seconds_ +=
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -  // det-ok: serial-phase accounting for speedup reporting; never feeds the simulation
+                                    hook_t0)
+          .count();
+  if (stop) {
+    done_ = true;
+    return;
   }
 
   // 2. Next windows. All heaps and outboxes empty after the drain means no
@@ -287,7 +280,7 @@ void ShardGroup::WorkerLoop(int worker) {
   }
 }
 
-ShardGroup::RunResult ShardGroup::Run(const SerialHook& hook) {
+ShardGroup::RunResult ShardGroup::RunWindows(const SerialHook& hook) {
   hook_ = &hook;
   done_ = false;
   stalled_ = false;

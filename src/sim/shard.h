@@ -1,10 +1,13 @@
 /// \file shard.h
-/// Deterministic intra-run parallel simulation: a ShardGroup partitions one
-/// discrete-event simulation into P independent `Simulation` instances (one
-/// per server partition, clients grouped with their home server) and runs
-/// them on K worker threads under conservative time windows.
+/// The event-loop layer every System run goes through: a ShardGroup owns P
+/// `Simulation` instances (P = 1 for the paper's one shared network; one per
+/// server partition, clients grouped with their home server, when a run asks
+/// for parallel servers) and runs them.
 ///
-/// Synchronization model (see docs/SIMULATOR.md "Parallel execution"):
+/// One partition needs no synchronization: Run steps its simulation one
+/// event at a time on the calling thread and calls the caller's hook after
+/// every event. Several partitions run on K worker threads under
+/// conservative time windows:
 ///
 ///  - Every partition owns a private event heap and clock. Within a window,
 ///    each partition runs strictly sequentially on one worker thread and
@@ -22,14 +25,13 @@
 ///    `>= m2 + L`) or a causal chain seeded by its own next event, which
 ///    must cross to a neighbour (`>= m1 + L`) and come back (`>= m1 + 2L`).
 ///    Its window end therefore jumps to
-///      min(m2 + L, m1 + stretch * L),   stretch in [1, 2]
+///      min(m2 + L, m1 + 2L)
 ///    letting the laggard catch up two lookaheads per window — or straight
 ///    to second place — instead of one. Stretching any *other* partition is
 ///    unsound (its clock could pass a later window's bound and receive a
 ///    message from its own causal past); with only the laggard stretched,
 ///    every activity minimum after the window is `>= min(m2, m1 + L)`, so
 ///    the next windows bound every clock and causality is preserved.
-///    `max_window_stretch` <= 1 restores uniform windows.
 ///  - Cross-partition messages are not scheduled directly into the remote
 ///    heap (that would race). They are appended to a per-(src, dest) outbox
 ///    — written only by src's worker thread, so unsynchronized — and merged
@@ -42,12 +44,12 @@
 ///    FIFO tie-break at equal timestamps this makes the merged schedule a
 ///    pure function of the per-partition schedules: results are
 ///    byte-identical for any worker-thread count, including 1.
-///  - The barrier's completion function is the *serial phase*: it runs a
-///    caller-supplied hook (warmup/measurement state machine, cross-
-///    partition deadlock coordination, trace merging) and computes the next
-///    windows from the per-partition activity minima. `std::barrier` gives
-///    the happens-before edges: every worker's window writes are visible to
-///    the serial phase, and its writes (window_ends_) to every worker.
+///  - The barrier's completion function is the *serial phase*: it runs the
+///    caller's hook (warmup/measurement state machine, cross-partition
+///    deadlock coordination, trace merging) and computes the next windows
+///    from the per-partition activity minima. `std::barrier` gives the
+///    happens-before edges: every worker's window writes are visible to the
+///    serial phase, and its writes (window_ends_) to every worker.
 ///
 /// Progress: after a window every heap's next event is `>= W_p >= T_min + L`
 /// (locals below `W_p` were drained, cross arrivals are `>= T_min + L`), so
@@ -69,6 +71,7 @@
 #include <vector>
 
 #include "sim/event_heap.h"
+#include "sim/pool.h"
 #include "sim/simulation.h"
 #include "util/annotations.h"
 
@@ -84,18 +87,11 @@ class ShardGroup {
   using SerialHook = std::function<bool(ShardGroup&)>;
 
   /// `partitions` >= 1 simulations; `threads` worker threads (clamped to
-  /// [1, partitions]); `lookahead` > 0 seconds, a lower bound on every
-  /// cross-partition delivery latency. `max_window_stretch` caps how far
-  /// the laggard partition's adaptive window may run past the classic
-  /// uniform bound, as a multiple of the lookahead; clamped to [1, 2] — 2
-  /// is the causality limit (see the file comment), 1 restores uniform
-  /// windows.
-  ShardGroup(int partitions, int threads, double lookahead,
-             double max_window_stretch = kDefaultWindowStretch);
+  /// [1, partitions]); `lookahead` seconds, a lower bound on every
+  /// cross-partition delivery latency (> 0 unless there is one partition).
+  ShardGroup(int partitions, int threads, double lookahead);
   ShardGroup(const ShardGroup&) = delete;
   ShardGroup& operator=(const ShardGroup&) = delete;
-
-  static constexpr double kDefaultWindowStretch = 2.0;
 
   int partitions() const { return partitions_; }
   int threads() const { return threads_; }
@@ -114,10 +110,34 @@ class ShardGroup {
     bool stalled = false;       ///< stopped because every queue drained
   };
 
-  /// Runs windows until the hook returns true or every partition stalls.
-  /// Deterministic: the complete event order (and thus every result) is
-  /// independent of `threads`.
-  RunResult Run(const SerialHook& hook);
+  /// Runs until `hook` (callable as `bool(ShardGroup&)`) returns true or
+  /// every partition stalls. Deterministic: the complete event order (and
+  /// thus every result) is independent of `threads`.
+  ///
+  /// One partition steps its simulation one event at a time on the calling
+  /// thread and calls `hook` after every event: no barrier, worker thread,
+  /// wall-clock read or window count. Several partitions run windows and
+  /// call `hook` once per window, in the serial phase (see SerialHook).
+  template <typename Hook>
+  RunResult Run(Hook&& hook) {
+    // Several partitions wrap a copy: wrapping a reference would let the
+    // hook's captures escape and reload them after every event below.
+    if (partitions_ > 1) return RunWindows(SerialHook(hook));
+    Simulation& sim = *sims_[0];
+    const std::uint64_t events_before = sim.events_processed();
+    // Pool allocations/frees are attributed to the partition's counter
+    // (telemetry only; see EnablePoolAccounting).
+    detail::PoolAcctScope pool_acct(pool_acct_.empty() ? nullptr
+                                                       : &pool_acct_[0].n);
+    bool stalled = false;
+    do {
+      if (!sim.Step()) {
+        stalled = true;
+        break;
+      }
+    } while (!hook(*this));
+    return RunResult{sim.events_processed() - events_before, 0, stalled};
+  }
 
   /// End of partition p's current (or, inside the serial phase, the just-
   /// finished) window — the earliest time at which the hook may inject
@@ -140,7 +160,8 @@ class ShardGroup {
   // Pure reads for the serial-phase telemetry probes; call only from the
   // serial phase / hook (workers parked) or between Runs.
 
-  /// Conservative windows executed so far (monotone across Runs).
+  /// Conservative windows executed so far (monotone across Runs; always 0
+  /// with one partition).
   std::uint64_t windows() const { return windows_; }
   /// Windows in which the laggard partition's adaptive end ran past the
   /// classic uniform `T_min + L` bound.
@@ -158,9 +179,9 @@ class ShardGroup {
   }
 
   /// Opt-in pool live-bytes accounting: allocates one cache-line-padded
-  /// counter per partition; WorkerLoop then scopes sim::detail::t_pool_acct
-  /// to the running partition's counter. Call before Run. Off by default —
-  /// the counters only exist for telemetry-enabled systems.
+  /// counter per partition; Run then scopes sim::detail::t_pool_acct to the
+  /// running partition's counter. Call before Run. Off by default — the
+  /// counters only exist for telemetry-enabled systems.
   void EnablePoolAccounting();
   /// Net pool bytes attributed to partition `p` since accounting was
   /// enabled (may be negative for a partition that frees blocks another
@@ -170,7 +191,7 @@ class ShardGroup {
   }
 
   // --- Wall-clock accounting (reporting only; never feeds the simulation,
-  // so determinism is unaffected) -----------------------------------------
+  // so determinism is unaffected; windowed runs only) ----------------------
   // On a host with fewer cores than partitions, wall-clock speedup cannot
   // be observed directly; these let callers do critical-path analysis:
   // projected T(P) ~= serial_seconds + max_p busy_seconds(p).
@@ -216,6 +237,8 @@ class ShardGroup {
     return outbox_[OutboxSlot(src, dest, parity)];
   }
 
+  /// Run for several partitions: conservative windows on the workers.
+  RunResult RunWindows(const SerialHook& hook);
   void WorkerLoop(int worker);
   void SerialPhase();
   /// Computes the per-partition adaptive window ends from the activity
@@ -245,7 +268,6 @@ class ShardGroup {
   const int partitions_;
   const int threads_;
   const double lookahead_;
-  const double stretch_;  ///< max_window_stretch, clamped to [1, 2]
   /// Partition-owned: element p is touched only by the worker currently
   /// running partition p (or by the serial phase / hook, while workers are
   /// parked at the barrier).

@@ -309,6 +309,7 @@ std::string Tracer::SerializeChrome(const TraceMeta& meta,
 
 std::string Tracer::SerializeJsonlMerged(const std::vector<Tracer*>& parts,
                                          const TraceMeta& meta) {
+  if (parts.size() == 1) return parts.front()->SerializeJsonl(meta);
   const std::vector<Event> events = MergePartitionEvents(parts);
   SinkData d;
   d.events[0] = events;
@@ -329,6 +330,9 @@ std::string Tracer::SerializeJsonlMerged(const std::vector<Tracer*>& parts,
 std::string Tracer::SerializeChromeMerged(const std::vector<Tracer*>& parts,
                                           const TraceMeta& meta,
                                           const std::string* extra_events) {
+  if (parts.size() == 1) {
+    return parts.front()->SerializeChrome(meta, extra_events);
+  }
   return RenderChrome(meta, MergePartitionEvents(parts), extra_events);
 }
 

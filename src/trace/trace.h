@@ -127,8 +127,9 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// Partitioned runs (sim/shard.h) create one Tracer per partition and
-  /// call this once before the run. `partition` is this tracer's index.
+  /// System creates one Tracer per event-loop partition (sim/shard.h) and
+  /// calls this once before the run. `partition` is this tracer's index;
+  /// with one partition nothing is buffered.
   /// Attributions to transactions homed elsewhere (home = txn % partitions,
   /// by construction of the striding txn ids) are buffered and moved to the
   /// home tracer at window barriers via DrainRemoteAttributions — the
@@ -217,7 +218,9 @@ class Tracer {
 
   /// Merged sinks for partitioned runs: events from every partition sorted
   /// by (t, partition, per-partition seq) and renumbered, aggregates summed
-  /// in partition order. Deterministic for any worker-thread count.
+  /// in partition order. Deterministic for any worker-thread count. A
+  /// one-tracer list renders that tracer's own sinks (emission order and
+  /// seq kept), which a merge would re-sort and renumber.
   static std::string SerializeJsonlMerged(const std::vector<Tracer*>& parts,
                                           const TraceMeta& meta);
   static std::string SerializeChromeMerged(

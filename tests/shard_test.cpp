@@ -1,9 +1,11 @@
 // Tests for the partitioned (intra-run parallel) simulator: the ShardGroup
-// kernel's deterministic cross-partition merge, and full-System byte
-// determinism across worker-thread counts — the central claim of
-// sim/shard.h is that a partitioned run at any sim_shards >= 1 produces
-// byte-identical results.
+// kernel's deterministic cross-partition merge and its one-partition path,
+// and full-System byte determinism across worker-thread counts — the
+// central claim of sim/shard.h is that a partitioned run at any
+// sim_shards >= 1 produces byte-identical results, and that one server is
+// the same one-partition run at any sim_shards.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -12,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/invariants.h"
 #include "config/params.h"
 #include "core/system.h"
 #include "sim/shard.h"
@@ -125,6 +128,39 @@ TEST(ShardGroup, PostRejectsDeliveryInsideWindow) {
   // lookahead-contract CHECK.
   EXPECT_DEATH(g.Post(0, 1, -1.0, psoodb::sim::InlineFunction([] {})),
                "lands inside the current window");
+}
+
+// One partition has no windows: Run steps its simulation and calls the hook
+// after every event, then reports a stall once the heap drains.
+TEST(ShardGroup, OnePartitionCallsTheHookAfterEveryEvent) {
+  ShardGroup g(1, 4, /*lookahead=*/0.0);
+  EXPECT_EQ(g.threads(), 1);
+  std::vector<double> fired;
+  for (int k = 0; k < 5; ++k) {
+    g.sim(0).ScheduleCallback(0.25 * k, [&fired, &g] {
+      fired.push_back(g.sim(0).now());
+    });
+  }
+  std::vector<std::uint64_t> seen;
+  const ShardGroup::RunResult rr = g.Run([&](ShardGroup& sg) {
+    seen.push_back(sg.sim(0).events_processed());
+    EXPECT_EQ(fired.size(), seen.size());
+    return false;
+  });
+  EXPECT_TRUE(rr.stalled);
+  EXPECT_EQ(rr.events, 5u);
+  EXPECT_EQ(rr.windows, 0u);
+  EXPECT_EQ(g.windows(), 0u);
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(fired, (std::vector<double>{0.0, 0.25, 0.5, 0.75, 1.0}));
+
+  // A hook that stops the run leaves the rest queued for the next Run.
+  for (int k = 0; k < 3; ++k) g.sim(0).ScheduleCallback(2.0 + k, [] {});
+  const ShardGroup::RunResult stop =
+      g.Run([](ShardGroup& sg) { return sg.sim(0).now() >= 3.0; });
+  EXPECT_FALSE(stop.stalled);
+  EXPECT_EQ(stop.events, 2u);
+  EXPECT_EQ(g.sim(0).live_events(), 1u);
 }
 
 // --- Full-system determinism ------------------------------------------------
@@ -300,29 +336,64 @@ TEST(ShardedSystem, AdaptiveWindowsEngageAndStayDeterministic) {
   EXPECT_GT(r.shard_windows_stretched, 0u);
 }
 
-TEST(ShardedSystem, UniformWindowsAlsoDeterministic) {
-  // stretch <= 1 restores fixed-width uniform windows; determinism across
-  // shard counts must hold there too (regression guard for the window
-  // computation's uniform path).
-  auto run = [](int shards) {
-    psoodb::config::SystemParams sys;
-    sys.num_clients = 16;
-    sys.num_servers = 4;
-    sys.sim_shards = shards;
-    sys.sim_window_stretch = 1;
-    auto w = psoodb::config::MakeHotCold(sys, psoodb::config::Locality::kLow,
-                                         /*write_prob=*/0.2);
-    psoodb::core::RunConfig rc;
-    rc.warmup_commits = 50;
-    rc.measure_commits = 400;
-    rc.max_sim_seconds = 600;
-    return psoodb::core::RunSimulation(Protocol::kPSAA, sys, w, rc);
-  };
-  const auto r1 = run(1);
-  const auto r4 = run(4);
-  EXPECT_FALSE(r1.stalled);
-  EXPECT_EQ(Fingerprint(r1), Fingerprint(r4));
-  EXPECT_EQ(r1.shard_windows_stretched, 0u);
+// --- One server is one model -------------------------------------------------
+//
+// The partition count follows num_servers, and one server means one
+// partition whatever sim_shards says: the paper's model on one shared
+// network, with every output byte and every checker of sim_shards = 0.
+
+psoodb::core::RunResult RunOneServer(int shards) {
+  psoodb::config::SystemParams sys;
+  sys.num_clients = 10;
+  sys.sim_shards = shards;
+  sys.trace = true;
+  sys.telemetry = true;
+  auto w = psoodb::config::MakeHicon(sys, psoodb::config::Locality::kLow,
+                                     /*write_prob=*/0.2);
+  psoodb::core::RunConfig rc;
+  rc.warmup_commits = 50;
+  rc.measure_commits = 200;
+  return psoodb::core::RunSimulation(Protocol::kPSAA, sys, w, rc);
+}
+
+TEST(ShardedSystem, OneServerIsOneModelWhateverSimShardsSays) {
+  const auto r0 = RunOneServer(0);
+  EXPECT_FALSE(r0.stalled);
+  EXPECT_NE(r0.telemetry_jsonl.find("\"partitions\":0"), std::string::npos);
+  for (int shards : {1, 4}) {
+    const auto r = RunOneServer(shards);
+    EXPECT_EQ(Fingerprint(r0), Fingerprint(r)) << "sim_shards=" << shards;
+    EXPECT_EQ(r0.trace_jsonl, r.trace_jsonl) << "sim_shards=" << shards;
+    EXPECT_EQ(r0.trace_chrome, r.trace_chrome) << "sim_shards=" << shards;
+    EXPECT_EQ(r0.telemetry_jsonl, r.telemetry_jsonl)
+        << "sim_shards=" << shards;
+    EXPECT_EQ(r.shard_windows, 0u) << "sim_shards=" << shards;
+    EXPECT_TRUE(r.shard_busy_seconds.empty()) << "sim_shards=" << shards;
+  }
+}
+
+TEST(ShardedSystem, OneServerKeepsHistoryAndInvariantChecks) {
+  psoodb::config::SystemParams sys;
+  sys.num_clients = 8;
+  sys.num_servers = 1;
+  sys.sim_shards = 2;
+  sys.invariant_checks = true;
+  auto w = psoodb::config::MakeHotCold(sys, psoodb::config::Locality::kLow,
+                                       /*write_prob=*/0.2);
+  psoodb::core::RunConfig rc;
+  rc.warmup_commits = 20;
+  rc.measure_commits = 150;
+  rc.record_history = true;
+  psoodb::core::System system(Protocol::kPSAA, sys, w);
+  const auto r = system.Run(rc);
+  EXPECT_TRUE(system.partitioned());
+  EXPECT_FALSE(r.stalled);
+  EXPECT_TRUE(r.serializable);
+  EXPECT_TRUE(r.no_lost_updates);
+  const psoodb::check::InvariantChecker* inv = system.invariants();
+  ASSERT_NE(inv, nullptr);
+  EXPECT_GT(inv->sweeps_run(), 0u);
+  EXPECT_TRUE(inv->ok());
 }
 
 }  // namespace

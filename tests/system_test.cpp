@@ -1,10 +1,11 @@
 // System-level edge cases: single client, tiny caches (heavy eviction),
 // clustered access, think time, log-I/O toggle, scaled database,
-// protocol-specific counter behaviors, and validation of the environment
-// overrides System reads at construction.
+// protocol-specific counter behaviors, the run state machine's exits, and
+// validation of the environment overrides System reads at construction.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "config/params.h"
@@ -221,6 +222,80 @@ TEST(SystemEdgeTest, ResponseTimeCiIsReported) {
   EXPECT_GT(r.response_time.half_width, 0.0);
   // Section 5.1: CIs "within a few percent of the mean".
   EXPECT_LT(r.response_time.RelativeWidth(), 0.25);
+}
+
+// --- Run state machine edges -------------------------------------------------
+//
+// Every exit of the warmup/measurement state machine, pinned at exact values
+// for one partition (one and two servers on one network: the event-at-a-time
+// path) and for two partitions (the windowed path). 4-client HOTCOLD-low PS
+// at write probability 0.2.
+
+struct Layout {
+  const char* name;
+  int servers;
+  int shards;
+};
+
+constexpr Layout kLayouts[] = {
+    {"one server", 1, 0}, {"two servers", 2, 0}, {"two partitions", 2, 2}};
+
+struct Exit {
+  bool stalled;
+  std::uint64_t commits;
+  std::uint64_t events;
+  double sim_seconds;
+};
+
+void ExpectExit(const Layout& layout, int clients, const RunConfig& rc,
+                const Exit& want) {
+  SystemParams sys;
+  sys.num_clients = clients;
+  sys.num_servers = layout.servers;
+  sys.sim_shards = layout.shards;
+  const RunResult r =
+      RunSimulation(Protocol::kPS, sys,
+                    config::MakeHotCold(sys, Locality::kLow, 0.2), rc);
+  EXPECT_EQ(r.stalled, want.stalled) << layout.name;
+  EXPECT_EQ(r.measured_commits, want.commits) << layout.name;
+  EXPECT_EQ(r.events, want.events) << layout.name;
+  EXPECT_EQ(r.sim_seconds, want.sim_seconds) << layout.name;
+}
+
+TEST(RunStateMachineTest, WarmupEndedByMaxEventsIsAStall) {
+  RunConfig rc;
+  rc.warmup_commits = 1000;
+  rc.measure_commits = 100;
+  rc.max_events = 5000;
+  for (const Layout& l : kLayouts) ExpectExit(l, 4, rc, {true, 0, 0, 0.0});
+}
+
+TEST(RunStateMachineTest, MeasurementEndedByMaxSimSecondsFallsShort) {
+  RunConfig rc;
+  rc.warmup_commits = 20;
+  rc.measure_commits = 100000;
+  rc.max_sim_seconds = 5;
+  const Exit want[] = {{false, 52, 34879, 5.0002396228582882},
+                       {false, 50, 34974, 5.0006776136987634},
+                       {false, 50, 35610, 5.0002556506687048}};
+  for (int i = 0; i < 3; ++i) ExpectExit(kLayouts[i], 4, rc, want[i]);
+}
+
+TEST(RunStateMachineTest, ZeroWarmupMeasuresFromTheStart) {
+  RunConfig rc;
+  rc.warmup_commits = 0;
+  rc.measure_commits = 50;
+  const Exit want[] = {{false, 50, 38074, 7.6114803212474031},
+                       {false, 50, 38197, 7.0228990706691512},
+                       {false, 50, 38631, 6.9722389602215404}};
+  for (int i = 0; i < 3; ++i) ExpectExit(kLayouts[i], 4, rc, want[i]);
+}
+
+TEST(RunStateMachineTest, NoClientsStallsAtOnce) {
+  RunConfig rc;
+  rc.warmup_commits = 20;
+  rc.measure_commits = 100;
+  for (const Layout& l : kLayouts) ExpectExit(l, 0, rc, {true, 0, 0, 0.0});
 }
 
 // --- Environment overrides ---------------------------------------------------
