@@ -3,6 +3,9 @@
 // stated future work, implemented here). The token avoids merge CPU but
 // ships a page image on every inter-client update handoff; under false
 // sharing the token ping-pongs.
+//
+// Three sweeps through the figure harness, so each writes its own
+// BENCH/TRACE/TELEMETRY files and runs its points on the sweep thread pool.
 
 #include <cstdio>
 
@@ -10,58 +13,50 @@
 
 int main() {
   using namespace psoodb;
-  std::printf(
-      "==================================================================\n"
-      "Ablation: concurrent page updates via merging vs a write token\n"
-      "(PS-OO merges at commit; PS-WT ships the page on token handoffs)\n"
-      "==================================================================\n");
-  auto rc = bench::BenchRunConfig();
-  std::vector<config::Protocol> protocols = {
-      config::Protocol::kPSOO, config::Protocol::kPSWT,
-      config::Protocol::kPSAA};
-
-  struct Scenario {
-    const char* name;
-    int which;  // 0 hotcold-low, 1 private, 2 interleaved
+  struct Sweep {
+    const char* figure;
+    const char* title;
+    bench::WorkloadFactory factory;
   };
-  for (Scenario sc : {Scenario{"HOTCOLD low locality", 0},
-                      Scenario{"PRIVATE (no sharing)", 1},
-                      Scenario{"INTERLEAVED PRIVATE (false sharing)", 2}}) {
-    std::printf("\n%s:\n%-8s", sc.name, "wrprob");
-    for (auto p : protocols) std::printf("%10s", config::ProtocolName(p));
-    std::printf("%14s%14s\n", "WT handoffs", "OO merges");
-    for (double wp : {0.1, 0.2, 0.3}) {
-      config::SystemParams sys;
-      std::printf("%-8.2f", wp);
-      std::uint64_t handoffs = 0, merges = 0;
-      for (auto p : protocols) {
-        config::WorkloadParams w;
-        switch (sc.which) {
-          case 0:
-            w = config::MakeHotCold(sys, config::Locality::kLow, wp);
-            break;
-          case 1:
-            w = config::MakePrivate(sys, wp);
-            break;
-          default:
-            w = config::MakeInterleavedPrivate(sys, wp);
-        }
-        auto r = core::RunSimulation(p, sys, w, rc);
-        std::printf("%10.2f", r.throughput);
-        if (p == config::Protocol::kPSWT) {
-          handoffs = r.counters.token_transfers;
-        }
-        if (p == config::Protocol::kPSOO) merges = r.counters.merges;
-      }
-      std::printf("%14llu%14llu\n", static_cast<unsigned long long>(handoffs),
-                  static_cast<unsigned long long>(merges));
-      std::fflush(stdout);
+  const Sweep sweeps[] = {
+      {"Write token HOTCOLD", "HOTCOLD low locality",
+       [](const config::SystemParams& s, double wp) {
+         return config::MakeHotCold(s, config::Locality::kLow, wp);
+       }},
+      {"Write token PRIVATE", "PRIVATE (no sharing)",
+       [](const config::SystemParams& s, double wp) {
+         return config::MakePrivate(s, wp);
+       }},
+      {"Write token INTERLEAVED", "INTERLEAVED PRIVATE (false sharing)",
+       [](const config::SystemParams& s, double wp) {
+         return config::MakeInterleavedPrivate(s, wp);
+       }},
+  };
+  const config::SystemParams sys;
+  for (const Sweep& sw : sweeps) {
+    bench::SweepOptions opt;
+    opt.figure = sw.figure;
+    opt.title = std::string(sw.title) +
+                " — merging (PS-OO, PS-AA) vs a write token (PS-WT)";
+    opt.expectation =
+        "without write sharing PS-WT == PS-OO (no handoffs). Under false "
+        "sharing the token bounces page images between paired clients, "
+        "making PS-WT more communication-bound than merging — the reason "
+        "the paper chose to merge (Section 6.1).";
+    opt.protocols = {config::Protocol::kPSOO, config::Protocol::kPSWT,
+                     config::Protocol::kPSAA};
+    opt.write_probs = {0.1, 0.2, 0.3};
+    const auto grid = bench::RunFigure(opt, sys, sw.factory);
+    // Column 0 is PS-OO (merges at commit), column 1 PS-WT (handoffs).
+    std::printf("%-8s%14s%14s\n", "wrprob", "WT handoffs", "OO merges");
+    for (std::size_t wi = 0; wi < grid.size(); ++wi) {
+      std::printf("%-8.2f%14llu%14llu\n", opt.write_probs[wi],
+                  static_cast<unsigned long long>(
+                      grid[wi][1].counters.token_transfers),
+                  static_cast<unsigned long long>(grid[wi][0].counters.merges));
     }
+    std::printf("\n");
+    std::fflush(stdout);
   }
-  std::printf(
-      "\nExpected: without write sharing PS-WT == PS-OO (no handoffs). Under\n"
-      "false sharing the token bounces page images between paired clients,\n"
-      "making PS-WT more communication-bound than merging — the reason the\n"
-      "paper chose to merge (Section 6.1).\n\n");
   return 0;
 }

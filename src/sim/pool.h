@@ -34,7 +34,6 @@
 #define PSOODB_SIM_POOL_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <new>
 
 #include "util/annotations.h"
@@ -122,34 +121,7 @@ class FramePool {
 
 inline thread_local constinit FramePool t_frame_pool PSOODB_PARTITION_LOCAL;
 
-/// Optional live-bytes accounting for telemetry (src/metrics/timeseries.h):
-/// when non-null, PoolAlloc/PoolFree adjust the pointee by the *requested*
-/// byte count (alloc/free always pass the same n, so the sum is exact, and
-/// it also covers the ASan pass-through build). Null by default — the hot
-/// path then pays one thread-local load and a predictable branch. Scoped per
-/// partition by PoolAcctScope: a block freed by a different partition than
-/// allocated it debits the freeing partition (its value may go negative),
-/// but the per-partition values — and their sum, the true live total — stay
-/// pure functions of the event schedule, hence deterministic.
-inline thread_local std::int64_t* t_pool_acct PSOODB_PARTITION_LOCAL = nullptr;
-
-/// RAII accounting scope: points t_pool_acct at `counter` (null = keep
-/// accounting off) and restores the previous pointer on exit.
-class PoolAcctScope {
- public:
-  explicit PoolAcctScope(std::int64_t* counter) : prev_(t_pool_acct) {
-    t_pool_acct = counter;
-  }
-  ~PoolAcctScope() { t_pool_acct = prev_; }
-  PoolAcctScope(const PoolAcctScope&) = delete;
-  PoolAcctScope& operator=(const PoolAcctScope&) = delete;
-
- private:
-  std::int64_t* prev_;
-};
-
 inline void* PoolAlloc(std::size_t n) {
-  if (t_pool_acct != nullptr) *t_pool_acct += static_cast<std::int64_t>(n);
 #ifdef PSOODB_SIM_POOL_PASSTHROUGH
   return ::operator new(n);
 #else
@@ -158,7 +130,6 @@ inline void* PoolAlloc(std::size_t n) {
 }
 
 inline void PoolFree(void* p, std::size_t n) noexcept {
-  if (t_pool_acct != nullptr) *t_pool_acct -= static_cast<std::int64_t>(n);
 #ifdef PSOODB_SIM_POOL_PASSTHROUGH
   (void)n;
   ::operator delete(p);

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <limits>
 
-#include "sim/pool.h"
 #include "util/check.h"
 
 namespace psoodb::sim {
@@ -239,22 +238,11 @@ std::size_t ShardGroup::OutboxDepth(int src) const {
   return n;
 }
 
-void ShardGroup::EnablePoolAccounting() {
-  if (pool_acct_.empty()) {
-    pool_acct_.resize(static_cast<std::size_t>(partitions_));
-  }
-}
-
 void ShardGroup::WorkerLoop(int worker) {
   for (;;) {
     for (int p = worker; p < partitions_; p += threads_) {
       PartitionClock& pc = clock_[static_cast<std::size_t>(p)];
       const auto t0 = std::chrono::steady_clock::now();  // det-ok: busy-time accounting for speedup reporting; never feeds the simulation
-      // Pool allocations/frees while this partition runs are attributed to
-      // its counter (telemetry only; see EnablePoolAccounting).
-      detail::PoolAcctScope pool_acct(
-          pool_acct_.empty() ? nullptr
-                             : &pool_acct_[static_cast<std::size_t>(p)].n);
       MergeInbox(p);
       const auto t1 = std::chrono::steady_clock::now();  // det-ok: busy-time accounting for speedup reporting; never feeds the simulation
       pc.merge += std::chrono::duration<double>(t1 - t0).count();

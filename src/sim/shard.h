@@ -71,7 +71,6 @@
 #include <vector>
 
 #include "sim/event_heap.h"
-#include "sim/pool.h"
 #include "sim/simulation.h"
 #include "util/annotations.h"
 
@@ -125,10 +124,6 @@ class ShardGroup {
     if (partitions_ > 1) return RunWindows(SerialHook(hook));
     Simulation& sim = *sims_[0];
     const std::uint64_t events_before = sim.events_processed();
-    // Pool allocations/frees are attributed to the partition's counter
-    // (telemetry only; see EnablePoolAccounting).
-    detail::PoolAcctScope pool_acct(pool_acct_.empty() ? nullptr
-                                                       : &pool_acct_[0].n);
     bool stalled = false;
     do {
       if (!sim.Step()) {
@@ -176,18 +171,6 @@ class ShardGroup {
   /// at any worker-thread count — maintained by the workers themselves.
   double stall_seconds(int p) const {
     return clock_[static_cast<std::size_t>(p)].stall;
-  }
-
-  /// Opt-in pool live-bytes accounting: allocates one cache-line-padded
-  /// counter per partition; Run then scopes sim::detail::t_pool_acct to the
-  /// running partition's counter. Call before Run. Off by default — the
-  /// counters only exist for telemetry-enabled systems.
-  void EnablePoolAccounting();
-  /// Net pool bytes attributed to partition `p` since accounting was
-  /// enabled (may be negative for a partition that frees blocks another
-  /// partition allocated; the sum over partitions is the true live total).
-  std::int64_t pool_live_bytes(int p) const {
-    return pool_acct_.empty() ? 0 : pool_acct_[static_cast<std::size_t>(p)].n;
   }
 
   // --- Wall-clock accounting (reporting only; never feeds the simulation,
@@ -303,13 +286,6 @@ class ShardGroup {
     SimTime prev_window_end = 0.0;
   };
   std::vector<PartitionClock> clock_ PSOODB_PARTITION_LOCAL;
-  /// Pool live-bytes accounting (EnablePoolAccounting): element p is written
-  /// only by the worker currently running partition p, cache-line padded for
-  /// the same reason as clock_. Empty unless telemetry enabled it.
-  struct alignas(64) PoolBytes {
-    std::int64_t n = 0;
-  };
-  std::vector<PoolBytes> pool_acct_ PSOODB_PARTITION_LOCAL;
   /// Serial-phase-written, barrier-published group state.
   double serial_seconds_ PSOODB_SHARD_SHARED = 0.0;
   double serial_hook_seconds_ PSOODB_SHARD_SHARED = 0.0;

@@ -309,8 +309,6 @@ TEST(TelemetryTest, TrackValuesSane) {
   const int live = ts->FindTrack("kernel.live_events");
   ASSERT_GE(live, 0);
   EXPECT_GT(ts->value(last, live), 0.0);  // clients still scheduled
-  const int pool = ts->FindTrack("kernel.pool_live_bytes");
-  ASSERT_GE(pool, 0);
   const int depth = ts->FindTrack("server0.lock_queue_depth");
   ASSERT_GE(depth, 0);
   for (std::size_t row = 0; row <= last; ++row) {
