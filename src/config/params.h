@@ -138,9 +138,9 @@ struct SystemParams {
   /// Trace ring-buffer capacity in events; the oldest events are dropped
   /// once exceeded (the drop count is reported in the sink headers).
   std::uint64_t trace_buffer_events = 1 << 16;
-  /// When >= 0, restricts both SystemContext::TracingPage (stderr debug
-  /// output) and the recorded event stream to this page. Also settable via
-  /// PSOODB_TRACE_PAGE=<n>; events that carry no page id are filtered out.
+  /// When >= 0, restricts the recorded event stream to this page. Also
+  /// settable via PSOODB_TRACE_PAGE=<n>; events that carry no page id are
+  /// filtered out.
   storage::PageId trace_page = -1;
 
   // --- Time-series telemetry (src/metrics/timeseries.h) -------------------

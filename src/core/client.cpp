@@ -72,13 +72,6 @@ void Client::ReplyCallback(const std::shared_ptr<CallbackBatch>& batch,
                });
 }
 
-// Debug aid: set PSOODB_TRACE_VIOLATIONS=1 to dump state when a stale cached
-// object is read (indicates a protocol bug; tests keep this at zero).
-static bool TraceViolations() {
-  static const bool on = std::getenv("PSOODB_TRACE_VIOLATIONS") != nullptr;
-  return on;
-}
-
 sim::Task Client::MainLoop() {
   // One reference string, refilled for every transaction: generation then
   // allocates nothing once it has grown to the workload's size.
@@ -204,6 +197,58 @@ void PageFamilyClient::UnpinAll() {
   pinned_pages_.clear();
 }
 
+sim::Task PageFamilyClient::Read(ObjectId oid) {
+  if (CachedAvailable(oid)) {
+    ++ctx_.counters.cache_hits;
+  } else {
+    if (cache_.Peek(PageOf(oid)) != nullptr) {
+      ++ctx_.counters.unavailable_rerequests;
+    }
+    ++ctx_.counters.cache_misses;
+    co_await FetchFor(oid);
+  }
+  LocalRead(oid);
+}
+
+sim::Task PageFamilyClient::FetchFor(ObjectId oid) {
+  while (!CachedAvailable(oid)) {
+    sim::Promise<PageShip> pr(ctx_.sim);
+    auto fut = pr.GetFuture();
+    RequestPage(oid, std::move(pr));
+    BeginRpc();
+    PageShip ship = co_await std::move(fut);
+    EndRpc();
+    if (ship.aborted) throw cc::TxnAborted(txn_, cc::AbortReason::kVictim);
+    co_await ApplyShip(std::move(ship));
+  }
+}
+
+sim::Task PageFamilyClient::Write(ObjectId oid) {
+  co_await Read(oid);  // a write access reads the object first
+  if (!locks_.HasPageWrite(PageOf(oid)) && !locks_.HasObjectWrite(oid)) {
+    sim::Promise<WriteGrant> pr(ctx_.sim);
+    auto fut = pr.GetFuture();
+    RequestWrite(oid, std::move(pr));
+    BeginRpc();
+    const WriteGrant grant = co_await std::move(fut);
+    EndRpc();
+    if (grant.aborted) throw cc::TxnAborted(txn_, cc::AbortReason::kVictim);
+    ApplyGrant(oid, grant.level);
+  }
+  // The read pinned the page, and callbacks on an object this transaction
+  // read wait for it to end, so this fetch is only a guard.
+  if (!CachedAvailable(oid)) co_await FetchFor(oid);
+  MarkLocalWrite(oid);
+}
+
+void PageFamilyClient::ApplyGrant(ObjectId oid, GrantLevel level) {
+  if (level == GrantLevel::kPage) {
+    locks_.GrantPageWrite(PageOf(oid));
+  } else {
+    locks_.GrantObjectWrite(oid);
+  }
+}
+
 void PageFamilyClient::LocalRead(ObjectId oid) {
   storage::PageFrame* f = cache_.Get(PageOf(oid));
   PSOODB_CHECK(f != nullptr, "read of oid %lld but page %d not cached",
@@ -211,9 +256,13 @@ void PageFamilyClient::LocalRead(ObjectId oid) {
   const int slot = SlotOf(oid);
   const bool own = (f->dirty & storage::SlotBit(slot)) != 0 ||
                    locks_.WritesObject(oid);
-  if (TraceViolations() && !own &&
+  // Debug aid: set PSOODB_TRACE_VIOLATIONS=1 to dump state when a stale
+  // cached object is read (a protocol bug; tests keep this at zero). Read
+  // on this rare path only, so setting it mid-process takes effect.
+  if (!own &&
       f->versions[static_cast<std::size_t>(slot)] !=
-          ctx_.db.committed_version(oid)) {
+          ctx_.db.committed_version(oid) &&
+      std::getenv("PSOODB_TRACE_VIOLATIONS") != nullptr) {
     std::fprintf(stderr,
                  "[t=%.6f] VIOLATION client=%d txn=%llu oid=%lld page=%d "
                  "slot=%d held=%llu committed=%llu unavail=%016llx "
@@ -272,17 +321,12 @@ void PageFamilyClient::HandleEviction(PageId page,
   }
 }
 
-int PageFamilyClient::ApplyShip(const PageShip& ship) {
-  if (ctx_.TracingPage(ship.page)) {
-    ctx_.Trace("CLI %d applyship p=%d mask=%llx txn=%llu", id_, ship.page,
-               (unsigned long long)ship.unavailable,
-               (unsigned long long)txn_);
-  }
+sim::Task PageFamilyClient::ApplyShip(PageShip ship) {
   auto r = cache_.Insert(ship.page);
   storage::PageFrame* f = r.value;
   int merged = 0;
   if (r.inserted) {
-    f->versions = ship.versions;
+    f->versions = std::move(ship.versions);
     f->unavailable = ship.unavailable;
     f->dirty = 0;
     // Re-mark any of this transaction's own updates on the page (the frame
@@ -308,7 +352,10 @@ int PageFamilyClient::ApplyShip(const PageShip& ship) {
   if (r.evicted.has_value()) {
     HandleEviction(r.evicted->first, std::move(r.evicted->second));
   }
-  return merged;
+  if (merged > 0) {
+    trace::PhaseTimer cpu_time(ctx_.tracer, txn_, trace::Phase::kClientCpu);
+    co_await cpu_.System(ctx_.params.copy_merge_inst * merged);
+  }
 }
 
 sim::Task PageFamilyClient::Commit() {
@@ -328,6 +375,12 @@ sim::Task PageFamilyClient::Commit() {
       all_updates.push_back(u);
     }
   });
+  // A server holding updates this transaction already flushed (a PS-WT
+  // token recall staged them there, clearing the cached dirty bits) still
+  // needs the commit: it installs them and releases the locks.
+  for (ObjectId oid : locks_.write_objects()) {  // det-ok: fills an ordered map
+    by_server.try_emplace(ctx_.params.ServerOfPage(PageOf(oid)));
+  }
   // A read-only transaction still confirms its commit with its home server
   // (releasing any server-side state and forcing the commit record).
   if (by_server.empty()) by_server[0] = {};

@@ -3,8 +3,8 @@
 /// commit, abort-and-resubmit), local lock state, read-version tracking for
 /// the correctness checkers, and deferred ("in use") callback handling.
 /// PageFamilyClient adds the page cache, page-ship merging, dirty-eviction
-/// staging, and the shared commit/abort flows of the four page-transfer
-/// protocols.
+/// staging, and the shared read/write and commit/abort flows of the five
+/// page-transfer protocols.
 
 #ifndef PSOODB_CORE_CLIENT_H_
 #define PSOODB_CORE_CLIENT_H_
@@ -153,10 +153,13 @@ class Client {
     ctx_.transport.Send(static_cast<NodeId>(id_), srv->node(), kind,
                         payload_bytes, std::forward<F>(deliver));
   }
-  /// The server owning `page` under the configured partitioning.
-  Server* ServerFor(storage::PageId page) const {
-    return servers_[static_cast<std::size_t>(
-        ctx_.params.ServerOfPage(page))];
+  /// The server owning `page` under the configured partitioning, as the
+  /// protocol's server class `S` (System builds every server of a run as
+  /// the protocol's class).
+  template <typename S = Server>
+  S* ServerFor(storage::PageId page) const {
+    return static_cast<S*>(
+        servers_[static_cast<std::size_t>(ctx_.params.ServerOfPage(page))]);
   }
   /// Sends an (immediate or deferred) callback response to the server.
   void ReplyCallback(const std::shared_ptr<CallbackBatch>& batch,
@@ -199,7 +202,10 @@ class Client {
   double rpc_server0_ = 0;
 };
 
-/// Shared base of the four page-transfer clients (PS, PS-OO, PS-OA, PS-AA).
+/// Shared base of the five page-transfer clients (PS, PS-OO, PS-OA, PS-AA,
+/// PS-WT). Read, FetchFor and Write are the same for all of them; a
+/// protocol supplies the messages (RequestPage, RequestWrite) and how a
+/// grant maps to local write locks (ApplyGrant).
 class PageFamilyClient : public Client {
  public:
   PageFamilyClient(SystemContext& ctx, storage::ClientId id,
@@ -218,14 +224,36 @@ class PageFamilyClient : public Client {
   }
 
  protected:
+  // --- Protocol hooks ------------------------------------------------------
+  /// Sends the protocol's kReadReq for the page holding `oid`; the server
+  /// answers through `reply`.
+  virtual void RequestPage(storage::ObjectId oid,
+                           sim::Promise<PageShip> reply) = 0;
+  /// Sends the protocol's kWriteReq for `oid`.
+  virtual void RequestWrite(storage::ObjectId oid,
+                            sim::Promise<WriteGrant> reply) = 0;
+  /// Records a write grant for `oid`: a page grant gives a page write lock,
+  /// an object grant an object write lock.
+  virtual void ApplyGrant(storage::ObjectId oid, GrantLevel level);
+
+  /// Reads `oid`, fetching its page until the object is available.
+  sim::Task Read(storage::ObjectId oid) PSOODB_ACQUIRES(pin) override;
+  /// Reads `oid`, obtains write permission unless already held, and marks
+  /// the local update.
+  sim::Task Write(storage::ObjectId oid) PSOODB_ACQUIRES(pin) override;
+  /// Fetches the page containing `oid` until the object is readable (a
+  /// callback can purge the page, or mark the object unavailable, while an
+  /// arriving ship's merge cost is being charged).
+  sim::Task FetchFor(storage::ObjectId oid);
+
   /// True if `oid` can be read from the local cache right now.
   bool CachedAvailable(storage::ObjectId oid) const;
 
   /// Applies an arriving page ship to the cache: insert or merge (local
-  /// uncommitted updates win). Returns the number of objects merged (to be
-  /// charged at CopyMergeInst each by the caller). Handles eviction
-  /// side-effects (dirty install / eviction notice).
-  int ApplyShip(const PageShip& ship);
+  /// uncommitted updates win), then charges CopyMergeInst per merged
+  /// object. Handles eviction side-effects (dirty install / eviction
+  /// notice).
+  sim::Task ApplyShip(PageShip ship);
 
   /// Marks a local update of `oid` in the cached frame (which must exist).
   void MarkLocalWrite(storage::ObjectId oid) PSOODB_ACQUIRES(pin);

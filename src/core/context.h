@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <cstdio>
 
 #include "cc/deadlock_detector.h"
 #include "config/params.h"
@@ -82,20 +81,6 @@ struct SystemContext {
   /// counted (and indicate a protocol bug; tests assert the count is zero).
   void CheckCacheValidity(storage::ObjectId oid, storage::Version held) {
     if (held != db.committed_version(oid)) ++counters.validity_violations;
-  }
-
-  /// Debug tracing for one page, enabled per system with
-  /// SystemParams::trace_page (System also reads PSOODB_TRACE_PAGE=<n> into
-  /// its own params copy, so different systems in one process can trace
-  /// different pages). Usage: if (ctx.TracingPage(p)) ctx.Trace("ship", ...);
-  bool TracingPage(storage::PageId page) const {
-    return params.trace_page >= 0 && page == params.trace_page;
-  }
-  template <typename... Args>
-  void Trace(const char* fmt, Args... args) const {
-    std::fprintf(stderr, "[t=%.6f] ", sim.now());
-    std::fprintf(stderr, fmt, args...);
-    std::fprintf(stderr, "\n");
   }
 };
 

@@ -37,17 +37,7 @@ sim::Task OsServer::HandleRead(ObjectId oid, TxnId txn, ClientId client,
       co_await cpu_.System(ctx_.params.lock_inst +
                            ctx_.params.register_copy_inst);
     }
-    for (;;) {
-      TxnId holder = lm_.ObjectXHolder(oid);
-      if (holder != kNoTxn && holder != txn) {
-        co_await lm_.WaitObjectFree(oid, page, txn);
-        continue;
-      }
-      co_await EnsureBuffered(page, /*load=*/true, txn);
-      holder = lm_.ObjectXHolder(oid);  // disk read may have let one in
-      if (holder != kNoTxn && holder != txn) continue;
-      break;
-    }
+    co_await WaitObjectReadable(oid, page, txn);
     object_copies_.Register(oid, client);
     ObjectShip ship{oid, ctx_.db.committed_version(oid), false};
     SendToClient(client, MsgKind::kDataReply,
@@ -56,11 +46,7 @@ sim::Task OsServer::HandleRead(ObjectId oid, TxnId txn, ClientId client,
                    reply.Set(ship);
                  });
   } catch (const cc::TxnAborted&) {
-    SendToClient(client, MsgKind::kControlReply,
-                 ctx_.transport.ControlBytes(),
-                 [reply = std::move(reply)]() mutable {
-                   reply.Set(ObjectShip{-1, 0, true});
-                 });
+    ReplyAborted(client, std::move(reply));
   }
 }
 
@@ -74,35 +60,15 @@ sim::Task OsServer::HandleWrite(ObjectId oid, TxnId txn, ClientId client,
     }
     co_await lm_.AcquireObjectX(oid, page, txn, client);
 
-    auto holders = object_copies_.HoldersExcept(oid, client);
-    if (!holders.empty()) {
-      auto batch = NewBatch();
-      batch->pending = static_cast<int>(holders.size());
-      // Unregistration runs at reply delivery (see CallbackBatch::on_final),
-      // and only for the registration epoch the callback was issued against.
-      std::unordered_map<ClientId, std::uint64_t> epochs;
-      for (const auto& h : holders) epochs[h.client] = h.epoch;
-      batch->on_final = [this, oid, epochs](ClientId c, CallbackOutcome) {
-        object_copies_.UnregisterIfEpoch(oid, c, epochs.at(c));
-      };
-      for (const auto& h : holders) {
-        if (ctx_.tracer != nullptr) {
-          ctx_.tracer->Emit(trace::EventKind::kCallbackIssue, node_, txn, page,
-                            oid, -1, h.client);
-        }
-        SendToClient(h.client, MsgKind::kCallbackReq,
-                     ctx_.transport.ControlBytes(),
-                     [cl = this->client(h.client), oid, page, txn, batch]() {
-                       cl->OnObjectCallback(oid, page, txn, batch);
-                     });
-      }
-      co_await AwaitCallbacks(batch, txn);
-      {
-        trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
-        co_await cpu_.System(ctx_.params.register_copy_inst *
-                             static_cast<double>(batch->outcomes.size()));
-      }
-    }
+    co_await CallbackRound(
+        object_copies_, oid, client, txn, page, oid,
+        [this, oid, page, txn](ClientId c,
+                               const std::shared_ptr<CallbackBatch>& batch) {
+          SendToClient(c, MsgKind::kCallbackReq, ctx_.transport.ControlBytes(),
+                       [cl = this->client(c), oid, page, txn, batch]() {
+                         cl->OnObjectCallback(oid, page, txn, batch);
+                       });
+        });
     if (ctx_.invariants != nullptr) {
       ctx_.invariants->OnWriteGrant(*this, GrantLevel::kObject, page, oid,
                                     txn, client);
@@ -112,10 +78,7 @@ sim::Task OsServer::HandleWrite(ObjectId oid, TxnId txn, ClientId client,
                    reply.Set(WriteGrant{GrantLevel::kObject, false});
                  });
   } catch (const cc::TxnAborted&) {
-    SendToClient(client, MsgKind::kControlReply, ctx_.transport.ControlBytes(),
-                 [reply = std::move(reply)]() mutable {
-                   reply.Set(WriteGrant{GrantLevel::kObject, true});
-                 });
+    ReplyAborted(client, std::move(reply));
   }
 }
 
@@ -123,14 +86,12 @@ sim::Task OsServer::HandleWrite(ObjectId oid, TxnId txn, ClientId client,
 
 OsClient::OsClient(SystemContext& ctx, ClientId id,
                    const config::WorkloadParams& workload,
-                   std::vector<OsServer*> servers)
-    : Client(ctx, id, workload,
-             std::vector<Server*>(servers.begin(), servers.end())),
-      os_servers_(std::move(servers)),
+                   std::vector<Server*> servers)
+    : Client(ctx, id, workload, std::move(servers)),
       cache_(static_cast<std::size_t>(ctx.params.client_buf_objects())) {}
 
 void OsClient::HandleEviction(ObjectId oid, storage::ObjectFrame&& frame) {
-  OsServer* srv = OsServerFor(PageOf(oid));
+  Server* srv = ServerFor(PageOf(oid));
   ClientId from = id_;
   if (frame.dirty) {
     ++ctx_.counters.dirty_evictions;
@@ -154,15 +115,12 @@ void OsClient::HandleEviction(ObjectId oid, storage::ObjectFrame&& frame) {
 sim::Task OsClient::FetchObject(ObjectId oid) {
   sim::Promise<ObjectShip> pr(ctx_.sim);
   auto fut = pr.GetFuture();
-  {
-    OsServer* srv = OsServerFor(PageOf(oid));
-    TxnId txn = txn_;
-    ClientId from = id_;
-    SendToServer(srv, MsgKind::kReadReq, ctx_.transport.ControlBytes(),
-                 [srv, oid, txn, from, pr = std::move(pr)]() mutable {
-                   srv->OnObjectReadReq(oid, txn, from, std::move(pr));
-                 });
-  }
+  OsServer* srv = ServerFor<OsServer>(PageOf(oid));
+  SendToServer(srv, MsgKind::kReadReq, ctx_.transport.ControlBytes(),
+               [srv, oid, txn = txn_, from = id_,
+                pr = std::move(pr)]() mutable {
+                 srv->OnObjectReadReq(oid, txn, from, std::move(pr));
+               });
   BeginRpc();
   ObjectShip ship = co_await std::move(fut);
   EndRpc();
@@ -208,15 +166,12 @@ sim::Task OsClient::Write(ObjectId oid) {
   if (!locks_.HasObjectWrite(oid)) {
     sim::Promise<WriteGrant> pr(ctx_.sim);
     auto fut = pr.GetFuture();
-    {
-      OsServer* srv = OsServerFor(PageOf(oid));
-      TxnId txn = txn_;
-      ClientId from = id_;
-      SendToServer(srv, MsgKind::kWriteReq, ctx_.transport.ControlBytes(),
-                   [srv, oid, txn, from, pr = std::move(pr)]() mutable {
-                     srv->OnObjectWriteReq(oid, txn, from, std::move(pr));
-                   });
-    }
+    OsServer* srv = ServerFor<OsServer>(PageOf(oid));
+    SendToServer(srv, MsgKind::kWriteReq, ctx_.transport.ControlBytes(),
+                 [srv, oid, txn = txn_, from = id_,
+                  pr = std::move(pr)]() mutable {
+                   srv->OnObjectWriteReq(oid, txn, from, std::move(pr));
+                 });
     BeginRpc();
     WriteGrant grant = co_await std::move(fut);
     EndRpc();

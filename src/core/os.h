@@ -49,7 +49,7 @@ class OsClient : public Client {
  public:
   OsClient(SystemContext& ctx, storage::ClientId id,
            const config::WorkloadParams& workload,
-           std::vector<OsServer*> servers);
+           std::vector<Server*> servers);
 
   void OnObjectCallback(storage::ObjectId oid, storage::PageId page,
                         storage::TxnId requester,
@@ -79,12 +79,6 @@ class OsClient : public Client {
   void UnpinAll() PSOODB_RELEASES(pin) override;
   void PinForTxn(storage::ObjectId oid) PSOODB_ACQUIRES(pin);
 
-  OsServer* OsServerFor(storage::PageId page) const {
-    return os_servers_[static_cast<std::size_t>(
-        ctx_.params.ServerOfPage(page))];
-  }
-
-  std::vector<OsServer*> os_servers_;
   storage::ObjectCache cache_;
   util::FlatSet<storage::ObjectId> pinned_objects_;
 };

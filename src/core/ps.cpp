@@ -52,13 +52,7 @@ sim::Task PsServer::HandleRead(PageId page, TxnId txn, ClientId client,
                    reply.Set(std::move(ship));
                  });
   } catch (const cc::TxnAborted&) {
-    SendToClient(client, MsgKind::kControlReply,
-                 ctx_.transport.ControlBytes(),
-                 [reply = std::move(reply)]() mutable {
-                   PageShip ship;
-                   ship.aborted = true;
-                   reply.Set(std::move(ship));
-                 });
+    ReplyAborted(client, std::move(reply));
   }
 }
 
@@ -70,36 +64,15 @@ sim::Task PsServer::HandleWrite(PageId page, TxnId txn, ClientId client,
       co_await cpu_.System(ctx_.params.lock_inst);
     }
     co_await lm_.AcquirePageX(page, txn, client);
-
-    auto holders = page_copies_.HoldersExcept(page, client);
-    if (!holders.empty()) {
-      auto batch = NewBatch();
-      batch->pending = static_cast<int>(holders.size());
-      // Unregistration runs at reply delivery (see CallbackBatch::on_final),
-      // and only for the registration epoch the callback was issued against.
-      std::unordered_map<ClientId, std::uint64_t> epochs;
-      for (const auto& h : holders) epochs[h.client] = h.epoch;
-      batch->on_final = [this, page, epochs](ClientId c, CallbackOutcome) {
-        page_copies_.UnregisterIfEpoch(page, c, epochs.at(c));
-      };
-      for (const auto& h : holders) {
-        if (ctx_.tracer != nullptr) {
-          ctx_.tracer->Emit(trace::EventKind::kCallbackIssue, node_, txn, page,
-                            -1, -1, h.client);
-        }
-        SendToClient(h.client, MsgKind::kCallbackReq,
-                     ctx_.transport.ControlBytes(),
-                     [cl = this->client(h.client), page, txn, batch]() {
-                       cl->OnPageCallback(page, txn, batch);
-                     });
-      }
-      co_await AwaitCallbacks(batch, txn);
-      {
-        trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
-        co_await cpu_.System(ctx_.params.register_copy_inst *
-                             static_cast<double>(batch->outcomes.size()));
-      }
-    }
+    co_await CallbackRound(
+        page_copies_, page, client, txn, page, /*oid=*/-1,
+        [this, page, txn](ClientId c,
+                          const std::shared_ptr<CallbackBatch>& batch) {
+          SendToClient(c, MsgKind::kCallbackReq, ctx_.transport.ControlBytes(),
+                       [cl = this->client(c), page, txn, batch]() {
+                         cl->OnPageCallback(page, txn, batch);
+                       });
+        });
     if (ctx_.invariants != nullptr) {
       ctx_.invariants->OnWriteGrant(*this, GrantLevel::kPage, page,
                                     /*oid=*/-1, txn, client);
@@ -109,76 +82,33 @@ sim::Task PsServer::HandleWrite(PageId page, TxnId txn, ClientId client,
                    reply.Set(WriteGrant{GrantLevel::kPage, false});
                  });
   } catch (const cc::TxnAborted&) {
-    SendToClient(client, MsgKind::kControlReply, ctx_.transport.ControlBytes(),
-                 [reply = std::move(reply)]() mutable {
-                   reply.Set(WriteGrant{GrantLevel::kPage, true});
-                 });
+    ReplyAborted(client, std::move(reply));
   }
 }
 
 // --- Client ------------------------------------------------------------------
+// PS frames never carry unavailable slots (ships have mask 0 and page
+// callbacks purge whole pages), so the shared read path's "object
+// available" test is exactly "page cached".
 
-sim::Task PsClient::FetchPage(PageId page) {
-  sim::Promise<PageShip> pr(ctx_.sim);
-  auto fut = pr.GetFuture();
-  {
-    PsServer* srv = PsServerFor(page);
-    TxnId txn = txn_;
-    ClientId from = id_;
-    SendToServer(srv, MsgKind::kReadReq, ctx_.transport.ControlBytes(),
-                 [srv, page, txn, from, pr = std::move(pr)]() mutable {
-                   srv->OnPageReadReq(page, txn, from, std::move(pr));
-                 });
-  }
-  BeginRpc();
-  PageShip ship = co_await std::move(fut);
-  EndRpc();
-  if (ship.aborted) throw cc::TxnAborted(txn_, cc::AbortReason::kVictim);
-  int merged = ApplyShip(ship);
-  if (merged > 0) {
-    trace::PhaseTimer cpu_time(ctx_.tracer, txn_, trace::Phase::kClientCpu);
-    co_await cpu_.System(ctx_.params.copy_merge_inst * merged);
-  }
+void PsClient::RequestPage(ObjectId oid, sim::Promise<PageShip> reply) {
+  const PageId page = PageOf(oid);
+  PsServer* srv = ServerFor<PsServer>(page);
+  SendToServer(srv, MsgKind::kReadReq, ctx_.transport.ControlBytes(),
+               [srv, page, txn = txn_, from = id_,
+                reply = std::move(reply)]() mutable {
+                 srv->OnPageReadReq(page, txn, from, std::move(reply));
+               });
 }
 
-sim::Task PsClient::Read(ObjectId oid) {
+void PsClient::RequestWrite(ObjectId oid, sim::Promise<WriteGrant> reply) {
   const PageId page = PageOf(oid);
-  if (cache_.Peek(page) == nullptr) {
-    ++ctx_.counters.cache_misses;
-    // Loop: a concurrent callback can purge the page while the merge cost of
-    // an arriving ship is being charged.
-    while (cache_.Peek(page) == nullptr) co_await FetchPage(page);
-  } else {
-    ++ctx_.counters.cache_hits;
-  }
-  LocalRead(oid);
-}
-
-sim::Task PsClient::Write(ObjectId oid) {
-  co_await Read(oid);  // a write access reads the object first
-  const PageId page = PageOf(oid);
-  if (!locks_.HasPageWrite(page)) {
-    sim::Promise<WriteGrant> pr(ctx_.sim);
-    auto fut = pr.GetFuture();
-    {
-      PsServer* srv = PsServerFor(page);
-      TxnId txn = txn_;
-      ClientId from = id_;
-      SendToServer(srv, MsgKind::kWriteReq, ctx_.transport.ControlBytes(),
-                   [srv, page, txn, from, pr = std::move(pr)]() mutable {
-                     srv->OnPageWriteReq(page, txn, from, std::move(pr));
-                   });
-    }
-    BeginRpc();
-    WriteGrant grant = co_await std::move(fut);
-    EndRpc();
-    if (grant.aborted) throw cc::TxnAborted(txn_, cc::AbortReason::kVictim);
-    locks_.GrantPageWrite(page);
-  }
-  // The page stays cached (our read set makes callbacks defer), but guard
-  // against pathological cache pressure.
-  if (cache_.Peek(page) == nullptr) co_await FetchPage(page);
-  MarkLocalWrite(oid);
+  PsServer* srv = ServerFor<PsServer>(page);
+  SendToServer(srv, MsgKind::kWriteReq, ctx_.transport.ControlBytes(),
+               [srv, page, txn = txn_, from = id_,
+                reply = std::move(reply)]() mutable {
+                 srv->OnPageWriteReq(page, txn, from, std::move(reply));
+               });
 }
 
 void PsClient::OnPageCallback(PageId page, TxnId /*requester*/,

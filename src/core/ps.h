@@ -48,30 +48,16 @@ class PsServer : public Server {
 
 class PsClient : public PageFamilyClient {
  public:
-  PsClient(SystemContext& ctx, storage::ClientId id,
-           const config::WorkloadParams& workload,
-           std::vector<PsServer*> servers)
-      : PageFamilyClient(ctx, id, workload,
-                         std::vector<Server*>(servers.begin(), servers.end())),
-        ps_servers_(std::move(servers)) {}
+  using PageFamilyClient::PageFamilyClient;
 
   void OnPageCallback(storage::PageId page, storage::TxnId requester,
                       std::shared_ptr<CallbackBatch> batch) override;
 
  protected:
-  sim::Task Read(storage::ObjectId oid) PSOODB_ACQUIRES(pin) override;
-  sim::Task Write(storage::ObjectId oid) PSOODB_ACQUIRES(pin) override;
-
- private:
-  /// Fetches `page` from its owning server and installs it in the cache.
-  sim::Task FetchPage(storage::PageId page);
-
-  PsServer* PsServerFor(storage::PageId page) const {
-    return ps_servers_[static_cast<std::size_t>(
-        ctx_.params.ServerOfPage(page))];
-  }
-
-  std::vector<PsServer*> ps_servers_;
+  void RequestPage(storage::ObjectId oid,
+                   sim::Promise<PageShip> reply) override;
+  void RequestWrite(storage::ObjectId oid,
+                    sim::Promise<WriteGrant> reply) override;
 };
 
 }  // namespace psoodb::core

@@ -12,7 +12,6 @@ using storage::kNoClient;
 using storage::kNoTxn;
 using storage::ObjectId;
 using storage::PageId;
-using storage::SlotMask;
 using storage::TxnId;
 
 // --- Server ------------------------------------------------------------------
@@ -25,15 +24,6 @@ void PsAaServer::OnObjectReadReq(ObjectId oid, TxnId txn, ClientId client,
 void PsAaServer::OnObjectWriteReq(ObjectId oid, TxnId txn, ClientId client,
                                   sim::Promise<WriteGrant> reply) {
   ctx_.sim.Spawn(HandleWrite(oid, txn, client, std::move(reply)));
-}
-
-SlotMask PsAaServer::UnavailableMask(PageId page, TxnId txn) const {
-  SlotMask mask = 0;
-  const auto& layout = ctx_.db.layout();
-  for (const auto& [oid, holder] : lm_.ObjectLocksOnPage(page)) {
-    if (holder != txn) mask |= storage::SlotBit(layout.SlotOf(oid));
-  }
-  return mask;
 }
 
 sim::Task PsAaServer::DeEscalate(PageId page, TxnId holder, TxnId requester) {
@@ -133,13 +123,7 @@ sim::Task PsAaServer::HandleRead(ObjectId oid, TxnId txn, ClientId client,
                    reply.Set(std::move(ship));
                  });
   } catch (const cc::TxnAborted&) {
-    SendToClient(client, MsgKind::kControlReply,
-                 ctx_.transport.ControlBytes(),
-                 [reply = std::move(reply)]() mutable {
-                   PageShip ship;
-                   ship.aborted = true;
-                   reply.Set(std::move(ship));
-                 });
+    ReplyAborted(client, std::move(reply));
   }
 }
 
@@ -156,44 +140,15 @@ sim::Task PsAaServer::HandleWrite(ObjectId oid, TxnId txn, ClientId client,
     co_await lm_.AcquireObjectX(oid, page, txn, client);
 
     // Adaptive callbacks: each holder invalidates the whole page if it can.
-    auto holders = page_copies_.HoldersExcept(page, client);
-    if (!holders.empty()) {
-      auto batch = NewBatch();
-      batch->pending = static_cast<int>(holders.size());
-      // Unregistration runs at reply delivery (see CallbackBatch::on_final),
-      // and only for the registration epoch the callback was issued against:
-      // the replying client may purge an old copy while a fresh ship to it
-      // is already in flight.
-      std::unordered_map<ClientId, std::uint64_t> epochs;
-      for (const auto& h : holders) epochs[h.client] = h.epoch;
-      batch->on_final = [this, page, epochs](ClientId c,
-                                             CallbackOutcome outcome) {
-        if (outcome == CallbackOutcome::kPurged ||
-            outcome == CallbackOutcome::kNotCached) {
-          page_copies_.UnregisterIfEpoch(page, c, epochs.at(c));
-        }
-      };
-      for (const auto& h : holders) {
-        if (ctx_.tracer != nullptr) {
-          ctx_.tracer->Emit(trace::EventKind::kCallbackIssue, node_, txn, page,
-                            oid, -1, h.client);
-        }
-        SendToClient(h.client, MsgKind::kCallbackReq,
-                     ctx_.transport.ControlBytes(),
-                     [cl = this->client(h.client), page, oid, txn, batch]() {
-                       cl->OnAdaptiveCallback(page, oid, txn, batch);
-                     });
-      }
-      co_await AwaitCallbacks(batch, txn);
-      int unregistered = 0;
-      for (const auto& [c, outcome] : batch->outcomes) {
-        if (outcome != CallbackOutcome::kRetained) ++unregistered;
-      }
-      {
-        trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
-        co_await cpu_.System(ctx_.params.register_copy_inst * unregistered);
-      }
-    }
+    co_await CallbackRound(
+        page_copies_, page, client, txn, page, oid,
+        [this, page, oid, txn](ClientId c,
+                               const std::shared_ptr<CallbackBatch>& batch) {
+          SendToClient(c, MsgKind::kCallbackReq, ctx_.transport.ControlBytes(),
+                       [cl = this->client(c), page, oid, txn, batch]() {
+                         cl->OnAdaptiveCallback(page, oid, txn, batch);
+                       });
+        });
 
     // Re-escalation decision (Section 3.3.3): a page write lock is possible
     // only if nobody holds a copy of the page anymore (checked against the
@@ -217,113 +172,34 @@ sim::Task PsAaServer::HandleWrite(ObjectId oid, TxnId txn, ClientId client,
                    reply.Set(WriteGrant{level, false});
                  });
   } catch (const cc::TxnAborted&) {
-    SendToClient(client, MsgKind::kControlReply, ctx_.transport.ControlBytes(),
-                 [reply = std::move(reply)]() mutable {
-                   reply.Set(WriteGrant{GrantLevel::kObject, true});
-                 });
+    ReplyAborted(client, std::move(reply));
   }
 }
 
 // --- Client ------------------------------------------------------------------
 
-sim::Task PsAaClient::FetchFor(ObjectId oid) {
-  while (!CachedAvailable(oid)) {
-    sim::Promise<PageShip> pr(ctx_.sim);
-    auto fut = pr.GetFuture();
-    {
-      PsAaServer* srv = AaServerFor(PageOf(oid));
-      TxnId txn = txn_;
-      ClientId from = id_;
-      SendToServer(srv, MsgKind::kReadReq, ctx_.transport.ControlBytes(),
-                   [srv, oid, txn, from, pr = std::move(pr)]() mutable {
-                     srv->OnObjectReadReq(oid, txn, from, std::move(pr));
-                   });
-    }
-    BeginRpc();
-    PageShip ship = co_await std::move(fut);
-    EndRpc();
-    if (ship.aborted) throw cc::TxnAborted(txn_, cc::AbortReason::kVictim);
-    int merged = ApplyShip(ship);
-    if (merged > 0) {
-      trace::PhaseTimer cpu_time(ctx_.tracer, txn_, trace::Phase::kClientCpu);
-      co_await cpu_.System(ctx_.params.copy_merge_inst * merged);
-    }
-  }
+void PsAaClient::RequestPage(ObjectId oid, sim::Promise<PageShip> reply) {
+  PsAaServer* srv = ServerFor<PsAaServer>(PageOf(oid));
+  SendToServer(srv, MsgKind::kReadReq, ctx_.transport.ControlBytes(),
+               [srv, oid, txn = txn_, from = id_,
+                reply = std::move(reply)]() mutable {
+                 srv->OnObjectReadReq(oid, txn, from, std::move(reply));
+               });
 }
 
-sim::Task PsAaClient::Read(ObjectId oid) {
-  if (CachedAvailable(oid)) {
-    ++ctx_.counters.cache_hits;
-    cache_.Get(PageOf(oid));  // touch LRU
-  } else {
-    if (cache_.Peek(PageOf(oid)) != nullptr) {
-      ++ctx_.counters.unavailable_rerequests;
-    }
-    ++ctx_.counters.cache_misses;
-    co_await FetchFor(oid);
-  }
-  LocalRead(oid);
+void PsAaClient::RequestWrite(ObjectId oid, sim::Promise<WriteGrant> reply) {
+  PsAaServer* srv = ServerFor<PsAaServer>(PageOf(oid));
+  SendToServer(srv, MsgKind::kWriteReq, ctx_.transport.ControlBytes(),
+               [srv, oid, txn = txn_, from = id_,
+                reply = std::move(reply)]() mutable {
+                 srv->OnObjectWriteReq(oid, txn, from, std::move(reply));
+               });
 }
 
-sim::Task PsAaClient::Write(ObjectId oid) {
-  co_await Read(oid);
-  const PageId page = PageOf(oid);
-  if (!HasWritePermission(oid)) {
-    sim::Promise<WriteGrant> pr(ctx_.sim);
-    auto fut = pr.GetFuture();
-    {
-      PsAaServer* srv = AaServerFor(PageOf(oid));
-      TxnId txn = txn_;
-      ClientId from = id_;
-      SendToServer(srv, MsgKind::kWriteReq, ctx_.transport.ControlBytes(),
-                   [srv, oid, txn, from, pr = std::move(pr)]() mutable {
-                     srv->OnObjectWriteReq(oid, txn, from, std::move(pr));
-                   });
-    }
-    BeginRpc();
-    WriteGrant grant = co_await std::move(fut);
-    EndRpc();
-    if (grant.aborted) throw cc::TxnAborted(txn_, cc::AbortReason::kVictim);
-    if (grant.level == GrantLevel::kPage) {
-      locks_.GrantPageWrite(page);
-    }
-    // The staked object lock exists either way.
-    locks_.GrantObjectWrite(oid);
-  }
-  if (!CachedAvailable(oid)) co_await FetchFor(oid);
-  MarkLocalWrite(oid);
-}
-
-void PsAaClient::OnAdaptiveCallback(PageId page, ObjectId oid,
-                                    TxnId /*requester*/,
-                                    std::shared_ptr<CallbackBatch> batch) {
-  storage::PageFrame* f = cache_.Peek(page);
-  if (f == nullptr) {
-    ReplyCallback(batch, {CallbackOutcome::kNotCached, kNoTxn});
-    return;
-  }
-  if (txn_active_ && locks_.UsesPage(page)) {
-    if (locks_.ReadsObject(oid)) {
-      ReplyCallback(batch, {CallbackOutcome::kInUse, txn_});
-      Defer([this, page, batch]() {
-        CallbackOutcome out = CallbackOutcome::kNotCached;
-        if (cache_.Peek(page) != nullptr) {
-          cache_.Remove(page);
-          ++ctx_.counters.callback_page_purges;
-          out = CallbackOutcome::kPurged;
-        }
-        ReplyCallback(batch, {out, kNoTxn});
-      });
-      return;
-    }
-    f->MarkUnavailable(SlotOf(oid));
-    ++ctx_.counters.callback_object_marks;
-    ReplyCallback(batch, {CallbackOutcome::kRetained, kNoTxn});
-    return;
-  }
-  cache_.Remove(page);
-  ++ctx_.counters.callback_page_purges;
-  ReplyCallback(batch, {CallbackOutcome::kPurged, kNoTxn});
+void PsAaClient::ApplyGrant(ObjectId oid, GrantLevel level) {
+  if (level == GrantLevel::kPage) locks_.GrantPageWrite(PageOf(oid));
+  // The staked object lock exists either way.
+  locks_.GrantObjectWrite(oid);
 }
 
 void PsAaClient::OnDeEscalate(PageId page,

@@ -11,8 +11,7 @@
 #ifndef PSOODB_CORE_PS_AA_H_
 #define PSOODB_CORE_PS_AA_H_
 
-#include "core/client.h"
-#include "core/server.h"
+#include "core/ps_oa.h"
 
 namespace psoodb::core {
 
@@ -34,9 +33,6 @@ class PsAaServer : public Server {
     // de-escalated or object-granted pages are merged.
     return lm_.PageXHolder(page) == txn;
   }
-
-  storage::SlotMask UnavailableMask(storage::PageId page,
-                                    storage::TxnId txn) const;
 
   /// Resolves a page-level write-lock conflict by asking the holding client
   /// to de-escalate: it reports the objects it has updated on `page`, which
@@ -71,38 +67,23 @@ class PsAaServer : public Server {
                              storage::TxnId txn, bool buffer_page);
 };
 
-class PsAaClient : public PageFamilyClient {
+/// Answers adaptive callbacks as PS-OA does; adds de-escalation and
+/// page-level write grants.
+class PsAaClient : public PsOaClient {
  public:
-  PsAaClient(SystemContext& ctx, storage::ClientId id,
-             const config::WorkloadParams& workload,
-             std::vector<PsAaServer*> servers)
-      : PageFamilyClient(ctx, id, workload,
-                         std::vector<Server*>(servers.begin(), servers.end())),
-        aa_servers_(std::move(servers)) {}
+  using PsOaClient::PsOaClient;
 
-  void OnAdaptiveCallback(storage::PageId page, storage::ObjectId oid,
-                          storage::TxnId requester,
-                          std::shared_ptr<CallbackBatch> batch) override;
   void OnDeEscalate(storage::PageId page,
                     sim::Promise<std::vector<storage::ObjectId>> reply)
       override;
 
  protected:
-  sim::Task Read(storage::ObjectId oid) PSOODB_ACQUIRES(pin) override;
-  sim::Task Write(storage::ObjectId oid) PSOODB_ACQUIRES(pin) override;
-
- private:
-  sim::Task FetchFor(storage::ObjectId oid);
-  bool HasWritePermission(storage::ObjectId oid) const {
-    return locks_.HasPageWrite(PageOf(oid)) || locks_.HasObjectWrite(oid);
-  }
-
-  PsAaServer* AaServerFor(storage::PageId page) const {
-    return aa_servers_[static_cast<std::size_t>(
-        ctx_.params.ServerOfPage(page))];
-  }
-
-  std::vector<PsAaServer*> aa_servers_;
+  void RequestPage(storage::ObjectId oid,
+                   sim::Promise<PageShip> reply) override;
+  void RequestWrite(storage::ObjectId oid,
+                    sim::Promise<WriteGrant> reply) override;
+  /// A page grant also stakes the object lock the server took first.
+  void ApplyGrant(storage::ObjectId oid, GrantLevel level) override;
 };
 
 }  // namespace psoodb::core

@@ -8,7 +8,8 @@
 #ifndef PSOODB_CORE_PS_OA_H_
 #define PSOODB_CORE_PS_OA_H_
 
-#include "core/ps_oo.h"
+#include "core/client.h"
+#include "core/server.h"
 
 namespace psoodb::core {
 
@@ -28,9 +29,6 @@ class PsOaServer : public Server {
     return false;
   }
 
-  storage::SlotMask UnavailableMask(storage::PageId page,
-                                    storage::TxnId txn) const;
-
  private:
   // Same obligations as PS-OO: the copy registration and the object X lock
   // intentionally outlive the handlers.
@@ -44,32 +42,20 @@ class PsOaServer : public Server {
       PSOODB_ACQUIRES(lock) PSOODB_REPLIES;
 };
 
+/// Also the base of PsAaClient: both answer adaptive callbacks the same way.
 class PsOaClient : public PageFamilyClient {
  public:
-  PsOaClient(SystemContext& ctx, storage::ClientId id,
-             const config::WorkloadParams& workload,
-             std::vector<PsOaServer*> servers)
-      : PageFamilyClient(ctx, id, workload,
-                         std::vector<Server*>(servers.begin(), servers.end())),
-        oa_servers_(std::move(servers)) {}
+  using PageFamilyClient::PageFamilyClient;
 
   void OnAdaptiveCallback(storage::PageId page, storage::ObjectId oid,
                           storage::TxnId requester,
                           std::shared_ptr<CallbackBatch> batch) override;
 
  protected:
-  sim::Task Read(storage::ObjectId oid) PSOODB_ACQUIRES(pin) override;
-  sim::Task Write(storage::ObjectId oid) PSOODB_ACQUIRES(pin) override;
-
- private:
-  sim::Task FetchFor(storage::ObjectId oid);
-
-  PsOaServer* OaServerFor(storage::PageId page) const {
-    return oa_servers_[static_cast<std::size_t>(
-        ctx_.params.ServerOfPage(page))];
-  }
-
-  std::vector<PsOaServer*> oa_servers_;
+  void RequestPage(storage::ObjectId oid,
+                   sim::Promise<PageShip> reply) override;
+  void RequestWrite(storage::ObjectId oid,
+                    sim::Promise<WriteGrant> reply) override;
 };
 
 }  // namespace psoodb::core

@@ -37,10 +37,14 @@ class PsOoServer : public Server {
                     const std::vector<storage::PageId>& pages,
                     const std::vector<storage::ObjectId>& objects) override;
 
-  /// Builds the unavailable mask for `page`: objects X-locked by
-  /// transactions other than `txn`.
-  storage::SlotMask UnavailableMask(storage::PageId page,
-                                    storage::TxnId txn) const;
+  /// Registers `client`'s copy of every object of `page` not write-locked
+  /// by another transaction and builds the ship, with the others marked
+  /// unavailable (the caller charges RegisterCopyInst per available object
+  /// beforehand). Call with the page buffered, with no suspension between
+  /// the caller's last conflict check and the ship's send.
+  PageShip ShipAvailableObjects(storage::PageId page, storage::TxnId txn,
+                                storage::ClientId client)
+      PSOODB_ACQUIRES(copy);
 
  private:
   // HandleRead leaves the shipped objects registered in the copy table;
@@ -57,30 +61,17 @@ class PsOoServer : public Server {
 
 class PsOoClient : public PageFamilyClient {
  public:
-  PsOoClient(SystemContext& ctx, storage::ClientId id,
-             const config::WorkloadParams& workload,
-             std::vector<PsOoServer*> servers)
-      : PageFamilyClient(ctx, id, workload,
-                         std::vector<Server*>(servers.begin(), servers.end())),
-        oo_servers_(std::move(servers)) {}
+  using PageFamilyClient::PageFamilyClient;
 
   void OnObjectCallback(storage::ObjectId oid, storage::PageId page,
                         storage::TxnId requester,
                         std::shared_ptr<CallbackBatch> batch) override;
 
  protected:
-  sim::Task Read(storage::ObjectId oid) PSOODB_ACQUIRES(pin) override;
-  sim::Task Write(storage::ObjectId oid) PSOODB_ACQUIRES(pin) override;
-
-  /// Fetches the page containing `oid` until the object is readable.
-  sim::Task FetchFor(storage::ObjectId oid);
-
-  PsOoServer* OoServerFor(storage::PageId page) const {
-    return oo_servers_[static_cast<std::size_t>(
-        ctx_.params.ServerOfPage(page))];
-  }
-
-  std::vector<PsOoServer*> oo_servers_;
+  void RequestPage(storage::ObjectId oid,
+                   sim::Promise<PageShip> reply) override;
+  void RequestWrite(storage::ObjectId oid,
+                    sim::Promise<WriteGrant> reply) override;
 };
 
 }  // namespace psoodb::core

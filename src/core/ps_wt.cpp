@@ -41,34 +41,15 @@ sim::Task PsWtServer::HandleWrite(ObjectId oid, TxnId txn, ClientId client,
     co_await lm_.AcquireObjectX(oid, page, txn, client);
 
     // Invalidate remote cached copies of the object (PS-OO callbacks).
-    auto holders = object_copies_.HoldersExcept(oid, client);
-    if (!holders.empty()) {
-      auto batch = NewBatch();
-      batch->pending = static_cast<int>(holders.size());
-      // Epoch-checked unregistration at reply delivery (see ps_oo.cpp).
-      std::unordered_map<ClientId, std::uint64_t> epochs;
-      for (const auto& h : holders) epochs[h.client] = h.epoch;
-      batch->on_final = [this, oid, epochs](ClientId c, CallbackOutcome) {
-        object_copies_.UnregisterIfEpoch(oid, c, epochs.at(c));
-      };
-      for (const auto& h : holders) {
-        if (ctx_.tracer != nullptr) {
-          ctx_.tracer->Emit(trace::EventKind::kCallbackIssue, node_, txn, page,
-                            oid, -1, h.client);
-        }
-        SendToClient(h.client, MsgKind::kCallbackReq,
-                     ctx_.transport.ControlBytes(),
-                     [cl = this->client(h.client), oid, page, txn, batch]() {
-                       cl->OnObjectCallback(oid, page, txn, batch);
-                     });
-      }
-      co_await AwaitCallbacks(batch, txn);
-      {
-        trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
-        co_await cpu_.System(ctx_.params.register_copy_inst *
-                             static_cast<double>(batch->outcomes.size()));
-      }
-    }
+    co_await CallbackRound(
+        object_copies_, oid, client, txn, page, oid,
+        [this, oid, page, txn](ClientId c,
+                               const std::shared_ptr<CallbackBatch>& batch) {
+          SendToClient(c, MsgKind::kCallbackReq, ctx_.transport.ControlBytes(),
+                       [cl = this->client(c), oid, page, txn, batch]() {
+                         cl->OnObjectCallback(oid, page, txn, batch);
+                       });
+        });
 
     // Write-token check: a different owner must surrender the page, routing
     // the current page image through the server.
@@ -99,23 +80,14 @@ sim::Task PsWtServer::HandleWrite(ObjectId oid, TxnId txn, ClientId client,
       token_owner_[page] = client;
       co_await EnsureBuffered(page, /*load=*/true, txn);
       // Ship the freshest image with the grant; objects write-locked by
-      // other transactions travel marked unavailable. Registration + ship
-      // stay synchronous with the mask computation.
-      const SlotMask unavailable = UnavailableMask(page, txn);
-      const int avail =
-          ctx_.params.objects_per_page - storage::PopCount(unavailable);
+      // other transactions travel marked unavailable.
+      const int avail = ctx_.params.objects_per_page -
+                        storage::PopCount(UnavailableMask(page, txn));
       {
         trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
         co_await cpu_.System(ctx_.params.register_copy_inst * avail);
       }
-      const SlotMask fresh_unavailable = UnavailableMask(page, txn);
-      const auto& layout = ctx_.db.layout();
-      for (int s = 0; s < ctx_.params.objects_per_page; ++s) {
-        if ((fresh_unavailable & storage::SlotBit(s)) == 0) {
-          object_copies_.Register(layout.ObjectAt(page, s), client);
-        }
-      }
-      ship = MakeShip(page, fresh_unavailable);
+      ship = ShipAvailableObjects(page, txn, client);
       shipped = true;
     } else {
       token_owner_[page] = client;
@@ -135,10 +107,7 @@ sim::Task PsWtServer::HandleWrite(ObjectId oid, TxnId txn, ClientId client,
                    reply.Set(TokenWriteGrant{false, shipped, std::move(ship)});
                  });
   } catch (const cc::TxnAborted&) {
-    SendToClient(client, MsgKind::kControlReply, ctx_.transport.ControlBytes(),
-                 [reply = std::move(reply)]() mutable {
-                   reply.Set(TokenWriteGrant{true, false, {}});
-                 });
+    ReplyAborted(client, std::move(reply));
   }
 }
 
@@ -173,27 +142,17 @@ sim::Task PsWtClient::Write(ObjectId oid) {
   if (!locks_.HasObjectWrite(oid)) {
     sim::Promise<TokenWriteGrant> pr(ctx_.sim);
     auto fut = pr.GetFuture();
-    {
-      PsWtServer* srv = WtServerFor(PageOf(oid));
-      TxnId txn = txn_;
-      ClientId from = id_;
-      SendToServer(srv, MsgKind::kWriteReq, ctx_.transport.ControlBytes(),
-                   [srv, oid, txn, from, pr = std::move(pr)]() mutable {
-                     srv->OnTokenWriteReq(oid, txn, from, std::move(pr));
-                   });
-    }
+    PsWtServer* srv = ServerFor<PsWtServer>(PageOf(oid));
+    SendToServer(srv, MsgKind::kWriteReq, ctx_.transport.ControlBytes(),
+                 [srv, oid, txn = txn_, from = id_,
+                  pr = std::move(pr)]() mutable {
+                   srv->OnTokenWriteReq(oid, txn, from, std::move(pr));
+                 });
     BeginRpc();
     TokenWriteGrant grant = co_await std::move(fut);
     EndRpc();
     if (grant.aborted) throw cc::TxnAborted(txn_, cc::AbortReason::kVictim);
-    if (grant.with_page) {
-      int merged = ApplyShip(grant.page);
-      if (merged > 0) {
-        trace::PhaseTimer cpu_time(ctx_.tracer, txn_,
-                                   trace::Phase::kClientCpu);
-        co_await cpu_.System(ctx_.params.copy_merge_inst * merged);
-      }
-    }
+    if (grant.with_page) co_await ApplyShip(std::move(grant.page));
     locks_.GrantObjectWrite(oid);
   }
   if (!CachedAvailable(oid)) co_await FetchFor(oid);

@@ -68,25 +68,12 @@ class PsWtServer : public PsOoServer {
 
 class PsWtClient : public PsOoClient {
  public:
-  PsWtClient(SystemContext& ctx, storage::ClientId id,
-             const config::WorkloadParams& workload,
-             std::vector<PsWtServer*> servers)
-      : PsOoClient(ctx, id, workload,
-                   std::vector<PsOoServer*>(servers.begin(), servers.end())),
-        wt_servers_(std::move(servers)) {}
+  using PsOoClient::PsOoClient;
 
   void OnTokenRecall(storage::PageId page, sim::Promise<bool> done) override;
 
  protected:
   sim::Task Write(storage::ObjectId oid) PSOODB_ACQUIRES(pin) override;
-
- private:
-  PsWtServer* WtServerFor(storage::PageId page) const {
-    return wt_servers_[static_cast<std::size_t>(
-        ctx_.params.ServerOfPage(page))];
-  }
-
-  std::vector<PsWtServer*> wt_servers_;
 };
 
 }  // namespace psoodb::core

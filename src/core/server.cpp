@@ -95,6 +95,27 @@ PageShip Server::MakeShip(PageId page, SlotMask unavailable) const {
   return ship;
 }
 
+SlotMask Server::UnavailableMask(PageId page, TxnId txn) const {
+  SlotMask mask = 0;
+  const auto& layout = ctx_.db.layout();
+  for (const auto& [oid, holder] : lm_.ObjectLocksOnPage(page)) {
+    if (holder != txn) mask |= storage::SlotBit(layout.SlotOf(oid));
+  }
+  return mask;
+}
+
+sim::Task Server::WaitObjectReadable(ObjectId oid, PageId page, TxnId txn) {
+  for (;;) {
+    if (ObjectLockedByOther(oid, txn)) {
+      co_await lm_.WaitObjectFree(oid, page, txn);
+      continue;
+    }
+    co_await EnsureBuffered(page, /*load=*/true, txn);
+    // The disk read may have let a writer in.
+    if (!ObjectLockedByOther(oid, txn)) co_return;
+  }
+}
+
 sim::Task Server::AwaitCallbacks(std::shared_ptr<CallbackBatch> batch,
                                  TxnId txn) {
   const int pending0 = batch->pending;

@@ -1,8 +1,10 @@
 /// \file server.h
-/// Base server engine shared by all five protocol variants: CPU, disks,
+/// Base server engine shared by all six protocol variants: CPU, disks,
 /// page buffer pool, lock manager, copy tables, mid-transaction dirty
-/// staging, and the commit/abort machinery. Protocol subclasses implement
-/// the read/write request handlers and callback policies.
+/// staging, the commit/abort machinery, and the steps every protocol's
+/// request handlers share (the callback round, the aborted reply, the
+/// object-lock wait). Protocol subclasses implement the read/write request
+/// handlers: their own messages and granularity decisions.
 
 #ifndef PSOODB_CORE_SERVER_H_
 #define PSOODB_CORE_SERVER_H_
@@ -21,6 +23,7 @@
 #include "resources/disk.h"
 #include "sim/pool.h"
 #include "storage/buffer_manager.h"
+#include "trace/trace.h"
 #include "util/annotations.h"
 
 namespace psoodb::core {
@@ -46,8 +49,8 @@ struct CallbackBatch {
   /// later requests (e.g. a re-fetch that re-registers the page) are
   /// FIFO-ordered after its reply, so a deferred unregistration in the
   /// issuing handler could erase a registration made after the purge.
-  /// Inline storage: the protocols' capture sets (this + item id + epoch
-  /// list) fit the 48-byte buffer, so arming the hook never allocates.
+  /// Inline storage: the callback round's capture set (copy table, item
+  /// id, holder list) fits the 48-byte buffer.
   util::InlineFunction<void(storage::ClientId, CallbackOutcome)> on_final;
   sim::CondVar cv;
   bool dead = false;  ///< set when the issuing handler aborted
@@ -157,6 +160,44 @@ class Server {
                         payload_bytes, std::forward<F>(deliver));
   }
 
+  /// Replies to a request whose transaction was aborted (a deadlock victim):
+  /// a control message carrying a default `Reply` with only `aborted` set.
+  template <typename Reply>
+  void ReplyAborted(storage::ClientId client, sim::Promise<Reply> reply) {
+    SendToClient(client, MsgKind::kControlReply, ctx_.transport.ControlBytes(),
+                 [reply = std::move(reply)]() mutable {
+                   Reply aborted;
+                   aborted.aborted = true;
+                   reply.Set(std::move(aborted));
+                 });
+  }
+
+  /// The callback round of a write request (Section 3): calls back every
+  /// holder of `item` in `copies` other than `client` and waits for their
+  /// final replies. For each holder, in HoldersExcept order, it emits
+  /// kCallbackIssue (tagged `page`/`oid`) and calls `send(holder, batch)`,
+  /// which sends the protocol's own kCallbackReq. Each holder's registration
+  /// is dropped when its final reply is delivered (CallbackBatch::on_final),
+  /// but only under the epoch the callback was issued against: the replying
+  /// client may purge an old copy while a fresh ship to it is already in
+  /// flight. After the drain it charges RegisterCopyInst per dropped copy.
+  /// Throws TxnAborted if `txn` closes a deadlock cycle while waiting.
+  template <typename ItemId, typename Send>
+  sim::Task CallbackRound(cc::CopyTable<ItemId>& copies, ItemId item,
+                          storage::ClientId client, storage::TxnId txn,
+                          storage::PageId page, storage::ObjectId oid,
+                          Send send);
+
+  /// Whether a final callback outcome drops the holder's copy: a page copy
+  /// survives kRetained ("page kept", one object marked unavailable); an
+  /// object copy is gone on every final outcome.
+  static bool DropsCopy(const cc::PageCopyTable&, CallbackOutcome outcome) {
+    return outcome != CallbackOutcome::kRetained;
+  }
+  static bool DropsCopy(const cc::ObjectCopyTable&, CallbackOutcome) {
+    return true;
+  }
+
   /// Creates a callback batch owned by this server. Pool-allocated: batches
   /// turn over once per write-request handler, and allocate_shared fuses the
   /// batch and its control block into a single pooled block.
@@ -172,6 +213,23 @@ class Server {
   /// TxnAborted if `txn` closes a deadlock cycle (marking the batch dead).
   sim::Task AwaitCallbacks(std::shared_ptr<CallbackBatch> batch,
                            storage::TxnId txn) PSOODB_RELEASES(batch);
+
+  /// True if a transaction other than `txn` holds `oid`'s X lock.
+  bool ObjectLockedByOther(storage::ObjectId oid, storage::TxnId txn) const {
+    const storage::TxnId holder = lm_.ObjectXHolder(oid);
+    return holder != storage::kNoTxn && holder != txn;
+  }
+
+  /// Waits until no other transaction holds `oid`'s X lock and `page` is in
+  /// the buffer pool; both hold on return, with no suspension after the
+  /// last check.
+  sim::Task WaitObjectReadable(storage::ObjectId oid, storage::PageId page,
+                               storage::TxnId txn);
+
+  /// The objects of `page` X-locked by transactions other than `txn`: they
+  /// travel marked unavailable under object-level locking.
+  storage::SlotMask UnavailableMask(storage::PageId page,
+                                    storage::TxnId txn) const;
 
   /// Builds the PageShip for `page` (versions from ground truth), marking
   /// `unavailable` slots. Must be called with the page buffered, and with no
@@ -239,6 +297,43 @@ class Server {
   std::uint64_t buf_hits_ = 0;
   int cb_rounds_inflight_ = 0;
 };
+
+template <typename ItemId, typename Send>
+sim::Task Server::CallbackRound(cc::CopyTable<ItemId>& copies, ItemId item,
+                                storage::ClientId client, storage::TxnId txn,
+                                storage::PageId page, storage::ObjectId oid,
+                                Send send) {
+  auto holders = copies.HoldersExcept(item, client);
+  if (holders.empty()) co_return;
+  auto batch = NewBatch();
+  batch->pending = static_cast<int>(holders.size());
+  batch->on_final = [&copies, item, holders](storage::ClientId c,
+                                             CallbackOutcome outcome) {
+    if (!DropsCopy(copies, outcome)) return;
+    for (const auto& h : holders) {
+      if (h.client == c) {
+        copies.UnregisterIfEpoch(item, c, h.epoch);
+        return;
+      }
+    }
+  };
+  for (const auto& h : holders) {
+    if (ctx_.tracer != nullptr) {
+      ctx_.tracer->Emit(trace::EventKind::kCallbackIssue, node_, txn, page,
+                        oid, -1, h.client);
+    }
+    send(h.client, batch);
+  }
+  co_await AwaitCallbacks(batch, txn);
+  // Issued even when nothing was dropped (every holder kept its page): the
+  // zero-length job is still an event.
+  int dropped = 0;
+  for (const auto& [c, outcome] : batch->outcomes) {
+    if (DropsCopy(copies, outcome)) ++dropped;
+  }
+  trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
+  co_await cpu_.System(ctx_.params.register_copy_inst * dropped);
+}
 
 }  // namespace psoodb::core
 

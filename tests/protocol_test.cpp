@@ -193,12 +193,12 @@ TEST(ProtocolBehaviorTest, HiconHighWriteCausesDeadlocksInObjectLocking) {
   EXPECT_TRUE(r.serializable);
 }
 
-// Regression: a write-request handler must unregister purged copies *at
-// reply delivery*. A client that purged its page copy can re-fetch (and
-// re-register) the page before the handler resumes from its callback wait;
-// a deferred unregistration would erase the fresh registration, and that
-// client would then miss later callbacks and read stale objects. HICON at
-// low locality with adaptive callbacks reproduces the race readily.
+// HICON at low locality with adaptive callbacks, where callbacks often cross
+// a fresh ship to the same client: PS-OA and PS-AA must keep zero validity
+// violations and a serializable history. These runs do not detect a
+// callback round that drops copies without the epoch check (the wrong
+// drops they make go unnoticed); SystemEdgeTest.
+// CustomWorkloadRunsCorrectlyEndToEnd, with its invariant checker, does.
 class CallbackUnregisterRace : public ::testing::TestWithParam<int> {};
 
 TEST_P(CallbackUnregisterRace, PageCopyTableStaysExact) {

@@ -200,12 +200,13 @@ std::string Fingerprint(const psoodb::core::RunResult& r) {
 }
 
 psoodb::core::RunResult RunPartitioned(int shards, Protocol proto,
-                                       bool trace) {
+                                       bool trace, bool telemetry = false) {
   psoodb::config::SystemParams sys;
   sys.num_clients = 16;
   sys.num_servers = 4;
   sys.sim_shards = shards;
   sys.trace = trace;
+  sys.telemetry = telemetry;
   auto w = psoodb::config::MakeHotCold(sys, psoodb::config::Locality::kLow,
                                        /*write_prob=*/0.2);
   psoodb::core::RunConfig rc;
@@ -235,11 +236,20 @@ TEST(ShardedSystem, ByteIdenticalAcrossShardCounts) {
   EXPECT_GT(r4.breakdown_txns, 0u);
 }
 
-TEST(ShardedSystem, PageServerProtocolAlsoDeterministic) {
-  const auto r1 = RunPartitioned(1, Protocol::kPS, /*trace=*/false);
-  const auto r4 = RunPartitioned(4, Protocol::kPS, /*trace=*/false);
-  EXPECT_FALSE(r1.stalled);
-  EXPECT_EQ(Fingerprint(r1), Fingerprint(r4));
+TEST(ShardedSystem, EveryProtocolByteIdenticalAcrossShardCounts) {
+  // The same 4-server run on one and on four partitions, for every
+  // protocol (PS-WT runs partitioned nowhere else): results, both trace
+  // sinks and the telemetry match byte for byte.
+  for (Protocol p : psoodb::config::AllProtocolsExtended()) {
+    const char* name = psoodb::config::ProtocolName(p);
+    const auto r1 = RunPartitioned(1, p, /*trace=*/true, /*telemetry=*/true);
+    const auto r4 = RunPartitioned(4, p, /*trace=*/true, /*telemetry=*/true);
+    EXPECT_FALSE(r1.stalled) << name;
+    EXPECT_EQ(Fingerprint(r1), Fingerprint(r4)) << name;
+    EXPECT_EQ(r1.trace_jsonl, r4.trace_jsonl) << name;
+    EXPECT_EQ(r1.trace_chrome, r4.trace_chrome) << name;
+    EXPECT_EQ(r1.telemetry_jsonl, r4.telemetry_jsonl) << name;
+  }
 }
 
 // --- Cross-partition deadlocks ----------------------------------------------

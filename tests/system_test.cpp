@@ -179,7 +179,11 @@ TEST(SystemEdgeTest, ServerBufferSmallerThanDbStillCorrect) {
 
 TEST(SystemEdgeTest, CustomWorkloadRunsCorrectlyEndToEnd) {
   // A pointer-chase-style custom workload (fixed chain of pages per client,
-  // with write sharing on a common page) through the full simulator.
+  // with write sharing on a common page) through the full simulator, for
+  // every protocol. Every client updates the shared page, so callbacks
+  // keep crossing fresh ships to the same client: the fail-fast invariant
+  // checker (client caches against copy tables) catches a callback round
+  // that drops a copy registered after the callback was issued.
   SystemParams sys;
   sys.num_clients = 4;
   sys.db_pages = 200;
@@ -205,10 +209,14 @@ TEST(SystemEdgeTest, CustomWorkloadRunsCorrectlyEndToEnd) {
                     true});
     return refs;
   };
-  for (Protocol p : {Protocol::kPS, Protocol::kPSAA, Protocol::kOS,
-                     Protocol::kPSWT}) {
-    auto r = RunSimulation(p, sys, w, Quick(150));
-    ExpectHealthy(r, config::ProtocolName(p));
+  for (std::uint64_t seed : {1, 2, 42}) {
+    sys.seed = seed;
+    for (Protocol p : config::AllProtocolsExtended()) {
+      auto r = RunSimulation(p, sys, w, Quick(150));
+      ExpectHealthy(r, (std::string(config::ProtocolName(p)) + " seed " +
+                        std::to_string(seed))
+                           .c_str());
+    }
   }
 }
 
@@ -328,8 +336,8 @@ SystemParams SmallSystem() {
 }
 
 TEST(SystemEnvTest, MalformedTracePageKeepsPageTracingOff) {
-  // atol read all three as a page number (0, 0 and 7) and turned on stderr
-  // tracing of that page.
+  // atol read all three as a page number (0, 0 and 7) and restricted
+  // tracing to that page.
   for (const char* value : {"", "garbage", "7x"}) {
     const EnvProbe p =
         ConstructWithEnv("PSOODB_TRACE_PAGE", value, SmallSystem());
@@ -342,6 +350,27 @@ TEST(SystemEnvTest, MalformedTracePageKeepsPageTracingOff) {
   EXPECT_EQ(ConstructWithEnv("PSOODB_TRACE_PAGE", "7", SmallSystem())
                 .params.trace_page,
             7);
+}
+
+TEST(SystemEnvTest, ViolationDumpFollowsTheEnvironmentAfterARun) {
+  // PSOODB_TRACE_VIOLATIONS was once latched in a function-local static at
+  // the first read check, so a process that set it after one System had
+  // run never got the dump.
+  SystemParams sys;
+  sys.num_clients = 4;
+  auto w = config::MakeHicon(sys, Locality::kHigh, 0.3);
+  {
+    // A clean run: its read checks happen with the variable unset.
+    const ScopedEnv unset("PSOODB_TRACE_VIOLATIONS", nullptr);
+    RunSimulation(Protocol::kPS, sys, w, Quick());
+  }
+  const ScopedEnv on("PSOODB_TRACE_VIOLATIONS", "1");
+  sys.test_skip_callback_drain = true;  // seeded fault: stale cached reads
+  ::testing::internal::CaptureStderr();
+  const RunResult r = RunSimulation(Protocol::kPS, sys, w, Quick());
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_GT(r.counters.validity_violations, 0u);
+  EXPECT_NE(err.find("VIOLATION"), std::string::npos);
 }
 
 TEST(SystemEnvTest, MalformedSimShardsKeepsTheConfiguredMode) {

@@ -138,8 +138,8 @@ TEST(TraceTest, RingBufferIsBounded) {
 }
 
 TEST(TraceTest, TracePageIsPerSystemNotProcessCached) {
-  // Regression: TracingPage once latched PSOODB_TRACE_PAGE in a function-
-  // local static, so the first System constructed in a process decided the
+  // Regression: PSOODB_TRACE_PAGE was once latched in a function-local
+  // static, so the first System constructed in a process decided the
   // traced page for every later one. The env var must land in each System's
   // own params copy at construction time.
   ASSERT_EQ(setenv("PSOODB_TRACE_PAGE", "5", 1), 0);
