@@ -19,12 +19,18 @@ std::size_t LowerBound(const util::SmallVector<storage::TxnId, 8>& v,
 }  // namespace
 
 void DeadlockDetector::OnWait(storage::TxnId waiter,
-                              const std::vector<storage::TxnId>& holders) {
+                              std::span<const storage::TxnId> holders) {
   CheckVictim(waiter);
-  EdgeList& out = out_edges_[waiter];
+  const std::uint32_t* found = out_index_.find(waiter);
+  std::uint32_t slot = found == nullptr ? util::kNoSlot : *found;
   EdgeList added;
   for (storage::TxnId h : holders) {
     if (h == waiter || h == storage::kNoTxn) continue;
+    if (slot == util::kNoSlot) {
+      slot = edge_lists_.Acquire();  // recycled lists are empty
+      out_index_.emplace(waiter, slot);
+    }
+    EdgeList& out = edge_lists_[slot];
     const std::size_t pos = LowerBound(out, h);
     if (pos < out.size() && out[pos] == h) continue;  // duplicate holder
     out.insert(pos, h);
@@ -32,9 +38,10 @@ void DeadlockDetector::OnWait(storage::TxnId waiter,
   }
   edges_ += added.size();
   if (HasCycleFrom(waiter)) {
+    EdgeList& out = edge_lists_[slot];  // a cycle needs an edge from waiter
     for (storage::TxnId h : added) out.erase(LowerBound(out, h));
     edges_ -= added.size();
-    if (out.empty()) out_edges_.erase(waiter);
+    if (out.empty()) DropOutEdges(waiter, slot);
     ++deadlocks_;
     // The rollback leaves the edge set exactly as before the call, so the
     // delta log (written only below, on success) never sees the round trip.
@@ -44,11 +51,13 @@ void DeadlockDetector::OnWait(storage::TxnId waiter,
 }
 
 void DeadlockDetector::ClearWaits(storage::TxnId waiter) {
-  auto it = out_edges_.find(waiter);
-  if (it == out_edges_.end()) return;
-  edges_ -= it->second.size();
-  for (storage::TxnId t : it->second) LogDelta(waiter, t, /*add=*/false);
-  out_edges_.erase(it);
+  const std::uint32_t* found = out_index_.find(waiter);
+  if (found == nullptr) return;
+  const std::uint32_t slot = *found;
+  const EdgeList& out = edge_lists_[slot];
+  edges_ -= out.size();
+  for (storage::TxnId t : out) LogDelta(waiter, t, /*add=*/false);
+  DropOutEdges(waiter, slot);
 }
 
 void DeadlockDetector::RemoveTxn(storage::TxnId txn) {
@@ -56,20 +65,23 @@ void DeadlockDetector::RemoveTxn(storage::TxnId txn) {
   // Incoming edges: scan every waiter's sorted list for `txn`. Collect the
   // affected waiters first so the delta log stays in sorted order rather
   // than hash order (removals commute in the coordinator fold, but a
-  // deterministic log is simpler to reason about and to test).
-  EdgeList incoming;
-  for (auto& [waiter, targets] : out_edges_) {  // det-ok: sorted below before any ordered use
+  // deterministic log is simpler to reason about and to test), and so the
+  // index is not erased from while it is iterated.
+  incoming_.clear();
+  for (const auto& [waiter, slot] : out_index_) {  // det-ok: sorted below before any ordered use
+    EdgeList& targets = edge_lists_[slot];
     const std::size_t pos = LowerBound(targets, txn);
     if (pos < targets.size() && targets[pos] == txn) {
       targets.erase(pos);
       --edges_;
-      incoming.push_back(waiter);
+      incoming_.push_back(waiter);
     }
   }
-  std::sort(incoming.begin(), incoming.end());
-  for (storage::TxnId w : incoming) {
+  std::sort(incoming_.begin(), incoming_.end());
+  for (storage::TxnId w : incoming_) {
     LogDelta(w, txn, /*add=*/false);
-    if (out_edges_[w].empty()) out_edges_.erase(w);
+    const std::uint32_t slot = *out_index_.find(w);
+    if (edge_lists_[slot].empty()) DropOutEdges(w, slot);
   }
   victims_.erase(txn);
   wait_channels_.erase(txn);
@@ -81,49 +93,51 @@ void DeadlockDetector::DrainDeltas(std::vector<EdgeDelta>* out) {
 }
 
 void DeadlockDetector::MarkVictim(storage::TxnId txn) {
-  if (victims_.insert(txn).second) ++deadlocks_;
+  if (victims_.insert(txn)) ++deadlocks_;
 }
 
 void DeadlockDetector::CheckVictim(storage::TxnId txn) {
   if (victims_.empty()) return;  // hot path: no pending cross-partition abort
-  auto it = victims_.find(txn);
-  if (it == victims_.end()) return;
-  victims_.erase(it);
+  if (victims_.erase(txn) == 0) return;
   throw TxnAborted(txn, AbortReason::kDeadlock);
 }
 
 void DeadlockDetector::RegisterWaitChannel(storage::TxnId txn,
                                            sim::CondVar* cv) {
-  wait_channels_[txn] = cv;
+  if (sim::CondVar** p = wait_channels_.find(txn)) {
+    *p = cv;
+  } else {
+    wait_channels_.emplace(txn, cv);
+  }
 }
 
 void DeadlockDetector::UnregisterWaitChannel(storage::TxnId txn,
                                              sim::CondVar* cv) {
-  auto it = wait_channels_.find(txn);
-  if (it != wait_channels_.end() && it->second == cv) wait_channels_.erase(it);
+  sim::CondVar* const* p = wait_channels_.find(txn);
+  if (p != nullptr && *p == cv) wait_channels_.erase(txn);
 }
 
 sim::CondVar* DeadlockDetector::WaitChannel(storage::TxnId txn) const {
-  auto it = wait_channels_.find(txn);
-  return it != wait_channels_.end() ? it->second : nullptr;
+  sim::CondVar* const* p = wait_channels_.find(txn);
+  return p != nullptr ? *p : nullptr;
 }
 
 bool DeadlockDetector::HasCycleFrom(storage::TxnId txn) const {
   // Iterative DFS over out-edges looking for a path back to `txn`.
-  std::unordered_set<storage::TxnId> visited;
-  std::vector<storage::TxnId> stack;
-  auto push_targets = [&](storage::TxnId from) {
-    auto it = out_edges_.find(from);
-    if (it == out_edges_.end()) return;
-    for (storage::TxnId t : it->second) {
-      if (t == txn) stack.push_back(t);  // found a way back; handled below
-      if (visited.insert(t).second) stack.push_back(t);
+  visited_.clear();
+  stack_.clear();
+  auto push_targets = [this, txn](storage::TxnId from) {
+    const EdgeList* out = OutEdges(from);
+    if (out == nullptr) return;
+    for (storage::TxnId t : *out) {
+      if (t == txn) stack_.push_back(t);  // found a way back; handled below
+      if (visited_.insert(t)) stack_.push_back(t);
     }
   };
   push_targets(txn);
-  while (!stack.empty()) {
-    storage::TxnId cur = stack.back();
-    stack.pop_back();
+  while (!stack_.empty()) {
+    storage::TxnId cur = stack_.back();
+    stack_.pop_back();
     if (cur == txn) return true;
     push_targets(cur);
   }
@@ -134,8 +148,8 @@ std::vector<std::pair<storage::TxnId, storage::TxnId>>
 DeadlockDetector::Edges() const {
   std::vector<std::pair<storage::TxnId, storage::TxnId>> out;
   out.reserve(edge_count());
-  for (const auto& [waiter, targets] : out_edges_) {    // det-ok: sorted below
-    for (storage::TxnId t : targets) out.emplace_back(waiter, t);
+  for (const auto& [waiter, slot] : out_index_) {    // det-ok: sorted below
+    for (storage::TxnId t : edge_lists_[slot]) out.emplace_back(waiter, t);
   }
   std::sort(out.begin(), out.end());
   return out;

@@ -9,12 +9,14 @@
 #define PSOODB_CC_DEADLOCK_DETECTOR_H_
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
+#include <initializer_list>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "storage/types.h"
+#include "util/flat_set.h"
+#include "util/slab.h"
 #include "util/small_vector.h"
 
 namespace psoodb::sim {
@@ -41,8 +43,14 @@ class DeadlockDetector {
   /// Records that `waiter` is (about to be) blocked on each of `holders`.
   /// Throws TxnAborted{waiter, kDeadlock} if this closes a cycle through
   /// `waiter`; in that case the new edges are removed before throwing.
+  void OnWait(storage::TxnId waiter, std::span<const storage::TxnId> holders);
+  /// The same for a braced list (`OnWait(txn, {holder})`), which needs no
+  /// heap block.
   void OnWait(storage::TxnId waiter,
-              const std::vector<storage::TxnId>& holders);
+              std::initializer_list<storage::TxnId> holders) {
+    OnWait(waiter, std::span<const storage::TxnId>(holders.begin(),
+                                                   holders.size()));
+  }
 
   /// Removes all outgoing wait edges of `waiter` (call when its wait ends,
   /// successfully or not).
@@ -52,7 +60,8 @@ class DeadlockDetector {
   /// edges and any incoming edges from other waiters.
   void RemoveTxn(storage::TxnId txn);
 
-  /// True if a path txn -> ... -> txn exists.
+  /// True if a path txn -> ... -> txn exists. Searches with member scratch
+  /// (no allocation once warm); not reentrant.
   bool HasCycleFrom(storage::TxnId txn) const;
 
   std::uint64_t deadlocks_detected() const { return deadlocks_; }
@@ -92,7 +101,7 @@ class DeadlockDetector {
 
   /// True while `txn` is marked and has not yet observed the abort.
   bool IsVictim(storage::TxnId txn) const {
-    return !victims_.empty() && victims_.find(txn) != victims_.end();
+    return !victims_.empty() && victims_.count(txn) != 0;
   }
 
   /// Throws TxnAborted{txn, kDeadlock} (erasing the mark) if `txn` is a
@@ -123,13 +132,32 @@ class DeadlockDetector {
     if (delta_log_enabled_) delta_log_.push_back({waiter, blocker, add});
   }
 
-  std::unordered_map<storage::TxnId, EdgeList> out_edges_;
-  std::unordered_set<storage::TxnId> victims_;
-  std::unordered_map<storage::TxnId, sim::CondVar*> wait_channels_;
+  /// `waiter`'s out-edge list, or null.
+  const EdgeList* OutEdges(storage::TxnId waiter) const {
+    const std::uint32_t* slot = out_index_.find(waiter);
+    return slot == nullptr ? nullptr : &edge_lists_[*slot];
+  }
+  /// Drops `waiter`'s (emptied) list and recycles its slot.
+  void DropOutEdges(storage::TxnId waiter, std::uint32_t slot) {
+    edge_lists_[slot].clear();
+    out_index_.erase(waiter);
+    edge_lists_.Release(slot);
+  }
+
+  /// waiter -> slot in edge_lists_; only waiters with edges are indexed.
+  util::FlatMap<storage::TxnId, std::uint32_t> out_index_;
+  util::Slab<EdgeList> edge_lists_;
+  util::FlatSet<storage::TxnId> victims_;
+  util::FlatMap<storage::TxnId, sim::CondVar*> wait_channels_;
+  /// HasCycleFrom's search state, kept to reuse its capacity.
+  mutable util::FlatSet<storage::TxnId> visited_;
+  mutable std::vector<storage::TxnId> stack_;
+  /// RemoveTxn's waiters with an edge to the removed transaction.
+  std::vector<storage::TxnId> incoming_;
   std::vector<EdgeDelta> delta_log_;
   bool delta_log_enabled_ = false;
   std::uint64_t deadlocks_ = 0;
-  std::size_t edges_ = 0;  ///< invariant: sum of out_edges_ list sizes
+  std::size_t edges_ = 0;  ///< invariant: sum of edge_lists_ sizes
 };
 
 /// RAII registration of a wait channel, scoped strictly around the

@@ -15,6 +15,27 @@ using storage::ObjectId;
 using storage::PageId;
 using storage::TxnId;
 
+namespace {
+
+/// Inserts `v` into sorted `list` unless present.
+template <typename List, typename T>
+void InsertSorted(List& list, T v) {
+  const auto it = std::lower_bound(list.begin(), list.end(), v);
+  if (it != list.end() && *it == v) return;
+  list.insert(static_cast<std::size_t>(it - list.begin()), v);
+}
+
+/// Erases `v` from sorted `list` if present.
+template <typename List, typename T>
+void EraseSorted(List& list, T v) {
+  const auto it = std::lower_bound(list.begin(), list.end(), v);
+  if (it != list.end() && *it == v) {
+    list.erase(static_cast<std::size_t>(it - list.begin()));
+  }
+}
+
+}  // namespace
+
 template <typename Key>
 sim::Task LockManager::AcquireX(Table<Key>& table, Key key, PageId page,
                                 TxnId txn, ClientId client, bool acquire) {
@@ -35,18 +56,17 @@ sim::Task LockManager::AcquireX(Table<Key>& table, Key key, PageId page,
         MaybeErase(table, key);
         throw;
       }
-      Entry& e = table[key];
-      if (e.holder == kNoTxn || e.holder == txn) {
-        if (acquire && e.holder == kNoTxn) {
-          e.holder = txn;
-          e.holder_client = client;
-          if constexpr (std::is_same_v<Key, PageId>) {
-            pages_by_txn_[txn].insert(key);
-          } else {
-            objects_by_txn_[txn].insert(key);
-          }
+      const std::uint32_t* found = table.index.find(key);
+      const TxnId holder =
+          found == nullptr ? kNoTxn : table.entries[*found].holder;
+      if (holder == kNoTxn || holder == txn) {
+        if (acquire && holder == kNoTxn) {
+          const std::uint32_t slot =
+              found == nullptr ? NewEntry(table, key) : *found;
+          Grant(table, slot, key, page, txn, client);
         }
-        if (!acquire) MaybeErase(table, key);
+        // A wait on a free item leaves no entry behind (it creates none).
+        if (!acquire && found != nullptr) MaybeErase(table, key);
         if (waited) {
           detector_.ClearWaits(txn);
           RecordWaitEnd(kIsObject, static_cast<std::int64_t>(key), page, txn,
@@ -55,37 +75,38 @@ sim::Task LockManager::AcquireX(Table<Key>& table, Key key, PageId page,
         co_return;
       }
       // Conflict: register the wait edge (may throw TxnAborted) and block.
+      // The entry is held, so it stays in its slot for the whole wait.
+      const std::uint32_t slot = *found;
       if (!waited && tracer_ != nullptr) {
         tracer_->Emit(trace::EventKind::kLockWait, node_, txn, page,
                       kIsObject ? static_cast<std::int64_t>(key) : -1,
-                      static_cast<std::int64_t>(e.holder));
+                      static_cast<std::int64_t>(holder));
       }
       ++lock_waits_;
       waited = true;
       try {
-        detector_.OnWait(txn, {e.holder});
+        detector_.OnWait(txn, {holder});
       } catch (...) {
         detector_.ClearWaits(txn);
         MaybeErase(table, key);
         throw;
       }
-      if (!e.cv) e.cv = std::make_unique<sim::CondVar>(sim_);
-      ++e.waiters;
+      ++table.entries[slot].waiters;
       ++waiting_;
       try {
         // Registered strictly for the duration of the wait so the detector
         // never holds a dangling CondVar pointer (cross-partition victim
         // pokes go through this channel).
-        ScopedWaitChannel channel(detector_, txn, e.cv.get());
-        co_await e.cv->Wait();
+        sim::CondVar& cv = table.entries[slot].cv;
+        ScopedWaitChannel channel(detector_, txn, &cv);
+        co_await cv.Wait();
       } catch (...) {
         // Wait() does not throw, but keep the waiter count exception-safe.
-        --table[key].waiters;
+        --table.entries[slot].waiters;
         --waiting_;
         throw;
       }
-      Entry& e2 = table[key];  // rehash-safe: re-lookup after suspension
-      --e2.waiters;
+      --table.entries[slot].waiters;
       --waiting_;
       detector_.ClearWaits(txn);
     }
@@ -112,48 +133,109 @@ void LockManager::RecordWaitEnd(bool is_object, std::int64_t oid, PageId page,
 }
 
 template <typename Key>
-void LockManager::ReleaseX(Table<Key>& table, Key key, TxnId txn) {
-  auto it = table.find(key);
-  if (it == table.end()) return;
-  Entry& e = it->second;
-  if (e.holder != txn) return;
-  e.holder = kNoTxn;
-  e.holder_client = kNoClient;
-  if (e.cv) e.cv->NotifyAll();
+std::uint32_t LockManager::NewEntry(Table<Key>& table, Key key) {
+  const std::uint32_t slot = table.entries.Acquire(sim_);
+  const Entry& e = table.entries[slot];
+  PSOODB_DCHECK(e.holder == kNoTxn && e.holder_client == kNoClient &&
+                    e.waiters == 0,
+                "recycled lock entry is not free");
+  (void)e;
+  table.index.emplace(key, slot);
+  return slot;
+}
+
+template <typename Key>
+void LockManager::Grant(Table<Key>& table, std::uint32_t slot, Key key,
+                        PageId page, TxnId txn, ClientId client) {
+  Entry& e = table.entries[slot];
+  e.holder = txn;
+  e.holder_client = client;
+  Held& held = HeldFor(txn);
   if constexpr (std::is_same_v<Key, PageId>) {
-    auto t = pages_by_txn_.find(txn);
-    if (t != pages_by_txn_.end()) {
-      t->second.erase(key);
-      if (t->second.empty()) pages_by_txn_.erase(t);
-    }
+    InsertSorted(held.pages, key);
   } else {
-    auto t = objects_by_txn_.find(txn);
-    if (t != objects_by_txn_.end()) {
-      t->second.erase(key);
-      if (t->second.empty()) objects_by_txn_.erase(t);
+    InsertSorted(held.objects, key);
+    e.page = page;
+    std::uint32_t list;
+    if (const std::uint32_t* p = page_objects_index_.find(page)) {
+      list = *p;
+    } else {
+      list = page_objects_.Acquire();  // recycled lists are empty
+      page_objects_index_.emplace(page, list);
+    }
+    InsertSorted(page_objects_[list], key);
+  }
+}
+
+template <typename Key>
+void LockManager::Unlock(Table<Key>& table, std::uint32_t slot, Key key) {
+  Entry& e = table.entries[slot];
+  if constexpr (!std::is_same_v<Key, PageId>) {
+    const std::uint32_t list = *page_objects_index_.find(e.page);
+    auto& oids = page_objects_[list];
+    EraseSorted(oids, key);
+    if (oids.empty()) {
+      page_objects_index_.erase(e.page);
+      page_objects_.Release(list);
     }
   }
-  MaybeErase(table, key);
+  e.holder = kNoTxn;
+  e.holder_client = kNoClient;
+  e.cv.NotifyAll();
+  if (e.waiters == 0) {
+    table.index.erase(key);
+    table.entries.Release(slot);
+  }
 }
 
 template <typename Key>
-TxnId LockManager::HolderOf(const Table<Key>& table, Key key) {
-  auto it = table.find(key);
-  return it == table.end() ? kNoTxn : it->second.holder;
-}
-
-template <typename Key>
-ClientId LockManager::HolderClientOf(const Table<Key>& table, Key key) {
-  auto it = table.find(key);
-  return it == table.end() ? kNoClient : it->second.holder_client;
+void LockManager::ReleaseX(Table<Key>& table, Key key, TxnId txn) {
+  const std::uint32_t* found = table.index.find(key);
+  if (found == nullptr || table.entries[*found].holder != txn) return;
+  Unlock(table, *found, key);
+  Unhold(txn, key);
 }
 
 template <typename Key>
 void LockManager::MaybeErase(Table<Key>& table, Key key) {
-  auto it = table.find(key);
-  if (it != table.end() && it->second.holder == kNoTxn &&
-      it->second.waiters == 0) {
-    table.erase(it);
+  const std::uint32_t* found = table.index.find(key);
+  if (found == nullptr) return;
+  const std::uint32_t slot = *found;
+  const Entry& e = table.entries[slot];
+  if (e.holder == kNoTxn && e.waiters == 0) {
+    table.index.erase(key);
+    table.entries.Release(slot);
+  }
+}
+
+template <typename Key>
+const LockManager::Entry* LockManager::Lookup(const Table<Key>& table,
+                                              Key key) {
+  const std::uint32_t* found = table.index.find(key);
+  return found == nullptr ? nullptr : &table.entries[*found];
+}
+
+LockManager::Held& LockManager::HeldFor(TxnId txn) {
+  if (const std::uint32_t* p = held_index_.find(txn)) return held_[*p];
+  const std::uint32_t slot = held_.Acquire();  // recycled lists are empty
+  held_index_.emplace(txn, slot);
+  return held_[slot];
+}
+
+template <typename Key>
+void LockManager::Unhold(TxnId txn, Key key) {
+  const std::uint32_t* p = held_index_.find(txn);
+  if (p == nullptr) return;
+  const std::uint32_t slot = *p;
+  Held& held = held_[slot];
+  if constexpr (std::is_same_v<Key, PageId>) {
+    EraseSorted(held.pages, key);
+  } else {
+    EraseSorted(held.objects, key);
+  }
+  if (held.pages.empty() && held.objects.empty()) {
+    held_index_.erase(txn);
+    held_.Release(slot);
   }
 }
 
@@ -170,18 +252,18 @@ void LockManager::ReleasePageX(PageId page, TxnId txn) {
 }
 
 TxnId LockManager::PageXHolder(PageId page) const {
-  return HolderOf(pages_, page);
+  const Entry* e = Lookup(pages_, page);
+  return e == nullptr ? kNoTxn : e->holder;
 }
 
 ClientId LockManager::PageXHolderClient(PageId page) const {
-  return HolderClientOf(pages_, page);
+  const Entry* e = Lookup(pages_, page);
+  return e == nullptr ? kNoClient : e->holder_client;
 }
 
 sim::Task LockManager::AcquireObjectX(ObjectId oid, PageId page, TxnId txn,
                                       ClientId client) {
   co_await AcquireX(objects_, oid, page, txn, client, /*acquire=*/true);
-  object_locks_by_page_[page].insert(oid);
-  page_of_locked_[oid] = page;
 }
 
 sim::Task LockManager::WaitObjectFree(ObjectId oid, PageId page, TxnId txn) {
@@ -190,84 +272,72 @@ sim::Task LockManager::WaitObjectFree(ObjectId oid, PageId page, TxnId txn) {
 
 void LockManager::GrantObjectXDirect(ObjectId oid, PageId page, TxnId txn,
                                      ClientId client) {
-  Entry& e = objects_[oid];
-  PSOODB_CHECK(e.holder == kNoTxn || e.holder == txn,
+  const std::uint32_t* found = objects_.index.find(oid);
+  const TxnId holder =
+      found == nullptr ? kNoTxn : objects_.entries[*found].holder;
+  PSOODB_CHECK(holder == kNoTxn || holder == txn,
                "direct object grant over a conflicting holder (oid %lld)",
                static_cast<long long>(oid));
-  if (e.holder == txn) return;
-  e.holder = txn;
-  e.holder_client = client;
-  objects_by_txn_[txn].insert(oid);
-  object_locks_by_page_[page].insert(oid);
-  page_of_locked_[oid] = page;
+  if (holder == txn) return;
+  const std::uint32_t slot = found == nullptr ? NewEntry(objects_, oid)
+                                              : *found;
+  Grant(objects_, slot, oid, page, txn, client);
 }
 
 void LockManager::ReleaseObjectX(ObjectId oid, TxnId txn) {
-  auto it = objects_.find(oid);
-  if (it == objects_.end() || it->second.holder != txn) return;
   ReleaseX(objects_, oid, txn);
-  auto p = page_of_locked_.find(oid);
-  if (p != page_of_locked_.end()) {
-    auto byp = object_locks_by_page_.find(p->second);
-    if (byp != object_locks_by_page_.end()) {
-      byp->second.erase(oid);
-      if (byp->second.empty()) object_locks_by_page_.erase(byp);
-    }
-    page_of_locked_.erase(p);
-  }
 }
 
 TxnId LockManager::ObjectXHolder(ObjectId oid) const {
-  return HolderOf(objects_, oid);
+  const Entry* e = Lookup(objects_, oid);
+  return e == nullptr ? kNoTxn : e->holder;
 }
 
 ClientId LockManager::ObjectXHolderClient(ObjectId oid) const {
-  return HolderClientOf(objects_, oid);
+  const Entry* e = Lookup(objects_, oid);
+  return e == nullptr ? kNoClient : e->holder_client;
 }
 
 std::vector<std::pair<ObjectId, TxnId>> LockManager::ObjectLocksOnPage(
     PageId page) const {
   std::vector<std::pair<ObjectId, TxnId>> out;
-  auto it = object_locks_by_page_.find(page);
-  if (it == object_locks_by_page_.end()) return out;
-  out.reserve(it->second.size());
-  for (ObjectId oid : it->second) {  // det-ok: sorted below
-    out.emplace_back(oid, HolderOf(objects_, oid));
-  }
-  // Protocol layers walk this list to fan out callbacks; pin the order to
-  // the object ids, not to the set's bucket layout.
-  std::sort(out.begin(), out.end());
+  const std::uint32_t* list = page_objects_index_.find(page);
+  if (list == nullptr) return out;
+  // Sorted by object id: protocol layers walk this list to fan out
+  // callbacks.
+  const auto& oids = page_objects_[*list];
+  out.reserve(oids.size());
+  for (ObjectId oid : oids) out.emplace_back(oid, ObjectXHolder(oid));
   return out;
 }
 
 bool LockManager::OtherObjectLocksOnPage(PageId page, TxnId txn) const {
-  auto it = object_locks_by_page_.find(page);
-  if (it == object_locks_by_page_.end()) return false;
-  for (ObjectId oid : it->second) {  // det-ok: boolean any(), order-independent
-    if (HolderOf(objects_, oid) != txn) return true;
+  const std::uint32_t* list = page_objects_index_.find(page);
+  if (list == nullptr) return false;
+  for (ObjectId oid : page_objects_[*list]) {
+    if (ObjectXHolder(oid) != txn) return true;
   }
   return false;
 }
 
 int LockManager::ReleaseAll(TxnId txn) {
   int released = 0;
-  if (auto it = pages_by_txn_.find(txn); it != pages_by_txn_.end()) {
-    std::vector<PageId> held(it->second.begin(), it->second.end());
-    // Release order decides the order waiters are woken in; sort so it does
-    // not depend on the reverse map's bucket layout.
-    std::sort(held.begin(), held.end());
-    for (PageId p : held) {
-      ReleasePageX(p, txn);
-      ++released;
+  if (const std::uint32_t* p = held_index_.find(txn)) {
+    const std::uint32_t slot = *p;
+    Held& held = held_[slot];
+    // Release order decides the order waiters are woken in: pages, then
+    // objects, each by id (the lists are sorted).
+    for (PageId page : held.pages) {
+      Unlock(pages_, *pages_.index.find(page), page);
     }
-  }
-  if (auto it = objects_by_txn_.find(txn); it != objects_by_txn_.end()) {
-    std::vector<ObjectId> held(it->second.begin(), it->second.end());
-    std::sort(held.begin(), held.end());
-    for (ObjectId o : held) {
-      ReleaseObjectX(o, txn);
-      ++released;
+    for (ObjectId oid : held.objects) {
+      Unlock(objects_, *objects_.index.find(oid), oid);
     }
+    released = static_cast<int>(held.pages.size() + held.objects.size());
+    held.pages.clear();
+    held.objects.clear();
+    held_index_.erase(txn);
+    held_.Release(slot);
   }
   detector_.RemoveTxn(txn);
   if (tracer_ != nullptr && released > 0) {
@@ -276,15 +346,14 @@ int LockManager::ReleaseAll(TxnId txn) {
   return released;
 }
 
-const std::unordered_set<PageId>* LockManager::PagesHeldBy(TxnId txn) const {
-  auto it = pages_by_txn_.find(txn);
-  return it == pages_by_txn_.end() ? nullptr : &it->second;
+std::size_t LockManager::PagesHeldBy(TxnId txn) const {
+  const std::uint32_t* p = held_index_.find(txn);
+  return p == nullptr ? 0 : held_[*p].pages.size();
 }
 
-const std::unordered_set<ObjectId>* LockManager::ObjectsHeldBy(
-    TxnId txn) const {
-  auto it = objects_by_txn_.find(txn);
-  return it == objects_by_txn_.end() ? nullptr : &it->second;
+std::size_t LockManager::ObjectsHeldBy(TxnId txn) const {
+  const std::uint32_t* p = held_index_.find(txn);
+  return p == nullptr ? 0 : held_[*p].objects.size();
 }
 
 std::vector<std::string> LockManager::CheckCoherence() const {
@@ -294,14 +363,32 @@ std::vector<std::string> LockManager::CheckCoherence() const {
     (void)n;
     out.emplace_back(buf);
   };
+  const auto held_by = [this](TxnId txn) -> const Held* {
+    const std::uint32_t* p = held_index_.find(txn);
+    return p == nullptr ? nullptr : &held_[*p];
+  };
+  const auto listed = [](const auto& list, auto v) {
+    return std::binary_search(list.begin(), list.end(), v);
+  };
+  const auto sorted = [](const auto& list) {
+    return std::adjacent_find(list.begin(), list.end(),
+                              [](auto a, auto b) { return a >= b; }) ==
+           list.end();
+  };
 
-  // Forward tables vs. per-txn reverse maps.
-  for (const auto& [page, e] : pages_) {  // det-ok: diagnostic sweep; empty in healthy runs, never feeds the sim
+  // Lock tables vs. the per-txn held lists.
+  for (const auto& [page, slot] : pages_.index) {  // det-ok: diagnostic sweep; empty in healthy runs, never feeds the sim
+    const Entry& e = pages_.entries[slot];
     if (e.holder == kNoTxn) {
       if (e.holder_client != kNoClient) {
         fail(std::snprintf(buf, sizeof buf,
                            "free page lock %d keeps holder client %d",
                            page, e.holder_client));
+      }
+      if (e.waiters == 0) {
+        fail(std::snprintf(buf, sizeof buf,
+                           "free page lock %d with no waiters was kept",
+                           page));
       }
       continue;
     }
@@ -310,34 +397,26 @@ std::vector<std::string> LockManager::CheckCoherence() const {
                          "page lock %d held by txn %llu with no client",
                          page, static_cast<unsigned long long>(e.holder)));
     }
-    auto it = pages_by_txn_.find(e.holder);
-    if (it == pages_by_txn_.end() || it->second.count(page) == 0) {
+    const Held* held = held_by(e.holder);
+    if (held == nullptr || !listed(held->pages, page)) {
       fail(std::snprintf(buf, sizeof buf,
                          "page lock %d held by txn %llu missing from its "
-                         "reverse map",
+                         "held list",
                          page, static_cast<unsigned long long>(e.holder)));
     }
   }
-  for (const auto& [txn, pages] : pages_by_txn_) {  // det-ok: diagnostic sweep; empty in healthy runs, never feeds the sim
-    if (pages.empty()) {
-      fail(std::snprintf(buf, sizeof buf, "empty page reverse map for txn %llu",
-                         static_cast<unsigned long long>(txn)));
-    }
-    for (PageId p : pages) {  // det-ok: diagnostic sweep; empty in healthy runs, never feeds the sim
-      if (HolderOf(pages_, p) != txn) {
-        fail(std::snprintf(buf, sizeof buf,
-                           "reverse map says txn %llu holds page %d but the "
-                           "lock table disagrees",
-                           static_cast<unsigned long long>(txn), p));
-      }
-    }
-  }
-  for (const auto& [oid, e] : objects_) {  // det-ok: diagnostic sweep; empty in healthy runs, never feeds the sim
+  for (const auto& [oid, slot] : objects_.index) {  // det-ok: diagnostic sweep; empty in healthy runs, never feeds the sim
+    const Entry& e = objects_.entries[slot];
     if (e.holder == kNoTxn) {
       if (e.holder_client != kNoClient) {
         fail(std::snprintf(buf, sizeof buf,
                            "free object lock %lld keeps holder client %d",
                            static_cast<long long>(oid), e.holder_client));
+      }
+      if (e.waiters == 0) {
+        fail(std::snprintf(buf, sizeof buf,
+                           "free object lock %lld with no waiters was kept",
+                           static_cast<long long>(oid)));
       }
       continue;
     }
@@ -347,41 +426,45 @@ std::vector<std::string> LockManager::CheckCoherence() const {
                          static_cast<long long>(oid),
                          static_cast<unsigned long long>(e.holder)));
     }
-    auto it = objects_by_txn_.find(e.holder);
-    if (it == objects_by_txn_.end() || it->second.count(oid) == 0) {
+    const Held* held = held_by(e.holder);
+    if (held == nullptr || !listed(held->objects, oid)) {
       fail(std::snprintf(buf, sizeof buf,
                          "object lock %lld held by txn %llu missing from its "
-                         "reverse map",
+                         "held list",
                          static_cast<long long>(oid),
                          static_cast<unsigned long long>(e.holder)));
     }
     // Every held object lock must be indexed for the PS-AA page scans.
-    auto p = page_of_locked_.find(oid);
-    if (p == page_of_locked_.end()) {
+    const std::uint32_t* list = page_objects_index_.find(e.page);
+    if (list == nullptr || !listed(page_objects_[*list], oid)) {
       fail(std::snprintf(buf, sizeof buf,
-                         "held object lock %lld missing from page_of_locked",
-                         static_cast<long long>(oid)));
-    } else {
-      auto byp = object_locks_by_page_.find(p->second);
-      if (byp == object_locks_by_page_.end() ||
-          byp->second.count(oid) == 0) {
-        fail(std::snprintf(buf, sizeof buf,
-                           "held object lock %lld missing from the per-page "
-                           "index of page %d",
-                           static_cast<long long>(oid), p->second));
-      }
+                         "held object lock %lld missing from the per-page "
+                         "index of page %d",
+                         static_cast<long long>(oid), e.page));
     }
   }
-  for (const auto& [txn, oids] : objects_by_txn_) {  // det-ok: diagnostic sweep; empty in healthy runs, never feeds the sim
-    if (oids.empty()) {
-      fail(std::snprintf(buf, sizeof buf,
-                         "empty object reverse map for txn %llu",
+  for (const auto& [txn, slot] : held_index_) {  // det-ok: diagnostic sweep; empty in healthy runs, never feeds the sim
+    const Held& held = held_[slot];
+    if (held.pages.empty() && held.objects.empty()) {
+      fail(std::snprintf(buf, sizeof buf, "empty held lists for txn %llu",
                          static_cast<unsigned long long>(txn)));
     }
-    for (ObjectId o : oids) {  // det-ok: diagnostic sweep; empty in healthy runs, never feeds the sim
-      if (HolderOf(objects_, o) != txn) {
+    if (!sorted(held.pages) || !sorted(held.objects)) {
+      fail(std::snprintf(buf, sizeof buf, "unsorted held list for txn %llu",
+                         static_cast<unsigned long long>(txn)));
+    }
+    for (PageId p : held.pages) {
+      if (PageXHolder(p) != txn) {
         fail(std::snprintf(buf, sizeof buf,
-                           "reverse map says txn %llu holds object %lld but "
+                           "held list says txn %llu holds page %d but the "
+                           "lock table disagrees",
+                           static_cast<unsigned long long>(txn), p));
+      }
+    }
+    for (ObjectId o : held.objects) {
+      if (ObjectXHolder(o) != txn) {
+        fail(std::snprintf(buf, sizeof buf,
+                           "held list says txn %llu holds object %lld but "
                            "the lock table disagrees",
                            static_cast<unsigned long long>(txn),
                            static_cast<long long>(o)));
@@ -389,36 +472,23 @@ std::vector<std::string> LockManager::CheckCoherence() const {
     }
   }
 
-  // Per-page object-lock index vs. the forward tables.
-  for (const auto& [page, oids] : object_locks_by_page_) {  // det-ok: diagnostic sweep; empty in healthy runs, never feeds the sim
-    if (oids.empty()) {
+  // Per-page object-lock index vs. the object table.
+  for (const auto& [page, slot] : page_objects_index_) {  // det-ok: diagnostic sweep; empty in healthy runs, never feeds the sim
+    const auto& oids = page_objects_[slot];
+    if (oids.empty() || !sorted(oids)) {
       fail(std::snprintf(buf, sizeof buf,
-                         "empty per-page object-lock index entry for page %d",
+                         "empty or unsorted per-page object-lock index entry "
+                         "for page %d",
                          page));
     }
-    for (ObjectId o : oids) {  // det-ok: diagnostic sweep; empty in healthy runs, never feeds the sim
-      if (HolderOf(objects_, o) == kNoTxn) {
+    for (ObjectId o : oids) {
+      const Entry* e = Lookup(objects_, o);
+      if (e == nullptr || e->holder == kNoTxn || e->page != page) {
         fail(std::snprintf(buf, sizeof buf,
-                           "per-page index of page %d lists unheld object "
-                           "%lld",
+                           "per-page index of page %d lists object %lld, "
+                           "which is not held on that page",
                            page, static_cast<long long>(o)));
       }
-      auto p = page_of_locked_.find(o);
-      if (p == page_of_locked_.end() || p->second != page) {
-        fail(std::snprintf(buf, sizeof buf,
-                           "per-page index of page %d disagrees with "
-                           "page_of_locked for object %lld",
-                           page, static_cast<long long>(o)));
-      }
-    }
-  }
-  for (const auto& [oid, page] : page_of_locked_) {  // det-ok: diagnostic sweep; empty in healthy runs, never feeds the sim
-    auto byp = object_locks_by_page_.find(page);
-    if (byp == object_locks_by_page_.end() || byp->second.count(oid) == 0) {
-      fail(std::snprintf(buf, sizeof buf,
-                         "page_of_locked maps object %lld to page %d but the "
-                         "per-page index disagrees",
-                         static_cast<long long>(oid), page));
     }
   }
   return out;

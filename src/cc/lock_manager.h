@@ -9,15 +9,20 @@
 /// Blocking is implemented with per-resource condition variables; waiters
 /// register waits-for edges with the DeadlockDetector and abort (exception)
 /// if they close a cycle.
+///
+/// Every table here is a util::Slab indexed by a util::FlatMap: a lock
+/// entry (with its CondVar, which never moves while a waiter is parked on
+/// it), each transaction's held locks and each page's object locks. Slots
+/// are recycled with their list capacity, so a warmed-up lock manager
+/// acquires and releases without allocating.
 
 #ifndef PSOODB_CC_LOCK_MANAGER_H_
 #define PSOODB_CC_LOCK_MANAGER_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "cc/deadlock_detector.h"
@@ -28,6 +33,9 @@
 #include "storage/types.h"
 #include "trace/trace.h"
 #include "util/annotations.h"
+#include "util/flat_set.h"
+#include "util/slab.h"
+#include "util/small_vector.h"
 
 namespace psoodb::cc {
 
@@ -111,11 +119,9 @@ class LockManager {
   /// the waits-for graph. Returns the number of locks released.
   int ReleaseAll(storage::TxnId txn) PSOODB_RELEASES(lock);
 
-  /// Locks currently held by `txn`.
-  const std::unordered_set<storage::PageId>* PagesHeldBy(
-      storage::TxnId txn) const;
-  const std::unordered_set<storage::ObjectId>* ObjectsHeldBy(
-      storage::TxnId txn) const;
+  /// Number of page / object X locks currently held by `txn`.
+  std::size_t PagesHeldBy(storage::TxnId txn) const;
+  std::size_t ObjectsHeldBy(storage::TxnId txn) const;
 
   std::uint64_t lock_waits() const { return lock_waits_; }
   /// Transactions currently blocked in an AcquireX/Wait* queue across all
@@ -132,19 +138,36 @@ class LockManager {
   std::vector<std::string> CheckCoherence() const;
 
  private:
+  /// One lock. It exists while held or waited on; a free, unwaited entry
+  /// goes back to its table's slab (holder and client cleared, no waiters,
+  /// its CondVar empty), so a recycled entry starts free.
   struct Entry {
+    explicit Entry(sim::Simulation& sim) : cv(sim) {}
     storage::TxnId holder = storage::kNoTxn;
     storage::ClientId holder_client = storage::kNoClient;
-    std::unique_ptr<sim::CondVar> cv;  // created on first wait
     int waiters = 0;
+    /// Object locks: the object's page while held (the per-page index key).
+    storage::PageId page = 0;
+    sim::CondVar cv;
   };
 
+  /// One lock namespace: entries on a slab, indexed by key.
   template <typename Key>
-  using Table = std::unordered_map<Key, Entry>;
+  struct Table {
+    util::FlatMap<Key, std::uint32_t> index;
+    util::Slab<Entry> entries;
+  };
+
+  /// The locks one transaction holds, each list sorted (the ReleaseAll
+  /// order).
+  struct Held {
+    util::SmallVector<storage::PageId, 8> pages;
+    util::SmallVector<storage::ObjectId, 8> objects;
+  };
 
   /// Shared acquire/wait loop. If `acquire` is false, returns as soon as the
   /// entry is free without taking it. `page` tags trace events (equals `key`
-  /// for page locks).
+  /// for page locks) and indexes granted object locks.
   template <typename Key>
   sim::Task AcquireX(Table<Key>& table, Key key, storage::PageId page,
                      storage::TxnId txn, storage::ClientId client,
@@ -155,16 +178,34 @@ class LockManager {
   void RecordWaitEnd(bool is_object, std::int64_t oid, storage::PageId page,
                      storage::TxnId txn, double wait_start, bool granted);
 
+  /// Slot of a new, free entry for `key`.
+  template <typename Key>
+  std::uint32_t NewEntry(Table<Key>& table, Key key);
+  /// Makes `txn` the holder of free entry `slot` and records the lock in
+  /// the transaction's held list (and, for objects, the per-page index).
+  template <typename Key>
+  void Grant(Table<Key>& table, std::uint32_t slot, Key key,
+             storage::PageId page, storage::TxnId txn,
+             storage::ClientId client);
+  /// Frees held entry `slot`: wakes its waiters and recycles it if none.
+  /// Leaves the holder's held list to the caller.
+  template <typename Key>
+  void Unlock(Table<Key>& table, std::uint32_t slot, Key key);
+  /// Releases `key` if `txn` holds it.
   template <typename Key>
   void ReleaseX(Table<Key>& table, Key key, storage::TxnId txn);
-
-  template <typename Key>
-  static storage::TxnId HolderOf(const Table<Key>& table, Key key);
-  template <typename Key>
-  static storage::ClientId HolderClientOf(const Table<Key>& table, Key key);
-
+  /// Recycles `key`'s entry if it is free and unwaited.
   template <typename Key>
   void MaybeErase(Table<Key>& table, Key key);
+
+  template <typename Key>
+  static const Entry* Lookup(const Table<Key>& table, Key key);
+
+  /// `txn`'s held lists, created empty if absent.
+  Held& HeldFor(storage::TxnId txn);
+  /// Removes `key` from `txn`'s held list; drops an emptied record.
+  template <typename Key>
+  void Unhold(storage::TxnId txn, Key key);
 
   sim::Simulation& sim_;
   DeadlockDetector& detector_;
@@ -173,16 +214,14 @@ class LockManager {
   int node_ = 0;
   Table<storage::PageId> pages_;
   Table<storage::ObjectId> objects_;
-  /// page -> object ids with live object X locks (for PS-AA grant checks and
-  /// "mark unavailable" scans when shipping pages).
-  std::unordered_map<storage::PageId, std::unordered_set<storage::ObjectId>>
-      object_locks_by_page_;
-  std::unordered_map<storage::ObjectId, storage::PageId> page_of_locked_;
-  /// txn -> held locks, for ReleaseAll.
-  std::unordered_map<storage::TxnId, std::unordered_set<storage::PageId>>
-      pages_by_txn_;
-  std::unordered_map<storage::TxnId, std::unordered_set<storage::ObjectId>>
-      objects_by_txn_;
+  /// txn -> slot in held_, for ReleaseAll.
+  util::FlatMap<storage::TxnId, std::uint32_t> held_index_;
+  util::Slab<Held> held_;
+  /// page -> slot in page_objects_: the sorted object ids with live object
+  /// X locks (for PS-AA grant checks and "mark unavailable" scans when
+  /// shipping pages).
+  util::FlatMap<storage::PageId, std::uint32_t> page_objects_index_;
+  util::Slab<util::SmallVector<storage::ObjectId, 4>> page_objects_;
   std::uint64_t lock_waits_ = 0;
   /// Invariant: sum of Entry::waiters over both tables (see waiting()).
   int waiting_ = 0;

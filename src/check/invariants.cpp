@@ -356,16 +356,16 @@ void InvariantChecker::OnCallbacksDrained(core::Server& server,
 
 void InvariantChecker::OnAbortReleased(core::Server& server, TxnId txn) {
   cc::LockManager& lm = server.lock_manager();
-  const auto* pages = lm.PagesHeldBy(txn);
-  Expect(pages == nullptr || pages->empty(),
+  const std::size_t pages = lm.PagesHeldBy(txn);
+  Expect(pages == 0,
          "aborted txn %llu still holds %zu page lock(s) after the abort "
          "handler (abort-path lock leak)",
-         U(txn), pages == nullptr ? std::size_t{0} : pages->size());
-  const auto* objects = lm.ObjectsHeldBy(txn);
-  Expect(objects == nullptr || objects->empty(),
+         U(txn), pages);
+  const std::size_t objects = lm.ObjectsHeldBy(txn);
+  Expect(objects == 0,
          "aborted txn %llu still holds %zu object lock(s) after the abort "
          "handler (abort-path lock leak)",
-         U(txn), objects == nullptr ? std::size_t{0} : objects->size());
+         U(txn), objects);
 }
 
 void InvariantChecker::OnWriteGrant(core::Server& server,

@@ -25,6 +25,7 @@
 #include "storage/buffer_manager.h"
 #include "trace/trace.h"
 #include "util/annotations.h"
+#include "util/small_vector.h"
 
 namespace psoodb::core {
 
@@ -44,13 +45,16 @@ struct CallbackBatch {
   std::vector<storage::TxnId> new_blockers;
   /// Final outcomes, as (client, outcome).
   std::vector<std::pair<storage::ClientId, CallbackOutcome>> outcomes;
+  /// The holders called back, with the epochs the callbacks were issued
+  /// against (Server::CallbackRound's snapshot of the copy table).
+  util::SmallVector<cc::CopyHolder, 4> holders;
   /// Applied synchronously when a final outcome arrives — copy-table
   /// unregistration must happen *at reply delivery*: the replying client's
   /// later requests (e.g. a re-fetch that re-registers the page) are
   /// FIFO-ordered after its reply, so a deferred unregistration in the
   /// issuing handler could erase a registration made after the purge.
   /// Inline storage: the callback round's capture set (copy table, item
-  /// id, holder list) fits the 48-byte buffer.
+  /// id, this batch) fits the 48-byte buffer.
   util::InlineFunction<void(storage::ClientId, CallbackOutcome)> on_final;
   sim::CondVar cv;
   bool dead = false;  ///< set when the issuing handler aborted
@@ -303,21 +307,22 @@ sim::Task Server::CallbackRound(cc::CopyTable<ItemId>& copies, ItemId item,
                                 storage::ClientId client, storage::TxnId txn,
                                 storage::PageId page, storage::ObjectId oid,
                                 Send send) {
-  auto holders = copies.HoldersExcept(item, client);
+  const cc::HolderRange holders = copies.HoldersExcept(item, client);
   if (holders.empty()) co_return;
   auto batch = NewBatch();
-  batch->pending = static_cast<int>(holders.size());
-  batch->on_final = [&copies, item, holders](storage::ClientId c,
-                                             CallbackOutcome outcome) {
+  for (const cc::CopyHolder& h : holders) batch->holders.push_back(h);
+  batch->pending = static_cast<int>(batch->holders.size());
+  batch->on_final = [&copies, item, b = batch.get()](storage::ClientId c,
+                                                     CallbackOutcome outcome) {
     if (!DropsCopy(copies, outcome)) return;
-    for (const auto& h : holders) {
+    for (const cc::CopyHolder& h : b->holders) {
       if (h.client == c) {
         copies.UnregisterIfEpoch(item, c, h.epoch);
         return;
       }
     }
   };
-  for (const auto& h : holders) {
+  for (const cc::CopyHolder& h : batch->holders) {
     if (ctx_.tracer != nullptr) {
       ctx_.tracer->Emit(trace::EventKind::kCallbackIssue, node_, txn, page,
                         oid, -1, h.client);

@@ -5,19 +5,25 @@
 /// protocol work (write a dirty page to disk, ship it to the server, notify
 /// the server that a copy was dropped), so victims are returned to the caller
 /// rather than silently discarded.
+///
+/// Entries live on a util::Slab (they never move, so a Value* stays valid
+/// until its entry is evicted or removed) and are indexed by a
+/// util::FlatMap; recency is a doubly linked list of slot numbers threaded
+/// through the entries. Nothing here allocates per entry.
 
 #ifndef PSOODB_STORAGE_LRU_CACHE_H_
 #define PSOODB_STORAGE_LRU_CACHE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <list>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include "util/annotations.h"
 #include "util/check.h"
+#include "util/flat_set.h"
+#include "util/slab.h"
 
 namespace psoodb::storage {
 
@@ -29,26 +35,25 @@ class LruCache {
   }
 
   std::size_t capacity() const { return capacity_; }
-  std::size_t size() const { return map_.size(); }
-  bool Contains(const Key& k) const { return Find(k) != nullptr; }
+  std::size_t size() const { return index_.size(); }
+  bool Contains(const Key& k) const { return Find(k) != kNil; }
 
   /// Returns the cached value and marks it most-recently-used, or nullptr.
   Value* Get(const Key& k) {
-    Node* n = Find(k);
-    if (n == nullptr) return nullptr;
-    // memo_it_ points at n after a successful Find; splice preserves it.
-    lru_.splice(lru_.begin(), lru_, memo_it_);
-    return &n->value;
+    const std::uint32_t n = Find(k);
+    if (n == kNil) return nullptr;
+    MoveToFront(n);
+    return &nodes_[n].value;
   }
 
   /// Returns the cached value without touching recency, or nullptr.
   Value* Peek(const Key& k) {
-    Node* n = Find(k);
-    return n == nullptr ? nullptr : &n->value;
+    const std::uint32_t n = Find(k);
+    return n == kNil ? nullptr : &nodes_[n].value;
   }
   const Value* Peek(const Key& k) const {
-    const Node* n = Find(k);
-    return n == nullptr ? nullptr : &n->value;
+    const std::uint32_t n = Find(k);
+    return n == kNil ? nullptr : &nodes_[n].value;
   }
 
   struct InsertResult {
@@ -64,89 +69,128 @@ class LruCache {
   /// Precondition: if full, at least one entry must be unpinned.
   InsertResult Insert(const Key& k) {
     InsertResult r;
-    if (Node* n = Find(k); n != nullptr) {
-      lru_.splice(lru_.begin(), lru_, memo_it_);
-      r.value = &n->value;
+    if (const std::uint32_t n = Find(k); n != kNil) {
+      MoveToFront(n);
+      r.value = &nodes_[n].value;
       return r;
     }
-    if (map_.size() >= capacity_) {
-      r.evicted = EvictOne();
-    }
-    lru_.push_front(Node{k, Value{}, 0});
-    map_[k] = lru_.begin();
+    if (index_.size() >= capacity_) r.evicted = EvictOne();
+    const std::uint32_t n = nodes_.Acquire();
+    Node& node = nodes_[n];
+    node.key = k;
+    node.pins = 0;
+    node.value = Value{};  // a recycled slot holds its last, moved-from value
+    LinkFront(n);
+    index_.emplace(k, n);
     memo_key_ = k;
-    memo_it_ = lru_.begin();
-    memo_valid_ = true;
-    r.value = &lru_.begin()->value;
+    memo_slot_ = n;
+    r.value = &node.value;
     r.inserted = true;
     return r;
   }
 
   /// Removes `k`; returns the removed value if it was present.
   std::optional<Value> Remove(const Key& k) {
-    auto it = map_.find(k);
-    if (it == map_.end()) return std::nullopt;
-    PSOODB_CHECK(it->second->pins == 0, "removing a pinned entry");
-    if (memo_valid_ && memo_key_ == k) memo_valid_ = false;
-    std::optional<Value> v(std::move(it->second->value));
-    lru_.erase(it->second);
-    map_.erase(it);
+    const std::uint32_t n = Find(k);
+    if (n == kNil) return std::nullopt;
+    PSOODB_CHECK(nodes_[n].pins == 0, "removing a pinned entry");
+    std::optional<Value> v(std::move(nodes_[n].value));
+    Erase(n);
     return v;
   }
 
   /// Pins an entry, excluding it from eviction. Pins nest.
   void Pin(const Key& k) PSOODB_ACQUIRES(pin) {
-    Node* n = Find(k);
-    PSOODB_DCHECK(n != nullptr, "pinning an uncached key");
-    ++n->pins;
+    const std::uint32_t n = Find(k);
+    PSOODB_DCHECK(n != kNil, "pinning an uncached key");
+    ++nodes_[n].pins;
   }
   void Unpin(const Key& k) PSOODB_RELEASES(pin) {
-    Node* n = Find(k);
-    PSOODB_DCHECK(n != nullptr, "unpinning an uncached key");
-    PSOODB_DCHECK(n->pins > 0, "unpin without matching pin");
-    --n->pins;
+    const std::uint32_t n = Find(k);
+    PSOODB_DCHECK(n != kNil, "unpinning an uncached key");
+    PSOODB_DCHECK(nodes_[n].pins > 0, "unpin without matching pin");
+    --nodes_[n].pins;
   }
   int pins(const Key& k) const {
-    const Node* n = Find(k);
-    return n == nullptr ? 0 : static_cast<int>(n->pins);
+    const std::uint32_t n = Find(k);
+    return n == kNil ? 0 : static_cast<int>(nodes_[n].pins);
   }
 
   /// Calls `fn(key, value)` for every entry, in MRU-to-LRU order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (const Node& n : lru_) fn(n.key, n.value);
+    for (std::uint32_t n = head_; n != kNil; n = nodes_[n].next) {
+      fn(nodes_[n].key, nodes_[n].value);
+    }
   }
 
  private:
+  static constexpr std::uint32_t kNil = util::kNoSlot;
+
   struct Node {
-    Key key;
-    Value value;
-    unsigned pins;
+    Key key{};
+    std::uint32_t prev = kNil;  ///< toward the MRU end
+    std::uint32_t next = kNil;  ///< toward the LRU end
+    unsigned pins = 0;
+    Value value{};
   };
 
-  /// Hash lookup with a one-entry memo: consecutive operations on the same
-  /// key (the dominant access pattern — a Contains/Get/Pin run against one
-  /// page) skip the hash probe entirely. List iterators are stable under
-  /// splice, so MRU moves keep the memo valid; erases invalidate it. On a
-  /// successful return, memo_it_ points at the returned node.
-  Node* Find(const Key& k) const {
-    if (memo_valid_ && memo_key_ == k) return &*memo_it_;
-    auto it = map_.find(k);
-    if (it == map_.end()) return nullptr;
+  /// Slot of `k`, or kNil. A one-entry memo serves consecutive operations
+  /// on the same key (the dominant access pattern — a Contains/Get/Pin run
+  /// against one page) without a probe; Erase clears it.
+  std::uint32_t Find(const Key& k) const {
+    if (memo_slot_ != kNil && memo_key_ == k) return memo_slot_;
+    const std::uint32_t* n = index_.find(k);
+    if (n == nullptr) return kNil;
     memo_key_ = k;
-    memo_it_ = it->second;
-    memo_valid_ = true;
-    return &*memo_it_;
+    memo_slot_ = *n;
+    return *n;
+  }
+
+  void LinkFront(std::uint32_t n) {
+    nodes_[n].prev = kNil;
+    nodes_[n].next = head_;
+    if (head_ != kNil) {
+      nodes_[head_].prev = n;
+    } else {
+      tail_ = n;
+    }
+    head_ = n;
+  }
+
+  void Unlink(std::uint32_t n) {
+    const Node& node = nodes_[n];
+    if (node.prev != kNil) {
+      nodes_[node.prev].next = node.next;
+    } else {
+      head_ = node.next;
+    }
+    if (node.next != kNil) {
+      nodes_[node.next].prev = node.prev;
+    } else {
+      tail_ = node.prev;
+    }
+  }
+
+  void MoveToFront(std::uint32_t n) {
+    if (n == head_) return;
+    Unlink(n);
+    LinkFront(n);
+  }
+
+  /// Drops entry `n` (its value already moved out) and recycles its slot.
+  void Erase(std::uint32_t n) {
+    if (memo_slot_ == n) memo_slot_ = kNil;
+    index_.erase(nodes_[n].key);
+    Unlink(n);
+    nodes_.Release(n);
   }
 
   std::pair<Key, Value> EvictOne() {
-    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-      if (it->pins == 0) {
-        auto node_it = std::next(it).base();
-        if (memo_valid_ && memo_key_ == node_it->key) memo_valid_ = false;
-        std::pair<Key, Value> out{node_it->key, std::move(node_it->value)};
-        map_.erase(node_it->key);
-        lru_.erase(node_it);
+    for (std::uint32_t n = tail_; n != kNil; n = nodes_[n].prev) {
+      if (nodes_[n].pins == 0) {
+        std::pair<Key, Value> out{nodes_[n].key, std::move(nodes_[n].value)};
+        Erase(n);
         return out;
       }
     }
@@ -156,17 +200,18 @@ class LruCache {
     std::fprintf(stderr,
                  "LruCache: all %zu entries pinned; cannot evict (capacity "
                  "%zu)\n",
-                 map_.size(), capacity_);
+                 index_.size(), capacity_);
     std::abort();
   }
 
   std::size_t capacity_;
-  std::list<Node> lru_;
-  std::unordered_map<Key, typename std::list<Node>::iterator> map_;
+  util::Slab<Node> nodes_;
+  util::FlatMap<Key, std::uint32_t> index_;  ///< key -> slot in nodes_
+  std::uint32_t head_ = kNil;  ///< most recently used
+  std::uint32_t tail_ = kNil;  ///< least recently used
   // Last-lookup memo (mutable: const reads refresh it).
   mutable Key memo_key_{};
-  mutable typename std::list<Node>::iterator memo_it_{};
-  mutable bool memo_valid_ = false;
+  mutable std::uint32_t memo_slot_ = kNil;
 };
 
 }  // namespace psoodb::storage

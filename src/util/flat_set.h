@@ -225,8 +225,13 @@ class FlatMap : public flat_detail::Table<K, std::pair<K, V>> {
   /// returns true if inserted.
   bool emplace(K k, V v) { return this->Insert({k, v}); }
 
-  /// The value mapped to `k`, or null.
+  /// The value mapped to `k`, or null. The pointer is valid until the next
+  /// insert or erase.
   const V* find(K k) const {
+    const std::size_t i = this->Find(k);
+    return i != this->capacity() ? &this->slots_[i].second : nullptr;
+  }
+  V* find(K k) {
     const std::size_t i = this->Find(k);
     return i != this->capacity() ? &this->slots_[i].second : nullptr;
   }

@@ -34,10 +34,16 @@ class SmallVector {
   }
   SmallVector(const SmallVector& other) { Assign(other); }
   SmallVector& operator=(const SmallVector& other) {
-    if (this != &other) {
-      clear();
-      Assign(other);
+    if (this == &other) return *this;
+    if (other.size_ <= capacity_) {
+      // Fits the current buffer (inline or heap): copy in place.
+      size_ = other.size_;
+      std::memcpy(static_cast<void*>(data_),
+                  static_cast<const void*>(other.data_), size_ * sizeof(T));
+      return *this;
     }
+    if (data_ != Inline()) delete[] reinterpret_cast<unsigned char*>(data_);
+    Assign(other);
     return *this;
   }
   SmallVector(SmallVector&& other) noexcept { Steal(other); }
@@ -113,6 +119,8 @@ class SmallVector {
     capacity_ = cap;
   }
 
+  /// Copies `other` into fresh storage; the current buffer must already be
+  /// released (or be the inline one).
   void Assign(const SmallVector& other) {
     if (other.size_ > N) {
       data_ = reinterpret_cast<T*>(new unsigned char[other.size_ * sizeof(T)]);

@@ -7,10 +7,16 @@
 //     Clear cycles over a fixed footprint, so node-based tables show up;
 //   - transaction generation into a client's reused reference string;
 //   - CondVar / Promise hand-offs, where every event is a same-instant
-//     wakeup through the event queue's lane.
+//     wakeup through the event queue's lane;
+//   - the request-path tables on util::Slab: LRU insert-with-eviction over
+//     a full cache, lock acquire / wait / ReleaseAll cycles, copy-table
+//     register / HoldersExcept / unregister, and the detector's wait edges
+//     and wait channels.
 // Every task is spawned before counting starts: under AddressSanitizer
 // sim/pool.h passes coroutine frames through to operator new, and frame
-// allocation is not what these tests measure.
+// allocation is not what these tests measure. The lock-manager case has to
+// create coroutines while counting (each acquire is one), so it runs only
+// where the frame pool is on.
 
 #include <gtest/gtest.h>
 
@@ -19,12 +25,17 @@
 #include <new>
 #include <vector>
 
+#include "cc/copy_table.h"
+#include "cc/deadlock_detector.h"
 #include "cc/local_locks.h"
+#include "cc/lock_manager.h"
 #include "config/params.h"
 #include "resources/cpu.h"
 #include "sim/awaitables.h"
+#include "sim/pool.h"
 #include "sim/simulation.h"
 #include "sim/task.h"
+#include "storage/buffer_manager.h"
 #include "workload/workload.h"
 
 namespace {
@@ -170,6 +181,127 @@ TEST(AllocationFree, TransactionGenerationIntoAReusedString) {
     EXPECT_EQ(news.count(), 0u);
     EXPECT_FALSE(refs.empty());
   }
+}
+
+TEST(AllocationFree, LruInsertWithEvictionOverAFullCache) {
+  storage::PageCache cache(64);
+  storage::PageId next = 0;
+  // Each cycle inserts 64 new pages into the full cache (64 evictions),
+  // re-reads the newest half and pins / unpins one page.
+  const auto cycle = [&cache, &next] {
+    for (int i = 0; i < 64; ++i) {
+      auto r = cache.Insert(next++);
+      r.value->dirty = 1;
+    }
+    for (storage::PageId p = next - 32; p < next; ++p) {
+      if (cache.Get(p) == nullptr) std::abort();
+    }
+    cache.Pin(next - 1);
+    cache.Unpin(next - 1);
+  };
+  cycle();  // the first cycle fills the cache
+  const NewCounter news;
+  for (int r = 0; r < 20; ++r) cycle();
+  EXPECT_EQ(news.count(), 0u);
+  EXPECT_EQ(cache.size(), 64u);
+}
+
+sim::Task LockTxn(cc::LockManager& lm, storage::TxnId txn, int base) {  // analyzer-ok(suspend-ref): referent outlives sim.Run() in the test body
+  for (int i = 0; i < 12; ++i) {
+    const storage::PageId page = base + 3 * i;
+    co_await lm.AcquirePageX(page, txn, 0);
+    co_await lm.AcquireObjectX(storage::ObjectId{1000} + page, page + 1, txn,
+                               0);
+    co_await lm.WaitPageFree(page + 2, txn);  // free: no entry
+    co_await lm.WaitObjectFree(storage::ObjectId{5000} + page, page, txn);
+  }
+}
+
+TEST(AllocationFree, LockManagerAcquireWaitReleaseAllCycles) {
+#if defined(PSOODB_SIM_POOL_PASSTHROUGH)
+  GTEST_SKIP() << "coroutine frames bypass the pool under AddressSanitizer";
+#endif
+  sim::Simulation sim;
+  cc::DeadlockDetector detector;
+  cc::LockManager lm(sim, detector);
+  storage::TxnId txn = 1;
+  // Two transactions over the same 12 pages and objects: the second waits
+  // on the first's first page (a wait edge, a wait channel, a wakeup), then
+  // takes everything once the first releases.
+  const auto cycle = [&] {
+    const storage::TxnId a = txn++;
+    const storage::TxnId b = txn++;
+    sim.Spawn(LockTxn(lm, a, 0));
+    sim.Spawn(LockTxn(lm, b, 0));
+    sim.Run();
+    if (lm.ReleaseAll(a) != 24) std::abort();
+    sim.Run();
+    if (lm.ReleaseAll(b) != 24) std::abort();
+  };
+  cycle();  // the first cycle grows the tables
+  cycle();
+  const NewCounter news;
+  for (int r = 0; r < 20; ++r) cycle();
+  EXPECT_EQ(news.count(), 0u);
+  EXPECT_EQ(lm.lock_waits(), 22u);
+  EXPECT_TRUE(lm.CheckCoherence().empty());
+}
+
+TEST(AllocationFree, CopyTableRegisterHoldersUnregisterCycles) {
+  cc::PageCopyTable table;
+  std::uint64_t seen = 0;
+  // Six holders per item (past the lists' inline capacity), a callback-
+  // style walk of the others, then every copy dropped; items change every
+  // cycle, so the slab's slots and lists are recycled across items.
+  const auto cycle = [&table, &seen](storage::PageId first) {
+    for (storage::PageId p = first; p < first + 16; ++p) {
+      for (storage::ClientId c = 0; c < 6; ++c) table.Register(p, c);
+      for (const auto& h : table.HoldersExcept(p, 2)) {
+        seen += h.epoch;
+      }
+      for (storage::ClientId c = 0; c < 6; ++c) {
+        if (c % 2 == 0) {
+          table.Unregister(p, c);
+        } else {
+          table.UnregisterIfEpoch(p, c, table.HoldersExcept(p, -1)[0].epoch);
+        }
+      }
+    }
+  };
+  cycle(0);
+  const NewCounter news;
+  for (int r = 1; r <= 20; ++r) cycle(r * 100);
+  EXPECT_EQ(news.count(), 0u);
+  EXPECT_EQ(table.items_tracked(), 0u);
+  EXPECT_GT(seen, 0u);
+}
+
+TEST(AllocationFree, DetectorWaitsAndWaitChannelsCycles) {
+  sim::Simulation sim;
+  sim::CondVar cv(sim);
+  cc::DeadlockDetector detector;
+  storage::TxnId base = 1;
+  // A waits-for chain of 20 transactions, each parked on a channel, then
+  // unwound: ClearWaits, channel unregistration, RemoveTxn.
+  const auto cycle = [&] {
+    for (storage::TxnId t = base; t < base + 20; ++t) {
+      detector.RegisterWaitChannel(t, &cv);
+      detector.OnWait(t, {t + 1});
+    }
+    if (detector.HasCycleFrom(base)) std::abort();
+    for (storage::TxnId t = base; t < base + 20; t += 2) {
+      detector.ClearWaits(t);
+      detector.UnregisterWaitChannel(t, &cv);
+    }
+    for (storage::TxnId t = base; t < base + 21; ++t) detector.RemoveTxn(t);
+    base += 21;
+  };
+  cycle();
+  const NewCounter news;
+  for (int r = 0; r < 20; ++r) cycle();
+  EXPECT_EQ(news.count(), 0u);
+  EXPECT_EQ(detector.edge_count(), 0u);
+  EXPECT_EQ(detector.parked(), 0u);
 }
 
 }  // namespace

@@ -118,3 +118,52 @@ long CountFlatHits() {
   }
   return s;
 }
+
+// Flat tables held in struct members (a lock table's slot index) iterate in
+// slot order too; the member is found by its declared name through any
+// access chain.
+struct LockTable {
+  util::FlatMap<int, unsigned> index;
+  std::vector<int> order;
+};
+LockTable locks;
+LockTable tables[2];
+
+int SumMemberIndex() {
+  int s = 0;
+  for (const auto& [k, slot] : locks.index) {  // EXPECT: unordered-iter
+    s += k;
+  }
+  for (const auto& [k, slot] : tables[1].index) {  // EXPECT: unordered-iter
+    s += k;
+  }
+  for (int v : locks.order) {  // FP-GUARD: unordered-iter
+    s += v;
+  }
+  return s;
+}
+
+// A name bound to a set inside a slab element, or a pointer to a set, is
+// that set. (util::Slab itself has no iteration.)
+struct Held {
+  util::FlatSet<long> pages;
+  std::vector<long> sorted;
+};
+util::Slab<Held> held;
+
+long SumBoundSet(unsigned slot) {
+  long s = 0;
+  const auto& pages = held[slot].pages;
+  for (long p : pages) {  // EXPECT: unordered-iter
+    s += p;
+  }
+  const auto* fp = &footprint;
+  for (long p : *fp) {  // EXPECT: unordered-iter
+    s += p;
+  }
+  const auto& sorted = held[slot].sorted;
+  for (long p : sorted) {  // FP-GUARD: unordered-iter
+    s += p;
+  }
+  return s;
+}

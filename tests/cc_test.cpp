@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "cc/abort.h"
@@ -299,8 +301,10 @@ TEST(LockManagerTest, DeadlockAbortsOneTransaction) {
 }
 
 TEST(LockManagerTest, FifoishGrantUnderContention) {
-  Simulation sim;
+  // The detector outlives the simulation: four waiters are still parked at
+  // the end, and destroying their frames unregisters their wait channels.
   DeadlockDetector d;
+  Simulation sim;
   LockManager lm(sim, d);
   bool got[5] = {false, false, false, false, false};
   bool first = false;
@@ -315,6 +319,76 @@ TEST(LockManagerTest, FifoishGrantUnderContention) {
   EXPECT_TRUE(got[0]);
   EXPECT_FALSE(got[1]);
   EXPECT_EQ(lm.PageXHolder(3), 10u);
+}
+
+TEST(LockManagerTest, RecycledEntryStartsFree) {
+  // Entries live on a slab and are recycled once free and unwaited. A
+  // recycled entry must carry no holder, client or waiter count over to
+  // its next key, and an object entry no page.
+  Simulation sim;
+  DeadlockDetector d;
+  LockManager lm(sim, d);
+  bool got1 = false, got2 = false;
+  sim.Spawn(AcquirePage(lm, 7, 1, 3, &got1));
+  sim.Spawn(AcquirePage(lm, 7, 2, 4, &got2));  // waits behind txn 1
+  sim.Run();
+  ASSERT_TRUE(got1);
+  ASSERT_FALSE(got2);
+  EXPECT_EQ(lm.waiting(), 1);
+  lm.ReleaseAll(1);
+  sim.Run();
+  ASSERT_TRUE(got2);
+  EXPECT_EQ(lm.PageXHolderClient(7), 4);
+  EXPECT_EQ(lm.waiting(), 0);
+  lm.ReleaseAll(2);  // page 7's entry goes back to the slab
+  EXPECT_EQ(lm.PageXHolder(7), kNoTxn);
+  EXPECT_EQ(lm.PageXHolderClient(7), storage::kNoClient);
+
+  bool got3 = false, got4 = false;
+  sim.Spawn(AcquirePage(lm, 9, 3, 5, &got3));  // reuses the slot
+  ASSERT_TRUE(got3);
+  EXPECT_EQ(lm.PageXHolder(9), 3u);
+  EXPECT_EQ(lm.PageXHolderClient(9), 5);
+  EXPECT_EQ(lm.waiting(), 0);
+  sim.Spawn(AcquirePage(lm, 9, 4, 6, &got4));
+  sim.Run();
+  EXPECT_FALSE(got4);
+  EXPECT_EQ(lm.waiting(), 1);  // the new waiter only
+  lm.ReleaseAll(3);
+  sim.Run();
+  EXPECT_TRUE(got4);
+  EXPECT_EQ(lm.ReleaseAll(4), 1);
+
+  // An object entry and a per-page list, recycled for another page.
+  bool o1 = false, o2 = false;
+  sim.Spawn(AcquireObject(lm, 100, 5, 1, 0, &o1));
+  lm.ReleaseAll(1);
+  sim.Spawn(AcquireObject(lm, 200, 6, 2, 1, &o2));
+  ASSERT_TRUE(o1 && o2);
+  EXPECT_TRUE(lm.ObjectLocksOnPage(5).empty());
+  const auto on6 = lm.ObjectLocksOnPage(6);
+  ASSERT_EQ(on6.size(), 1u);
+  EXPECT_EQ(on6[0], std::make_pair(ObjectId{200}, TxnId{2}));
+  EXPECT_EQ(lm.ObjectXHolderClient(200), 1);
+  EXPECT_EQ(lm.PagesHeldBy(2), 0u);
+  EXPECT_EQ(lm.ObjectsHeldBy(2), 1u);
+  EXPECT_TRUE(lm.CheckCoherence().empty());
+  lm.ReleaseAll(2);
+  EXPECT_EQ(lm.ObjectsHeldBy(2), 0u);
+  EXPECT_TRUE(lm.CheckCoherence().empty());
+  EXPECT_EQ(d.edge_count(), 0u);
+  EXPECT_EQ(d.parked(), 0u);
+}
+
+TEST(LockManagerTest, WaitOnFreeItemLeavesNoEntry) {
+  Simulation sim;
+  DeadlockDetector d;
+  LockManager lm(sim, d);
+  bool done = false;
+  sim.Spawn(WaitPage(lm, 7, 5, &done));
+  ASSERT_TRUE(done);
+  EXPECT_EQ(lm.PageXHolderClient(7), storage::kNoClient);
+  EXPECT_TRUE(lm.CheckCoherence().empty());  // no free, unwaited entry kept
 }
 
 // --- CopyTable ---------------------------------------------------------------
@@ -364,9 +438,11 @@ TEST(CopyTableTest, DuplicateRegisterIsIdempotent) {
 TEST(CopyTableTest, ReRegistrationBumpsEpoch) {
   PageCopyTable t;
   t.Register(5, 0);
-  auto e1 = t.HoldersExcept(5, -1).at(0).epoch;
+  ASSERT_EQ(t.HoldersExcept(5, -1).size(), 1u);
+  auto e1 = t.HoldersExcept(5, -1)[0].epoch;
   t.Register(5, 0);
-  auto e2 = t.HoldersExcept(5, -1).at(0).epoch;
+  ASSERT_EQ(t.HoldersExcept(5, -1).size(), 1u);
+  auto e2 = t.HoldersExcept(5, -1)[0].epoch;
   EXPECT_GT(e2, e1);
 }
 
@@ -376,13 +452,36 @@ TEST(CopyTableTest, EpochCheckedUnregisterIgnoresStaleAcks) {
   // The stale ack must not erase the fresh registration.
   PageCopyTable t;
   t.Register(5, 0);
-  auto e1 = t.HoldersExcept(5, -1).at(0).epoch;
+  ASSERT_EQ(t.HoldersExcept(5, -1).size(), 1u);
+  auto e1 = t.HoldersExcept(5, -1)[0].epoch;
   t.Register(5, 0);  // fresh copy shipped
   EXPECT_FALSE(t.UnregisterIfEpoch(5, 0, e1));  // stale ack: no-op
   EXPECT_TRUE(t.Holds(5, 0));
-  auto e2 = t.HoldersExcept(5, -1).at(0).epoch;
+  ASSERT_EQ(t.HoldersExcept(5, -1).size(), 1u);
+  auto e2 = t.HoldersExcept(5, -1)[0].epoch;
   EXPECT_TRUE(t.UnregisterIfEpoch(5, 0, e2));  // current epoch: removes
   EXPECT_FALSE(t.Holds(5, 0));
+}
+
+TEST(CopyTableTest, RecycledSlotStartsEmptyWhileEpochsKeepRising) {
+  // Holder lists live on a slab; an item whose last holder leaves gives its
+  // list back. The next item must not see the old holders, and epochs stay
+  // unique across the reuse.
+  PageCopyTable t;
+  for (ClientId c = 0; c < 6; ++c) t.Register(5, c);  // spills past inline
+  std::uint64_t last = 0;
+  for (const auto& h : t.HoldersExcept(5, -1)) last = std::max(last, h.epoch);
+  for (ClientId c = 0; c < 6; ++c) t.Unregister(5, c);
+  EXPECT_EQ(t.items_tracked(), 0u);
+  t.Register(9, 7);
+  EXPECT_EQ(t.HolderCount(9), 1);
+  EXPECT_EQ(t.HolderCount(5), 0);
+  for (ClientId c = 0; c < 6; ++c) EXPECT_FALSE(t.Holds(9, c));
+  const auto holders = t.HoldersExcept(9, -1);
+  ASSERT_EQ(holders.size(), 1u);
+  EXPECT_EQ(holders[0].client, 7);
+  EXPECT_GT(holders[0].epoch, last);
+  EXPECT_TRUE(t.HoldersExcept(9, 7).empty());
 }
 
 TEST(CopyTableTest, EpochUnregisterOnAbsentEntryIsNoop) {

@@ -158,17 +158,60 @@ void CollectShadowedNames(const Ctx& c, const Frame& fr, LocalUnordered* lu) {
     int j = i - 1;
     int angle = 0;
     int steps = 0;
+    bool initializer = false;  // `p = &name;`: a use, not a declaration
     for (; j > fr.body_open && steps < 32; --j, ++steps) {
       if (t[j].Is(">")) ++angle;
       if (t[j].Is(">>")) angle += 2;
       if (t[j].Is("<")) --angle;
+      if (angle <= 0 && t[j].Is("=")) initializer = true;
       if (angle <= 0 && (t[j].Is(";") || t[j].Is("{") || t[j].Is("}") ||
                          t[j].Is("(") || t[j].Is(","))) {
         break;
       }
     }
+    if (initializer) continue;
     if (!MentionsUnordered(c, t, j + 1, i)) lu->shadowed.insert(t[i].text);
   }
+}
+
+/// True if tokens [b, e) form a member-access chain that ends in a member
+/// name: `a.b`, `a->b`, `a[i].b`, `this->a.b`, ... (at least one `.` or
+/// `->`; subscripts anywhere before the last name).
+bool IsMemberChain(const Tokens& t, std::size_t b, std::size_t e) {
+  if (e - b < 3 || !t[e - 1].IsIdent() ||
+      !(t[e - 2].Is(".") || t[e - 2].Is("->")) || !t[b].IsIdent()) {
+    return false;
+  }
+  for (std::size_t j = b + 1; j < e; ++j) {
+    if (t[j].Is("[")) {
+      int depth = 0;
+      for (; j < e; ++j) {
+        if (t[j].Is("[")) ++depth;
+        if (t[j].Is("]") && --depth == 0) break;
+      }
+      if (j == e) return false;
+      continue;
+    }
+    if (!(t[j].IsIdent() || t[j].Is(".") || t[j].Is("->"))) return false;
+  }
+  return true;
+}
+
+/// Resolves an expression that names a container: `C`, a member chain
+/// ending in `C` (`obj.C`, `slab[i].C`), or the same behind `&` / `*`.
+/// True if it is unordered; `*mapped` reports a mapped type that is itself
+/// unordered.
+bool ResolveContainerExpr(const Ctx& c, const LocalUnordered& lu,
+                          const Tokens& t, std::size_t b, std::size_t e,
+                          bool* mapped) {
+  if (e > b + 1 && (t[b].Is("&") || t[b].Is("*"))) ++b;
+  if (e == b + 1 && t[b].IsIdent()) {
+    return ResolveUnordered(c, lu, t[b].text, mapped);
+  }
+  // A member is looked up among class- and namespace-scope declarations
+  // only: a same-named local or parameter elsewhere is not it.
+  return IsMemberChain(t, b, e) &&
+         c.sym.IsUnorderedMember(t[e - 1].text, mapped);
 }
 
 /// Examines the range expression of a range-for (tokens [b, e)). Returns a
@@ -178,11 +221,8 @@ std::string ClassifyRangeExpr(const Ctx& c, const LocalUnordered& lu,
   const std::size_t n = e - b;
   if (n == 0) return "";
   bool mapped = false;
-  // `container`
-  if (n == 1 && t[b].IsIdent() &&
-      ResolveUnordered(c, lu, t[b].text, &mapped)) {
-    return t[b].text;
-  }
+  // `container`, `*ptr_to_container`, `obj.container`, `slab[i].container`
+  if (ResolveContainerExpr(c, lu, t, b, e, &mapped)) return t[e - 1].text;
   // `it->second` / `it.second` where `it` iterates a map whose mapped type
   // is itself unordered.
   if (n == 3 && t[b].IsIdent() && (t[b + 1].Is("->") || t[b + 1].Is(".")) &&
@@ -232,8 +272,10 @@ void CheckUnorderedIterFrame(const Ctx& c, int fi) {
         rhs.push_back(j);
       }
       bool mapped = false;
-      if (rhs.size() == 1 && t[rhs[0]].IsIdent() &&
-          ResolveUnordered(c, lu, t[rhs[0]].text, &mapped)) {
+      if (!rhs.empty() && ResolveContainerExpr(c, lu, t, rhs.front(),
+                                               rhs.back() + 1, &mapped)) {
+        // `A = B`, `A = &B`, `A = obj.B`, `A = slab[i].B`: A aliases (or
+        // points at) the container.
         lu.containers[lhs] = mapped;
       } else if (rhs.size() == 6 && t[rhs[0]].Is("std") &&
                  t[rhs[1]].Is("::") && t[rhs[2]].Is("move") &&

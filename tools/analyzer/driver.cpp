@@ -225,12 +225,10 @@ AnalysisResult Analyze(std::vector<LexedFile> files,
   // sequential; frame building and the per-file checks are pure functions of
   // (file, shared indices) and parallelize, collected back in file order so
   // the report is identical at any thread count.
-  SymbolIndex sym;
-  for (const LexedFile& lf : files) IndexSymbolsPassA(lf, sym);
-  for (const LexedFile& lf : files) IndexSymbolsPassB(lf, sym);
-
-  // Frames for every file up front: the call graph needs the whole tree's
-  // frames before any per-file check can consult MayBlock().
+  //
+  // Frames for every file up front: symbol pass B tells members from locals
+  // by them, and the call graph needs the whole tree's frames before any
+  // per-file check can consult MayBlock().
   std::vector<FrameIndex> frames(files.size());
   if (nthreads > 1) {
     util::ThreadPool pool(nthreads);
@@ -244,6 +242,12 @@ AnalysisResult Analyze(std::vector<LexedFile> files,
     for (std::size_t i = 0; i < files.size(); ++i) {
       frames[i] = BuildFrames(files[i]);
     }
+  }
+
+  SymbolIndex sym;
+  for (const LexedFile& lf : files) IndexSymbolsPassA(lf, sym);
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    IndexSymbolsPassB(files[i], frames[i], sym);
   }
 
   CallGraph cg;

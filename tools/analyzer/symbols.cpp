@@ -482,7 +482,8 @@ void IndexSymbolsPassA(const LexedFile& f, SymbolIndex& idx) {
   }
 }
 
-void IndexSymbolsPassB(const LexedFile& f, SymbolIndex& idx) {
+void IndexSymbolsPassB(const LexedFile& f, const FrameIndex& fx,
+                       SymbolIndex& idx) {
   const Tokens& t = f.tokens;
   for (std::size_t i = 0; i < t.size(); ++i) {
     if (!t[i].IsIdent()) continue;
@@ -519,6 +520,10 @@ void IndexSymbolsPassB(const LexedFile& f, SymbolIndex& idx) {
         IsAnnotationMacro(after_var.text)) {
       bool& flag = idx.unordered_vars[var];
       flag = flag || mapped_unordered;  // merge conservatively on collision
+      if (fx.owner[j] < 0 && !after_var.Is(",") && !after_var.Is(")")) {
+        bool& member = idx.unordered_members[var];
+        member = member || mapped_unordered;
+      }
     }
   }
 }

@@ -25,6 +25,7 @@
 #include <set>
 #include <string>
 
+#include "analyzer/frames.h"
 #include "analyzer/token.h"
 
 namespace psoodb::analyzer {
@@ -43,6 +44,10 @@ struct SymbolIndex {
   std::set<std::string> spawned_functions;
   /// Variable name -> "mapped type is itself an unordered container".
   std::map<std::string, bool> unordered_vars;
+  /// The subset declared at class or namespace scope (struct members and
+  /// globals; no locals or parameters): the names an access chain such as
+  /// `obj.member` or `slab[i].member` can reach.
+  std::map<std::string, bool> unordered_members;
   /// using-alias name -> mapped-unordered flag.
   std::map<std::string, bool> unordered_aliases;
   /// Methods returning (const) references to unordered containers.
@@ -102,13 +107,22 @@ struct SymbolIndex {
     if (mapped_unordered != nullptr) *mapped_unordered = it->second;
     return true;
   }
+  bool IsUnorderedMember(const std::string& name,
+                         bool* mapped_unordered) const {
+    auto it = unordered_members.find(name);
+    if (it == unordered_members.end()) return false;
+    if (mapped_unordered != nullptr) *mapped_unordered = it->second;
+    return true;
+  }
 };
 
 /// Pass A: aliases, enums, accessors, task functions, Spawn sites, and the
 /// concurrency vocabulary (annotations, mutexes, futures, statics).
 void IndexSymbolsPassA(const LexedFile& f, SymbolIndex& idx);
-/// Pass B: unordered-typed variables (requires pass A aliases for all files).
-void IndexSymbolsPassB(const LexedFile& f, SymbolIndex& idx);
+/// Pass B: unordered-typed variables (requires pass A aliases for all files,
+/// and `fx`, the file's frames, to tell members from locals).
+void IndexSymbolsPassB(const LexedFile& f, const FrameIndex& fx,
+                       SymbolIndex& idx);
 
 /// True for the hash-container type names whose iteration order is a layout
 /// detail: std::unordered_* and util::FlatSet / util::FlatMap
