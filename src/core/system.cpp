@@ -666,13 +666,14 @@ RunResult System::Run(const RunConfig& run) {
     meta.num_clients = params_.num_clients;
     meta.num_servers = params_.num_servers;
     meta.seed = params_.seed;
-    result.trace_jsonl = trace::Tracer::SerializeJsonlMerged(tracers, meta);
+    const trace::MergedEvents events(tracers);
+    result.trace_jsonl = trace::Tracer::SerializeJsonlMerged(events, meta);
     // Only the Chrome sink reads the telemetry counter tracks, so a
     // telemetry-only run never renders them.
     const std::string counter_fragment =
         telemetry_ ? telemetry_->RenderChromeCounters() : std::string();
     result.trace_chrome = trace::Tracer::SerializeChromeMerged(
-        tracers, meta, counter_fragment.empty() ? nullptr : &counter_fragment);
+        events, meta, counter_fragment.empty() ? nullptr : &counter_fragment);
   }
   return result;
 }

@@ -1,5 +1,7 @@
 #include "metrics/timeseries.h"
 
+#include <string_view>
+
 #include "util/check.h"
 #include "util/text_writer.h"
 
@@ -118,9 +120,10 @@ std::string TimeSeries::SerializeJsonl(const Meta& meta) const {
   out += "]}\n";
   for (const Row& row : rows_) {
     Append(out, "{\"t\":", General{row.t, 9}, ",\"v\":[");
-    for (std::size_t i = 0; i < row.v.size(); ++i) {
-      if (i != 0) out += ',';
-      Append(out, General{row.v[i], 9});
+    std::string_view sep;
+    for (const double v : row.v) {
+      Append(out, sep, General{v, 9});
+      sep = ",";
     }
     out += "]}\n";
   }
@@ -132,12 +135,13 @@ std::string TimeSeries::SerializeJsonl(const Meta& meta) const {
 std::string TimeSeries::RenderChromeCounters() const {
   std::string out;
   out.reserve(rows_.size() * tracks_.size() * 80);
+  std::string_view sep;
   for (const Row& row : rows_) {
     for (std::size_t i = 0; i < tracks_.size(); ++i) {
-      if (!out.empty()) out += ",\n";
-      Append(out, "{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":",
+      Append(out, sep, "{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":",
              Fixed{row.t * 1e6, 3}, ",\"name\":\"", tracks_[i].name,
              "\",\"args\":{\"v\":", General{row.v[i], 9}, "}}");
+      sep = ",\n";
     }
   }
   return out;

@@ -1,21 +1,25 @@
 #include "trace/trace.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <map>
+#include <cstddef>
+#include <limits>
+#include <string_view>
 
+#include "util/check.h"
 #include "util/text_writer.h"
 
 namespace psoodb::trace {
 
 namespace {
 
-constexpr const char* kPhaseNames[kNumPhases] = {
+constexpr std::string_view kPhaseNames[kNumPhases] = {
     "think",     "backoff",       "client_cpu", "network",
     "lock_wait", "callback_wait", "server_cpu", "disk",
 };
 
-constexpr const char* kEventKindNames[kNumEventKinds] = {
+constexpr std::string_view kEventKindNames[kNumEventKinds] = {
     "txn_begin",    "txn",         "txn_abort",   "txn_restart",
     "msg_send",     "msg_recv",    "lock_wait",   "lock_grant",
     "lock_abort",   "lock_release", "deescalate", "cb_issue",
@@ -23,29 +27,28 @@ constexpr const char* kEventKindNames[kNumEventKinds] = {
     "local_grant",  "local_revoke",
 };
 
-constexpr const char* kEventCategories[kNumEventKinds] = {
+constexpr std::string_view kEventCategories[kNumEventKinds] = {
     "txn",  "txn",  "txn",  "txn",  "msg",  "msg",
     "lock", "lock", "lock", "lock", "lock", "cb",
     "cb",   "cb",   "disk", "disk", "local", "local",
 };
 
-/// Chrome track id for a node: clients (>= 0) map to 1..N, servers
-/// (NodeId < 0, server i == -1 - i) map to 1001..1000+M.
-int TidOf(int node) { return node >= 0 ? node + 1 : 1000 - node; }
+std::string_view KindName(EventKind kind) {
+  const int i = static_cast<int>(kind);
+  return i < kNumEventKinds ? kEventKindNames[i] : "?";
+}
 
 using util::Append;
 using util::Fixed;
 
 }  // namespace
 
+// The names are string literals, so each view's data() is NUL-terminated.
 const char* PhaseName(int phase) {
-  return (phase >= 0 && phase < kNumPhases) ? kPhaseNames[phase] : "?";
+  return (phase >= 0 && phase < kNumPhases) ? kPhaseNames[phase].data() : "?";
 }
 
-const char* EventKindName(EventKind kind) {
-  const int i = static_cast<int>(kind);
-  return (i >= 0 && i < kNumEventKinds) ? kEventKindNames[i] : "?";
-}
+const char* EventKindName(EventKind kind) { return KindName(kind).data(); }
 
 void Tracer::EmitSpan(double t0, double dur, EventKind kind, int node,
                       std::uint64_t txn, std::int32_t page, std::int64_t a,
@@ -152,20 +155,101 @@ std::array<std::span<const Event>, 2> Tracer::Events() const {
 
 namespace {
 
+using Key = MergedEvents::Key;
+using Ring = MergedEvents::Ring;
+
+/// Keys for every retained event of `rings`, sorted by (t, ring index,
+/// position). A ring's positions follow emission order, as its seq does,
+/// so this is (t, partition, seq) order without moving an Event.
+std::vector<Key> TimeOrder(std::span<const Ring> rings) {
+  const auto less = [](const Key& x, const Key& y) {
+    return x.t < y.t || (x.t == y.t && x.rank < y.rank);
+  };
+  // Emission order is nearly time order: instants are stamped when they
+  // are emitted, and mostly spans, stamped with their start, land behind
+  // later events. The keys that extend the running maximum of t are
+  // already sorted; std::sort the rest and merge them in.
+  std::size_t n = 0;
+  for (const Ring& ring : rings) n += ring[0].size() + ring[1].size();
+  std::vector<Key> keys;
+  keys.reserve(n);
+  std::vector<Key> late;
+  double latest = -std::numeric_limits<double>::infinity();
+  for (std::uint64_t r = 0; r < rings.size(); ++r) {
+    PSOODB_CHECK(rings[r][0].size() + rings[r][1].size() <= 0xffffffffu,
+                 "trace ring too large to sort");
+    std::uint64_t rank = r << 32;
+    for (const std::span<const Event> half : rings[r]) {
+      for (const Event& e : half) {
+        if (e.t >= latest) {
+          latest = e.t;
+          keys.push_back(Key{e.t, rank++});
+        } else {
+          late.push_back(Key{e.t, rank++});
+        }
+      }
+    }
+  }
+  std::sort(late.begin(), late.end(), less);
+  const auto sorted_end = static_cast<std::ptrdiff_t>(keys.size());
+  keys.insert(keys.end(), late.begin(), late.end());
+  std::inplace_merge(keys.begin(), keys.begin() + sorted_end, keys.end(),
+                     less);
+  return keys;
+}
+
 /// Everything the sinks render, decoupled from Tracer members so the
-/// single-tracer and merged-partition paths share one formatter. `events`
-/// are rendered in order, the second span after the first.
+/// single-tracer and merged-partition paths share one renderer per sink.
 struct SinkData {
-  std::array<std::span<const Event>, 2> events;
+  /// One entry per tracer (partition).
+  std::span<const Ring> rings;
+  /// Render order. Empty: the one ring renders in emission order.
+  std::span<const Key> order;
   std::uint64_t dropped = 0;
   std::int32_t page_filter = -1;
   std::uint64_t commits = 0;
   std::uint64_t violations = 0;
   double phase_totals[kNumPhases] = {};
+
+  std::size_t num_events() const {
+    std::size_t n = 0;
+    for (const Ring& ring : rings) n += ring[0].size() + ring[1].size();
+    return n;
+  }
+
+  /// Calls f(event, seq) for each event in render order. A merge of several
+  /// rings renumbers seq from 0 in that order; one ring keeps its own seq.
+  template <typename F>
+  void ForEachEvent(F&& f) const {
+    if (order.empty()) {
+      for (const Ring& ring : rings) {
+        for (const std::span<const Event> half : ring) {
+          for (const Event& e : half) f(e, e.seq);
+        }
+      }
+      return;
+    }
+    const bool renumber = rings.size() > 1;
+    std::uint64_t i = 0;
+    for (const Key& k : order) {
+      const auto& [older, newer] = rings[k.rank >> 32];
+      const std::size_t pos = k.rank & 0xffffffffu;
+      const Event& e =
+          pos < older.size() ? older[pos] : newer[pos - older.size()];
+      f(e, renumber ? i : e.seq);
+      ++i;
+    }
+  }
 };
 
+SinkData SingleSink(const Ring& ring) {
+  SinkData d;
+  d.rings = std::span<const Ring>(&ring, 1);
+  return d;
+}
+
 std::string RenderJsonl(const TraceMeta& meta, const SinkData& d) {
-  const std::size_t num_events = d.events[0].size() + d.events[1].size();
+  const std::size_t num_events = d.num_events();
   std::string out;
   out.reserve(num_events * 128 + 512);  // a line is ~115 bytes
   Append(out, "{\"psoodb_trace\":1,\"protocol\":\"", meta.protocol,
@@ -173,29 +257,99 @@ std::string RenderJsonl(const TraceMeta& meta, const SinkData& d) {
          ",\"seed\":", meta.seed, ",\"events\":", num_events,
          ",\"dropped\":", d.dropped, ",\"page_filter\":", d.page_filter,
          "}\n");
-  for (const std::span<const Event> half : d.events) {
-    for (const Event& e : half) {
-      Append(out, "{\"t\":", Fixed{e.t, 9}, ",\"k\":\"", EventKindName(e.kind),
-             "\",\"node\":", e.node, ",\"txn\":", e.txn, ",\"page\":", e.page,
-             ",\"a\":", e.a, ",\"b\":", e.b, ",\"aux\":", e.aux,
-             ",\"dur\":", Fixed{e.dur, 9}, ",\"seq\":", e.seq, "}\n");
-    }
-  }
+  d.ForEachEvent([&out](const Event& e, std::uint64_t seq) {
+    Append(out, "{\"t\":", Fixed{e.t, 9}, ",\"k\":\"", KindName(e.kind),
+           "\",\"node\":", e.node, ",\"txn\":", e.txn, ",\"page\":", e.page,
+           ",\"a\":", e.a, ",\"b\":", e.b, ",\"aux\":", e.aux,
+           ",\"dur\":", Fixed{e.dur, 9}, ",\"seq\":", seq, "}\n");
+  });
   Append(out, "{\"summary\":1,\"commits\":", d.commits,
          ",\"violations\":", d.violations, ",\"phases\":{");
   for (int p = 0; p < kNumPhases; ++p) {
-    Append(out, p == 0 ? "\"" : ",\"", PhaseName(p), "\":",
+    Append(out, p == 0 ? "\"" : ",\"", kPhaseNames[p], "\":",
            Fixed{d.phase_totals[p], 9});
   }
   out += "}}\n";
   return out;
 }
 
+/// Chrome track id of a node: client c is tid c + 1 and server i (NodeId
+/// -1 - i) is tid first_server + i, where first_server is
+/// max(1000, clients) + 1, so server tracks follow every client track.
+int TidOf(int node, int first_server) {
+  return node >= 0 ? node + 1 : first_server - 1 - node;
+}
+
+/// `d.order` must hold every event in (t, ...) order. `extra_events`
+/// (optional) is a pre-rendered ",\n"-separated fragment appended inside
+/// the traceEvents array — telemetry counter tracks, already time-ordered
+/// per track.
+std::string RenderChrome(const TraceMeta& meta, const SinkData& d,
+                         const std::string* extra_events) {
+  const int first_server = std::max(1000, meta.num_clients) + 1;
+  // One bit per track in use (an int16 node maps below first_server +
+  // 32768); the thread_name records follow in tid order.
+  std::vector<std::uint64_t> used(
+      static_cast<std::size_t>(first_server + 32768) / 64 + 1);
+  for (const Ring& ring : d.rings) {
+    for (const std::span<const Event> half : ring) {
+      for (const Event& e : half) {
+        const auto tid = static_cast<std::size_t>(TidOf(e.node, first_server));
+        used[tid / 64] |= std::uint64_t{1} << (tid % 64);
+      }
+    }
+  }
+  std::string out;
+  // An event is ~155-165 bytes.
+  out.reserve(d.order.size() * 176 +
+              (extra_events != nullptr ? extra_events->size() : 0) + 1024);
+  Append(out, "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"protocol\":\"",
+         meta.protocol, "\",\"seed\":", meta.seed, "},\"traceEvents\":[\n");
+  Append(out,
+         "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
+         "\"args\":{\"name\":\"psoodb ",
+         meta.protocol, "\"}}");
+  for (std::size_t w = 0; w < used.size(); ++w) {
+    for (std::uint64_t bits = used[w]; bits != 0; bits &= bits - 1) {
+      const int tid = static_cast<int>(w * 64) + std::countr_zero(bits);
+      const bool server = tid >= first_server;
+      Append(out, ",\n{\"ph\":\"M\",\"pid\":1,\"tid\":", tid,
+             ",\"name\":\"thread_name\",\"args\":{\"name\":\"",
+             server ? "server " : "client ",
+             server ? tid - first_server : tid - 1, "\"}}");
+    }
+  }
+  d.ForEachEvent([&out, first_server](const Event& e, std::uint64_t seq) {
+    // One Append per record: the span/instant head, then the shared tail.
+    const auto record = [&](const auto&... head) {
+      Append(out, head..., ",\"name\":\"", KindName(e.kind), "\",\"cat\":\"",
+             kEventCategories[static_cast<int>(e.kind)],
+             "\",\"args\":{\"txn\":", e.txn, ",\"page\":", e.page,
+             ",\"a\":", e.a, ",\"b\":", e.b, ",\"aux\":", e.aux,
+             ",\"seq\":", seq, "}}");
+    };
+    const int tid = TidOf(e.node, first_server);
+    const Fixed ts{e.t * 1e6, 3};
+    if (e.dur > 0) {
+      record(",\n{\"ph\":\"X\",\"pid\":1,\"tid\":", tid, ",\"ts\":", ts,
+             ",\"dur\":", Fixed{e.dur * 1e6, 3});
+    } else {
+      record(",\n{\"ph\":\"i\",\"pid\":1,\"tid\":", tid, ",\"ts\":", ts,
+             ",\"s\":\"t\"");
+    }
+  });
+  if (extra_events != nullptr && !extra_events->empty()) {
+    Append(out, ",\n", *extra_events);
+  }
+  out += "\n]}\n";
+  return out;
+}
+
 }  // namespace
 
 std::string Tracer::SerializeJsonl(const TraceMeta& meta) const {
-  SinkData d;
-  d.events = Events();
+  const Ring ring = Events();
+  SinkData d = SingleSink(ring);
   d.dropped = dropped_;
   d.page_filter = page_filter_;
   d.commits = commits_;
@@ -204,115 +358,29 @@ std::string Tracer::SerializeJsonl(const TraceMeta& meta) const {
   return RenderJsonl(meta, d);
 }
 
-namespace {
-
-/// `events` must already be sorted by (t, seq). `extra_events` (optional) is
-/// a pre-rendered ",\n"-separated fragment appended inside the traceEvents
-/// array — telemetry counter tracks, already time-ordered per track.
-std::string RenderChrome(const TraceMeta& meta,
-                         std::span<const Event> events,
-                         const std::string* extra_events = nullptr) {
-  // Name each track once; std::map keeps the metadata block ordered by tid.
-  std::map<int, std::string> tracks;
-  for (const Event& e : events) {
-    const int node = e.node;
-    auto [it, inserted] = tracks.try_emplace(TidOf(node));
-    if (inserted) {
-      if (node >= 0) {
-        Append(it->second, "client ", node);
-      } else {
-        Append(it->second, "server ", -1 - node);
-      }
-    }
-  }
-  std::string out;
-  // An event is ~155-165 bytes.
-  out.reserve(events.size() * 176 +
-              (extra_events != nullptr ? extra_events->size() : 0) + 1024);
-  Append(out, "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"protocol\":\"",
-         meta.protocol, "\",\"seed\":", meta.seed, "},\"traceEvents\":[\n");
-  Append(out,
-         "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
-         "\"args\":{\"name\":\"psoodb ",
-         meta.protocol, "\"}}");
-  for (const auto& [tid, name] : tracks) {
-    Append(out, ",\n{\"ph\":\"M\",\"pid\":1,\"tid\":", tid,
-           ",\"name\":\"thread_name\",\"args\":{\"name\":\"", name, "\"}}");
-  }
-  for (const Event& e : events) {
-    const Fixed ts{e.t * 1e6, 3};
-    if (e.dur > 0) {
-      Append(out, ",\n{\"ph\":\"X\",\"pid\":1,\"tid\":", TidOf(e.node),
-             ",\"ts\":", ts, ",\"dur\":", Fixed{e.dur * 1e6, 3});
-    } else {
-      Append(out, ",\n{\"ph\":\"i\",\"pid\":1,\"tid\":", TidOf(e.node),
-             ",\"ts\":", ts, ",\"s\":\"t\"");
-    }
-    Append(out, ",\"name\":\"", EventKindName(e.kind), "\",\"cat\":\"",
-           kEventCategories[static_cast<int>(e.kind)],
-           "\",\"args\":{\"txn\":", e.txn, ",\"page\":", e.page,
-           ",\"a\":", e.a, ",\"b\":", e.b, ",\"aux\":", e.aux,
-           ",\"seq\":", e.seq, "}}");
-  }
-  if (extra_events != nullptr && !extra_events->empty()) {
-    Append(out, ",\n", *extra_events);
-  }
-  out += "\n]}\n";
-  return out;
-}
-
-/// Merges per-partition rings into one event list sorted by (t, partition,
-/// per-partition seq) and renumbers seq in merged order. The partition
-/// index breaks same-timestamp ties between rings, so the result is a pure
-/// function of the per-partition traces (thread-count independent).
-std::vector<Event> MergePartitionEvents(const std::vector<Tracer*>& parts) {
-  struct Tagged {
-    Event e;
-    int part;
-  };
-  std::vector<Tagged> all;
-  for (std::size_t p = 0; p < parts.size(); ++p) {
-    for (const std::span<const Event> half : parts[p]->Events()) {
-      for (const Event& e : half) {
-        all.push_back(Tagged{e, static_cast<int>(p)});
-      }
-    }
-  }
-  std::sort(all.begin(), all.end(), [](const Tagged& x, const Tagged& y) {
-    if (x.e.t != y.e.t) return x.e.t < y.e.t;
-    if (x.part != y.part) return x.part < y.part;
-    return x.e.seq < y.e.seq;
-  });
-  std::vector<Event> out;
-  out.reserve(all.size());
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    out.push_back(all[i].e);
-    out.back().seq = i;
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string Tracer::SerializeChrome(const TraceMeta& meta,
                                     const std::string* extra_events) const {
-  const auto [older, newer] = Events();
-  std::vector<Event> events(older.begin(), older.end());
-  events.insert(events.end(), newer.begin(), newer.end());
-  std::stable_sort(events.begin(), events.end(),
-                   [](const Event& x, const Event& y) {
-                     if (x.t != y.t) return x.t < y.t;
-                     return x.seq < y.seq;
-                   });
-  return RenderChrome(meta, events, extra_events);
+  const Ring ring = Events();
+  SinkData d = SingleSink(ring);
+  const std::vector<Key> order = TimeOrder(d.rings);
+  d.order = order;
+  return RenderChrome(meta, d, extra_events);
 }
 
-std::string Tracer::SerializeJsonlMerged(const std::vector<Tracer*>& parts,
+MergedEvents::MergedEvents(const std::vector<Tracer*>& parts)
+    : parts_(parts.begin(), parts.end()) {
+  rings_.reserve(parts_.size());
+  for (const Tracer* t : parts_) rings_.push_back(t->Events());
+  if (parts_.size() > 1) order_ = TimeOrder(rings_);
+}
+
+std::string Tracer::SerializeJsonlMerged(const MergedEvents& events,
                                          const TraceMeta& meta) {
+  const std::vector<const Tracer*>& parts = events.parts_;
   if (parts.size() == 1) return parts.front()->SerializeJsonl(meta);
-  const std::vector<Event> events = MergePartitionEvents(parts);
   SinkData d;
-  d.events[0] = events;
+  d.rings = events.rings_;
+  d.order = events.order_;
   d.page_filter = parts.empty() ? -1 : parts.front()->page_filter_;
   // Summed in partition order (fixed order: the phase totals are
   // floating-point sums).
@@ -327,13 +395,16 @@ std::string Tracer::SerializeJsonlMerged(const std::vector<Tracer*>& parts,
   return RenderJsonl(meta, d);
 }
 
-std::string Tracer::SerializeChromeMerged(const std::vector<Tracer*>& parts,
+std::string Tracer::SerializeChromeMerged(const MergedEvents& events,
                                           const TraceMeta& meta,
                                           const std::string* extra_events) {
-  if (parts.size() == 1) {
-    return parts.front()->SerializeChrome(meta, extra_events);
+  if (events.parts_.size() == 1) {
+    return events.parts_.front()->SerializeChrome(meta, extra_events);
   }
-  return RenderChrome(meta, MergePartitionEvents(parts), extra_events);
+  SinkData d;
+  d.rings = events.rings_;
+  d.order = events.order_;
+  return RenderChrome(meta, d, extra_events);
 }
 
 }  // namespace psoodb::trace

@@ -117,6 +117,8 @@ struct TraceMeta {
   std::uint64_t seed = 0;
 };
 
+class MergedEvents;
+
 class Tracer {
  public:
   Tracer(sim::Simulation& sim, std::size_t capacity, std::int32_t page_filter)
@@ -209,22 +211,24 @@ class Tracer {
 
   /// Chrome trace-event JSON ("traceEvents" array), loadable in Perfetto.
   /// Events are sorted by (t, seq) so timestamps are monotone per track;
-  /// tracks are pid 1 with tid = client id + 1 or 1000 + server index + 1.
+  /// tracks are pid 1 with tid = client id + 1 for clients and
+  /// max(1000, meta.num_clients) + 1 + server index for servers.
   /// `extra_events`, when non-null and non-empty, is a pre-rendered
   /// ",\n"-separated fragment of additional trace events spliced verbatim
   /// into the array (telemetry counter tracks; metrics/timeseries.h).
   std::string SerializeChrome(const TraceMeta& meta,
                               const std::string* extra_events = nullptr) const;
 
-  /// Merged sinks for partitioned runs: events from every partition sorted
-  /// by (t, partition, per-partition seq) and renumbered, aggregates summed
-  /// in partition order. Deterministic for any worker-thread count. A
-  /// one-tracer list renders that tracer's own sinks (emission order and
-  /// seq kept), which a merge would re-sort and renumber.
-  static std::string SerializeJsonlMerged(const std::vector<Tracer*>& parts,
+  /// Merged sinks for partitioned runs, both rendered from one view: the
+  /// events in its (t, partition, per-partition seq) order with seq
+  /// renumbered, aggregates summed in partition order. Deterministic for
+  /// any worker-thread count. A one-tracer view renders that tracer's own
+  /// sinks (emission order and seq kept), which a merge would re-sort and
+  /// renumber.
+  static std::string SerializeJsonlMerged(const MergedEvents& events,
                                           const TraceMeta& meta);
   static std::string SerializeChromeMerged(
-      const std::vector<Tracer*>& parts, const TraceMeta& meta,
+      const MergedEvents& events, const TraceMeta& meta,
       const std::string* extra_events = nullptr);
 
  private:
@@ -261,6 +265,33 @@ class Tracer {
   /// emission order, awaiting the next barrier drain.
   std::vector<std::vector<RemoteAttribution>> pending_remote_
       PSOODB_PARTITION_LOCAL;
+};
+
+/// The retained events of a run's tracers (one per event-loop partition)
+/// in the order both merged sinks render them: by (t, partition,
+/// per-partition seq), built once per run. The partition index breaks
+/// same-timestamp ties between rings, so the order is a pure function of
+/// the per-partition traces (thread-count independent). One tracer is not
+/// merged: its sinks keep its own order. Holds views into the rings, valid
+/// until the next Emit or ResetMeasurement on any of the tracers.
+class MergedEvents {
+ public:
+  explicit MergedEvents(const std::vector<Tracer*>& parts);
+
+  /// A retained event's place in a time-sorted sink: its timestamp, then
+  /// its tracer's index (high 32 bits) and its position in that tracer's
+  /// emission order (low 32 bits).
+  struct Key {
+    double t;
+    std::uint64_t rank;
+  };
+  using Ring = std::array<std::span<const Event>, 2>;
+
+ private:
+  friend class Tracer;
+  std::vector<const Tracer*> parts_;
+  std::vector<Ring> rings_;  ///< parts_[i]->Events()
+  std::vector<Key> order_;   ///< sorted; empty for one tracer
 };
 
 /// RAII phase attribution for one interval in a coroutine: captures now()

@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <string_view>
 
 #include "sim/random.h"
 
@@ -30,11 +32,15 @@ std::string Written(const Pieces&... pieces) {
   return out;
 }
 
-/// Every double conversion the sinks use, checked against snprintf.
+/// Every double conversion the sinks use, plus the exact path's precision
+/// ends (0, with no point, and its maximum, 9) and one between, checked
+/// against snprintf.
 void ExpectPrintfBytes(double v) {
   const std::string hex = Printf("%a", v);
   ASSERT_EQ(Written(Fixed{v, 9}), Printf("%.9f", v)) << hex;
   ASSERT_EQ(Written(Fixed{v, 3}), Printf("%.3f", v)) << hex;
+  ASSERT_EQ(Written(Fixed{v, 0}), Printf("%.0f", v)) << hex;
+  ASSERT_EQ(Written(Fixed{v, 6}), Printf("%.6f", v)) << hex;
   ASSERT_EQ(Written(General{v, 9}), Printf("%.9g", v)) << hex;
 }
 
@@ -44,6 +50,83 @@ TEST(TextWriterTest, RandomDoublesMatchPrintf) {
     const double magnitude = std::pow(10.0, rng.Uniform(-12.0, 12.0));
     const double v = (rng.Next() & 1) != 0 ? -magnitude : magnitude;
     ASSERT_NO_FATAL_FAILURE(ExpectPrintfBytes(v));
+  }
+}
+
+TEST(TextWriterTest, RandomBitsDyadicsAndSimTimesMatchPrintf) {
+  sim::Rng rng(20261018);
+  for (int i = 0; i < 30000; ++i) {
+    // Any bit pattern: every exponent, both signs, NaNs and infinities.
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectPrintfBytes(std::bit_cast<double>(rng.Next())));
+    // Dyadic fractions down to 2^-79: exact binary values whose decimal
+    // expansion runs past every printed digit, including exact ties.
+    const double dyadic = std::ldexp(
+        static_cast<double>(rng.UniformInt(-(std::int64_t{1} << 53),
+                                           std::int64_t{1} << 53)),
+        static_cast<int>(rng.UniformInt(-132, 0)));
+    ASSERT_NO_FATAL_FAILURE(ExpectPrintfBytes(dyadic));
+    // Simulated times (whole microseconds as seconds) and their Chrome
+    // microsecond form.
+    const double t = static_cast<double>(rng.UniformInt(0, 10'000'000'000)) *
+                     1e-6;
+    ASSERT_NO_FATAL_FAILURE(ExpectPrintfBytes(t));
+    ASSERT_NO_FATAL_FAILURE(ExpectPrintfBytes(t * 1e6));
+    // Integers in +-1e9 and multiples of 1/1024.
+    const auto k = rng.UniformInt(-1'000'000'000, 1'000'000'000);
+    ASSERT_NO_FATAL_FAILURE(ExpectPrintfBytes(static_cast<double>(k)));
+    ASSERT_NO_FATAL_FAILURE(ExpectPrintfBytes(static_cast<double>(k) / 1024));
+  }
+}
+
+TEST(TextWriterTest, IntegralGeneralValuesMatchPrintf) {
+  for (const double v : {0.0, 1.0, 2.0, 9.0, 10.0, 999999999.0, 1e9, 1e9 + 1,
+                         9007199254740992.0 /* 2^53 */, 1e17, 1e300}) {
+    ASSERT_NO_FATAL_FAILURE(ExpectPrintfBytes(v));
+    ASSERT_NO_FATAL_FAILURE(ExpectPrintfBytes(-v));
+  }
+  for (std::int64_t k = -2000; k <= 2000; ++k) {
+    ASSERT_NO_FATAL_FAILURE(ExpectPrintfBytes(static_cast<double>(k)));
+  }
+  // Integral values one step inside 10^p at every General precision.
+  for (int p = 0; p <= 17; ++p) {
+    const double edge = std::pow(10.0, p);
+    for (const double v : {edge - 1, edge, std::nextafter(edge, 0.0)}) {
+      char fmt[8];
+      std::snprintf(fmt, sizeof fmt, "%%.%dg", p);
+      EXPECT_EQ(Written(General{v, p}), Printf(fmt, v)) << p;
+      EXPECT_EQ(Written(General{-v, p}), Printf(fmt, -v)) << p;
+    }
+  }
+}
+
+TEST(TextWriterTest, FixedValuesAroundTheIntegerPathEdgeMatchPrintf) {
+  // |v| * 10^p below 2^63 takes the integer path, at or above it falls
+  // back: walk a few doubles either side of the edge at each precision.
+  for (int p = 0; p <= 9; ++p) {
+    char fmt[8];
+    std::snprintf(fmt, sizeof fmt, "%%.%df", p);
+    const double edge = std::ldexp(1.0, 63) / std::pow(10.0, p);
+    double below = edge;
+    double above = edge;
+    for (int step = 0; step < 8; ++step) {
+      for (const double v : {below, above, -below, -above}) {
+        EXPECT_EQ(Written(Fixed{v, p}), Printf(fmt, v)) << p << " " << v;
+      }
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, 1e300);
+    }
+  }
+}
+
+TEST(TextWriterTest, SubnormalsMatchPrintf) {
+  sim::Rng rng(7);
+  const std::uint64_t max_fraction = (std::uint64_t{1} << 52) - 1;
+  for (int i = 0; i < 10000; ++i) {
+    // Exponent field 0: every significand is a subnormal.
+    const std::uint64_t bits = rng.Next() & max_fraction;
+    ASSERT_NO_FATAL_FAILURE(ExpectPrintfBytes(std::bit_cast<double>(bits)));
+    ASSERT_NO_FATAL_FAILURE(ExpectPrintfBytes(-std::bit_cast<double>(bits)));
   }
 }
 
@@ -113,6 +196,31 @@ TEST(TextWriterTest, PiecesAppendInOrder) {
   Append(out, "\"name\":\"", name, "\",\"v\":", General{1.5, 9}, ',',
          std::uint64_t{3}, '}');
   EXPECT_EQ(out, "{\"name\":\"" + name + "\",\"v\":1.5,3}");
+
+  // A piece longer than the whole stack buffer, between buffered pieces.
+  const std::string huge(3 * text_writer_internal::kLineBytes + 7, 'h');
+  out = "<";
+  Append(out, 'a', huge, Fixed{2.5, 3}, huge, -7);
+  EXPECT_EQ(out, "<a" + huge + "2.500" + huge + "-7");
+
+  // One call whose buffered pieces (each short enough to be copied into
+  // the buffer) fill it several times over.
+  const std::string p(text_writer_internal::kDirectBytes, 'p');
+  out.clear();
+  Append(out, p, 1, p, Fixed{0.125, 9}, p, General{1e-3, 9}, p,
+         std::int64_t{-42}, p, p, '!', p, p, p, Fixed{-1e20, 3}, p, p, p, p,
+         p, p, p, p, p, p, p, p);
+  std::string expected = p + "1" + p + "0.125000000" + p + "0.001" + p +
+                         "-42" + p + p + "!" + p + p + p +
+                         "-100000000000000000000.000";
+  for (int i = 0; i < 12; ++i) expected += p;
+  EXPECT_EQ(out, expected);
+  EXPECT_GT(out.size(), 4 * text_writer_internal::kLineBytes);
+
+  // Empty pieces write nothing.
+  out = "[";
+  Append(out, "", std::string(), std::string_view(), 5, "");
+  EXPECT_EQ(out, "[5");
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
 // Tracing subsystem: determinism of the serialized sinks, zero-perturbation
 // when enabled (tracing observes, never schedules), Chrome sink
 // well-formedness, the sums-to-response decomposition invariant across all
-// six protocols under contention, ring-buffer bounding, and the per-System
-// PSOODB_TRACE_PAGE regression.
+// six protocols under contention, ring-buffer bounding, the per-System
+// PSOODB_TRACE_PAGE regression, and the sinks' bytes against a printf
+// reference for hand-built single and merged traces.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdarg>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -13,6 +17,7 @@
 
 #include "config/params.h"
 #include "core/system.h"
+#include "sim/simulation.h"
 #include "trace/trace.h"
 
 namespace psoodb::core {
@@ -170,6 +175,272 @@ TEST(TraceTest, JsonlSummaryMatchesResultTotals) {
                 static_cast<unsigned long long>(r.breakdown_txns));
   EXPECT_NE(s.find(expect, sum_pos), std::string::npos);
   EXPECT_NE(s.find("\"violations\":0", sum_pos), std::string::npos);
+}
+
+// --- sink bytes against a printf reference ---------------------------------
+
+using trace::Event;
+using trace::EventKind;
+using trace::Tracer;
+using trace::TraceMeta;
+
+void Appendf(std::string& out, const char* fmt, ...)
+    __attribute__((format(printf, 2, 3)));
+
+void Appendf(std::string& out, const char* fmt, ...) {
+  char buf[512];
+  va_list args;
+  va_start(args, fmt);
+  const int n = std::vsnprintf(buf, sizeof buf, fmt, args);
+  va_end(args);
+  ASSERT_TRUE(n >= 0 && n < static_cast<int>(sizeof buf));
+  out.append(buf, static_cast<std::size_t>(n));
+}
+
+using ull = unsigned long long;
+using ll = long long;
+
+/// The aggregates a JSONL summary line reports.
+struct Totals {
+  ull dropped = 0;
+  int page_filter = -1;
+  ull commits = 0;
+  ull violations = 0;
+  double phases[trace::kNumPhases] = {};
+
+  void Add(const Tracer& t) {
+    dropped += t.events_dropped();
+    commits += t.commits();
+    violations += t.violations();
+    for (int p = 0; p < trace::kNumPhases; ++p) {
+      phases[p] += t.phase_totals()[p];
+    }
+  }
+};
+
+/// The JSONL sink as a printf formatter renders `events` in order.
+std::string ReferenceJsonl(const TraceMeta& meta,
+                           const std::vector<Event>& events,
+                           const Totals& totals) {
+  std::string out;
+  Appendf(out,
+          "{\"psoodb_trace\":1,\"protocol\":\"%s\",\"clients\":%d,"
+          "\"servers\":%d,\"seed\":%llu,\"events\":%zu,\"dropped\":%llu,"
+          "\"page_filter\":%d}\n",
+          meta.protocol.c_str(), meta.num_clients, meta.num_servers,
+          static_cast<ull>(meta.seed), events.size(), totals.dropped,
+          totals.page_filter);
+  for (const Event& e : events) {
+    Appendf(out,
+            "{\"t\":%.9f,\"k\":\"%s\",\"node\":%d,\"txn\":%llu,\"page\":%d,"
+            "\"a\":%lld,\"b\":%lld,\"aux\":%d,\"dur\":%.9f,\"seq\":%llu}\n",
+            e.t, trace::EventKindName(e.kind), e.node,
+            static_cast<ull>(e.txn), e.page, static_cast<ll>(e.a),
+            static_cast<ll>(e.b), e.aux, e.dur, static_cast<ull>(e.seq));
+  }
+  Appendf(out, "{\"summary\":1,\"commits\":%llu,\"violations\":%llu,"
+               "\"phases\":{",
+          totals.commits, totals.violations);
+  for (int p = 0; p < trace::kNumPhases; ++p) {
+    Appendf(out, "%s\"%s\":%.9f", p == 0 ? "" : ",", trace::PhaseName(p),
+            totals.phases[p]);
+  }
+  out += "}}\n";
+  return out;
+}
+
+/// The Chrome sink as a printf formatter renders `events` (already in
+/// time order), with tracks named once each in tid order.
+std::string ReferenceChrome(const TraceMeta& meta,
+                            const std::vector<Event>& events) {
+  static constexpr const char* kCategory[trace::kNumEventKinds] = {
+      "txn",  "txn",  "txn",  "txn",  "msg",  "msg",
+      "lock", "lock", "lock", "lock", "lock", "cb",
+      "cb",   "cb",   "disk", "disk", "local", "local"};
+  const int first_server = std::max(1000, meta.num_clients) + 1;
+  const auto tid_of = [first_server](int node) {
+    return node >= 0 ? node + 1 : first_server - 1 - node;
+  };
+  std::map<int, std::string> tracks;
+  for (const Event& e : events) {
+    char name[32];
+    std::snprintf(name, sizeof name, e.node >= 0 ? "client %d" : "server %d",
+                  e.node >= 0 ? e.node : -1 - e.node);
+    tracks.try_emplace(tid_of(e.node), name);
+  }
+  std::string out;
+  Appendf(out,
+          "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"protocol\":\"%s\","
+          "\"seed\":%llu},\"traceEvents\":[\n",
+          meta.protocol.c_str(), static_cast<ull>(meta.seed));
+  Appendf(out,
+          "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
+          "\"args\":{\"name\":\"psoodb %s\"}}",
+          meta.protocol.c_str());
+  for (const auto& [tid, name] : tracks) {
+    Appendf(out,
+            ",\n{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":\"thread_name\","
+            "\"args\":{\"name\":\"%s\"}}",
+            tid, name.c_str());
+  }
+  for (const Event& e : events) {
+    if (e.dur > 0) {
+      Appendf(out, ",\n{\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,"
+                   "\"dur\":%.3f",
+              tid_of(e.node), e.t * 1e6, e.dur * 1e6);
+    } else {
+      Appendf(out, ",\n{\"ph\":\"i\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,"
+                   "\"s\":\"t\"",
+              tid_of(e.node), e.t * 1e6);
+    }
+    Appendf(out,
+            ",\"name\":\"%s\",\"cat\":\"%s\",\"args\":{\"txn\":%llu,"
+            "\"page\":%d,\"a\":%lld,\"b\":%lld,\"aux\":%d,\"seq\":%llu}}",
+            trace::EventKindName(e.kind),
+            kCategory[static_cast<int>(e.kind)], static_cast<ull>(e.txn),
+            e.page, static_cast<ll>(e.a), static_cast<ll>(e.b), e.aux,
+            static_cast<ull>(e.seq));
+  }
+  out += "\n]}\n";
+  return out;
+}
+
+/// A tracer's retained events in emission order.
+std::vector<Event> Retained(const Tracer& t) {
+  std::vector<Event> events;
+  for (const auto half : t.Events()) {
+    events.insert(events.end(), half.begin(), half.end());
+  }
+  return events;
+}
+
+/// Emits a hand-built mix into `t`: instants, spans emitted after later
+/// instants (so emission order is not time order), equal timestamps,
+/// client and server nodes, and two commits with their phase totals.
+void EmitMix(Tracer& t, double base, std::uint64_t txn) {
+  t.EmitSpan(base + 0.001, 0, EventKind::kTxnBegin, 0, txn);
+  t.EmitSpan(base + 0.002, 0, EventKind::kMsgSend, 0, txn, -1, 4096, 3, -1);
+  t.EmitSpan(base + 0.002, 0, EventKind::kMsgRecv, -1, txn, -1, 4096, 3, 0);
+  t.EmitSpan(base + 0.0035, 0, EventKind::kLockWait, -1, txn, 17, 170,
+             static_cast<std::int64_t>(txn) + 1);
+  t.EmitSpan(base + 0.0015, 0.0031234567891, EventKind::kDiskRead, -2, txn,
+             17, 4);
+  t.EmitSpan(base + 0.002, 0.0025, EventKind::kLockGrant, -1, txn, 17, 170,
+             -1);
+  t.EmitSpan(base + 0.004, 0, EventKind::kCallbackIssue, -1, txn, 17, -1, -1,
+             2);
+  t.EmitSpan(base + 0.0038, 0.000000123456, EventKind::kCallbackRound, -1,
+             txn, 17, 1);
+  t.EmitSpan(base + 0.004, 0, EventKind::kLocalRevoke, 2, txn + 1, 17, 170);
+  trace::Breakdown cycle;
+  cycle.Add(trace::Phase::kThink, 0.0123456789);
+  cycle.Add(trace::Phase::kNetwork, 0.0021);
+  cycle.Add(trace::Phase::kDisk, 0.0031234567891);
+  t.FinalizeCommit(0, txn, base + 0.001, 0.0052234567891, cycle);
+  t.EmitSpan(base + 0.005, 0, EventKind::kTxnBegin, 3, txn + 1);
+  cycle.Clear();
+  cycle.Add(trace::Phase::kBackoff, 0.25);
+  t.FinalizeCommit(3, txn + 1, base + 0.0045, 0.25, cycle);
+  t.EmitSpan(base + 0.0045, 0.000001, EventKind::kDiskWrite, -1, txn + 1, 9,
+             2);
+}
+
+TraceMeta SinkMeta() {
+  TraceMeta meta;
+  meta.protocol = "PS-AA";
+  meta.num_clients = 4;
+  meta.num_servers = 2;
+  meta.seed = 424242;
+  return meta;
+}
+
+TEST(TraceSinkTest, SingleTracerSinksMatchPrintfReference) {
+  sim::Simulation sim;
+  Tracer t(sim, 8, -1);  // wraps: 13 events into 8 slots
+  EmitMix(t, 12.3456789, 600);
+  ASSERT_FALSE(t.Events()[0].empty());
+  ASSERT_FALSE(t.Events()[1].empty());
+  ASSERT_EQ(t.events_dropped(), 5u);
+  const TraceMeta meta = SinkMeta();
+  std::vector<Event> events = Retained(t);
+  Totals totals;
+  totals.Add(t);
+  EXPECT_EQ(t.SerializeJsonl(meta), ReferenceJsonl(meta, events, totals));
+  std::stable_sort(events.begin(), events.end(),
+                   [](const Event& x, const Event& y) {
+                     if (x.t != y.t) return x.t < y.t;
+                     return x.seq < y.seq;
+                   });
+  EXPECT_EQ(t.SerializeChrome(meta), ReferenceChrome(meta, events));
+  // The one-tracer merged sinks are the tracer's own.
+  const trace::MergedEvents merged({&t});
+  EXPECT_EQ(Tracer::SerializeJsonlMerged(merged, meta), t.SerializeJsonl(meta));
+  const std::string counters =
+      "{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":0.000,\"name\":\"x\","
+      "\"args\":{\"v\":1}}";
+  EXPECT_EQ(Tracer::SerializeChromeMerged(merged, meta, &counters),
+            t.SerializeChrome(meta, &counters));
+}
+
+TEST(TraceSinkTest, MergedSinksMatchPrintfReference) {
+  sim::Simulation sim;
+  Tracer a(sim, 8, -1);
+  Tracer b(sim, 64, -1);
+  EmitMix(a, 12.3456789, 600);
+  // Same base time: equal timestamps across the two rings.
+  EmitMix(b, 12.3456789, 601);
+  EmitMix(b, 12.3426789, 901);
+  const TraceMeta meta = SinkMeta();
+  struct Tagged {
+    Event e;
+    int part;
+  };
+  std::vector<Tagged> all;
+  Totals totals;
+  int part = 0;
+  for (const Tracer* t : {&a, &b}) {
+    for (const Event& e : Retained(*t)) all.push_back(Tagged{e, part});
+    totals.Add(*t);
+    ++part;
+  }
+  std::sort(all.begin(), all.end(), [](const Tagged& x, const Tagged& y) {
+    if (x.e.t != y.e.t) return x.e.t < y.e.t;
+    if (x.part != y.part) return x.part < y.part;
+    return x.e.seq < y.e.seq;
+  });
+  std::vector<Event> events;
+  for (const Tagged& x : all) {
+    events.push_back(x.e);
+    events.back().seq = events.size() - 1;
+  }
+  const trace::MergedEvents merged({&a, &b});
+  EXPECT_EQ(Tracer::SerializeJsonlMerged(merged, meta),
+            ReferenceJsonl(meta, events, totals));
+  EXPECT_EQ(Tracer::SerializeChromeMerged(merged, meta),
+            ReferenceChrome(meta, events));
+}
+
+TEST(TraceSinkTest, ServerTracksFollowMoreThanAThousandClients) {
+  // Client 1000 is tid 1001, which was also server 0's track.
+  sim::Simulation sim;
+  Tracer t(sim, 16, -1);
+  t.Emit(EventKind::kTxnBegin, 1000, 1);
+  t.Emit(EventKind::kDiskRead, -1, 1);
+  TraceMeta meta;
+  meta.protocol = "PS";
+  meta.num_clients = 2000;
+  meta.num_servers = 1;
+  const std::string s = t.SerializeChrome(meta);
+  EXPECT_NE(s.find("{\"ph\":\"M\",\"pid\":1,\"tid\":1001,\"name\":"
+                   "\"thread_name\",\"args\":{\"name\":\"client 1000\"}}"),
+            std::string::npos);
+  EXPECT_NE(s.find("{\"ph\":\"M\",\"pid\":1,\"tid\":2001,\"name\":"
+                   "\"thread_name\",\"args\":{\"name\":\"server 0\"}}"),
+            std::string::npos);
+  EXPECT_NE(s.find("{\"ph\":\"i\",\"pid\":1,\"tid\":2001,\"ts\":0.000,"
+                   "\"s\":\"t\",\"name\":\"disk_read\""),
+            std::string::npos);
+  EXPECT_EQ(s, ReferenceChrome(meta, Retained(t)));
 }
 
 }  // namespace

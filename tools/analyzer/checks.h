@@ -14,7 +14,7 @@
 ///                       feeds results (determinism hazard across stdlibs)
 ///   det-hazard          wall-clock, global RNG, getpid, pointer-keyed
 ///                       unordered containers (successor of the retired
-///                       tools/lint_determinism)
+///                       regex determinism lint)
 ///   dcheck-side-effect  mutation inside PSOODB_DCHECK, which compiles away
 ///                       under NDEBUG
 ///   enum-switch         switch over a protocol enum missing enumerators

@@ -6,7 +6,7 @@
 /// Suppression markers (same line as the finding, inside any comment):
 ///
 ///   `det-ok`, followed by a colon and a justification, covers det-hazard
-///   and unordered-iter (legacy grammar from tools/lint_determinism);
+///   and unordered-iter (legacy grammar from the retired regex lint);
 ///   `analyzer-ok` — optionally followed by a parenthesized, comma-separated
 ///   check list — covers the listed checks, or every check on the line when
 ///   no list is given, and likewise takes `: <justification>`.
