@@ -59,7 +59,8 @@ void Client::EndTxnLocal() {
 void Client::NoteRead(ObjectId oid, Version version, bool own_write) {
   if (own_write) return;
   ctx_.CheckCacheValidity(oid, version);
-  read_versions_.emplace(oid, version);  // first read wins
+  // First read wins.
+  if (ctx_.history != nullptr) read_versions_.emplace(oid, version);
 }
 
 void Client::ReplyCallback(const std::shared_ptr<CallbackBatch>& batch,
@@ -416,13 +417,9 @@ sim::Task PageFamilyClient::Commit() {
 
   // History is recorded once all involved servers have acked (strict 2PL:
   // all locks were held until here, so the serialization point is sound).
-  // The commit sequence is only minted when history is on: it orders the
-  // recorded commits, and bumping it unconditionally would be a cross-thread
-  // race on the shared Database in partitioned runs (sim/shard.h).
   if (ctx_.history != nullptr) {
     CommittedTxn record;
     record.txn = txn_;
-    record.commit_seq = ctx_.db.NextCommitSeq();
     record.reads = ReadSnapshot();
     record.writes = merged.new_versions;
     ctx_.history->RecordCommit(std::move(record));

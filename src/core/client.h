@@ -191,6 +191,8 @@ class Client {
   bool txn_committing_ = false;
   bool txn_aborting_ = false;
   cc::LocalTxnLocks locks_;
+  /// First-read versions for the history record; filled only when a
+  /// history is kept.
   util::FlatMap<storage::ObjectId, storage::Version> read_versions_;
   std::vector<sim::InlineFunction> deferred_;
 

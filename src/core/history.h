@@ -7,7 +7,6 @@
 #ifndef PSOODB_CORE_HISTORY_H_
 #define PSOODB_CORE_HISTORY_H_
 
-#include <cstdint>
 #include <map>
 #include <unordered_map>
 #include <vector>
@@ -19,7 +18,6 @@ namespace psoodb::core {
 /// Footprint of one committed transaction.
 struct CommittedTxn {
   storage::TxnId txn = storage::kNoTxn;
-  std::uint64_t commit_seq = 0;
   /// Object -> committed version observed at (first) read. Reads of the
   /// transaction's own writes are not recorded (they create no cross-
   /// transaction conflict edges).

@@ -228,12 +228,9 @@ sim::Task OsClient::Commit() {
                                ack.new_versions.end());
   }
   EndRpc();
-  // Commit sequence minted only with history on (see client.cpp): the bump
-  // would otherwise race on the shared Database in partitioned runs.
   if (ctx_.history != nullptr) {
     CommittedTxn record;
     record.txn = txn_;
-    record.commit_seq = ctx_.db.NextCommitSeq();
     record.reads = ReadSnapshot();
     record.writes = merged.new_versions;
     ctx_.history->RecordCommit(std::move(record));

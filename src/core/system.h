@@ -152,6 +152,8 @@ class System {
   Client& client(int i) { return *clients_.at(i); }
   int num_clients() const { return static_cast<int>(clients_.size()); }
   storage::Database& db() { return db_; }
+  /// The commits Run() recorded; empty unless RunConfig::record_history.
+  const History& history() const { return history_; }
   const config::SystemParams& params() const { return params_; }
   config::Protocol protocol() const { return protocol_; }
   /// The protocol invariant checker, or null unless enabled via

@@ -17,10 +17,14 @@ namespace psoodb::storage {
 
 /// Maps objects to (page, slot) locations and back. The default layout is
 /// dense: object `i` lives at page `i / objects_per_page`,
-/// slot `i % objects_per_page`. Locations can be swapped to model
-/// declustered / interleaved placements.
+/// slot `i % objects_per_page`, computed from the id. Locations can be
+/// swapped to model declustered / interleaved placements; the first Swap
+/// builds an oid -> location table and its inverse, which every lookup then
+/// reads, so a layout that is never swapped holds no per-object memory.
 class ObjectLayout {
  public:
+  /// CHECKs that the layout is non-empty and that its object ids fit in
+  /// 32 bits, the width the dense arithmetic uses.
   ObjectLayout(int num_pages, int objects_per_page);
 
   int num_pages() const { return num_pages_; }
@@ -29,24 +33,38 @@ class ObjectLayout {
     return static_cast<ObjectId>(num_pages_) * objects_per_page_;
   }
 
-  PageId PageOf(ObjectId oid) const { return loc_[oid].first; }
-  int SlotOf(ObjectId oid) const { return loc_[oid].second; }
+  PageId PageOf(ObjectId oid) const {
+    if (relocated()) return loc_[static_cast<std::size_t>(oid)].first;
+    return static_cast<PageId>(static_cast<std::uint32_t>(oid) / opp());
+  }
+  int SlotOf(ObjectId oid) const {
+    if (relocated()) return loc_[static_cast<std::size_t>(oid)].second;
+    return static_cast<int>(static_cast<std::uint32_t>(oid) % opp());
+  }
   ObjectId ObjectAt(PageId page, int slot) const {
-    return at_[static_cast<std::size_t>(page) * objects_per_page_ + slot];
+    const std::uint32_t at = static_cast<std::uint32_t>(page) * opp() +
+                             static_cast<std::uint32_t>(slot);
+    return relocated() ? at_[at] : ObjectId{at};
   }
 
   /// Swaps the physical locations of two objects.
   void Swap(ObjectId a, ObjectId b);
 
  private:
+  bool relocated() const { return !at_.empty(); }
+  std::uint32_t opp() const {
+    return static_cast<std::uint32_t>(objects_per_page_);
+  }
+
   int num_pages_;
   int objects_per_page_;
+  // Empty until the first Swap.
   std::vector<std::pair<PageId, int>> loc_;  // oid -> (page, slot)
   std::vector<ObjectId> at_;                 // page*opp+slot -> oid
 };
 
 /// Ground truth for correctness checking: the latest committed version of
-/// every object, and a global commit sequence.
+/// every object.
 class Database {
  public:
   Database(int num_pages, int objects_per_page)
@@ -65,14 +83,9 @@ class Database {
     return ++committed_[static_cast<std::size_t>(oid)];
   }
 
-  /// Issues the next global commit sequence number.
-  std::uint64_t NextCommitSeq() { return ++commit_seq_; }
-  std::uint64_t commit_seq() const { return commit_seq_; }
-
  private:
   ObjectLayout layout_;
   std::vector<Version> committed_;
-  std::uint64_t commit_seq_ = 0;
 };
 
 }  // namespace psoodb::storage

@@ -11,7 +11,9 @@
 //   - the request-path tables on util::Slab: LRU insert-with-eviction over
 //     a full cache, lock acquire / wait / ReleaseAll cycles, copy-table
 //     register / HoldersExcept / unregister, and the detector's wait edges
-//     and wait channels.
+//     and wait channels;
+//   - a Database whose layout was never swapped: its version store is its
+//     one allocation, with no per-object layout table.
 // Every task is spawned before counting starts: under AddressSanitizer
 // sim/pool.h passes coroutine frames through to operator new, and frame
 // allocation is not what these tests measure. The lock-manager case has to
@@ -36,6 +38,7 @@
 #include "sim/simulation.h"
 #include "sim/task.h"
 #include "storage/buffer_manager.h"
+#include "storage/database.h"
 #include "workload/workload.h"
 
 namespace {
@@ -302,6 +305,13 @@ TEST(AllocationFree, DetectorWaitsAndWaitChannelsCycles) {
   EXPECT_EQ(news.count(), 0u);
   EXPECT_EQ(detector.edge_count(), 0u);
   EXPECT_EQ(detector.parked(), 0u);
+}
+
+TEST(AllocationFree, UnswappedDatabaseAllocatesOnlyItsVersions) {
+  const NewCounter news;
+  const storage::Database db(100000, 20);
+  EXPECT_EQ(news.count(), 1u);
+  EXPECT_EQ(db.layout().PageOf(db.layout().num_objects() - 1), 99999);
 }
 
 }  // namespace

@@ -123,6 +123,29 @@ TEST(ProtocolBehaviorTest, ReadOnlyWorkloadSendsNoCallbacks) {
   }
 }
 
+// Clients record read versions only when a history is kept, so this pins
+// that a kept history gets them: without reads, the serializability check
+// would see no read edges and every test above would still pass. PS and OS
+// cover both commit paths.
+TEST(ProtocolBehaviorTest, RecordedHistoryHoldsCommittedReadVersions) {
+  SystemParams sys = SmallSys();
+  for (Protocol p : {Protocol::kPS, Protocol::kOS}) {
+    System s(p, sys, config::MakeHotCold(sys, Locality::kLow, 0.2));
+    ExpectCorrect(s.Run(QuickRun()), config::ProtocolName(p));
+    std::size_t reads = 0, newer_than_initial = 0;
+    for (const CommittedTxn& t : s.history().txns()) {
+      reads += t.reads.size();
+      for (const auto& [oid, v] : t.reads) {
+        EXPECT_LE(v, s.db().committed_version(oid));
+        newer_than_initial += v > 0;
+      }
+    }
+    EXPECT_GE(s.history().size(), 120u) << config::ProtocolName(p);
+    EXPECT_GT(reads, s.history().size()) << config::ProtocolName(p);
+    EXPECT_GT(newer_than_initial, 0u) << config::ProtocolName(p);
+  }
+}
+
 TEST(ProtocolBehaviorTest, PsAaGrantsPageLocksWithoutContention) {
   // PRIVATE has zero data contention: PS-AA must behave like PS, granting
   // page-level write locks (no object-level de-escalation).

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "sim/random.h"
 #include "storage/buffer_manager.h"
 #include "storage/database.h"
 #include "storage/lru_cache.h"
@@ -27,17 +30,29 @@ TEST(ObjectLayoutTest, DenseDefaultMapping) {
 }
 
 TEST(ObjectLayoutTest, MappingIsBijective) {
-  ObjectLayout layout(5, 4);
-  std::set<ObjectId> seen;
-  for (PageId p = 0; p < 5; ++p) {
-    for (int s = 0; s < 4; ++s) {
-      ObjectId oid = layout.ObjectAt(p, s);
-      EXPECT_TRUE(seen.insert(oid).second);
-      EXPECT_EQ(layout.PageOf(oid), p);
-      EXPECT_EQ(layout.SlotOf(oid), s);
+  for (int opp : {1, 2, 3, 20, 64}) {
+    ObjectLayout layout(5, opp);
+    std::set<ObjectId> seen;
+    for (PageId p = 0; p < 5; ++p) {
+      for (int s = 0; s < opp; ++s) {
+        ObjectId oid = layout.ObjectAt(p, s);
+        EXPECT_TRUE(seen.insert(oid).second) << "opp " << opp;
+        EXPECT_EQ(layout.PageOf(oid), p) << "opp " << opp;
+        EXPECT_EQ(layout.SlotOf(oid), s) << "opp " << opp;
+      }
     }
+    // 5 * opp distinct ids from 0 to num_objects() - 1: exactly the ids.
+    ASSERT_EQ(seen.size(), static_cast<std::size_t>(5 * opp));
+    EXPECT_EQ(*seen.begin(), 0);
+    EXPECT_EQ(*seen.rbegin(), layout.num_objects() - 1);
   }
-  EXPECT_EQ(seen.size(), 20u);
+  // The last object of the paper-scale database.
+  ObjectLayout paper(100000, 20);
+  const ObjectId last = paper.num_objects() - 1;
+  EXPECT_EQ(last, 1999999);
+  EXPECT_EQ(paper.PageOf(last), 99999);
+  EXPECT_EQ(paper.SlotOf(last), 19);
+  EXPECT_EQ(paper.ObjectAt(99999, 19), last);
 }
 
 TEST(ObjectLayoutTest, SwapRelocatesBothObjects) {
@@ -56,6 +71,74 @@ TEST(ObjectLayoutTest, SwapRelocatesBothObjects) {
   EXPECT_EQ(layout.ObjectAt(2, 7), b);
 }
 
+TEST(ObjectLayoutDeathTest, ObjectIdsMustFitIn32Bits) {
+  // 65,535 x 65,537 = 2^32 - 1 objects: the largest layout, whose last id
+  // and location still fit the 32-bit arithmetic.
+  ObjectLayout largest(65535, 65537);
+  const ObjectId last = largest.num_objects() - 1;
+  EXPECT_EQ(last, 4294967294);
+  EXPECT_EQ(largest.PageOf(last), 65534);
+  EXPECT_EQ(largest.SlotOf(last), 65536);
+  EXPECT_EQ(largest.ObjectAt(65534, 65536), last);
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(ObjectLayout(65536, 65536), "do not fit 32-bit object ids");
+}
+
+// Seeded swaps, self-swaps and immediate swap-backs among them, against a
+// reference permutation: every lookup agrees before and after each swap.
+TEST(ObjectLayoutTest, SwapsMatchAReferencePermutation) {
+  constexpr int kPages = 12;
+  constexpr int kOpp = 5;
+  ObjectLayout layout(kPages, kOpp);
+  const ObjectId n = layout.num_objects();
+  // where[oid] = page * kOpp + slot, and at[page * kOpp + slot] = oid.
+  std::vector<ObjectId> where(static_cast<std::size_t>(n));
+  std::vector<ObjectId> at(static_cast<std::size_t>(n));
+  for (ObjectId i = 0; i < n; ++i) where[i] = at[i] = i;
+  const auto matches = [&] {
+    for (ObjectId oid = 0; oid < n; ++oid) {
+      if (layout.PageOf(oid) != where[oid] / kOpp ||
+          layout.SlotOf(oid) != where[oid] % kOpp) {
+        return false;
+      }
+    }
+    for (ObjectId loc = 0; loc < n; ++loc) {
+      if (layout.ObjectAt(static_cast<PageId>(loc / kOpp),
+                          static_cast<int>(loc % kOpp)) != at[loc]) {
+        return false;
+      }
+    }
+    return true;
+  };
+  ASSERT_TRUE(matches());
+  sim::Rng rng(22);
+  ObjectId prev_a = 0, prev_b = 0;
+  int self_swaps = 0, swap_backs = 0;
+  for (int i = 0; i < 1000; ++i) {
+    ObjectId a = rng.UniformInt(0, n - 1);
+    ObjectId b = rng.UniformInt(0, n - 1);
+    const double dice = rng.NextDouble();
+    if (dice < 0.1) {
+      b = a;
+    } else if (dice < 0.2) {
+      a = prev_a;
+      b = prev_b;
+    }
+    self_swaps += a == b;
+    swap_backs += a == prev_a && b == prev_b && a != b;
+    layout.Swap(a, b);
+    std::swap(where[a], where[b]);
+    at[where[a]] = a;
+    at[where[b]] = b;
+    prev_a = a;
+    prev_b = b;
+    ASSERT_TRUE(matches()) << "after swap " << i << " (" << a << ", " << b
+                           << ")";
+  }
+  EXPECT_GT(self_swaps, 0);
+  EXPECT_GT(swap_backs, 0);
+}
+
 TEST(DatabaseTest, CommitWriteBumpsVersions) {
   Database db(10, 20);
   EXPECT_EQ(db.committed_version(42), 0u);
@@ -63,13 +146,6 @@ TEST(DatabaseTest, CommitWriteBumpsVersions) {
   EXPECT_EQ(db.CommitWrite(42), 2u);
   EXPECT_EQ(db.committed_version(42), 2u);
   EXPECT_EQ(db.committed_version(41), 0u);
-}
-
-TEST(DatabaseTest, CommitSeqIsMonotonic) {
-  Database db(2, 2);
-  EXPECT_EQ(db.NextCommitSeq(), 1u);
-  EXPECT_EQ(db.NextCommitSeq(), 2u);
-  EXPECT_EQ(db.commit_seq(), 2u);
 }
 
 TEST(LruCacheTest, InsertAndGet) {
