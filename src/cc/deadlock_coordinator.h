@@ -121,7 +121,6 @@ class DeadlockCoordinator {
                                                ///< this txn's out-edges live
   };
 
-  Node& GetNode(storage::TxnId t) { return nodes_[t]; }
   /// +1/-1 on txn's incidence count for `partition`, maintaining the
   /// boundary bookkeeping; erases the node if it became fully disconnected.
   void BumpIncidence(storage::TxnId txn, int partition, int delta);

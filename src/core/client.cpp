@@ -2,8 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <map>
-#include <unordered_map>
 
 #include "cc/abort.h"
 #include "util/check.h"
@@ -13,7 +11,6 @@ namespace psoodb::core {
 using storage::ClientId;
 using storage::ObjectId;
 using storage::PageId;
-using storage::SlotMask;
 using storage::TxnId;
 using storage::Version;
 
@@ -23,7 +20,7 @@ Client::Client(SystemContext& ctx, ClientId id,
     : ctx_(ctx),
       id_(id),
       servers_(std::move(servers)),
-      cpu_(ctx.sim, ctx.params.client_mips, "client-cpu-" + std::to_string(id)),
+      cpu_(ctx.sim, ctx.params.client_mips),
       source_(workload, ctx.params, id, ctx.params.seed),
       rng_(ctx.params.seed, 0xBAC0FF + static_cast<std::uint64_t>(id)) {
   ctx_.transport.AttachCpu(static_cast<NodeId>(id), &cpu_);
@@ -71,6 +68,83 @@ void Client::ReplyCallback(const std::shared_ptr<CallbackBatch>& batch,
                [srv, batch, from, reply]() {
                  srv->FinishCallbackReply(batch, from, reply);
                });
+}
+
+sim::Task Client::Commit() {
+  txn_committing_ = true;
+  UpdatesByServer by_server;
+  CollectUpdates(by_server);
+  // A server holding updates this transaction already flushed (a PS-WT
+  // token recall staged them there, clearing the cached dirty bits) still
+  // needs the commit: it installs them and releases the locks.
+  for (ObjectId oid : locks_.write_objects()) {  // det-ok: fills an ordered map
+    by_server.try_emplace(ctx_.params.ServerOfPage(PageOf(oid)));
+  }
+  // A read-only transaction still confirms its commit with its home server
+  // (releasing any server-side state and forcing the commit record).
+  if (by_server.empty()) by_server[0] = {};
+
+  std::vector<sim::Future<CommitAck>> acks;
+  for (auto& [sidx, updates] : by_server) {
+    sim::Promise<CommitAck> pr(ctx_.sim);
+    acks.push_back(pr.GetFuture());
+    Server* srv = servers_[static_cast<std::size_t>(sidx)];
+    SendToServer(srv, MsgKind::kCommitReq,
+                 ctx_.transport.DataBytes(CommitPayload(updates)),
+                 [srv, txn = txn_, from = id_, updates,
+                  pr = std::move(pr)]() mutable {
+                   srv->OnCommitReq(txn, from, std::move(updates),
+                                    std::move(pr));
+                 });
+  }
+  CommitAck merged;
+  BeginRpc();
+  for (auto& fut : acks) {
+    CommitAck ack = co_await std::move(fut);
+    merged.new_versions.insert(merged.new_versions.end(),
+                               ack.new_versions.begin(),
+                               ack.new_versions.end());
+  }
+  EndRpc();
+
+  // History is recorded once all involved servers have acked (strict 2PL:
+  // all locks were held until here, so the serialization point is sound).
+  if (ctx_.history != nullptr) {
+    CommittedTxn record;
+    record.txn = txn_;
+    record.reads = {read_versions_.begin(), read_versions_.end()};
+    record.writes = merged.new_versions;
+    ctx_.history->RecordCommit(std::move(record));
+  }
+  ApplyCommitted(by_server, merged);
+  EndTxnLocal();
+}
+
+sim::Task Client::Abort() {
+  txn_aborting_ = true;
+  // Unpin first (the aborting transaction's footprint no longer needs
+  // residency), then purge its updates: later transactions must not see
+  // them.
+  UnpinAll();
+  std::vector<PurgedItems> purged(servers_.size());
+  PurgeDirty(purged);
+
+  std::vector<sim::Future<bool>> acks;
+  for (std::size_t sidx = 0; sidx < servers_.size(); ++sidx) {
+    sim::Promise<bool> pr(ctx_.sim);
+    acks.push_back(pr.GetFuture());
+    Server* srv = servers_[sidx];
+    SendToServer(srv, MsgKind::kAbortReq, ctx_.transport.ControlBytes(),
+                 [srv, txn = txn_, from = id_, mine = std::move(purged[sidx]),
+                  pr = std::move(pr)]() mutable {
+                   srv->OnAbortReq(txn, from, std::move(mine.pages),
+                                   std::move(mine.objects), std::move(pr));
+                 });
+  }
+  BeginRpc();
+  for (auto& fut : acks) co_await std::move(fut);
+  EndRpc();
+  EndTxnLocal();
 }
 
 sim::Task Client::MainLoop() {
@@ -145,7 +219,9 @@ sim::Task Client::MainLoop() {
     if (ctx_.tracer != nullptr) {
       ctx_.tracer->FinalizeCommit(id_, txn_, first_start, response, cycle_);
     }
-    if (ctx_.on_commit) ctx_.on_commit(id_, first_start, ctx_.sim.now());
+    if (ctx_.responses != nullptr) {
+      ctx_.responses->emplace_back(ctx_.sim.now(), response);
+    }
   }
 }
 
@@ -299,27 +375,15 @@ void PageFamilyClient::MarkLocalWrite(ObjectId oid) {
 }
 
 void PageFamilyClient::HandleEviction(PageId page,
-                                      storage::PageFrame&& frame) {
+                                      const storage::PageFrame& frame) {
+  // A dirty page is pinned until its transaction ends (MarkLocalWrite), and
+  // the cache never evicts a pinned page.
+  PSOODB_CHECK(!frame.IsDirty(), "dirty page %d evicted", page);
   Server* srv = ServerFor(page);
-  ClientId from = id_;
-  if (frame.IsDirty()) {
-    // Steal: ship the uncommitted page to the server for staging
-    // (purge-at-client / undo-at-server, Section 3.1).
-    ++ctx_.counters.dirty_evictions;
-    TxnId txn = txn_;
-    SlotMask dirty = frame.dirty;
-    SendToServer(srv, MsgKind::kDirtyInstall,
-                 ctx_.transport.DataBytes(ctx_.params.page_size_bytes),
-                 [srv, txn, page, dirty, from]() {
-                   srv->OnDirtyInstall(txn, page, dirty);
-                   srv->OnClientDroppedPage(page, from);
-                 });
-  } else {
-    SendToServer(srv, MsgKind::kEvictionNotice,
-                 ctx_.transport.ControlBytes(), [srv, page, from]() {
-                   srv->OnClientDroppedPage(page, from);
-                 });
-  }
+  SendToServer(srv, MsgKind::kEvictionNotice, ctx_.transport.ControlBytes(),
+               [srv, page, from = id_]() {
+                 srv->OnClientDroppedPage(page, from);
+               });
 }
 
 sim::Task PageFamilyClient::ApplyShip(PageShip ship) {
@@ -329,13 +393,6 @@ sim::Task PageFamilyClient::ApplyShip(PageShip ship) {
   if (r.inserted) {
     f->versions = std::move(ship.versions);
     f->unavailable = ship.unavailable;
-    f->dirty = 0;
-    // Re-mark any of this transaction's own updates on the page (the frame
-    // was dirty-evicted earlier); they are still logically uncommitted here.
-    for (ObjectId oid : locks_.write_objects()) {  // det-ok: commutative bitmask OR
-      if (PageOf(oid) == ship.page) f->MarkDirty(SlotOf(oid));
-    }
-    f->unavailable &= ~f->dirty;
   } else {
     // Merge: local uncommitted updates win; everything else refreshes.
     const int opp = ctx_.params.objects_per_page;
@@ -351,7 +408,7 @@ sim::Task PageFamilyClient::ApplyShip(PageShip ship) {
     f->unavailable = ship.unavailable & ~f->dirty;
   }
   if (r.evicted.has_value()) {
-    HandleEviction(r.evicted->first, std::move(r.evicted->second));
+    HandleEviction(r.evicted->first, r.evicted->second);
   }
   if (merged > 0) {
     trace::PhaseTimer cpu_time(ctx_.tracer, txn_, trace::Phase::kClientCpu);
@@ -359,125 +416,53 @@ sim::Task PageFamilyClient::ApplyShip(PageShip ship) {
   }
 }
 
-sim::Task PageFamilyClient::Commit() {
-  txn_committing_ = true;
-  // Group still-cached dirty pages by owning (partition) server. Ordered
-  // map: the loop below sends one commit message per server, and that wire
-  // order must not depend on a hash table's bucket layout.
-  std::map<int, std::vector<PageUpdate>> by_server;
-  std::unordered_map<int, int> objects_per_server;
-  std::vector<PageUpdate> all_updates;
+void PageFamilyClient::CollectUpdates(UpdatesByServer& by_server) const {
   cache_.ForEach([&](PageId p, const storage::PageFrame& f) {
     if (f.IsDirty()) {
-      PageUpdate u{p, f.dirty, f.pending_growth};
-      by_server[ctx_.params.ServerOfPage(p)].push_back(u);
-      objects_per_server[ctx_.params.ServerOfPage(p)] +=
-          storage::PopCount(f.dirty);
-      all_updates.push_back(u);
+      by_server[ctx_.params.ServerOfPage(p)].push_back(
+          {p, f.dirty, f.pending_growth});
     }
   });
-  // A server holding updates this transaction already flushed (a PS-WT
-  // token recall staged them there, clearing the cached dirty bits) still
-  // needs the commit: it installs them and releases the locks.
-  for (ObjectId oid : locks_.write_objects()) {  // det-ok: fills an ordered map
-    by_server.try_emplace(ctx_.params.ServerOfPage(PageOf(oid)));
-  }
-  // A read-only transaction still confirms its commit with its home server
-  // (releasing any server-side state and forcing the commit record).
-  if (by_server.empty()) by_server[0] = {};
+}
 
-  std::vector<sim::Future<CommitAck>> acks;
-  for (auto& [sidx, updates] : by_server) {
-    // Commit payload: whole pages, or just log records under redo-at-server.
-    const int payload =
-        ctx_.params.commit_mode == config::CommitMode::kRedoAtServer
-            ? objects_per_server[sidx] * (ctx_.params.log_record_bytes +
-                                          ctx_.params.object_size_bytes())
-            : static_cast<int>(updates.size()) * ctx_.params.page_size_bytes;
-    sim::Promise<CommitAck> pr(ctx_.sim);
-    acks.push_back(pr.GetFuture());
-    Server* srv = servers_[static_cast<std::size_t>(sidx)];
-    TxnId txn = txn_;
-    ClientId from = id_;
-    SendToServer(srv, MsgKind::kCommitReq, ctx_.transport.DataBytes(payload),
-                 [srv, txn, from, updates, pr = std::move(pr)]() mutable {
-                   srv->OnCommitReq(txn, from, std::move(updates), {},
-                                    std::move(pr));
-                 });
+int PageFamilyClient::CommitPayload(
+    const std::vector<PageUpdate>& updates) const {
+  if (ctx_.params.commit_mode != config::CommitMode::kRedoAtServer) {
+    return static_cast<int>(updates.size()) * ctx_.params.page_size_bytes;
   }
-  CommitAck merged;
-  BeginRpc();
-  for (auto& fut : acks) {
-    CommitAck ack = co_await std::move(fut);
-    merged.new_versions.insert(merged.new_versions.end(),
-                               ack.new_versions.begin(),
-                               ack.new_versions.end());
-  }
-  EndRpc();
+  int objects = 0;
+  for (const PageUpdate& u : updates) objects += storage::PopCount(u.dirty);
+  return objects *
+         (ctx_.params.log_record_bytes + ctx_.params.object_size_bytes());
+}
 
-  // History is recorded once all involved servers have acked (strict 2PL:
-  // all locks were held until here, so the serialization point is sound).
-  if (ctx_.history != nullptr) {
-    CommittedTxn record;
-    record.txn = txn_;
-    record.reads = ReadSnapshot();
-    record.writes = merged.new_versions;
-    ctx_.history->RecordCommit(std::move(record));
-  }
-
-  // Refresh retained frames with the new committed versions and clean them.
-  for (const auto& [oid, v] : merged.new_versions) {
-    storage::PageFrame* f = cache_.Peek(PageOf(oid));
-    if (f != nullptr) {
+void PageFamilyClient::ApplyCommitted(const UpdatesByServer& by_server,
+                                      const CommitAck& ack) {
+  for (const auto& [oid, v] : ack.new_versions) {
+    if (storage::PageFrame* f = cache_.Peek(PageOf(oid))) {
       f->versions[static_cast<std::size_t>(SlotOf(oid))] = v;
     }
   }
-  for (const auto& u : all_updates) {
-    if (storage::PageFrame* f = cache_.Peek(u.page)) {
-      f->dirty = 0;
-      f->pending_growth = 0;
+  for (const auto& [sidx, updates] : by_server) {
+    for (const PageUpdate& u : updates) {
+      if (storage::PageFrame* f = cache_.Peek(u.page)) {
+        f->dirty = 0;
+        f->pending_growth = 0;
+      }
     }
   }
-  EndTxnLocal();
 }
 
-sim::Task PageFamilyClient::Abort() {
-  txn_aborting_ = true;
-  // Purge updated pages from the cache (their uncommitted contents must not
-  // be visible to later transactions). Unpin first: the aborting
-  // transaction's footprint no longer needs residency.
-  UnpinAll();
-  std::unordered_map<int, std::vector<PageId>> purged_by_server;
-  std::vector<PageId> purged;
+void PageFamilyClient::PurgeDirty(std::vector<PurgedItems>& purged) {
+  std::vector<PageId> dirty;
   cache_.ForEach([&](PageId p, const storage::PageFrame& f) {
-    if (f.IsDirty()) purged.push_back(p);
+    if (f.IsDirty()) dirty.push_back(p);
   });
-  for (PageId p : purged) {
+  for (PageId p : dirty) {
     cache_.Remove(p);
-    purged_by_server[ctx_.params.ServerOfPage(p)].push_back(p);
+    purged[static_cast<std::size_t>(ctx_.params.ServerOfPage(p))]
+        .pages.push_back(p);
   }
-
-  // Every server may hold locks or wait-edges for this transaction.
-  std::vector<sim::Future<bool>> acks;
-  for (std::size_t sidx = 0; sidx < servers_.size(); ++sidx) {
-    sim::Promise<bool> pr(ctx_.sim);
-    acks.push_back(pr.GetFuture());
-    Server* srv = servers_[sidx];
-    TxnId txn = txn_;
-    ClientId from = id_;
-    std::vector<PageId> mine =
-        std::move(purged_by_server[static_cast<int>(sidx)]);
-    SendToServer(srv, MsgKind::kAbortReq, ctx_.transport.ControlBytes(),
-                 [srv, txn, from, mine = std::move(mine),
-                  pr = std::move(pr)]() mutable {
-                   srv->OnAbortReq(txn, from, std::move(mine), {},
-                                   std::move(pr));
-                 });
-  }
-  BeginRpc();
-  for (auto& fut : acks) co_await std::move(fut);
-  EndRpc();
-  EndTxnLocal();
 }
 
 }  // namespace psoodb::core

@@ -1,15 +1,17 @@
 /// \file client.h
 /// Base client engine: the transaction loop (execute reference string,
-/// commit, abort-and-resubmit), local lock state, read-version tracking for
-/// the correctness checkers, and deferred ("in use") callback handling.
-/// PageFamilyClient adds the page cache, page-ship merging, dirty-eviction
-/// staging, and the shared read/write and commit/abort flows of the five
-/// page-transfer protocols.
+/// abort-and-resubmit), the one commit (updated copies to their owning
+/// servers) and the one abort (purge at the client) of all six protocols,
+/// local lock state, read-version tracking for the correctness checkers,
+/// and deferred ("in use") callback handling. PageFamilyClient adds the
+/// page cache, page-ship merging, and the shared read/write flow of the
+/// five page-transfer protocols.
 
 #ifndef PSOODB_CORE_CLIENT_H_
 #define PSOODB_CORE_CLIENT_H_
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -88,17 +90,46 @@ class Client {
                              sim::Promise<bool> done) PSOODB_REPLIES;
 
  protected:
+  /// Updated items, one PageUpdate per page, grouped by owning server.
+  /// Ordered: Commit sends one message per server in key order, and that
+  /// wire order must not depend on a hash table's bucket layout.
+  using UpdatesByServer = std::map<int, std::vector<PageUpdate>>;
+  /// Items an aborting transaction purged from the cache at one server.
+  struct PurgedItems {
+    std::vector<storage::PageId> pages;
+    std::vector<storage::ObjectId> objects;
+  };
+
   // --- Protocol hooks ------------------------------------------------------
   // Read/Write pin the touched item into the client cache for the life of
   // the transaction (a cached copy *is* the read permission — see UnpinAll);
   // Commit/Abort end the transaction and drop every pin.
   virtual sim::Task Read(storage::ObjectId oid) PSOODB_ACQUIRES(pin) = 0;
   virtual sim::Task Write(storage::ObjectId oid) PSOODB_ACQUIRES(pin) = 0;
-  virtual sim::Task Commit() PSOODB_RELEASES(pin) = 0;
-  virtual sim::Task Abort() PSOODB_RELEASES(pin) = 0;
+
+  // --- Cache-granularity hooks of Commit and Abort --------------------------
+  /// Adds the transaction's still-cached updates to `by_server`.
+  virtual void CollectUpdates(UpdatesByServer& by_server) const = 0;
+  /// Data bytes of a commit message carrying `updates`.
+  virtual int CommitPayload(const std::vector<PageUpdate>& updates) const = 0;
+  /// Refreshes cached copies with the committed versions of `ack` and cleans
+  /// the frames `by_server` collected.
+  virtual void ApplyCommitted(const UpdatesByServer& by_server,
+                              const CommitAck& ack) = 0;
+  /// Removes every dirty item from the cache, recording it under its owning
+  /// server (`purged` has one entry per server).
+  virtual void PurgeDirty(std::vector<PurgedItems>& purged) = 0;
 
   // --- Shared machinery ----------------------------------------------------
   sim::Task MainLoop();
+  /// Ships the still-cached updates to their owning servers (one kCommitReq
+  /// per server, in server order), waits for every ack, records the history,
+  /// applies the new versions, and ends the transaction.
+  sim::Task Commit() PSOODB_RELEASES(pin);
+  /// Purges the dirty items, tells every server (each may hold locks or
+  /// wait-edges for the transaction), waits for the acks, and ends the
+  /// transaction.
+  sim::Task Abort() PSOODB_RELEASES(pin);
   void BeginTxn();
   /// Clears transaction state and runs deferred callback actions.
   void EndTxnLocal() PSOODB_RELEASES(pin);
@@ -164,12 +195,6 @@ class Client {
   /// Sends an (immediate or deferred) callback response to the server.
   void ReplyCallback(const std::shared_ptr<CallbackBatch>& batch,
                      CallbackReply reply);
-
-  /// Snapshot of read versions for the commit record.
-  std::vector<std::pair<storage::ObjectId, storage::Version>> ReadSnapshot()
-      const {
-    return {read_versions_.begin(), read_versions_.end()};
-  }
 
   storage::PageId PageOf(storage::ObjectId oid) const {
     return ctx_.db.layout().PageOf(oid);
@@ -253,23 +278,26 @@ class PageFamilyClient : public Client {
 
   /// Applies an arriving page ship to the cache: insert or merge (local
   /// uncommitted updates win), then charges CopyMergeInst per merged
-  /// object. Handles eviction side-effects (dirty install / eviction
-  /// notice).
+  /// object. An evicted page costs an eviction notice.
   sim::Task ApplyShip(PageShip ship);
 
   /// Marks a local update of `oid` in the cached frame (which must exist).
   void MarkLocalWrite(storage::ObjectId oid) PSOODB_ACQUIRES(pin);
 
-  /// Shared commit: ships still-cached dirty pages + commit record, waits
-  /// for the ack, applies new versions, ends the transaction.
-  sim::Task Commit() PSOODB_RELEASES(pin) override;
-  /// Shared abort: purges dirty pages, notifies the server, resubmits.
-  sim::Task Abort() PSOODB_RELEASES(pin) override;
+  /// Dirty cached pages, with their dirty slots and pending growth.
+  void CollectUpdates(UpdatesByServer& by_server) const override;
+  /// Whole pages, or one log record plus object image per updated object
+  /// under redo-at-server.
+  int CommitPayload(const std::vector<PageUpdate>& updates) const override;
+  void ApplyCommitted(const UpdatesByServer& by_server,
+                      const CommitAck& ack) override;
+  void PurgeDirty(std::vector<PurgedItems>& purged) override;
 
   /// Local read bookkeeping once `oid` is cached and available.
   void LocalRead(storage::ObjectId oid) PSOODB_ACQUIRES(pin);
 
-  void HandleEviction(storage::PageId page, storage::PageFrame&& frame);
+  /// Tells the owning server that the (clean) evicted `page` is gone.
+  void HandleEviction(storage::PageId page, const storage::PageFrame& frame);
 
   void UnpinAll() PSOODB_RELEASES(pin) override;
   void PinForTxn(storage::PageId page) PSOODB_ACQUIRES(pin);

@@ -5,7 +5,8 @@
 #define PSOODB_CORE_CONTEXT_H_
 
 #include <cstdint>
-#include <functional>
+#include <utility>
+#include <vector>
 
 #include "cc/deadlock_detector.h"
 #include "config/params.h"
@@ -38,9 +39,6 @@ struct SystemContext {
   cc::DeadlockDetector* detector = nullptr;
   /// Optional committed-history recorder (tests). May be null.
   History* history = nullptr;
-  /// Called by a client when a transaction commits: (client, start, end).
-  std::function<void(storage::ClientId, sim::SimTime, sim::SimTime)>
-      on_commit;
   /// Cross-component invariant checker (null unless enabled). Owned by
   /// System; protocol code calls its hooks at grant/drain/de-escalation
   /// boundaries.
@@ -54,6 +52,9 @@ struct SystemContext {
   /// Always-on latency histograms (response / lock wait / callback round).
   /// Owned by System; null only in unit tests that build a bare context.
   metrics::LatencyRecorder* latency = nullptr;
+  /// The partition's (commit time, response time) log, one entry per commit
+  /// in event order. Owned by System; null in bare unit-test contexts.
+  std::vector<std::pair<double, double>>* responses = nullptr;
 
   /// Next transaction id (monotonically increasing, shared by all clients
   /// of this context). Partitioned runs (sim/shard.h) stride the ids so

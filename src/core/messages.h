@@ -47,7 +47,8 @@ enum class MsgKind : std::uint8_t {
   kWriteReq,        ///< write lock request (control)
   kCommitReq,       ///< commit with updated pages/objects (data)
   kAbortReq,        ///< abort notification (control)
-  kDirtyInstall,    ///< mid-transaction dirty eviction shipped to server (data)
+  kDirtyInstall,    ///< unused: nothing sends it; kept so later kinds keep
+                    ///< their values (TRACE msg_* events carry the kind)
   kEvictionNotice,  ///< clean eviction: drop copy registration (control)
   kCallbackAck,     ///< deferred callback completion (control)
   // Server -> client.
@@ -62,8 +63,8 @@ enum class MsgKind : std::uint8_t {
 
 /// True if the message carries bulk data (pages or objects).
 inline bool IsDataMsg(MsgKind k) {
-  return k == MsgKind::kCommitReq || k == MsgKind::kDirtyInstall ||
-         k == MsgKind::kDataReply || k == MsgKind::kTokenFlush;
+  return k == MsgKind::kCommitReq || k == MsgKind::kDataReply ||
+         k == MsgKind::kTokenFlush;
 }
 
 // --- Common reply payloads --------------------------------------------------
@@ -112,7 +113,7 @@ struct CommitAck {
   std::vector<std::pair<storage::ObjectId, storage::Version>> new_versions;
 };
 
-/// One updated page sent to the server at commit / dirty eviction.
+/// One updated page sent to its owning server at commit.
 struct PageUpdate {
   storage::PageId page = -1;
   storage::SlotMask dirty = 0;  ///< slots updated by the transaction

@@ -1,5 +1,6 @@
 #include "core/os.h"
 
+#include <map>
 
 #include "cc/abort.h"
 #include "check/invariants.h"
@@ -90,26 +91,16 @@ OsClient::OsClient(SystemContext& ctx, ClientId id,
     : Client(ctx, id, workload, std::move(servers)),
       cache_(static_cast<std::size_t>(ctx.params.client_buf_objects())) {}
 
-void OsClient::HandleEviction(ObjectId oid, storage::ObjectFrame&& frame) {
+void OsClient::HandleEviction(ObjectId oid, const storage::ObjectFrame& frame) {
+  // A dirty object is pinned until its transaction ends (Write), and the
+  // cache never evicts a pinned object.
+  PSOODB_CHECK(!frame.dirty, "dirty object %lld evicted",
+               static_cast<long long>(oid));
   Server* srv = ServerFor(PageOf(oid));
-  ClientId from = id_;
-  if (frame.dirty) {
-    ++ctx_.counters.dirty_evictions;
-    TxnId txn = txn_;
-    PageId page = PageOf(oid);
-    SlotMask mask = storage::SlotBit(SlotOf(oid));
-    SendToServer(srv, MsgKind::kDirtyInstall,
-                 ctx_.transport.DataBytes(ctx_.params.object_size_bytes()),
-                 [srv, txn, page, mask, oid, from]() {
-                   srv->OnDirtyInstall(txn, page, mask);
-                   srv->OnObjectEvictionNotice(oid, from);
-                 });
-  } else {
-    SendToServer(srv, MsgKind::kEvictionNotice,
-                 ctx_.transport.ControlBytes(), [srv, oid, from]() {
-                   srv->OnObjectEvictionNotice(oid, from);
-                 });
-  }
+  SendToServer(srv, MsgKind::kEvictionNotice, ctx_.transport.ControlBytes(),
+               [srv, oid, from = id_]() {
+                 srv->OnObjectEvictionNotice(oid, from);
+               });
 }
 
 sim::Task OsClient::FetchObject(ObjectId oid) {
@@ -129,7 +120,7 @@ sim::Task OsClient::FetchObject(ObjectId oid) {
   r.value->version = ship.version;
   r.value->dirty = false;
   if (r.evicted.has_value()) {
-    HandleEviction(r.evicted->first, std::move(r.evicted->second));
+    HandleEviction(r.evicted->first, r.evicted->second);
   }
 }
 
@@ -185,98 +176,44 @@ sim::Task OsClient::Write(ObjectId oid) {
   PinForTxn(oid);
 }
 
-sim::Task OsClient::Commit() {
-  txn_committing_ = true;
-  // Updated objects still cached, grouped by page for the install and by
-  // owning server for the fan-out. Ordered maps: the grouping decides both
-  // the per-message update order and the wire order of the commit fan-out,
-  // neither of which may depend on hash-bucket layout.
+void OsClient::CollectUpdates(UpdatesByServer& by_server) const {
+  // Ordered by page: the per-message update order must not depend on a
+  // hash table's bucket layout.
   std::map<PageId, SlotMask> masks;
-  std::map<int, std::pair<std::vector<PageUpdate>, int>> by_server;
   cache_.ForEach([&](ObjectId oid, const storage::ObjectFrame& f) {
     if (f.dirty) masks[PageOf(oid)] |= storage::SlotBit(SlotOf(oid));
   });
   for (const auto& [p, m] : masks) {
-    auto& entry = by_server[ctx_.params.ServerOfPage(p)];
-    entry.first.push_back({p, m});
-    entry.second += storage::PopCount(m);
+    by_server[ctx_.params.ServerOfPage(p)].push_back({p, m});
   }
-  if (by_server.empty()) by_server[0] = {};
+}
 
-  std::vector<sim::Future<CommitAck>> acks;
-  for (auto& [sidx, entry] : by_server) {
-    const int bytes = ctx_.transport.DataBytes(
-        entry.second * ctx_.params.object_size_bytes());
-    sim::Promise<CommitAck> pr(ctx_.sim);
-    acks.push_back(pr.GetFuture());
-    Server* srv = servers_[static_cast<std::size_t>(sidx)];
-    TxnId txn = txn_;
-    ClientId from = id_;
-    SendToServer(srv, MsgKind::kCommitReq, bytes,
-                 [srv, txn, from, updates = entry.first,
-                  pr = std::move(pr)]() mutable {
-                   srv->OnCommitReq(txn, from, std::move(updates), {},
-                                    std::move(pr));
-                 });
-  }
-  CommitAck merged;
-  BeginRpc();
-  for (auto& fut : acks) {
-    CommitAck ack = co_await std::move(fut);
-    merged.new_versions.insert(merged.new_versions.end(),
-                               ack.new_versions.begin(),
-                               ack.new_versions.end());
-  }
-  EndRpc();
-  if (ctx_.history != nullptr) {
-    CommittedTxn record;
-    record.txn = txn_;
-    record.reads = ReadSnapshot();
-    record.writes = merged.new_versions;
-    ctx_.history->RecordCommit(std::move(record));
-  }
-  for (const auto& [oid, v] : merged.new_versions) {
+int OsClient::CommitPayload(const std::vector<PageUpdate>& updates) const {
+  int objects = 0;
+  for (const PageUpdate& u : updates) objects += storage::PopCount(u.dirty);
+  return objects * ctx_.params.object_size_bytes();
+}
+
+void OsClient::ApplyCommitted(const UpdatesByServer& /*by_server*/,
+                              const CommitAck& ack) {
+  for (const auto& [oid, v] : ack.new_versions) {
     if (storage::ObjectFrame* f = cache_.Peek(oid)) {
       f->version = v;
       f->dirty = false;
     }
   }
-  EndTxnLocal();
 }
 
-sim::Task OsClient::Abort() {
-  txn_aborting_ = true;
-  UnpinAll();
-  std::vector<ObjectId> purged;
+void OsClient::PurgeDirty(std::vector<PurgedItems>& purged) {
+  std::vector<ObjectId> dirty;
   cache_.ForEach([&](ObjectId oid, const storage::ObjectFrame& f) {
-    if (f.dirty) purged.push_back(oid);
+    if (f.dirty) dirty.push_back(oid);
   });
-  std::unordered_map<int, std::vector<ObjectId>> purged_by_server;
-  for (ObjectId oid : purged) {
+  for (ObjectId oid : dirty) {
     cache_.Remove(oid);
-    purged_by_server[ctx_.params.ServerOfPage(PageOf(oid))].push_back(oid);
+    purged[static_cast<std::size_t>(ctx_.params.ServerOfPage(PageOf(oid)))]
+        .objects.push_back(oid);
   }
-
-  std::vector<sim::Future<bool>> acks;
-  for (std::size_t sidx = 0; sidx < servers_.size(); ++sidx) {
-    sim::Promise<bool> pr(ctx_.sim);
-    acks.push_back(pr.GetFuture());
-    Server* srv = servers_[sidx];
-    TxnId txn = txn_;
-    ClientId from = id_;
-    std::vector<ObjectId> mine =
-        std::move(purged_by_server[static_cast<int>(sidx)]);
-    SendToServer(srv, MsgKind::kAbortReq, ctx_.transport.ControlBytes(),
-                 [srv, txn, from, mine = std::move(mine),
-                  pr = std::move(pr)]() mutable {
-                   srv->OnAbortReq(txn, from, {}, std::move(mine),
-                                   std::move(pr));
-                 });
-  }
-  BeginRpc();
-  for (auto& fut : acks) co_await std::move(fut);
-  EndRpc();
-  EndTxnLocal();
 }
 
 void OsClient::OnObjectCallback(ObjectId oid, PageId /*page*/,

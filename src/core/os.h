@@ -70,12 +70,19 @@ class OsClient : public Client {
  protected:
   sim::Task Read(storage::ObjectId oid) PSOODB_ACQUIRES(pin) override;
   sim::Task Write(storage::ObjectId oid) PSOODB_ACQUIRES(pin) override;
-  sim::Task Commit() PSOODB_RELEASES(pin) override;
-  sim::Task Abort() PSOODB_RELEASES(pin) override;
+
+  /// Dirty cached objects, merged into one update per page.
+  void CollectUpdates(UpdatesByServer& by_server) const override;
+  /// One object image per updated object.
+  int CommitPayload(const std::vector<PageUpdate>& updates) const override;
+  void ApplyCommitted(const UpdatesByServer& by_server,
+                      const CommitAck& ack) override;
+  void PurgeDirty(std::vector<PurgedItems>& purged) override;
 
  private:
   sim::Task FetchObject(storage::ObjectId oid);
-  void HandleEviction(storage::ObjectId oid, storage::ObjectFrame&& frame);
+  /// Tells the owning server that the (clean) evicted `oid` is gone.
+  void HandleEviction(storage::ObjectId oid, const storage::ObjectFrame& frame);
   void UnpinAll() PSOODB_RELEASES(pin) override;
   void PinForTxn(storage::ObjectId oid) PSOODB_ACQUIRES(pin);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <string>
 
 #include "cc/abort.h"
 #include "check/invariants.h"
@@ -17,14 +16,12 @@ using storage::ObjectId;
 using storage::PageId;
 using storage::SlotMask;
 using storage::TxnId;
-using storage::Version;
 
 Server::Server(SystemContext& ctx, int index)
     : ctx_(ctx),
       index_(index),
       node_(ServerNode(index)),
-      cpu_(ctx.sim, ctx.params.server_mips,
-           "server-cpu-" + std::to_string(index)),
+      cpu_(ctx.sim, ctx.params.server_mips),
       disks_(ctx.sim, ctx.params.server_disks, ctx.params.min_disk_time,
              ctx.params.max_disk_time, ctx.params.seed + index),
       // Each partition server gets a share of the total server buffer
@@ -176,12 +173,11 @@ sim::Task Server::AwaitCallbacks(std::shared_ptr<CallbackBatch> batch,
   }
 }
 
-void Server::OnCommitReq(
-    TxnId txn, ClientId client, std::vector<PageUpdate> updates,
-    std::vector<std::pair<ObjectId, Version>> read_versions,
-    sim::Promise<CommitAck> reply) {
+void Server::OnCommitReq(TxnId txn, ClientId client,
+                         std::vector<PageUpdate> updates,
+                         sim::Promise<CommitAck> reply) {
   ctx_.sim.Spawn(HandleCommit(txn, client, std::move(updates),
-                              std::move(read_versions), std::move(reply)));
+                              std::move(reply)));
 }
 
 void Server::OnAbortReq(TxnId txn, ClientId client,
@@ -276,11 +272,10 @@ sim::Task Server::InstallCommittedPage(TxnId txn, PageId page, SlotMask mask,
   }
 }
 
-sim::Task Server::HandleCommit(
-    TxnId txn, ClientId client, std::vector<PageUpdate> updates,
-    std::vector<std::pair<ObjectId, Version>> read_versions,
-    sim::Promise<CommitAck> reply) {
-  // Fold mid-transaction staged evictions into the update set.
+sim::Task Server::HandleCommit(TxnId txn, ClientId client,
+                               std::vector<PageUpdate> updates,
+                               sim::Promise<CommitAck> reply) {
+  // Fold the updates a PS-WT token flush staged into the update set.
   struct Pending {
     SlotMask mask = 0;
     int growth = 0;
@@ -310,7 +305,6 @@ sim::Task Server::HandleCommit(
 
   // History recording happens at the client once all involved servers have
   // acked (the commit may span partitions); here we only release.
-  (void)read_versions;
   lm_.ReleaseAll(txn);  // wakes all waiters; removes txn from the graph
   SendToClient(client, MsgKind::kControlReply,
                ctx_.transport.ControlBytes(),
@@ -331,8 +325,8 @@ sim::Task Server::HandleAbort(TxnId txn, ClientId client,
                               std::vector<PageId> purged_pages,
                               std::vector<ObjectId> purged_objects,
                               sim::Promise<bool> reply) {
-  // Undo-at-server: staged uncommitted pages are discarded. (They were never
-  // installed, so no compensation I/O is modeled.)
+  // Undo-at-server: updates a token flush staged are discarded. (They were
+  // never installed, so no compensation I/O is modeled.)
   staging_.erase(txn);
   {
     trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);

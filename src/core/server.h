@@ -1,10 +1,11 @@
 /// \file server.h
 /// Base server engine shared by all six protocol variants: CPU, disks,
-/// page buffer pool, lock manager, copy tables, mid-transaction dirty
-/// staging, the commit/abort machinery, and the steps every protocol's
-/// request handlers share (the callback round, the aborted reply, the
-/// object-lock wait). Protocol subclasses implement the read/write request
-/// handlers: their own messages and granularity decisions.
+/// page buffer pool, lock manager, copy tables, the staging of PS-WT token
+/// flushes, the commit/abort handlers that serve Client::Commit and
+/// Client::Abort, and the steps every protocol's request handlers share
+/// (the callback round, the aborted reply, the object-lock wait). Protocol
+/// subclasses implement the read/write request handlers: their own
+/// messages and granularity decisions.
 
 #ifndef PSOODB_CORE_SERVER_H_
 #define PSOODB_CORE_SERVER_H_
@@ -103,22 +104,22 @@ class Server {
 
   // --- Message entry points (invoked by Transport deliveries) -------------
   // Each spawns a handler coroutine. Payloads are protocol-specific; these
-  // shared ones cover commit/abort/eviction/dirty-install.
+  // shared ones cover commit, abort, eviction and the token-flush install.
 
   void OnCommitReq(storage::TxnId txn, storage::ClientId client,
                    std::vector<PageUpdate> updates,
-                   std::vector<std::pair<storage::ObjectId, storage::Version>>
-                       read_versions,
                    sim::Promise<CommitAck> reply) PSOODB_REPLIES;
   void OnAbortReq(storage::TxnId txn, storage::ClientId client,
                   std::vector<storage::PageId> purged_pages,
                   std::vector<storage::ObjectId> purged_objects,
                   sim::Promise<bool> reply) PSOODB_REPLIES;
+  /// Stages `dirty` slots of `page` that a PS-WT token flush carried for
+  /// `txn`; its commit installs them, its abort discards them.
   void OnDirtyInstall(storage::TxnId txn, storage::PageId page,
                       storage::SlotMask dirty);
-  /// A client dropped its cached copy of `page` (clean eviction notice or
-  /// dirty eviction). Default: unregister the page-granularity copy; PS-OO
-  /// overrides to unregister object-granularity copies.
+  /// A client dropped its cached copy of `page` (eviction notice). Default:
+  /// unregister the page-granularity copy; PS-OO overrides to unregister
+  /// object-granularity copies.
   virtual void OnClientDroppedPage(storage::PageId page,
                                    storage::ClientId client);
   void OnObjectEvictionNotice(storage::ObjectId oid, storage::ClientId client);
@@ -253,9 +254,6 @@ class Server {
 
   sim::Task HandleCommit(storage::TxnId txn, storage::ClientId client,
                          std::vector<PageUpdate> updates,
-                         std::vector<std::pair<storage::ObjectId,
-                                               storage::Version>>
-                             read_versions,
                          sim::Promise<CommitAck> reply)
       PSOODB_RELEASES(lock) PSOODB_REPLIES;
   sim::Task HandleAbort(storage::TxnId txn, storage::ClientId client,
@@ -287,8 +285,8 @@ class Server {
   cc::LockManager lm_;
   cc::PageCopyTable page_copies_;
   cc::ObjectCopyTable object_copies_;
-  /// Mid-transaction dirty evictions staged at the server (undo-at-server):
-  /// txn -> page -> dirty slots.
+  /// Uncommitted updates PS-WT token flushes staged at the server
+  /// (undo-at-server): txn -> page -> dirty slots.
   std::unordered_map<storage::TxnId,
                      std::unordered_map<storage::PageId, storage::SlotMask>>
       staging_;

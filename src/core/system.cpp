@@ -150,6 +150,7 @@ System::System(Protocol protocol, const config::SystemParams& params,
       part->ctx->tracer = part->tracer.get();
     }
     part->ctx->latency = &part->latency;
+    part->ctx->responses = &part->responses;
     part->transport->set_tracer(part->tracer.get());
     partitions_.push_back(std::move(part));
   }
@@ -383,12 +384,7 @@ RunResult System::Run(const RunConfig& run) {
                "server): the history log is a single serialized stream");
 
   for (auto& part : partitions_) {
-    Partition* raw = part.get();
     part->ctx->history = run.record_history ? &history_ : nullptr;
-    part->ctx->on_commit = [raw](storage::ClientId, sim::SimTime start,
-                                 sim::SimTime end) {
-      raw->responses.emplace_back(end, end - start);
-    };
   }
   for (auto& c : clients_) c->Start();
 

@@ -36,6 +36,8 @@ struct Counters {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t unavailable_rerequests = 0;  ///< cached but marked unavailable
+  /// Always 0: a dirty item stays pinned until its transaction ends, so no
+  /// client evicts one. Kept as a BENCH JSON field.
   std::uint64_t dirty_evictions = 0;
 
   // Server storage.

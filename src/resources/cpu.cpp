@@ -13,8 +13,7 @@ namespace {
 constexpr double kEpsilonInst = 1e-2;
 }  // namespace
 
-Cpu::Cpu(sim::Simulation& sim, double mips, std::string name)
-    : sim_(sim), rate_(mips * 1e6), name_(std::move(name)) {
+Cpu::Cpu(sim::Simulation& sim, double mips) : sim_(sim), rate_(mips * 1e6) {
   PSOODB_CHECK(mips > 0, "CPU rate must be positive, got %g MIPS", mips);
   last_advance_ = sim_.now();
   window_start_ = sim_.now();

@@ -9,7 +9,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <string>
 
 #include "sim/simulation.h"
 
@@ -23,7 +22,7 @@ namespace psoodb::resources {
 ///   co_await cpu.User(cost_of_object_processing); // processor sharing
 class Cpu {
  public:
-  Cpu(sim::Simulation& sim, double mips, std::string name = "cpu");
+  Cpu(sim::Simulation& sim, double mips);
   ~Cpu();
   Cpu(const Cpu&) = delete;
   Cpu& operator=(const Cpu&) = delete;
@@ -44,7 +43,6 @@ class Cpu {
 
   std::uint64_t system_requests() const { return system_requests_; }
   std::uint64_t user_requests() const { return user_requests_; }
-  const std::string& name() const { return name_; }
   double mips() const { return rate_ / 1e6; }
 
   /// Number of queued-or-running requests (for tests).
@@ -97,7 +95,6 @@ class Cpu {
 
   sim::Simulation& sim_;
   double rate_;  // instructions per second
-  std::string name_;
 
   List system_;  // FIFO; only the head makes progress
   List user_;    // processor sharing across all members

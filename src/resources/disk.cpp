@@ -3,8 +3,8 @@
 namespace psoodb::resources {
 
 Disk::Disk(sim::Simulation& sim, double min_time, double max_time,
-           std::uint64_t seed, std::uint64_t stream, std::string name)
-    : server_(sim, std::move(name)),
+           std::uint64_t seed, std::uint64_t stream)
+    : server_(sim),
       min_time_(min_time),
       max_time_(max_time),
       rng_(seed, stream) {}
@@ -18,9 +18,8 @@ DiskArray::DiskArray(sim::Simulation& sim, int num_disks, double min_time,
     : pick_rng_(seed, /*stream=*/0xD15C) {
   disks_.reserve(num_disks);
   for (int i = 0; i < num_disks; ++i) {
-    disks_.push_back(std::make_unique<Disk>(
-        sim, min_time, max_time, seed, /*stream=*/0xD15C0 + i,
-        "disk" + std::to_string(i)));
+    disks_.push_back(std::make_unique<Disk>(sim, min_time, max_time, seed,
+                                            /*stream=*/0xD15C0 + i));
   }
 }
 

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "resources/fifo_server.h"
@@ -22,7 +21,7 @@ namespace psoodb::resources {
 class Disk {
  public:
   Disk(sim::Simulation& sim, double min_time, double max_time,
-       std::uint64_t seed, std::uint64_t stream, std::string name = "disk");
+       std::uint64_t seed, std::uint64_t stream);
 
   /// Performs one I/O (read or write are indistinguishable in the model).
   /// Must be awaited from a simulation process.

@@ -7,7 +7,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <string>
 
 #include "sim/simulation.h"
 #include "util/check.h"
@@ -18,8 +17,7 @@ namespace psoodb::resources {
 /// requests ahead of it, then for `t` seconds of service.
 class FifoServer {
  public:
-  FifoServer(sim::Simulation& sim, std::string name)
-      : sim_(sim), name_(std::move(name)) {
+  explicit FifoServer(sim::Simulation& sim) : sim_(sim) {
     head_.prev = head_.next = &head_;
     window_start_ = sim_.now();
   }
@@ -58,7 +56,6 @@ class FifoServer {
 
   std::uint64_t requests() const { return requests_; }
   int queue_length() const { return size_; }
-  const std::string& name() const { return name_; }
 
  private:
   struct Node {
@@ -116,7 +113,6 @@ class FifoServer {
   }
 
   sim::Simulation& sim_;
-  std::string name_;
   Node head_;  // sentinel; front is in service when in_service_ != nullptr
   int size_ = 0;
   Node* in_service_ = nullptr;

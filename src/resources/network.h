@@ -20,7 +20,7 @@ class Network {
  public:
   /// \param bandwidth_mbps bandwidth in megabits per second.
   Network(sim::Simulation& sim, double bandwidth_mbps)
-      : server_(sim, "network"),
+      : server_(sim),
         seconds_per_byte_(8.0 / (bandwidth_mbps * 1e6)) {}
 
   /// Occupies the wire for the transfer time of a `bytes`-sized message.

@@ -1,14 +1,12 @@
-// Fixture: protocol-transition, stem `os` — the full object-server state
-// machine with every required leg present and every send paired with its
-// spec'd handler. The whole file is a false-positive guard: the fixture test
-// demands zero findings. Lexed only.
+// Fixture: protocol-transition, stem `os` — the object-server state machine
+// with every required leg present and every send paired with its spec'd
+// handler (commit and abort are the shared client legs, client.cxx). The
+// whole file is a false-positive guard: the fixture test demands zero
+// findings. Lexed only.
 
 void OnObjectReadReq(int oid);
 void OnObjectWriteReq(int oid);
 void OnObjectCallback(int oid);
-void OnCommitReq(int txn);
-void OnAbortReq(int txn);
-void OnDirtyInstall(int oid);
 void OnObjectEvictionNotice(int oid);
 void Resolve(int oid);
 
@@ -35,21 +33,7 @@ void CallbackPath(int oid) {
   net.SendToClient(1, MsgKind::kCallbackReq, 16, [oid] { OnObjectCallback(oid); });
 }
 
-void EndTxnPaths(int txn) {
-  net.SendToServer(0, MsgKind::kCommitReq, 256, [txn] { OnCommitReq(txn); });
-  net.SendToServer(0, MsgKind::kAbortReq, 16, [txn] { OnAbortReq(txn); });
-}
-
-// One deliver lambda may double as install + eviction notice (the os.cpp
-// dirty-eviction shape): both handlers are spec'd for kDirtyInstall.
-void EvictPaths(int oid, bool dirty) {
-  if (dirty) {
-    net.SendToServer(0, MsgKind::kDirtyInstall, 128, [oid] {
-      OnDirtyInstall(oid);
-      OnObjectEvictionNotice(oid);  // FP-GUARD: protocol-transition
-    });
-  } else {
-    net.SendToServer(0, MsgKind::kEvictionNotice, 16,
-                     [oid] { OnObjectEvictionNotice(oid); });
-  }
+void EvictPath(int oid) {
+  net.SendToServer(0, MsgKind::kEvictionNotice, 16,
+                   [oid] { OnObjectEvictionNotice(oid); });  // FP-GUARD: protocol-transition
 }

@@ -118,6 +118,9 @@ TEST(AnalyzerFixtures, ObligationAnnotation) {
 }
 TEST(AnalyzerFixtures, ProtocolTransitionPs) { RunFixture("ps.cxx"); }
 TEST(AnalyzerFixtures, ProtocolTransitionOs) { RunFixture("os.cxx"); }
+TEST(AnalyzerFixtures, ProtocolTransitionClient) {
+  RunFixture("client.cxx");
+}
 
 // Coverage guard: every registered check must have at least one true-positive
 // fixture expectation (EXPECT or EXPECT-SUPPRESSED) and at least one marked
@@ -155,7 +158,7 @@ TEST(AnalyzerFixtures, EveryCheckHasFixtureCoverage) {
       collect(line, "FP-GUARD:", &guarded);
     }
   }
-  EXPECT_GE(fixtures, 17);
+  EXPECT_GE(fixtures, 18);
   for (const std::string& check : psoodb::analyzer::AllCheckNames()) {
     EXPECT_NE(expected.count(check), 0u)
         << "no true-positive fixture expectation for check: " << check;

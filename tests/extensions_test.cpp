@@ -1,7 +1,10 @@
-// Tests for the Section 6 extensions: the redo-at-server commit mode and
-// the PS-WT write-token protocol (merge-free concurrent page updates).
+// Tests for the Section 6 extensions: the redo-at-server commit mode,
+// size-changing updates, and the PS-WT write-token protocol (merge-free
+// concurrent page updates).
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "config/params.h"
 #include "core/system.h"
@@ -59,6 +62,38 @@ TEST(RedoAtServerTest, ShipsFewerBytesButReplaysAtServer) {
   // ...and the replay work shows up at the server.
   EXPECT_GT(redo.counters.redo_objects, 0u);
   EXPECT_EQ(ship.counters.redo_objects, 0u);
+}
+
+// --- Size-changing updates --------------------------------------------------
+
+RunResult RunGrowing(Protocol p, double size_change_prob) {
+  SystemParams sys;
+  sys.num_clients = 6;
+  sys.size_change_prob = size_change_prob;
+  auto w = config::MakeHotCold(sys, Locality::kLow, 0.2);
+  return RunSimulation(p, sys, w, Quick());
+}
+
+TEST(SizeChangingTest, EveryGrowingUpdateOverflowsIntoForwards) {
+  // Every update grows its object, so installs overflow their pages; each
+  // overflow forwards one object (Section 6.1).
+  for (Protocol p : {Protocol::kPS, Protocol::kPSAA}) {
+    const std::string label = config::ProtocolName(p);
+    auto r = RunGrowing(p, 1.0);
+    ExpectHealthy(r, label.c_str());
+    EXPECT_GT(r.counters.page_overflows, 0u) << label;
+    EXPECT_EQ(r.counters.forwards, r.counters.page_overflows) << label;
+  }
+}
+
+TEST(SizeChangingTest, FixedSizeUpdatesNeverOverflow) {
+  for (Protocol p : {Protocol::kPS, Protocol::kPSAA}) {
+    const std::string label = config::ProtocolName(p);
+    auto r = RunGrowing(p, 0.0);
+    ExpectHealthy(r, label.c_str());
+    EXPECT_EQ(r.counters.page_overflows, 0u) << label;
+    EXPECT_EQ(r.counters.forwards, 0u) << label;
+  }
 }
 
 // --- PS-WT (write token) -----------------------------------------------------

@@ -171,7 +171,7 @@ Task Serve(resources::FifoServer& s, double t, int* done) {  // analyzer-ok(susp
 
 TEST(FifoServerStress, UtilizationWindowResetMidService) {
   Simulation sim;
-  resources::FifoServer server(sim, "s");
+  resources::FifoServer server(sim);
   int done = 0;
   sim.Spawn(Serve(server, 10.0, &done));
   sim.RunUntil(5.0);
@@ -184,7 +184,7 @@ TEST(FifoServerStress, UtilizationWindowResetMidService) {
 
 TEST(FifoServerStress, ZeroLengthServiceCompletes) {
   Simulation sim;
-  resources::FifoServer server(sim, "s");
+  resources::FifoServer server(sim);
   int done = 0;
   sim.Spawn(Serve(server, 0.0, &done));
   sim.Run();

@@ -116,7 +116,7 @@ TEST_P(MultiServerCorrectness, RunsSerializablyAcrossPartitions) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, MultiServerCorrectness,
     ::testing::Values(std::pair{Protocol::kPS, 2}, std::pair{Protocol::kPS, 4},
-                      std::pair{Protocol::kOS, 2},
+                      std::pair{Protocol::kOS, 2}, std::pair{Protocol::kOS, 4},
                       std::pair{Protocol::kPSOO, 2},
                       std::pair{Protocol::kPSOA, 2},
                       std::pair{Protocol::kPSAA, 2},

@@ -21,8 +21,8 @@ struct Rig {
   metrics::Counters counters;
   resources::Network network{sim, 80};
   Transport transport{sim, network, params, counters};
-  resources::Cpu server_cpu{sim, 30, "server"};
-  resources::Cpu client_cpu{sim, 15, "client"};
+  resources::Cpu server_cpu{sim, 30};
+  resources::Cpu client_cpu{sim, 15};
 
   Rig() {
     transport.AttachCpu(kServerNode, &server_cpu);
@@ -94,7 +94,7 @@ TEST(TransportTest, DataByteHelperAddsControlEnvelope) {
 
 TEST(TransportTest, ConcurrentSendersShareTheWire) {
   Rig rig;
-  resources::Cpu other_cpu(rig.sim, 15, "client1");
+  resources::Cpu other_cpu(rig.sim, 15);
   rig.transport.AttachCpu(1, &other_cpu);
   int delivered = 0;
   for (int i = 0; i < 10; ++i) {

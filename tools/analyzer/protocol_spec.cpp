@@ -69,22 +69,29 @@ std::vector<ProtocolSpec> BuildSpecs() {
                   {"kControlReply", {}}};
     specs.push_back(std::move(s));
   }
-  {  // O-OS: object server — object ships plus commit/abort/install traffic.
+  {  // Client: the legs every protocol shares — commit, abort, the
+     // deferred callback ack, and the page family's eviction notice.
+    ProtocolSpec s;
+    s.stem = "client";
+    s.required = {"kCommitReq", "kAbortReq", "kCallbackAck",
+                  "kEvictionNotice"};
+    s.forbidden = kAdaptiveOnly;
+    s.forbidden.insert({"kTokenRecall", "kTokenFlush", "kDirtyInstall"});
+    s.handlers = {{"kCommitReq", {"OnCommitReq"}},
+                  {"kAbortReq", {"OnAbortReq"}},
+                  {"kCallbackAck", {}},
+                  {"kEvictionNotice", {"OnClientDroppedPage"}}};
+    specs.push_back(std::move(s));
+  }
+  {  // O-OS: object server — object ships plus object eviction notices.
     ProtocolSpec s;
     s.stem = "os";
     s.required = kPageCore;
-    s.required.insert({"kCommitReq", "kAbortReq", "kDirtyInstall",
-                       "kEvictionNotice"});
+    s.required.insert("kEvictionNotice");
     s.forbidden = kNonPage;
     s.handlers = {{"kReadReq", {"OnObjectReadReq"}},
                   {"kWriteReq", {"OnObjectWriteReq"}},
                   {"kCallbackReq", {"OnObjectCallback"}},
-                  {"kCommitReq", {"OnCommitReq"}},
-                  {"kAbortReq", {"OnAbortReq"}},
-                  // A dirty install may double as the eviction notice for
-                  // the page the object lives on (os.cpp sends both through
-                  // one deliver lambda).
-                  {"kDirtyInstall", {"OnDirtyInstall", "OnObjectEvictionNotice"}},
                   {"kEvictionNotice", {"OnObjectEvictionNotice"}},
                   {"kDataReply", {}},
                   {"kControlReply", {}}};

@@ -1,10 +1,12 @@
 /// \file protocol_spec.h
 /// Declarative message state machines for the six cache-consistency
-/// protocols of the paper (B-PS/O-PS/PS-OO/PS-OA/PS-AA/PS-WT families), and
-/// the `protocol-transition` check that diffs each protocol's implementation
-/// against its spec.
+/// protocols of the paper (B-PS/O-PS/PS-OO/PS-OA/PS-AA/PS-WT families) and
+/// for the legs all six share in the client engine (commit, abort, the
+/// deferred callback ack, the eviction notice), and the
+/// `protocol-transition` check that diffs each implementation against its
+/// spec.
 ///
-/// Each spec lists, for one protocol translation unit (src/core/<stem>.cpp):
+/// Each spec lists, for one translation unit (src/core/<stem>.cpp):
 ///
 ///   required   MsgKind enumerators the protocol must mention at least once
 ///              — a missing required kind means a leg of the paper's state
@@ -18,8 +20,8 @@
 ///              instead of invoking a handler list an empty set.
 ///
 /// The check is scoped to the protocol sources themselves (stem is one of
-/// the six, under src/core/) and to `.cxx` fixtures, so tests and bench
-/// harnesses may mention any kind freely.
+/// the six or `client`, under src/core/) and to `.cxx` fixtures, so tests
+/// and bench harnesses may mention any kind freely.
 
 #ifndef PSOODB_TOOLS_ANALYZER_PROTOCOL_SPEC_H_
 #define PSOODB_TOOLS_ANALYZER_PROTOCOL_SPEC_H_
@@ -42,7 +44,7 @@ struct ProtocolSpec {
   std::map<std::string, std::set<std::string>> handlers;
 };
 
-/// The six protocol specs, ordered by stem.
+/// The six protocol specs and the shared client spec, ordered by stem.
 const std::vector<ProtocolSpec>& ProtocolSpecs();
 
 /// The spec for `stem`, or nullptr when `stem` is not a protocol unit.

@@ -3,8 +3,9 @@
 
 Builds nothing: the byte-identity verdict must report one differing byte,
 a file missing on either side, and a bench that wrote nothing, and pass
-only identical directories. Run directly or via ctest (registered as
-`same_bytes_guard` in tests/CMakeLists.txt).
+only identical directories; a set that declares its stdout as an output
+must save exactly that stream as <label>/stdout.txt. Run directly or via
+ctest (registered as `same_bytes_guard` in tests/CMakeLists.txt).
 """
 
 import importlib.machinery
@@ -12,6 +13,7 @@ import importlib.util
 import os
 import tempfile
 import unittest
+from unittest import mock
 
 TOOL = os.path.join(os.path.dirname(os.path.abspath(__file__)), "same_bytes")
 
@@ -88,6 +90,34 @@ class CompareDirsTest(unittest.TestCase):
         _, problems = same_bytes.compare_dirs(
             os.path.join(self.tmp.name, "absent"), self.head)
         self.assertEqual(problems, ["no output files on either side"])
+
+
+class RunSetsTest(unittest.TestCase):
+    def test_a_stdout_set_saves_only_what_the_bench_prints(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            bench = os.path.join(tmp, "build", "bench")
+            os.makedirs(bench)
+            # Prints a table row carrying its pinned environment and a
+            # diagnostic on stderr; writes no file.
+            script = os.path.join(bench, "bench_table")
+            with open(script, "w") as f:
+                f.write("#!/bin/sh\n"
+                        "printf 'shards %s\\n' \"$PSOODB_SIM_SHARDS\"\n"
+                        "echo 'warning: not an output' >&2\n")
+            os.chmod(script, 0o755)
+            sets = [("table", "bench_table", {"PSOODB_SIM_SHARDS": "0"}, True),
+                    ("files", "bench_table", {"PSOODB_SIM_SHARDS": "4"},
+                     False)]
+            with mock.patch.object(same_bytes, "SETS", sets):
+                same_bytes.run_sets(os.path.join(tmp, "build"),
+                                    os.path.join(tmp, "out"))
+            table = os.path.join(tmp, "out", "table")
+            self.assertEqual(os.listdir(table), ["stdout.txt"])
+            with open(os.path.join(table, "stdout.txt"), "rb") as f:
+                self.assertEqual(f.read(), b"shards 0\n")
+            # A figure set's stdout is not an output.
+            self.assertEqual(os.listdir(os.path.join(tmp, "out", "files")),
+                             [])
 
 
 if __name__ == "__main__":
