@@ -211,6 +211,14 @@ void InvariantChecker::CheckClientCaches() {
                  cid, L(oid));
         }
       }
+      // Growth belongs to the dirty slots it came with: a commit clears
+      // both, and a PS-WT token flush carries both to the server.
+      if (f.pending_growth != 0 && !terminating) {
+        Expect(f.dirty != 0,
+               "client %d: clean page %d carries %d bytes of uncommitted "
+               "growth",
+               cid, page, f.pending_growth);
+      }
     });
   }
 }

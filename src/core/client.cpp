@@ -11,7 +11,6 @@ namespace psoodb::core {
 using storage::ClientId;
 using storage::ObjectId;
 using storage::PageId;
-using storage::TxnId;
 using storage::Version;
 
 Client::Client(SystemContext& ctx, ClientId id,
@@ -225,19 +224,8 @@ sim::Task Client::MainLoop() {
   }
 }
 
-// Default callback handlers: a protocol only receives the kinds its server
-// sends; anything else is a wiring bug.
-void Client::OnPageCallback(PageId, TxnId, std::shared_ptr<CallbackBatch>) {
-  PSOODB_CHECK(false, "unexpected page callback for this protocol");
-}
-void Client::OnObjectCallback(ObjectId, PageId, TxnId,
-                              std::shared_ptr<CallbackBatch>) {
-  PSOODB_CHECK(false, "unexpected object callback for this protocol");
-}
-void Client::OnAdaptiveCallback(PageId, ObjectId, TxnId,
-                                std::shared_ptr<CallbackBatch>) {
-  PSOODB_CHECK(false, "unexpected adaptive callback for this protocol");
-}
+// Default sub-protocol handlers: only PS-AA's server de-escalates and only
+// PS-WT's recalls tokens; anything else is a wiring bug.
 void Client::OnDeEscalate(PageId,
                           sim::Promise<std::vector<ObjectId>>) {  // analyzer-ok(reply-obligation): unreachable — the CHECK below aborts before the promise could be consumed
   PSOODB_CHECK(false, "unexpected de-escalation request for this protocol");
@@ -288,10 +276,16 @@ sim::Task PageFamilyClient::Read(ObjectId oid) {
 }
 
 sim::Task PageFamilyClient::FetchFor(ObjectId oid) {
+  // System builds every server of a page-transfer run as a PageServer.
+  auto* srv = static_cast<PageServer*>(ServerFor(PageOf(oid)));
   while (!CachedAvailable(oid)) {
     sim::Promise<PageShip> pr(ctx_.sim);
     auto fut = pr.GetFuture();
-    RequestPage(oid, std::move(pr));
+    SendToServer(srv, MsgKind::kReadReq, ctx_.transport.ControlBytes(),
+                 [srv, oid, txn = txn_, from = id_,
+                  pr = std::move(pr)]() mutable {
+                   srv->OnReadReq(oid, txn, from, std::move(pr));
+                 });
     BeginRpc();
     PageShip ship = co_await std::move(fut);
     EndRpc();
@@ -305,11 +299,17 @@ sim::Task PageFamilyClient::Write(ObjectId oid) {
   if (!locks_.HasPageWrite(PageOf(oid)) && !locks_.HasObjectWrite(oid)) {
     sim::Promise<WriteGrant> pr(ctx_.sim);
     auto fut = pr.GetFuture();
-    RequestWrite(oid, std::move(pr));
+    Server* srv = ServerFor(PageOf(oid));
+    SendToServer(srv, MsgKind::kWriteReq, ctx_.transport.ControlBytes(),
+                 [srv, oid, txn = txn_, from = id_,
+                  pr = std::move(pr)]() mutable {
+                   srv->OnWriteReq(oid, txn, from, std::move(pr));
+                 });
     BeginRpc();
-    const WriteGrant grant = co_await std::move(fut);
+    WriteGrant grant = co_await std::move(fut);
     EndRpc();
     if (grant.aborted) throw cc::TxnAborted(txn_, cc::AbortReason::kVictim);
+    if (grant.ship) co_await ApplyShip(std::move(*grant.ship));
     ApplyGrant(oid, grant.level);
   }
   // The read pinned the page, and callbacks on an object this transaction

@@ -72,15 +72,12 @@ class Client {
                                const storage::ObjectFrame&)>&) const {}
 
   // --- Callback entry points (invoked by Transport deliveries) ------------
-  // Only the variants a protocol uses are overridden.
-  virtual void OnPageCallback(storage::PageId page, storage::TxnId requester,
-                              std::shared_ptr<CallbackBatch> batch);
-  virtual void OnObjectCallback(storage::ObjectId oid, storage::PageId page,
-                                storage::TxnId requester,
-                                std::shared_ptr<CallbackBatch> batch);
-  virtual void OnAdaptiveCallback(storage::PageId page, storage::ObjectId oid,
-                                  storage::TxnId requester,
-                                  std::shared_ptr<CallbackBatch> batch);
+  /// A callback of `requester`'s write request for `oid` on `page` (oid -1:
+  /// a page callback). The protocol decides what the client drops and
+  /// answers through ReplyCallback.
+  virtual void OnCallback(storage::PageId page, storage::ObjectId oid,
+                          storage::TxnId requester,
+                          std::shared_ptr<CallbackBatch> batch) = 0;
   virtual void OnDeEscalate(
       storage::PageId page,
       sim::Promise<std::vector<storage::ObjectId>> reply) PSOODB_REPLIES;
@@ -184,13 +181,9 @@ class Client {
     ctx_.transport.Send(static_cast<NodeId>(id_), srv->node(), kind,
                         payload_bytes, std::forward<F>(deliver));
   }
-  /// The server owning `page` under the configured partitioning, as the
-  /// protocol's server class `S` (System builds every server of a run as
-  /// the protocol's class).
-  template <typename S = Server>
-  S* ServerFor(storage::PageId page) const {
-    return static_cast<S*>(
-        servers_[static_cast<std::size_t>(ctx_.params.ServerOfPage(page))]);
+  /// The server owning `page` under the configured partitioning.
+  Server* ServerFor(storage::PageId page) const {
+    return servers_[static_cast<std::size_t>(ctx_.params.ServerOfPage(page))];
   }
   /// Sends an (immediate or deferred) callback response to the server.
   void ReplyCallback(const std::shared_ptr<CallbackBatch>& batch,
@@ -230,9 +223,9 @@ class Client {
 };
 
 /// Shared base of the five page-transfer clients (PS, PS-OO, PS-OA, PS-AA,
-/// PS-WT). Read, FetchFor and Write are the same for all of them; a
-/// protocol supplies the messages (RequestPage, RequestWrite) and how a
-/// grant maps to local write locks (ApplyGrant).
+/// PS-WT). Read, FetchFor and Write, with their kReadReq and kWriteReq, are
+/// the same for all of them; a protocol supplies its answer to a callback
+/// and how a grant maps to local write locks (ApplyGrant).
 class PageFamilyClient : public Client {
  public:
   PageFamilyClient(SystemContext& ctx, storage::ClientId id,
@@ -252,20 +245,14 @@ class PageFamilyClient : public Client {
 
  protected:
   // --- Protocol hooks ------------------------------------------------------
-  /// Sends the protocol's kReadReq for the page holding `oid`; the server
-  /// answers through `reply`.
-  virtual void RequestPage(storage::ObjectId oid,
-                           sim::Promise<PageShip> reply) = 0;
-  /// Sends the protocol's kWriteReq for `oid`.
-  virtual void RequestWrite(storage::ObjectId oid,
-                            sim::Promise<WriteGrant> reply) = 0;
   /// Records a write grant for `oid`: a page grant gives a page write lock,
   /// an object grant an object write lock.
   virtual void ApplyGrant(storage::ObjectId oid, GrantLevel level);
 
   /// Reads `oid`, fetching its page until the object is available.
   sim::Task Read(storage::ObjectId oid) PSOODB_ACQUIRES(pin) override;
-  /// Reads `oid`, obtains write permission unless already held, and marks
+  /// Reads `oid`, obtains write permission unless already held (applying
+  /// the page image a PS-WT token handoff ships with the grant), and marks
   /// the local update.
   sim::Task Write(storage::ObjectId oid) PSOODB_ACQUIRES(pin) override;
   /// Fetches the page containing `oid` until the object is readable (a

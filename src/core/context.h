@@ -59,8 +59,8 @@ struct SystemContext {
   /// Next transaction id (monotonically increasing, shared by all clients
   /// of this context). Partitioned runs (sim/shard.h) stride the ids so
   /// every partition mints from a disjoint residue class and
-  /// `txn % partitions` recovers the home partition; the legacy
-  /// stride=1/offset=0 form is bit-identical to the old `++next_txn`.
+  /// `txn % partitions` recovers the home partition; a one-partition run
+  /// uses stride 1 and offset 0.
   storage::TxnId next_txn = 0;
   storage::TxnId txn_stride = 1;
   storage::TxnId txn_offset = 0;

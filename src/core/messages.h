@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -106,6 +107,8 @@ enum class GrantLevel : std::uint8_t { kObject, kPage };
 struct WriteGrant {
   GrantLevel level = GrantLevel::kObject;
   bool aborted = false;
+  /// PS-WT: the page image a token handoff routes to the new owner.
+  std::optional<PageShip> ship;
 };
 
 /// Commit acknowledgment: new committed versions of the written objects.
@@ -143,8 +146,8 @@ class Transport {
 
   // --- Partitioned runs (sim/shard.h) -----------------------------------
   //
-  // One Transport per partition. Intra-partition traffic uses the legacy
-  // path on the partition's own network segment; cross-partition traffic
+  // One Transport per partition. Intra-partition traffic crosses the
+  // partition's own network segment; cross-partition traffic
   // leaves through a dedicated point-to-point link per partition pair
   // ("switched" network — a modeled deviation from the paper's single
   // shared segment, see docs/SIMULATOR.md) and is handed to the destination
@@ -279,8 +282,7 @@ class Transport {
   metrics::Counters& counters_;
   trace::Tracer* tracer_ = nullptr;
   /// Node CPUs, densely indexed: clients by id, servers by partition index
-  /// (NodeId -1-i). Two loads per lookup; the former unordered_map cost two
-  /// hash probes per message delivery.
+  /// (NodeId -1-i): two loads per lookup.
   std::vector<resources::Cpu*> client_cpus_;
   std::vector<resources::Cpu*> server_cpus_;
   // --- partitioned runs only (null/empty otherwise) ---------------------

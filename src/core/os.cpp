@@ -3,7 +3,6 @@
 #include <map>
 
 #include "cc/abort.h"
-#include "check/invariants.h"
 #include "util/check.h"
 
 namespace psoodb::core {
@@ -20,11 +19,6 @@ using storage::TxnId;
 void OsServer::OnObjectReadReq(ObjectId oid, TxnId txn, ClientId client,
                                sim::Promise<ObjectShip> reply) {
   ctx_.sim.Spawn(HandleRead(oid, txn, client, std::move(reply)));
-}
-
-void OsServer::OnObjectWriteReq(ObjectId oid, TxnId txn, ClientId client,
-                                sim::Promise<WriteGrant> reply) {
-  ctx_.sim.Spawn(HandleWrite(oid, txn, client, std::move(reply)));
 }
 
 sim::Task OsServer::HandleRead(ObjectId oid, TxnId txn, ClientId client,
@@ -45,38 +39,6 @@ sim::Task OsServer::HandleRead(ObjectId oid, TxnId txn, ClientId client,
                  ctx_.transport.DataBytes(ctx_.params.object_size_bytes()),
                  [reply = std::move(reply), ship]() mutable {
                    reply.Set(ship);
-                 });
-  } catch (const cc::TxnAborted&) {
-    ReplyAborted(client, std::move(reply));
-  }
-}
-
-sim::Task OsServer::HandleWrite(ObjectId oid, TxnId txn, ClientId client,
-                                sim::Promise<WriteGrant> reply) {
-  const PageId page = ctx_.db.layout().PageOf(oid);
-  try {
-    {
-      trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
-      co_await cpu_.System(ctx_.params.lock_inst);
-    }
-    co_await lm_.AcquireObjectX(oid, page, txn, client);
-
-    co_await CallbackRound(
-        object_copies_, oid, client, txn, page, oid,
-        [this, oid, page, txn](ClientId c,
-                               const std::shared_ptr<CallbackBatch>& batch) {
-          SendToClient(c, MsgKind::kCallbackReq, ctx_.transport.ControlBytes(),
-                       [cl = this->client(c), oid, page, txn, batch]() {
-                         cl->OnObjectCallback(oid, page, txn, batch);
-                       });
-        });
-    if (ctx_.invariants != nullptr) {
-      ctx_.invariants->OnWriteGrant(*this, GrantLevel::kObject, page, oid,
-                                    txn, client);
-    }
-    SendToClient(client, MsgKind::kControlReply, ctx_.transport.ControlBytes(),
-                 [reply = std::move(reply)]() mutable {
-                   reply.Set(WriteGrant{GrantLevel::kObject, false});
                  });
   } catch (const cc::TxnAborted&) {
     ReplyAborted(client, std::move(reply));
@@ -106,7 +68,8 @@ void OsClient::HandleEviction(ObjectId oid, const storage::ObjectFrame& frame) {
 sim::Task OsClient::FetchObject(ObjectId oid) {
   sim::Promise<ObjectShip> pr(ctx_.sim);
   auto fut = pr.GetFuture();
-  OsServer* srv = ServerFor<OsServer>(PageOf(oid));
+  // System builds every server of an OS run as an OsServer.
+  auto* srv = static_cast<OsServer*>(ServerFor(PageOf(oid)));
   SendToServer(srv, MsgKind::kReadReq, ctx_.transport.ControlBytes(),
                [srv, oid, txn = txn_, from = id_,
                 pr = std::move(pr)]() mutable {
@@ -157,11 +120,11 @@ sim::Task OsClient::Write(ObjectId oid) {
   if (!locks_.HasObjectWrite(oid)) {
     sim::Promise<WriteGrant> pr(ctx_.sim);
     auto fut = pr.GetFuture();
-    OsServer* srv = ServerFor<OsServer>(PageOf(oid));
+    Server* srv = ServerFor(PageOf(oid));
     SendToServer(srv, MsgKind::kWriteReq, ctx_.transport.ControlBytes(),
                  [srv, oid, txn = txn_, from = id_,
                   pr = std::move(pr)]() mutable {
-                   srv->OnObjectWriteReq(oid, txn, from, std::move(pr));
+                   srv->OnWriteReq(oid, txn, from, std::move(pr));
                  });
     BeginRpc();
     WriteGrant grant = co_await std::move(fut);
@@ -216,9 +179,8 @@ void OsClient::PurgeDirty(std::vector<PurgedItems>& purged) {
   }
 }
 
-void OsClient::OnObjectCallback(ObjectId oid, PageId /*page*/,
-                                TxnId /*requester*/,
-                                std::shared_ptr<CallbackBatch> batch) {
+void OsClient::OnCallback(PageId /*page*/, ObjectId oid, TxnId /*requester*/,
+                          std::shared_ptr<CallbackBatch> batch) {
   storage::ObjectFrame* f = cache_.Peek(oid);
   if (f == nullptr) {
     ReplyCallback(batch, {CallbackOutcome::kNotCached, kNoTxn});

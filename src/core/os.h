@@ -18,12 +18,11 @@ class OsServer : public Server {
  public:
   using Server::Server;
 
+  /// Client entry: request a copy of `oid`. (Writes take the shared
+  /// object-lock write, Server::HandleWrite.)
   void OnObjectReadReq(storage::ObjectId oid, storage::TxnId txn,
                        storage::ClientId client,
                        sim::Promise<ObjectShip> reply) PSOODB_REPLIES;
-  void OnObjectWriteReq(storage::ObjectId oid, storage::TxnId txn,
-                        storage::ClientId client,
-                        sim::Promise<WriteGrant> reply) PSOODB_REPLIES;
 
  protected:
   bool CommitReplacesPage(storage::TxnId, storage::PageId) const override {
@@ -33,16 +32,11 @@ class OsServer : public Server {
   }
 
  private:
-  // HandleRead leaves the object registered in the copy table; HandleWrite
-  // leaves the object X lock held until commit/abort.
+  // HandleRead leaves the object registered in the copy table.
   sim::Task HandleRead(storage::ObjectId oid, storage::TxnId txn,
                        storage::ClientId client,
                        sim::Promise<ObjectShip> reply)
       PSOODB_ACQUIRES(copy) PSOODB_REPLIES;
-  sim::Task HandleWrite(storage::ObjectId oid, storage::TxnId txn,
-                        storage::ClientId client,
-                        sim::Promise<WriteGrant> reply)
-      PSOODB_ACQUIRES(lock) PSOODB_REPLIES;
 };
 
 class OsClient : public Client {
@@ -51,9 +45,10 @@ class OsClient : public Client {
            const config::WorkloadParams& workload,
            std::vector<Server*> servers);
 
-  void OnObjectCallback(storage::ObjectId oid, storage::PageId page,
-                        storage::TxnId requester,
-                        std::shared_ptr<CallbackBatch> batch) override;
+  /// Drops the object unless the active transaction read it.
+  void OnCallback(storage::PageId page, storage::ObjectId oid,
+                  storage::TxnId requester,
+                  std::shared_ptr<CallbackBatch> batch) override;
 
   storage::ObjectCache& cache() { return cache_; }
 

@@ -1,6 +1,5 @@
 #include "core/ps.h"
 
-
 #include "cc/abort.h"
 #include "check/invariants.h"
 #include "util/check.h"
@@ -15,18 +14,9 @@ using storage::TxnId;
 
 // --- Server ------------------------------------------------------------------
 
-void PsServer::OnPageReadReq(PageId page, TxnId txn, ClientId client,
-                             sim::Promise<PageShip> reply) {
-  ctx_.sim.Spawn(HandleRead(page, txn, client, std::move(reply)));
-}
-
-void PsServer::OnPageWriteReq(PageId page, TxnId txn, ClientId client,
-                              sim::Promise<WriteGrant> reply) {
-  ctx_.sim.Spawn(HandleWrite(page, txn, client, std::move(reply)));
-}
-
-sim::Task PsServer::HandleRead(PageId page, TxnId txn, ClientId client,
+sim::Task PsServer::HandleRead(ObjectId oid, TxnId txn, ClientId client,
                                sim::Promise<PageShip> reply) {
+  const PageId page = ctx_.db.layout().PageOf(oid);
   try {
     {
       // Charge the request's CPU costs up front so the final
@@ -56,30 +46,25 @@ sim::Task PsServer::HandleRead(PageId page, TxnId txn, ClientId client,
   }
 }
 
-sim::Task PsServer::HandleWrite(PageId page, TxnId txn, ClientId client,
+sim::Task PsServer::HandleWrite(ObjectId oid, TxnId txn, ClientId client,
                                 sim::Promise<WriteGrant> reply) {
+  const PageId page = ctx_.db.layout().PageOf(oid);
   try {
     {
       trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
       co_await cpu_.System(ctx_.params.lock_inst);
     }
     co_await lm_.AcquirePageX(page, txn, client);
-    co_await CallbackRound(
-        page_copies_, page, client, txn, page, /*oid=*/-1,
-        [this, page, txn](ClientId c,
-                          const std::shared_ptr<CallbackBatch>& batch) {
-          SendToClient(c, MsgKind::kCallbackReq, ctx_.transport.ControlBytes(),
-                       [cl = this->client(c), page, txn, batch]() {
-                         cl->OnPageCallback(page, txn, batch);
-                       });
-        });
+    co_await CallbackRound(page_copies_, page, client, txn, page,
+                           /*oid=*/-1);
     if (ctx_.invariants != nullptr) {
       ctx_.invariants->OnWriteGrant(*this, GrantLevel::kPage, page,
                                     /*oid=*/-1, txn, client);
     }
     SendToClient(client, MsgKind::kControlReply, ctx_.transport.ControlBytes(),
                  [reply = std::move(reply)]() mutable {
-                   reply.Set(WriteGrant{GrantLevel::kPage, false});
+                   reply.Set(WriteGrant{GrantLevel::kPage, false,
+                                        std::nullopt});
                  });
   } catch (const cc::TxnAborted&) {
     ReplyAborted(client, std::move(reply));
@@ -91,28 +76,8 @@ sim::Task PsServer::HandleWrite(PageId page, TxnId txn, ClientId client,
 // callbacks purge whole pages), so the shared read path's "object
 // available" test is exactly "page cached".
 
-void PsClient::RequestPage(ObjectId oid, sim::Promise<PageShip> reply) {
-  const PageId page = PageOf(oid);
-  PsServer* srv = ServerFor<PsServer>(page);
-  SendToServer(srv, MsgKind::kReadReq, ctx_.transport.ControlBytes(),
-               [srv, page, txn = txn_, from = id_,
-                reply = std::move(reply)]() mutable {
-                 srv->OnPageReadReq(page, txn, from, std::move(reply));
-               });
-}
-
-void PsClient::RequestWrite(ObjectId oid, sim::Promise<WriteGrant> reply) {
-  const PageId page = PageOf(oid);
-  PsServer* srv = ServerFor<PsServer>(page);
-  SendToServer(srv, MsgKind::kWriteReq, ctx_.transport.ControlBytes(),
-               [srv, page, txn = txn_, from = id_,
-                reply = std::move(reply)]() mutable {
-                 srv->OnPageWriteReq(page, txn, from, std::move(reply));
-               });
-}
-
-void PsClient::OnPageCallback(PageId page, TxnId /*requester*/,
-                              std::shared_ptr<CallbackBatch> batch) {
+void PsClient::OnCallback(PageId page, ObjectId /*oid*/, TxnId /*requester*/,
+                          std::shared_ptr<CallbackBatch> batch) {
   storage::PageFrame* f = cache_.Peek(page);
   if (f == nullptr) {
     ReplyCallback(batch, {CallbackOutcome::kNotCached, kNoTxn});

@@ -13,18 +13,9 @@
 
 namespace psoodb::core {
 
-class PsServer : public Server {
+class PsServer : public PageServer {
  public:
-  using Server::Server;
-
-  /// Client entry: request a copy of `page` for reading.
-  void OnPageReadReq(storage::PageId page, storage::TxnId txn,
-                     storage::ClientId client,
-                     sim::Promise<PageShip> reply) PSOODB_REPLIES;
-  /// Client entry: request a page write lock.
-  void OnPageWriteReq(storage::PageId page, storage::TxnId txn,
-                      storage::ClientId client,
-                      sim::Promise<WriteGrant> reply) PSOODB_REPLIES;
+  using PageServer::PageServer;
 
  protected:
   bool CommitReplacesPage(storage::TxnId, storage::PageId) const override {
@@ -33,31 +24,25 @@ class PsServer : public Server {
   }
 
  private:
-  // HandleRead leaves the page registered in the copy table (the
-  // registration *is* the client's read permission); HandleWrite leaves the
-  // page X lock held until commit/abort.
-  sim::Task HandleRead(storage::PageId page, storage::TxnId txn,
-                       storage::ClientId client,
-                       sim::Promise<PageShip> reply)
-      PSOODB_ACQUIRES(copy) PSOODB_REPLIES;
-  sim::Task HandleWrite(storage::PageId page, storage::TxnId txn,
+  /// Ships the whole page once no other transaction write-locks it.
+  sim::Task HandleRead(storage::ObjectId oid, storage::TxnId txn,
+                       storage::ClientId client, sim::Promise<PageShip> reply)
+      PSOODB_ACQUIRES(copy) PSOODB_REPLIES override;
+  /// Page X lock, page callbacks, page grant.
+  sim::Task HandleWrite(storage::ObjectId oid, storage::TxnId txn,
                         storage::ClientId client,
                         sim::Promise<WriteGrant> reply)
-      PSOODB_ACQUIRES(lock) PSOODB_REPLIES;
+      PSOODB_ACQUIRES(lock) PSOODB_REPLIES override;
 };
 
 class PsClient : public PageFamilyClient {
  public:
   using PageFamilyClient::PageFamilyClient;
 
-  void OnPageCallback(storage::PageId page, storage::TxnId requester,
-                      std::shared_ptr<CallbackBatch> batch) override;
-
- protected:
-  void RequestPage(storage::ObjectId oid,
-                   sim::Promise<PageShip> reply) override;
-  void RequestWrite(storage::ObjectId oid,
-                    sim::Promise<WriteGrant> reply) override;
+  /// Purges the page unless the active transaction uses it.
+  void OnCallback(storage::PageId page, storage::ObjectId oid,
+                  storage::TxnId requester,
+                  std::shared_ptr<CallbackBatch> batch) override;
 };
 
 }  // namespace psoodb::core

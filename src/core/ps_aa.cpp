@@ -16,16 +16,6 @@ using storage::TxnId;
 
 // --- Server ------------------------------------------------------------------
 
-void PsAaServer::OnObjectReadReq(ObjectId oid, TxnId txn, ClientId client,
-                                 sim::Promise<PageShip> reply) {
-  ctx_.sim.Spawn(HandleRead(oid, txn, client, std::move(reply)));
-}
-
-void PsAaServer::OnObjectWriteReq(ObjectId oid, TxnId txn, ClientId client,
-                                  sim::Promise<WriteGrant> reply) {
-  ctx_.sim.Spawn(HandleWrite(oid, txn, client, std::move(reply)));
-}
-
 sim::Task PsAaServer::DeEscalate(PageId page, TxnId holder, TxnId requester) {
   const ClientId holder_client = lm_.PageXHolderClient(page);
   if (holder_client == kNoClient) co_return;
@@ -140,15 +130,7 @@ sim::Task PsAaServer::HandleWrite(ObjectId oid, TxnId txn, ClientId client,
     co_await lm_.AcquireObjectX(oid, page, txn, client);
 
     // Adaptive callbacks: each holder invalidates the whole page if it can.
-    co_await CallbackRound(
-        page_copies_, page, client, txn, page, oid,
-        [this, page, oid, txn](ClientId c,
-                               const std::shared_ptr<CallbackBatch>& batch) {
-          SendToClient(c, MsgKind::kCallbackReq, ctx_.transport.ControlBytes(),
-                       [cl = this->client(c), page, oid, txn, batch]() {
-                         cl->OnAdaptiveCallback(page, oid, txn, batch);
-                       });
-        });
+    co_await CallbackRound(page_copies_, page, client, txn, page, oid);
 
     // Re-escalation decision (Section 3.3.3): a page write lock is possible
     // only if nobody holds a copy of the page anymore (checked against the
@@ -169,7 +151,7 @@ sim::Task PsAaServer::HandleWrite(ObjectId oid, TxnId txn, ClientId client,
     }
     SendToClient(client, MsgKind::kControlReply, ctx_.transport.ControlBytes(),
                  [reply = std::move(reply), level]() mutable {
-                   reply.Set(WriteGrant{level, false});
+                   reply.Set(WriteGrant{level, false, std::nullopt});
                  });
   } catch (const cc::TxnAborted&) {
     ReplyAborted(client, std::move(reply));
@@ -177,24 +159,6 @@ sim::Task PsAaServer::HandleWrite(ObjectId oid, TxnId txn, ClientId client,
 }
 
 // --- Client ------------------------------------------------------------------
-
-void PsAaClient::RequestPage(ObjectId oid, sim::Promise<PageShip> reply) {
-  PsAaServer* srv = ServerFor<PsAaServer>(PageOf(oid));
-  SendToServer(srv, MsgKind::kReadReq, ctx_.transport.ControlBytes(),
-               [srv, oid, txn = txn_, from = id_,
-                reply = std::move(reply)]() mutable {
-                 srv->OnObjectReadReq(oid, txn, from, std::move(reply));
-               });
-}
-
-void PsAaClient::RequestWrite(ObjectId oid, sim::Promise<WriteGrant> reply) {
-  PsAaServer* srv = ServerFor<PsAaServer>(PageOf(oid));
-  SendToServer(srv, MsgKind::kWriteReq, ctx_.transport.ControlBytes(),
-               [srv, oid, txn = txn_, from = id_,
-                reply = std::move(reply)]() mutable {
-                 srv->OnObjectWriteReq(oid, txn, from, std::move(reply));
-               });
-}
 
 void PsAaClient::ApplyGrant(ObjectId oid, GrantLevel level) {
   if (level == GrantLevel::kPage) locks_.GrantPageWrite(PageOf(oid));

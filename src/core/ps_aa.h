@@ -15,16 +15,9 @@
 
 namespace psoodb::core {
 
-class PsAaServer : public Server {
+class PsAaServer : public PageServer {
  public:
-  using Server::Server;
-
-  void OnObjectReadReq(storage::ObjectId oid, storage::TxnId txn,
-                       storage::ClientId client,
-                       sim::Promise<PageShip> reply) PSOODB_REPLIES;
-  void OnObjectWriteReq(storage::ObjectId oid, storage::TxnId txn,
-                        storage::ClientId client,
-                        sim::Promise<WriteGrant> reply) PSOODB_REPLIES;
+  using PageServer::PageServer;
 
  protected:
   bool CommitReplacesPage(storage::TxnId txn,
@@ -47,16 +40,17 @@ class PsAaServer : public Server {
                        storage::TxnId requester);
 
  private:
-  // As in PS-OO: the copy registration and the X lock (object- or
-  // re-escalated page-level) intentionally outlive the handlers.
+  /// Ships the page once no other transaction write-locks it or `oid`,
+  /// de-escalating a page lock in the way.
   sim::Task HandleRead(storage::ObjectId oid, storage::TxnId txn,
-                       storage::ClientId client,
-                       sim::Promise<PageShip> reply)
-      PSOODB_ACQUIRES(copy) PSOODB_REPLIES;
+                       storage::ClientId client, sim::Promise<PageShip> reply)
+      PSOODB_ACQUIRES(copy) PSOODB_REPLIES override;
+  /// Stakes an object X lock, calls back page copies (adaptive callbacks),
+  /// and re-escalates to a page lock when nothing else is left on the page.
   sim::Task HandleWrite(storage::ObjectId oid, storage::TxnId txn,
                         storage::ClientId client,
                         sim::Promise<WriteGrant> reply)
-      PSOODB_ACQUIRES(lock) PSOODB_REPLIES;
+      PSOODB_ACQUIRES(lock) PSOODB_REPLIES override;
 
   /// Waits out page/object conflicts for (oid, page) on behalf of txn,
   /// de-escalating page locks as needed. On return no *other* transaction
@@ -78,10 +72,6 @@ class PsAaClient : public PsOaClient {
       override;
 
  protected:
-  void RequestPage(storage::ObjectId oid,
-                   sim::Promise<PageShip> reply) override;
-  void RequestWrite(storage::ObjectId oid,
-                    sim::Promise<WriteGrant> reply) override;
   /// A page grant also stakes the object lock the server took first.
   void ApplyGrant(storage::ObjectId oid, GrantLevel level) override;
 };

@@ -13,16 +13,6 @@ using storage::TxnId;
 
 // --- Server ------------------------------------------------------------------
 
-void PsOaServer::OnObjectReadReq(ObjectId oid, TxnId txn, ClientId client,
-                                 sim::Promise<PageShip> reply) {
-  ctx_.sim.Spawn(HandleRead(oid, txn, client, std::move(reply)));
-}
-
-void PsOaServer::OnObjectWriteReq(ObjectId oid, TxnId txn, ClientId client,
-                                  sim::Promise<WriteGrant> reply) {
-  ctx_.sim.Spawn(HandleWrite(oid, txn, client, std::move(reply)));
-}
-
 sim::Task PsOaServer::HandleRead(ObjectId oid, TxnId txn, ClientId client,
                                  sim::Promise<PageShip> reply) {
   const PageId page = ctx_.db.layout().PageOf(oid);
@@ -56,22 +46,15 @@ sim::Task PsOaServer::HandleWrite(ObjectId oid, TxnId txn, ClientId client,
       co_await cpu_.System(ctx_.params.lock_inst);
     }
     co_await lm_.AcquireObjectX(oid, page, txn, client);
-    co_await CallbackRound(
-        page_copies_, page, client, txn, page, oid,
-        [this, page, oid, txn](ClientId c,
-                               const std::shared_ptr<CallbackBatch>& batch) {
-          SendToClient(c, MsgKind::kCallbackReq, ctx_.transport.ControlBytes(),
-                       [cl = this->client(c), page, oid, txn, batch]() {
-                         cl->OnAdaptiveCallback(page, oid, txn, batch);
-                       });
-        });
+    co_await CallbackRound(page_copies_, page, client, txn, page, oid);
     if (ctx_.invariants != nullptr) {
       ctx_.invariants->OnWriteGrant(*this, GrantLevel::kObject, page, oid,
                                     txn, client);
     }
     SendToClient(client, MsgKind::kControlReply, ctx_.transport.ControlBytes(),
                  [reply = std::move(reply)]() mutable {
-                   reply.Set(WriteGrant{GrantLevel::kObject, false});
+                   reply.Set(WriteGrant{GrantLevel::kObject, false,
+                                        std::nullopt});
                  });
   } catch (const cc::TxnAborted&) {
     ReplyAborted(client, std::move(reply));
@@ -80,27 +63,8 @@ sim::Task PsOaServer::HandleWrite(ObjectId oid, TxnId txn, ClientId client,
 
 // --- Client ------------------------------------------------------------------
 
-void PsOaClient::RequestPage(ObjectId oid, sim::Promise<PageShip> reply) {
-  PsOaServer* srv = ServerFor<PsOaServer>(PageOf(oid));
-  SendToServer(srv, MsgKind::kReadReq, ctx_.transport.ControlBytes(),
-               [srv, oid, txn = txn_, from = id_,
-                reply = std::move(reply)]() mutable {
-                 srv->OnObjectReadReq(oid, txn, from, std::move(reply));
-               });
-}
-
-void PsOaClient::RequestWrite(ObjectId oid, sim::Promise<WriteGrant> reply) {
-  PsOaServer* srv = ServerFor<PsOaServer>(PageOf(oid));
-  SendToServer(srv, MsgKind::kWriteReq, ctx_.transport.ControlBytes(),
-               [srv, oid, txn = txn_, from = id_,
-                reply = std::move(reply)]() mutable {
-                 srv->OnObjectWriteReq(oid, txn, from, std::move(reply));
-               });
-}
-
-void PsOaClient::OnAdaptiveCallback(PageId page, ObjectId oid,
-                                    TxnId /*requester*/,
-                                    std::shared_ptr<CallbackBatch> batch) {
+void PsOaClient::OnCallback(PageId page, ObjectId oid, TxnId /*requester*/,
+                            std::shared_ptr<CallbackBatch> batch) {
   storage::PageFrame* f = cache_.Peek(page);
   if (f == nullptr) {
     ReplyCallback(batch, {CallbackOutcome::kNotCached, kNoTxn});

@@ -13,16 +13,9 @@
 
 namespace psoodb::core {
 
-class PsOaServer : public Server {
+class PsOaServer : public PageServer {
  public:
-  using Server::Server;
-
-  void OnObjectReadReq(storage::ObjectId oid, storage::TxnId txn,
-                       storage::ClientId client,
-                       sim::Promise<PageShip> reply) PSOODB_REPLIES;
-  void OnObjectWriteReq(storage::ObjectId oid, storage::TxnId txn,
-                        storage::ClientId client,
-                        sim::Promise<WriteGrant> reply) PSOODB_REPLIES;
+  using PageServer::PageServer;
 
  protected:
   bool CommitReplacesPage(storage::TxnId, storage::PageId) const override {
@@ -30,16 +23,16 @@ class PsOaServer : public Server {
   }
 
  private:
-  // Same obligations as PS-OO: the copy registration and the object X lock
-  // intentionally outlive the handlers.
+  /// Ships the page with other transactions' write-locked objects marked
+  /// unavailable; one page-granularity registration.
   sim::Task HandleRead(storage::ObjectId oid, storage::TxnId txn,
-                       storage::ClientId client,
-                       sim::Promise<PageShip> reply)
-      PSOODB_ACQUIRES(copy) PSOODB_REPLIES;
+                       storage::ClientId client, sim::Promise<PageShip> reply)
+      PSOODB_ACQUIRES(copy) PSOODB_REPLIES override;
+  /// The object-lock write, calling back page copies (adaptive callbacks).
   sim::Task HandleWrite(storage::ObjectId oid, storage::TxnId txn,
                         storage::ClientId client,
                         sim::Promise<WriteGrant> reply)
-      PSOODB_ACQUIRES(lock) PSOODB_REPLIES;
+      PSOODB_ACQUIRES(lock) PSOODB_REPLIES override;
 };
 
 /// Also the base of PsAaClient: both answer adaptive callbacks the same way.
@@ -47,15 +40,12 @@ class PsOaClient : public PageFamilyClient {
  public:
   using PageFamilyClient::PageFamilyClient;
 
-  void OnAdaptiveCallback(storage::PageId page, storage::ObjectId oid,
-                          storage::TxnId requester,
-                          std::shared_ptr<CallbackBatch> batch) override;
-
- protected:
-  void RequestPage(storage::ObjectId oid,
-                   sim::Promise<PageShip> reply) override;
-  void RequestWrite(storage::ObjectId oid,
-                    sim::Promise<WriteGrant> reply) override;
+  /// Purges the whole page if the active transaction uses nothing on it,
+  /// answers "in use" if it read `oid`, and otherwise marks only `oid`
+  /// unavailable.
+  void OnCallback(storage::PageId page, storage::ObjectId oid,
+                  storage::TxnId requester,
+                  std::shared_ptr<CallbackBatch> batch) override;
 };
 
 }  // namespace psoodb::core

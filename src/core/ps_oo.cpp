@@ -1,8 +1,6 @@
 #include "core/ps_oo.h"
 
-
 #include "cc/abort.h"
-#include "check/invariants.h"
 
 namespace psoodb::core {
 
@@ -14,16 +12,6 @@ using storage::SlotMask;
 using storage::TxnId;
 
 // --- Server ------------------------------------------------------------------
-
-void PsOoServer::OnObjectReadReq(ObjectId oid, TxnId txn, ClientId client,
-                                 sim::Promise<PageShip> reply) {
-  ctx_.sim.Spawn(HandleRead(oid, txn, client, std::move(reply)));
-}
-
-void PsOoServer::OnObjectWriteReq(ObjectId oid, TxnId txn, ClientId client,
-                                  sim::Promise<WriteGrant> reply) {
-  ctx_.sim.Spawn(HandleWrite(oid, txn, client, std::move(reply)));
-}
 
 void PsOoServer::OnClientDroppedPage(PageId page, ClientId client) {
   const auto& layout = ctx_.db.layout();
@@ -82,60 +70,10 @@ sim::Task PsOoServer::HandleRead(ObjectId oid, TxnId txn, ClientId client,
   }
 }
 
-sim::Task PsOoServer::HandleWrite(ObjectId oid, TxnId txn, ClientId client,
-                                  sim::Promise<WriteGrant> reply) {
-  const PageId page = ctx_.db.layout().PageOf(oid);
-  try {
-    {
-      trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
-      co_await cpu_.System(ctx_.params.lock_inst);
-    }
-    co_await lm_.AcquireObjectX(oid, page, txn, client);
-    co_await CallbackRound(
-        object_copies_, oid, client, txn, page, oid,
-        [this, oid, page, txn](ClientId c,
-                               const std::shared_ptr<CallbackBatch>& batch) {
-          SendToClient(c, MsgKind::kCallbackReq, ctx_.transport.ControlBytes(),
-                       [cl = this->client(c), oid, page, txn, batch]() {
-                         cl->OnObjectCallback(oid, page, txn, batch);
-                       });
-        });
-    if (ctx_.invariants != nullptr) {
-      ctx_.invariants->OnWriteGrant(*this, GrantLevel::kObject, page, oid,
-                                    txn, client);
-    }
-    SendToClient(client, MsgKind::kControlReply, ctx_.transport.ControlBytes(),
-                 [reply = std::move(reply)]() mutable {
-                   reply.Set(WriteGrant{GrantLevel::kObject, false});
-                 });
-  } catch (const cc::TxnAborted&) {
-    ReplyAborted(client, std::move(reply));
-  }
-}
-
 // --- Client ------------------------------------------------------------------
 
-void PsOoClient::RequestPage(ObjectId oid, sim::Promise<PageShip> reply) {
-  PsOoServer* srv = ServerFor<PsOoServer>(PageOf(oid));
-  SendToServer(srv, MsgKind::kReadReq, ctx_.transport.ControlBytes(),
-               [srv, oid, txn = txn_, from = id_,
-                reply = std::move(reply)]() mutable {
-                 srv->OnObjectReadReq(oid, txn, from, std::move(reply));
-               });
-}
-
-void PsOoClient::RequestWrite(ObjectId oid, sim::Promise<WriteGrant> reply) {
-  PsOoServer* srv = ServerFor<PsOoServer>(PageOf(oid));
-  SendToServer(srv, MsgKind::kWriteReq, ctx_.transport.ControlBytes(),
-               [srv, oid, txn = txn_, from = id_,
-                reply = std::move(reply)]() mutable {
-                 srv->OnObjectWriteReq(oid, txn, from, std::move(reply));
-               });
-}
-
-void PsOoClient::OnObjectCallback(ObjectId oid, PageId page,
-                                  TxnId /*requester*/,
-                                  std::shared_ptr<CallbackBatch> batch) {
+void PsOoClient::OnCallback(PageId page, ObjectId oid, TxnId /*requester*/,
+                            std::shared_ptr<CallbackBatch> batch) {
   storage::PageFrame* f = cache_.Peek(page);
   const int slot = SlotOf(oid);
   if (f == nullptr || !f->IsAvailable(slot)) {

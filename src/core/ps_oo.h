@@ -13,16 +13,10 @@
 
 namespace psoodb::core {
 
-class PsOoServer : public Server {
+/// Writes take the shared object-lock write (Server::HandleWrite).
+class PsOoServer : public PageServer {
  public:
-  using Server::Server;
-
-  void OnObjectReadReq(storage::ObjectId oid, storage::TxnId txn,
-                       storage::ClientId client,
-                       sim::Promise<PageShip> reply) PSOODB_REPLIES;
-  void OnObjectWriteReq(storage::ObjectId oid, storage::TxnId txn,
-                        storage::ClientId client,
-                        sim::Promise<WriteGrant> reply) PSOODB_REPLIES;
+  using PageServer::PageServer;
 
   /// Object-granularity copy tracking: dropping a page drops every object
   /// copy the client held on it.
@@ -47,31 +41,21 @@ class PsOoServer : public Server {
       PSOODB_ACQUIRES(copy);
 
  private:
-  // HandleRead leaves the shipped objects registered in the copy table;
-  // HandleWrite leaves the object X lock held until commit/abort.
+  /// Ships the page with every object write-locked by another transaction
+  /// marked unavailable, registering each available object.
   sim::Task HandleRead(storage::ObjectId oid, storage::TxnId txn,
-                       storage::ClientId client,
-                       sim::Promise<PageShip> reply)
-      PSOODB_ACQUIRES(copy) PSOODB_REPLIES;
-  sim::Task HandleWrite(storage::ObjectId oid, storage::TxnId txn,
-                        storage::ClientId client,
-                        sim::Promise<WriteGrant> reply)
-      PSOODB_ACQUIRES(lock) PSOODB_REPLIES;
+                       storage::ClientId client, sim::Promise<PageShip> reply)
+      PSOODB_ACQUIRES(copy) PSOODB_REPLIES override;
 };
 
 class PsOoClient : public PageFamilyClient {
  public:
   using PageFamilyClient::PageFamilyClient;
 
-  void OnObjectCallback(storage::ObjectId oid, storage::PageId page,
-                        storage::TxnId requester,
-                        std::shared_ptr<CallbackBatch> batch) override;
-
- protected:
-  void RequestPage(storage::ObjectId oid,
-                   sim::Promise<PageShip> reply) override;
-  void RequestWrite(storage::ObjectId oid,
-                    sim::Promise<WriteGrant> reply) override;
+  /// Marks the object unavailable; the rest of the page stays usable.
+  void OnCallback(storage::PageId page, storage::ObjectId oid,
+                  storage::TxnId requester,
+                  std::shared_ptr<CallbackBatch> batch) override;
 };
 
 }  // namespace psoodb::core

@@ -1,6 +1,5 @@
 #include "core/ps_wt.h"
 
-
 #include "cc/abort.h"
 #include "check/invariants.h"
 
@@ -8,18 +7,11 @@ namespace psoodb::core {
 
 using storage::ClientId;
 using storage::kNoClient;
-using storage::kNoTxn;
 using storage::ObjectId;
 using storage::PageId;
-using storage::SlotMask;
 using storage::TxnId;
 
 // --- Server ------------------------------------------------------------------
-
-void PsWtServer::OnTokenWriteReq(ObjectId oid, TxnId txn, ClientId client,
-                                 sim::Promise<TokenWriteGrant> reply) {
-  ctx_.sim.Spawn(HandleWrite(oid, txn, client, std::move(reply)));
-}
 
 void PsWtServer::OnClientDroppedPage(PageId page, ClientId client) {
   PsOoServer::OnClientDroppedPage(page, client);
@@ -30,7 +22,7 @@ void PsWtServer::OnClientDroppedPage(PageId page, ClientId client) {
 }
 
 sim::Task PsWtServer::HandleWrite(ObjectId oid, TxnId txn, ClientId client,
-                                  sim::Promise<TokenWriteGrant> reply) {
+                                  sim::Promise<WriteGrant> reply) {
   const PageId page = ctx_.db.layout().PageOf(oid);
   try {
     {
@@ -41,20 +33,11 @@ sim::Task PsWtServer::HandleWrite(ObjectId oid, TxnId txn, ClientId client,
     co_await lm_.AcquireObjectX(oid, page, txn, client);
 
     // Invalidate remote cached copies of the object (PS-OO callbacks).
-    co_await CallbackRound(
-        object_copies_, oid, client, txn, page, oid,
-        [this, oid, page, txn](ClientId c,
-                               const std::shared_ptr<CallbackBatch>& batch) {
-          SendToClient(c, MsgKind::kCallbackReq, ctx_.transport.ControlBytes(),
-                       [cl = this->client(c), oid, page, txn, batch]() {
-                         cl->OnObjectCallback(oid, page, txn, batch);
-                       });
-        });
+    co_await CallbackRound(object_copies_, oid, client, txn, page, oid);
 
     // Write-token check: a different owner must surrender the page, routing
     // the current page image through the server.
-    bool shipped = false;
-    PageShip ship;
+    std::optional<PageShip> ship;
     const ClientId owner = TokenOwner(page);
     if (owner != kNoClient && owner != client) {
       ++ctx_.counters.token_transfers;
@@ -88,7 +71,6 @@ sim::Task PsWtServer::HandleWrite(ObjectId oid, TxnId txn, ClientId client,
         co_await cpu_.System(ctx_.params.register_copy_inst * avail);
       }
       ship = ShipAvailableObjects(page, txn, client);
-      shipped = true;
     } else {
       token_owner_[page] = client;
     }
@@ -97,14 +79,15 @@ sim::Task PsWtServer::HandleWrite(ObjectId oid, TxnId txn, ClientId client,
       ctx_.invariants->OnWriteGrant(*this, GrantLevel::kObject, page, oid,
                                     txn, client);
     }
+    const bool shipped = ship.has_value();
     const int bytes = shipped
                           ? ctx_.transport.DataBytes(ctx_.params.page_size_bytes)
                           : ctx_.transport.ControlBytes();
     SendToClient(client, shipped ? MsgKind::kDataReply : MsgKind::kControlReply,
                  bytes,
-                 [reply = std::move(reply), shipped,
-                  ship = std::move(ship)]() mutable {
-                   reply.Set(TokenWriteGrant{false, shipped, std::move(ship)});
+                 [reply = std::move(reply), ship = std::move(ship)]() mutable {
+                   reply.Set(WriteGrant{GrantLevel::kObject, false,
+                                        std::move(ship)});
                  });
   } catch (const cc::TxnAborted&) {
     ReplyAborted(client, std::move(reply));
@@ -122,41 +105,21 @@ void PsWtClient::OnTokenRecall(PageId page, sim::Promise<bool> done) {
                  [done = std::move(done)]() mutable { done.Set(true); });
     return;
   }
-  // Flush the current image through the server. Uncommitted updates are
-  // staged under this client's active transaction (they remain this
-  // transaction's writes; the page stays cached as a readable copy).
+  // Flush the current image through the server. Uncommitted updates, with
+  // their object growth, are staged under this client's active transaction
+  // (they remain this transaction's writes; the page stays cached as a
+  // readable copy).
   Server* srv = ServerFor(page);
-  const SlotMask dirty = f->dirty;
+  const PageUpdate flushed{page, f->dirty, f->pending_growth};
   const TxnId txn = txn_;
   f->dirty = 0;
+  f->pending_growth = 0;
   SendToServer(srv, MsgKind::kTokenFlush,
                ctx_.transport.DataBytes(ctx_.params.page_size_bytes),
-               [srv, txn, page, dirty, done = std::move(done)]() mutable {
-                 if (dirty != 0) srv->OnDirtyInstall(txn, page, dirty);
+               [srv, txn, flushed, done = std::move(done)]() mutable {
+                 if (flushed.dirty != 0) srv->OnDirtyInstall(txn, flushed);
                  done.Set(true);
                });
-}
-
-sim::Task PsWtClient::Write(ObjectId oid) {
-  co_await Read(oid);
-  if (!locks_.HasObjectWrite(oid)) {
-    sim::Promise<TokenWriteGrant> pr(ctx_.sim);
-    auto fut = pr.GetFuture();
-    PsWtServer* srv = ServerFor<PsWtServer>(PageOf(oid));
-    SendToServer(srv, MsgKind::kWriteReq, ctx_.transport.ControlBytes(),
-                 [srv, oid, txn = txn_, from = id_,
-                  pr = std::move(pr)]() mutable {
-                   srv->OnTokenWriteReq(oid, txn, from, std::move(pr));
-                 });
-    BeginRpc();
-    TokenWriteGrant grant = co_await std::move(fut);
-    EndRpc();
-    if (grant.aborted) throw cc::TxnAborted(txn_, cc::AbortReason::kVictim);
-    if (grant.with_page) co_await ApplyShip(std::move(grant.page));
-    locks_.GrantObjectWrite(oid);
-  }
-  if (!CachedAvailable(oid)) co_await FetchFor(oid);
-  MarkLocalWrite(oid);
 }
 
 }  // namespace psoodb::core

@@ -23,20 +23,9 @@
 
 namespace psoodb::core {
 
-/// Write grant that may carry the recalled page image.
-struct TokenWriteGrant {
-  bool aborted = false;
-  bool with_page = false;
-  PageShip page;
-};
-
 class PsWtServer : public PsOoServer {
  public:
   using PsOoServer::PsOoServer;
-
-  void OnTokenWriteReq(storage::ObjectId oid, storage::TxnId txn,
-                       storage::ClientId client,
-                       sim::Promise<TokenWriteGrant> reply) PSOODB_REPLIES;
 
   /// Dropping a page copy surrenders its token.
   void OnClientDroppedPage(storage::PageId page,
@@ -56,12 +45,13 @@ class PsWtServer : public PsOoServer {
   }
 
  private:
-  // Beyond the PS-OO write obligations, a token handoff ships the recalled
-  // page image and registers the shipped objects in the copy table.
+  /// The object-lock write plus the token check: a handoff recalls the
+  /// page from its owner and ships the image with the grant (WriteGrant::
+  /// ship), registering the shipped objects in the copy table.
   sim::Task HandleWrite(storage::ObjectId oid, storage::TxnId txn,
                         storage::ClientId client,
-                        sim::Promise<TokenWriteGrant> reply)
-      PSOODB_ACQUIRES(lock) PSOODB_ACQUIRES(copy) PSOODB_REPLIES;
+                        sim::Promise<WriteGrant> reply)
+      PSOODB_ACQUIRES(lock) PSOODB_ACQUIRES(copy) PSOODB_REPLIES override;
 
   std::unordered_map<storage::PageId, storage::ClientId> token_owner_;
 };
@@ -71,9 +61,6 @@ class PsWtClient : public PsOoClient {
   using PsOoClient::PsOoClient;
 
   void OnTokenRecall(storage::PageId page, sim::Promise<bool> done) override;
-
- protected:
-  sim::Task Write(storage::ObjectId oid) PSOODB_ACQUIRES(pin) override;
 };
 
 }  // namespace psoodb::core

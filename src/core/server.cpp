@@ -173,6 +173,16 @@ sim::Task Server::AwaitCallbacks(std::shared_ptr<CallbackBatch> batch,
   }
 }
 
+void Server::OnWriteReq(ObjectId oid, TxnId txn, ClientId client,
+                        sim::Promise<WriteGrant> reply) {
+  ctx_.sim.Spawn(HandleWrite(oid, txn, client, std::move(reply)));
+}
+
+void PageServer::OnReadReq(ObjectId oid, TxnId txn, ClientId client,
+                           sim::Promise<PageShip> reply) {
+  ctx_.sim.Spawn(HandleRead(oid, txn, client, std::move(reply)));
+}
+
 void Server::OnCommitReq(TxnId txn, ClientId client,
                          std::vector<PageUpdate> updates,
                          sim::Promise<CommitAck> reply) {
@@ -188,8 +198,8 @@ void Server::OnAbortReq(TxnId txn, ClientId client,
                              std::move(purged_objects), std::move(reply)));
 }
 
-void Server::OnDirtyInstall(TxnId txn, PageId page, SlotMask dirty) {
-  staging_[txn][page] |= dirty;
+void Server::OnDirtyInstall(TxnId txn, PageUpdate update) {
+  staging_[txn].push_back(update);
 }
 
 void Server::OnClientDroppedPage(PageId page, ClientId client) {
@@ -198,6 +208,15 @@ void Server::OnClientDroppedPage(PageId page, ClientId client) {
 
 void Server::OnObjectEvictionNotice(ObjectId oid, ClientId client) {
   object_copies_.Unregister(oid, client);
+}
+
+void Server::SendCallback(ClientId holder, PageId page, ObjectId oid,
+                          TxnId txn,
+                          const std::shared_ptr<CallbackBatch>& batch) {
+  SendToClient(holder, MsgKind::kCallbackReq, ctx_.transport.ControlBytes(),
+               [cl = client(holder), page, oid, txn, batch]() {
+                 cl->OnCallback(page, oid, txn, batch);
+               });
 }
 
 void Server::FinishCallbackReply(const std::shared_ptr<CallbackBatch>& batch,
@@ -283,12 +302,13 @@ sim::Task Server::HandleCommit(TxnId txn, ClientId client,
   // Ordered: the install loop below co_awaits per page, so the install
   // order is event order and must not follow a hash table's bucket layout.
   std::map<PageId, Pending> masks;
-  for (const auto& u : updates) {
+  const auto fold = [&masks](const PageUpdate& u) {
     masks[u.page].mask |= u.dirty;
     masks[u.page].growth += u.growth_bytes;
-  }
+  };
+  for (const auto& u : updates) fold(u);
   if (auto it = staging_.find(txn); it != staging_.end()) {
-    for (const auto& [page, mask] : it->second) masks[page].mask |= mask;  // det-ok: commutative fold into an ordered map
+    for (const auto& u : it->second) fold(u);
     staging_.erase(it);
   }
 
@@ -311,6 +331,30 @@ sim::Task Server::HandleCommit(TxnId txn, ClientId client,
                [reply = std::move(reply), ack = std::move(ack)]() mutable {
                  reply.Set(std::move(ack));
                });
+}
+
+sim::Task Server::HandleWrite(ObjectId oid, TxnId txn, ClientId client,
+                              sim::Promise<WriteGrant> reply) {
+  const PageId page = ctx_.db.layout().PageOf(oid);
+  try {
+    {
+      trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
+      co_await cpu_.System(ctx_.params.lock_inst);
+    }
+    co_await lm_.AcquireObjectX(oid, page, txn, client);
+    co_await CallbackRound(object_copies_, oid, client, txn, page, oid);
+    if (ctx_.invariants != nullptr) {
+      ctx_.invariants->OnWriteGrant(*this, GrantLevel::kObject, page, oid,
+                                    txn, client);
+    }
+    SendToClient(client, MsgKind::kControlReply, ctx_.transport.ControlBytes(),
+                 [reply = std::move(reply)]() mutable {
+                   reply.Set(WriteGrant{GrantLevel::kObject, false,
+                                        std::nullopt});
+                 });
+  } catch (const cc::TxnAborted&) {
+    ReplyAborted(client, std::move(reply));
+  }
 }
 
 void Server::OnAbortPurge(TxnId txn, ClientId client,

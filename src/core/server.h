@@ -1,11 +1,13 @@
 /// \file server.h
 /// Base server engine shared by all six protocol variants: CPU, disks,
 /// page buffer pool, lock manager, copy tables, the staging of PS-WT token
-/// flushes, the commit/abort handlers that serve Client::Commit and
-/// Client::Abort, and the steps every protocol's request handlers share
-/// (the callback round, the aborted reply, the object-lock wait). Protocol
-/// subclasses implement the read/write request handlers: their own
-/// messages and granularity decisions.
+/// flushes, the one write-request entry, the commit/abort handlers that
+/// serve Client::Commit and Client::Abort, and the steps every protocol's
+/// request handlers share (the callback round and the callbacks it sends,
+/// the aborted reply, the object-lock wait, and the object-lock write of OS
+/// and PS-OO). PageServer adds the one read-request entry of the five
+/// page-transfer servers. A protocol subclass keeps only its granularity
+/// decisions: how its handlers ship, lock and call back.
 
 #ifndef PSOODB_CORE_SERVER_H_
 #define PSOODB_CORE_SERVER_H_
@@ -103,9 +105,13 @@ class Server {
   cc::ObjectCopyTable& object_copies() { return object_copies_; }
 
   // --- Message entry points (invoked by Transport deliveries) -------------
-  // Each spawns a handler coroutine. Payloads are protocol-specific; these
-  // shared ones cover commit, abort, eviction and the token-flush install.
+  // The request entries spawn handler coroutines.
 
+  /// Client entry: request write permission on `oid`; spawns the protocol's
+  /// HandleWrite.
+  void OnWriteReq(storage::ObjectId oid, storage::TxnId txn,
+                  storage::ClientId client,
+                  sim::Promise<WriteGrant> reply) PSOODB_REPLIES;
   void OnCommitReq(storage::TxnId txn, storage::ClientId client,
                    std::vector<PageUpdate> updates,
                    sim::Promise<CommitAck> reply) PSOODB_REPLIES;
@@ -113,10 +119,10 @@ class Server {
                   std::vector<storage::PageId> purged_pages,
                   std::vector<storage::ObjectId> purged_objects,
                   sim::Promise<bool> reply) PSOODB_REPLIES;
-  /// Stages `dirty` slots of `page` that a PS-WT token flush carried for
-  /// `txn`; its commit installs them, its abort discards them.
-  void OnDirtyInstall(storage::TxnId txn, storage::PageId page,
-                      storage::SlotMask dirty);
+  /// Stages the uncommitted update of one page (dirty slots and object
+  /// growth) that a PS-WT token flush carried for `txn`; its commit
+  /// installs it, its abort discards it.
+  void OnDirtyInstall(storage::TxnId txn, PageUpdate update);
   /// A client dropped its cached copy of `page` (eviction notice). Default:
   /// unregister the page-granularity copy; PS-OO overrides to unregister
   /// object-granularity copies.
@@ -142,6 +148,14 @@ class Server {
   virtual void OnAbortPurge(storage::TxnId txn, storage::ClientId client,
                             const std::vector<storage::PageId>& pages,
                             const std::vector<storage::ObjectId>& objects);
+
+  /// The write-request handler; the X lock it takes outlives it (released
+  /// at commit/abort). Default: the object-lock write of OS and PS-OO — an
+  /// object X lock, object callbacks, an object grant.
+  virtual sim::Task HandleWrite(storage::ObjectId oid, storage::TxnId txn,
+                                storage::ClientId client,
+                                sim::Promise<WriteGrant> reply)
+      PSOODB_ACQUIRES(lock) PSOODB_REPLIES;
 
   // --- Shared helpers ------------------------------------------------------
 
@@ -180,18 +194,18 @@ class Server {
   /// The callback round of a write request (Section 3): calls back every
   /// holder of `item` in `copies` other than `client` and waits for their
   /// final replies. For each holder, in HoldersExcept order, it emits
-  /// kCallbackIssue (tagged `page`/`oid`) and calls `send(holder, batch)`,
-  /// which sends the protocol's own kCallbackReq. Each holder's registration
-  /// is dropped when its final reply is delivered (CallbackBatch::on_final),
-  /// but only under the epoch the callback was issued against: the replying
-  /// client may purge an old copy while a fresh ship to it is already in
-  /// flight. After the drain it charges RegisterCopyInst per dropped copy.
+  /// kCallbackIssue and sends a kCallbackReq for (`page`, `oid`), which the
+  /// client answers in Client::OnCallback (PS passes oid -1: a page
+  /// callback). Each holder's registration is dropped when its final reply
+  /// is delivered (CallbackBatch::on_final), but only under the epoch the
+  /// callback was issued against: the replying client may purge an old copy
+  /// while a fresh ship to it is already in flight. After the drain it
+  /// charges RegisterCopyInst per dropped copy.
   /// Throws TxnAborted if `txn` closes a deadlock cycle while waiting.
-  template <typename ItemId, typename Send>
+  template <typename ItemId>
   sim::Task CallbackRound(cc::CopyTable<ItemId>& copies, ItemId item,
                           storage::ClientId client, storage::TxnId txn,
-                          storage::PageId page, storage::ObjectId oid,
-                          Send send);
+                          storage::PageId page, storage::ObjectId oid);
 
   /// Whether a final callback outcome drops the holder's copy: a page copy
   /// survives kRetained ("page kept", one object marked unavailable); an
@@ -286,10 +300,8 @@ class Server {
   cc::PageCopyTable page_copies_;
   cc::ObjectCopyTable object_copies_;
   /// Uncommitted updates PS-WT token flushes staged at the server
-  /// (undo-at-server): txn -> page -> dirty slots.
-  std::unordered_map<storage::TxnId,
-                     std::unordered_map<storage::PageId, storage::SlotMask>>
-      staging_;
+  /// (undo-at-server), per transaction in arrival order.
+  std::unordered_map<storage::TxnId, std::vector<PageUpdate>> staging_;
   /// Per-page logical fill in bytes (lazily initialized to
   /// initial_fill * page_size); only consulted when size_change_prob > 0.
   std::unordered_map<storage::PageId, double> page_fill_;
@@ -298,13 +310,40 @@ class Server {
   std::uint64_t buf_lookups_ = 0;
   std::uint64_t buf_hits_ = 0;
   int cb_rounds_inflight_ = 0;
+
+ private:
+  /// Sends one callback of a round to `holder` (CallbackRound's only send).
+  void SendCallback(storage::ClientId holder, storage::PageId page,
+                    storage::ObjectId oid, storage::TxnId txn,
+                    const std::shared_ptr<CallbackBatch>& batch);
 };
 
-template <typename ItemId, typename Send>
+/// Shared base of the five page-transfer servers (PS, PS-OO, PS-OA, PS-AA,
+/// PS-WT), the server-side mirror of PageFamilyClient: the one read-request
+/// entry. OS ships objects and keeps its own.
+class PageServer : public Server {
+ public:
+  using Server::Server;
+
+  /// Client entry: request the page holding `oid`; spawns the protocol's
+  /// HandleRead.
+  void OnReadReq(storage::ObjectId oid, storage::TxnId txn,
+                 storage::ClientId client,
+                 sim::Promise<PageShip> reply) PSOODB_REPLIES;
+
+ protected:
+  /// Ships the page holding `oid` once `oid` is readable, leaving the copy
+  /// registered (the registration *is* the client's read permission).
+  virtual sim::Task HandleRead(storage::ObjectId oid, storage::TxnId txn,
+                               storage::ClientId client,
+                               sim::Promise<PageShip> reply)
+      PSOODB_ACQUIRES(copy) PSOODB_REPLIES = 0;
+};
+
+template <typename ItemId>
 sim::Task Server::CallbackRound(cc::CopyTable<ItemId>& copies, ItemId item,
                                 storage::ClientId client, storage::TxnId txn,
-                                storage::PageId page, storage::ObjectId oid,
-                                Send send) {
+                                storage::PageId page, storage::ObjectId oid) {
   const cc::HolderRange holders = copies.HoldersExcept(item, client);
   if (holders.empty()) co_return;
   auto batch = NewBatch();
@@ -325,7 +364,7 @@ sim::Task Server::CallbackRound(cc::CopyTable<ItemId>& copies, ItemId item,
       ctx_.tracer->Emit(trace::EventKind::kCallbackIssue, node_, txn, page,
                         oid, -1, h.client);
     }
-    send(h.client, batch);
+    SendCallback(h.client, page, oid, txn, batch);
   }
   co_await AwaitCallbacks(batch, txn);
   // Issued even when nothing was dropped (every holder kept its page): the

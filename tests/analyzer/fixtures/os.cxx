@@ -1,12 +1,13 @@
 // Fixture: protocol-transition, stem `os` — the object-server state machine
 // with every required leg present and every send paired with its spec'd
-// handler (commit and abort are the shared client legs, client.cxx). The
-// whole file is a false-positive guard: the fixture test demands zero
-// findings. Lexed only.
+// handler: the object read request with its object ship, the shared write
+// request, and the object eviction notice (the write grant and the
+// callbacks are the server engine's legs, server.cxx; commit and abort the
+// client engine's, client.cxx). The whole file is a false-positive guard:
+// the fixture test demands zero findings. Lexed only.
 
 void OnObjectReadReq(int oid);
-void OnObjectWriteReq(int oid);
-void OnObjectCallback(int oid);
+void OnWriteReq(int oid);
 void OnObjectEvictionNotice(int oid);
 void Resolve(int oid);
 
@@ -25,12 +26,7 @@ void ReadPath(int oid) {
 }
 
 void WritePath(int oid) {
-  net.SendToServer(0, MsgKind::kWriteReq, 16, [oid] { OnObjectWriteReq(oid); });
-  net.SendToClient(1, MsgKind::kControlReply, 16, [oid] { Resolve(oid); });
-}
-
-void CallbackPath(int oid) {
-  net.SendToClient(1, MsgKind::kCallbackReq, 16, [oid] { OnObjectCallback(oid); });
+  net.SendToServer(0, MsgKind::kWriteReq, 16, [oid] { OnWriteReq(oid); });  // FP-GUARD: protocol-transition
 }
 
 void EvictPath(int oid) {

@@ -1,11 +1,13 @@
 // Fixture: protocol-transition, stem `ps` — never ships page data, so a required state-machine leg is missing.  EXPECT: protocol-transition
-// The sends below pair each remaining kind with its spec'd handler; the
-// wrong pairings are the true positives. Lexed only; the `ps` stem makes
-// the basic-page-server spec table apply to this file.
+// The read, write and callback requests are the engines' legs (client.cpp
+// sends the requests, server.cpp the callbacks), so a PS file keeps only its
+// replies. A reply that resolves a promise is the false-positive guard; a
+// request sent from the protocol file, a kind from another protocol's state
+// machine, and a reply delivered to a handler are the true positives.
+// Lexed only; the `ps` stem makes the basic-page-server spec table apply to
+// this file.
 
-void OnPageReadReq(int page);
-void OnPageWriteReq(int page);
-void OnPageCallback(int page);
+void OnReadReq(int page);
 void OnDeEscalate(int page);
 void Resolve(int page);
 
@@ -18,20 +20,13 @@ struct Transport {
 
 Transport net;
 
-void ReadPath(int page) {
-  net.SendToServer(0, MsgKind::kReadReq, 16, [page] { OnPageReadReq(page); });  // FP-GUARD: protocol-transition
-}
-
-void WritePath(int page) {
-  net.SendToServer(0, MsgKind::kWriteReq, 16, [page] { OnPageWriteReq(page); });
-}
-
-void CallbackPath(int page) {
-  net.SendToClient(1, MsgKind::kCallbackReq, 16, [page] { OnPageCallback(page); });
-}
-
 void GrantPath(int page) {
   net.SendToClient(1, MsgKind::kControlReply, 16, [page] { Resolve(page); });  // FP-GUARD: protocol-transition
+}
+
+// TP: the read request is the client engine's leg, not a protocol file's.
+void ReadPath(int page) {
+  net.SendToServer(0, MsgKind::kReadReq, 16, [page] { OnReadReq(page); });  // EXPECT: protocol-transition
 }
 
 // TP: a kind from another protocol's state machine.
@@ -39,7 +34,7 @@ void TokenPath(int page) {
   net.SendToClient(1, MsgKind::kTokenRecall, 16, [page] { Resolve(page); });  // EXPECT: protocol-transition
 }
 
-// TP: delivers a page callback to PS-AA's de-escalation handler.
+// TP: a grant resolves the requester's promise; it delivers to no handler.
 void WrongHandler(int page) {
-  net.SendToClient(1, MsgKind::kCallbackReq, 16, [page] { OnDeEscalate(page); });  // EXPECT: protocol-transition
+  net.SendToClient(1, MsgKind::kControlReply, 16, [page] { OnDeEscalate(page); });  // EXPECT: protocol-transition
 }

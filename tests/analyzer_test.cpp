@@ -121,6 +121,9 @@ TEST(AnalyzerFixtures, ProtocolTransitionOs) { RunFixture("os.cxx"); }
 TEST(AnalyzerFixtures, ProtocolTransitionClient) {
   RunFixture("client.cxx");
 }
+TEST(AnalyzerFixtures, ProtocolTransitionServer) {
+  RunFixture("server.cxx");
+}
 
 // Coverage guard: every registered check must have at least one true-positive
 // fixture expectation (EXPECT or EXPECT-SUPPRESSED) and at least one marked
@@ -158,7 +161,7 @@ TEST(AnalyzerFixtures, EveryCheckHasFixtureCoverage) {
       collect(line, "FP-GUARD:", &guarded);
     }
   }
-  EXPECT_GE(fixtures, 18);
+  EXPECT_GE(fixtures, 19);
   for (const std::string& check : psoodb::analyzer::AllCheckNames()) {
     EXPECT_NE(expected.count(check), 0u)
         << "no true-positive fixture expectation for check: " << check;

@@ -10,7 +10,9 @@
 //  * deadlock cycles that form *through callback blockers* (kInUse replies
 //    feeding CallbackBatch::new_blockers) are detected and resolved without
 //    tripping any invariant;
-//  * copy tables and lock tables stay coherent after deadlock aborts.
+//  * copy tables and lock tables stay coherent after deadlock aborts;
+//  * PS-WT token handoffs under size-changing updates leave no uncommitted
+//    growth on a clean page frame.
 
 #include <gtest/gtest.h>
 
@@ -88,6 +90,27 @@ TEST(InvariantCheckerTest, CleanUnderFalseSharingWithDeEscalation) {
   EXPECT_GT(r.counters.deescalations, 0u)
       << "workload failed to exercise de-escalation";
   ExpectClean(system, "PS-AA interleaved");
+}
+
+TEST(InvariantCheckerTest, CleanUnderTokenHandoffsWithGrowingUpdates) {
+  // Interleaved PRIVATE hands PS-WT write tokens back and forth between
+  // client pairs, and every update grows its object: each recall must flush
+  // the page's growth with its dirty slots, so that the growth commits with
+  // the transaction that made it instead of staying on the clean frame.
+  SystemParams sys;
+  sys.num_clients = 4;
+  sys.seed = 7;
+  sys.size_change_prob = 1.0;
+  sys.invariant_checks = true;
+  sys.invariant_event_period = 200;
+  auto w = config::MakeInterleavedPrivate(sys, 0.3);
+  System system(Protocol::kPSWT, sys, w);
+  RunResult r = system.Run(QuickRun(150));
+  EXPECT_FALSE(r.stalled);
+  EXPECT_TRUE(r.serializable);
+  EXPECT_GT(r.counters.token_transfers, 0u)
+      << "workload failed to hand off write tokens";
+  ExpectClean(system, "PS-WT growing updates");
 }
 
 // --- Seeded bug: write grant without callback drain --------------------------

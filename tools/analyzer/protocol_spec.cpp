@@ -44,108 +44,112 @@ bool IsHandlerIdent(const std::string& s) {
 }
 
 std::vector<ProtocolSpec> BuildSpecs() {
-  // Shared shapes: the page-family read/write/callback core, and the
-  // object-server bookkeeping kinds layered on top of it.
-  const std::set<std::string> kPageCore = {
-      "kReadReq", "kWriteReq", "kCallbackReq", "kDataReply", "kControlReply"};
+  // The read/write/callback legs every protocol shares are sent by the
+  // engines — the requests by client.cpp (OS's object path by os.cpp), the
+  // callbacks by server.cpp — so a protocol file keeps only its replies and
+  // sub-protocol legs, and must not grow its own request or callback path.
+  const std::set<std::string> kSharedLegs = {"kReadReq", "kWriteReq",
+                                             "kCallbackReq"};
   const std::set<std::string> kAdaptiveOnly = {"kDeEscalateReq",
                                                "kDeEscalateReply"};
   const std::set<std::string> kTokenOnly = {"kTokenRecall", "kTokenFlush",
                                             "kCallbackAck"};
   std::set<std::string> kNonPage = kAdaptiveOnly;
   kNonPage.insert(kTokenOnly.begin(), kTokenOnly.end());
+  std::set<std::string> kPageForbidden = kSharedLegs;
+  kPageForbidden.insert(kNonPage.begin(), kNonPage.end());
 
   std::vector<ProtocolSpec> specs;
 
-  {  // B-PS: page locks, page callbacks, page ships.
+  {  // B-PS: page ships and page grants.
     ProtocolSpec s;
     s.stem = "ps";
-    s.required = kPageCore;
-    s.forbidden = kNonPage;
-    s.handlers = {{"kReadReq", {"OnPageReadReq"}},
-                  {"kWriteReq", {"OnPageWriteReq"}},
-                  {"kCallbackReq", {"OnPageCallback"}},
-                  {"kDataReply", {}},
-                  {"kControlReply", {}}};
+    s.required = {"kDataReply", "kControlReply"};
+    s.forbidden = kPageForbidden;
+    s.handlers = {{"kDataReply", {}}, {"kControlReply", {}}};
     specs.push_back(std::move(s));
   }
-  {  // Client: the legs every protocol shares — commit, abort, the
-     // deferred callback ack, and the page family's eviction notice.
+  {  // Client: the legs every protocol shares — the page family's read and
+     // write requests, commit, abort, the deferred callback ack, and the
+     // page family's eviction notice.
     ProtocolSpec s;
     s.stem = "client";
-    s.required = {"kCommitReq", "kAbortReq", "kCallbackAck",
-                  "kEvictionNotice"};
+    s.required = {"kReadReq",  "kWriteReq",    "kCommitReq",
+                  "kAbortReq", "kCallbackAck", "kEvictionNotice"};
     s.forbidden = kAdaptiveOnly;
-    s.forbidden.insert({"kTokenRecall", "kTokenFlush", "kDirtyInstall"});
-    s.handlers = {{"kCommitReq", {"OnCommitReq"}},
+    s.forbidden.insert(
+        {"kCallbackReq", "kTokenRecall", "kTokenFlush", "kDirtyInstall"});
+    s.handlers = {{"kReadReq", {"OnReadReq"}},
+                  {"kWriteReq", {"OnWriteReq"}},
+                  {"kCommitReq", {"OnCommitReq"}},
                   {"kAbortReq", {"OnAbortReq"}},
                   {"kCallbackAck", {}},
                   {"kEvictionNotice", {"OnClientDroppedPage"}}};
     specs.push_back(std::move(s));
   }
-  {  // O-OS: object server — object ships plus object eviction notices.
+  {  // Server: every protocol's callbacks, the object-lock write's grant,
+     // and the commit and abort acks; no request, steal, token or
+     // de-escalation traffic.
+    ProtocolSpec s;
+    s.stem = "server";
+    s.required = {"kCallbackReq", "kControlReply"};
+    s.forbidden = kNonPage;
+    s.forbidden.insert({"kReadReq", "kWriteReq", "kDirtyInstall"});
+    s.handlers = {{"kCallbackReq", {"OnCallback"}}, {"kControlReply", {}}};
+    specs.push_back(std::move(s));
+  }
+  {  // O-OS: object server — its own object read request and object ships,
+     // the shared write request, and object eviction notices.
     ProtocolSpec s;
     s.stem = "os";
-    s.required = kPageCore;
-    s.required.insert("kEvictionNotice");
+    s.required = {"kReadReq", "kWriteReq", "kDataReply", "kEvictionNotice"};
     s.forbidden = kNonPage;
+    s.forbidden.insert("kCallbackReq");
     s.handlers = {{"kReadReq", {"OnObjectReadReq"}},
-                  {"kWriteReq", {"OnObjectWriteReq"}},
-                  {"kCallbackReq", {"OnObjectCallback"}},
+                  {"kWriteReq", {"OnWriteReq"}},
                   {"kEvictionNotice", {"OnObjectEvictionNotice"}},
-                  {"kDataReply", {}},
-                  {"kControlReply", {}}};
+                  {"kDataReply", {}}};
     specs.push_back(std::move(s));
   }
-  {  // PS-OO: page server, object-level callbacks.
+  {  // PS-OO: page ships with object registrations; the object-lock write
+     // is the shared one.
     ProtocolSpec s;
     s.stem = "ps_oo";
-    s.required = kPageCore;
-    s.forbidden = kNonPage;
-    s.handlers = {{"kReadReq", {"OnObjectReadReq"}},
-                  {"kWriteReq", {"OnObjectWriteReq"}},
-                  {"kCallbackReq", {"OnObjectCallback"}},
-                  {"kDataReply", {}},
-                  {"kControlReply", {}}};
+    s.required = {"kDataReply"};
+    s.forbidden = kPageForbidden;
+    s.handlers = {{"kDataReply", {}}};
     specs.push_back(std::move(s));
   }
-  {  // PS-OA: adaptive page/object callbacks.
+  {  // PS-OA: page ships and object grants (adaptive callbacks).
     ProtocolSpec s;
     s.stem = "ps_oa";
-    s.required = kPageCore;
-    s.forbidden = kNonPage;
-    s.handlers = {{"kReadReq", {"OnObjectReadReq"}},
-                  {"kWriteReq", {"OnObjectWriteReq"}},
-                  {"kCallbackReq", {"OnAdaptiveCallback"}},
-                  {"kDataReply", {}},
-                  {"kControlReply", {}}};
+    s.required = {"kDataReply", "kControlReply"};
+    s.forbidden = kPageForbidden;
+    s.handlers = {{"kDataReply", {}}, {"kControlReply", {}}};
     specs.push_back(std::move(s));
   }
   {  // PS-AA: adaptive granularity — adds the de-escalation sub-protocol.
     ProtocolSpec s;
     s.stem = "ps_aa";
-    s.required = kPageCore;
+    s.required = {"kDataReply", "kControlReply"};
     s.required.insert(kAdaptiveOnly.begin(), kAdaptiveOnly.end());
-    s.forbidden = kTokenOnly;
-    s.handlers = {{"kReadReq", {"OnObjectReadReq"}},
-                  {"kWriteReq", {"OnObjectWriteReq"}},
-                  {"kCallbackReq", {"OnAdaptiveCallback"}},
-                  {"kDeEscalateReq", {"OnDeEscalate"}},
+    s.forbidden = kSharedLegs;
+    s.forbidden.insert(kTokenOnly.begin(), kTokenOnly.end());
+    s.handlers = {{"kDeEscalateReq", {"OnDeEscalate"}},
                   {"kDeEscalateReply", {}},
                   {"kDataReply", {}},
                   {"kControlReply", {}}};
     specs.push_back(std::move(s));
   }
-  {  // PS-WT: write tokens — no server read round-trip at all.
+  {  // PS-WT: write tokens — the recall, the flush and the grant that may
+     // carry the page image.
     ProtocolSpec s;
     s.stem = "ps_wt";
-    s.required = {"kWriteReq",   "kCallbackReq",  "kTokenRecall",
-                  "kTokenFlush", "kCallbackAck",  "kDataReply",
-                  "kControlReply"};
-    s.forbidden = kAdaptiveOnly;
-    s.handlers = {{"kWriteReq", {"OnTokenWriteReq"}},
-                  {"kCallbackReq", {"OnObjectCallback"}},
-                  {"kTokenRecall", {"OnTokenRecall"}},
+    s.required = {"kTokenRecall", "kTokenFlush", "kCallbackAck",
+                  "kDataReply", "kControlReply"};
+    s.forbidden = kSharedLegs;
+    s.forbidden.insert(kAdaptiveOnly.begin(), kAdaptiveOnly.end());
+    s.handlers = {{"kTokenRecall", {"OnTokenRecall"}},
                   {"kTokenFlush", {"OnDirtyInstall"}},
                   {"kCallbackAck", {}},
                   {"kDataReply", {}},
