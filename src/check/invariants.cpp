@@ -38,6 +38,16 @@ bool GrantsPageWrites(Protocol p) {
 }
 
 unsigned long long U(TxnId t) { return static_cast<unsigned long long>(t); }
+
+/// Every client's active transaction.
+std::unordered_set<TxnId> ActiveTxns(core::System& system) {
+  std::unordered_set<TxnId> active;
+  for (int i = 0; i < system.num_clients(); ++i) {
+    const TxnId t = system.client(i).active_txn();
+    if (t != kNoTxn) active.insert(t);
+  }
+  return active;
+}
 long long L(ObjectId o) { return static_cast<long long>(o); }
 
 }  // namespace
@@ -98,6 +108,7 @@ void InvariantChecker::CheckAll() {
   ++sweeps_run_;
   CheckLockTables();
   CheckWaitsFor();
+  CheckStaging();
   CheckClientCaches();
   CheckSingleWriter();
   CheckReadFootprints();
@@ -114,11 +125,7 @@ void InvariantChecker::CheckLockTables() {
 }
 
 void InvariantChecker::CheckWaitsFor() {
-  std::unordered_set<TxnId> active;
-  for (int i = 0; i < system_.num_clients(); ++i) {
-    TxnId t = system_.client(i).active_txn();
-    if (t != kNoTxn) active.insert(t);
-  }
+  const std::unordered_set<TxnId> active = ActiveTxns(system_);
   TxnId last_waiter = kNoTxn;
   for (const auto& [waiter, blocker] : system_.detector().Edges()) {
     Expect(active.count(waiter) > 0,
@@ -132,6 +139,18 @@ void InvariantChecker::CheckWaitsFor() {
       last_waiter = waiter;
       Expect(!system_.detector().HasCycleFrom(waiter),
              "undetected waits-for cycle through txn %llu", U(waiter));
+    }
+  }
+}
+
+void InvariantChecker::CheckStaging() {
+  const std::unordered_set<TxnId> active = ActiveTxns(system_);
+  for (int i = 0; i < system_.num_servers(); ++i) {
+    for (TxnId txn : system_.server(i).StagedTxns()) {
+      Expect(active.count(txn) > 0,
+             "server %d stages token-flush updates for txn %llu, which is "
+             "not active at any client",
+             i, U(txn));
     }
   }
 }

@@ -16,6 +16,9 @@
 ///    blockers).
 ///  * Waits-for sanity: every waiter in the deadlock graph is some client's
 ///    active transaction, and the graph is acyclic between detections.
+///  * PS-WT staging: every transaction with token-flush updates staged at a
+///    server is some client's active transaction (its commit folds the
+///    entry, its abort discards it).
 ///  * PS-AA de-escalation: requested only against the actual page X holder;
 ///    on completion the page lock is released, the written objects are
 ///    object-locked by the holder, and the holder client dropped its page
@@ -74,8 +77,9 @@ class InvariantChecker {
   explicit InvariantChecker(core::System& system);
   InvariantChecker(core::System& system, Options opts);
 
-  /// Runs every global check once (lock tables, waits-for graph, client
-  /// caches vs. copy tables, single-writer, read footprints).
+  /// Runs every global check once (lock tables, waits-for graph, staged
+  /// flushes, client caches vs. copy tables, single-writer, read
+  /// footprints).
   void CheckAll();
   /// Called by System::Run after each event; sweeps every `event_period`.
   void OnEvent();
@@ -124,6 +128,7 @@ class InvariantChecker {
 
   void CheckLockTables();
   void CheckWaitsFor();
+  void CheckStaging();
   void CheckClientCaches();
   void CheckSingleWriter();
   void CheckReadFootprints();

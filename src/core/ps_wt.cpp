@@ -108,16 +108,20 @@ void PsWtClient::OnTokenRecall(PageId page, sim::Promise<bool> done) {
   // Flush the current image through the server. Uncommitted updates, with
   // their object growth, are staged under this client's active transaction
   // (they remain this transaction's writes; the page stays cached as a
-  // readable copy).
+  // readable copy). A terminating transaction's kCommitReq (which already
+  // carries these slots) or kAbortReq has left, and per-pair FIFO delivery
+  // puts this flush behind it, where a staged entry would never be folded
+  // or discarded: that flush stages nothing.
   Server* srv = ServerFor(page);
   const PageUpdate flushed{page, f->dirty, f->pending_growth};
   const TxnId txn = txn_;
+  const bool stage = flushed.dirty != 0 && !terminating();
   f->dirty = 0;
   f->pending_growth = 0;
   SendToServer(srv, MsgKind::kTokenFlush,
                ctx_.transport.DataBytes(ctx_.params.page_size_bytes),
-               [srv, txn, flushed, done = std::move(done)]() mutable {
-                 if (flushed.dirty != 0) srv->OnDirtyInstall(txn, flushed);
+               [srv, txn, flushed, stage, done = std::move(done)]() mutable {
+                 if (stage) srv->OnDirtyInstall(txn, flushed);
                  done.Set(true);
                });
 }

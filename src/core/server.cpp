@@ -202,6 +202,16 @@ void Server::OnDirtyInstall(TxnId txn, PageUpdate update) {
   staging_[txn].push_back(update);
 }
 
+std::vector<TxnId> Server::StagedTxns() const {
+  std::vector<TxnId> txns;
+  txns.reserve(staging_.size());
+  for (const auto& [txn, updates] : staging_) {  // det-ok: sorted below
+    txns.push_back(txn);
+  }
+  std::sort(txns.begin(), txns.end());
+  return txns;
+}
+
 void Server::OnClientDroppedPage(PageId page, ClientId client) {
   page_copies_.Unregister(page, client);
 }

@@ -103,6 +103,8 @@ class Server {
   storage::PageCache& buffer() { return buffer_; }
   cc::PageCopyTable& page_copies() { return page_copies_; }
   cc::ObjectCopyTable& object_copies() { return object_copies_; }
+  /// Transactions with updates a PS-WT token flush staged here, ascending.
+  std::vector<storage::TxnId> StagedTxns() const;
 
   // --- Message entry points (invoked by Transport deliveries) -------------
   // The request entries spawn handler coroutines.

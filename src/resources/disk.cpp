@@ -9,8 +9,8 @@ Disk::Disk(sim::Simulation& sim, double min_time, double max_time,
       max_time_(max_time),
       rng_(seed, stream) {}
 
-sim::Task Disk::Access() {
-  co_await server_.Serve(rng_.Uniform(min_time_, max_time_));
+FifoServer::Awaiter Disk::Access() {
+  return server_.Serve(rng_.Uniform(min_time_, max_time_));
 }
 
 DiskArray::DiskArray(sim::Simulation& sim, int num_disks, double min_time,
@@ -23,10 +23,10 @@ DiskArray::DiskArray(sim::Simulation& sim, int num_disks, double min_time,
   }
 }
 
-sim::Task DiskArray::Access() {
-  int i = static_cast<int>(
+FifoServer::Awaiter DiskArray::Access() {
+  const int i = static_cast<int>(
       pick_rng_.UniformInt(0, static_cast<std::int64_t>(disks_.size()) - 1));
-  co_await disks_[i]->Access();
+  return disks_[i]->Access();
 }
 
 double DiskArray::AverageUtilization() const {

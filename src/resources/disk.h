@@ -13,7 +13,6 @@
 #include "resources/fifo_server.h"
 #include "sim/random.h"
 #include "sim/simulation.h"
-#include "sim/task.h"
 
 namespace psoodb::resources {
 
@@ -24,8 +23,9 @@ class Disk {
        std::uint64_t seed, std::uint64_t stream);
 
   /// Performs one I/O (read or write are indistinguishable in the model).
-  /// Must be awaited from a simulation process.
-  sim::Task Access();
+  /// Draws the access time at the call and returns the disk's FIFO wait,
+  /// which must be awaited at once from a simulation process.
+  [[nodiscard]] FifoServer::Awaiter Access();
 
   double Utilization() const { return server_.Utilization(); }
   void ResetStats() { server_.ResetStats(); }
@@ -45,8 +45,9 @@ class DiskArray {
   DiskArray(sim::Simulation& sim, int num_disks, double min_time,
             double max_time, std::uint64_t seed);
 
-  /// Performs one I/O on a uniformly chosen disk.
-  sim::Task Access();
+  /// Performs one I/O on a uniformly chosen disk, drawn at the call (see
+  /// Disk::Access).
+  [[nodiscard]] FifoServer::Awaiter Access();
 
   int size() const { return static_cast<int>(disks_.size()); }
   Disk& disk(int i) { return *disks_[i]; }

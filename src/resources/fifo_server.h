@@ -14,7 +14,9 @@
 namespace psoodb::resources {
 
 /// FIFO single-server queue. `co_await server.Serve(t)` waits for all queued
-/// requests ahead of it, then for `t` seconds of service.
+/// requests ahead of it, then for `t` seconds of service. The awaiter holds
+/// the queue node, so a wait needs no coroutine frame of its own; callers
+/// may return it by value (guaranteed elision) for their callers to await.
 class FifoServer {
  public:
   explicit FifoServer(sim::Simulation& sim) : sim_(sim) {
@@ -38,7 +40,8 @@ class FifoServer {
   FifoServer& operator=(const FifoServer&) = delete;
 
   class Awaiter;
-  Awaiter Serve(double service_time);
+  /// [[nodiscard]]: a dropped awaiter never queues, so the wait is skipped.
+  [[nodiscard]] Awaiter Serve(double service_time);
 
   double Utilization() const {
     double busy = busy_time_;

@@ -11,7 +11,6 @@
 
 #include "resources/fifo_server.h"
 #include "sim/simulation.h"
-#include "sim/task.h"
 
 namespace psoodb::resources {
 
@@ -24,8 +23,10 @@ class Network {
         seconds_per_byte_(8.0 / (bandwidth_mbps * 1e6)) {}
 
   /// Occupies the wire for the transfer time of a `bytes`-sized message.
-  sim::Task Transfer(std::uint64_t bytes) {
-    co_await server_.Serve(static_cast<double>(bytes) * seconds_per_byte_);
+  /// Returns the wire's FIFO wait itself, so a message on the wire costs no
+  /// coroutine frame.
+  [[nodiscard]] FifoServer::Awaiter Transfer(std::uint64_t bytes) {
+    return server_.Serve(static_cast<double>(bytes) * seconds_per_byte_);
   }
 
   double Utilization() const { return server_.Utilization(); }

@@ -1,49 +1,64 @@
 /// \file event_heap.h
-/// The simulator's event queue: an index-tracked 4-ary min-heap with
-/// in-place tombstones, slot-encoded event ids, and small-buffer-optimized
-/// callback storage, plus a slot-free FIFO lane for same-instant wakeups.
+/// The simulator's event queue: a small sorted near tier in front of an
+/// index-tracked 4-ary min-heap, with in-place tombstones, slot-encoded event
+/// ids, and small-buffer-optimized callback storage, plus a slot-free FIFO
+/// lane for same-instant wakeups.
 ///
 /// Design (see docs/SIMULATOR.md "Scheduler internals"):
 ///
-///  - Heap entries are 24 bytes — (time, seq, slot, flags) — so sift
-///    operations move cache-line-sized PODs instead of the 64-byte
-///    `std::function`-bearing records the old `std::priority_queue` carried.
-///    A 4-ary layout halves the tree depth of a binary heap, trading two
-///    extra comparisons per level for far fewer cache-missing moves.
+///  - Entries are 24 bytes — (time, seq, slot, flags) — so every move is of
+///    cache-line-sized PODs instead of the 64-byte `std::function`-bearing
+///    records the old `std::priority_queue` carried.
+///  - Two tiers hold the entries. The near tier is a sorted array of at most
+///    kNearCapacity entries with the earliest at the back, so the next event
+///    pops with no sift. The far tier is a 4-ary min-heap (half the depth of
+///    a binary heap, two extra comparisons per level) holding the rest.
+///    Invariant: every near entry precedes every far entry in (time, seq)
+///    order, so the queue's front is near's back, or the heap top when near
+///    is empty. A push carries the largest seq yet, so it precedes exactly
+///    the entries with a later time: it enters near if near has room and it
+///    is earlier than the heap top, or if near is full and it is earlier than
+///    near's latest entry (which then moves to the heap). Every other push
+///    goes to the heap. Inside near a push scans from the early end, because
+///    most new events (CPU and FIFO completions) precede the pending ones.
 ///  - Event payloads (a coroutine handle, or a callable in small-buffer
 ///    storage) live in a *slot* side table addressed by the entry's slot
 ///    index. Slots are chunked so they never move; each stores its entry's
-///    current heap index (maintained by every sift), which makes
-///    cancellation O(1): flag the entry dead in place, destroy the payload,
-///    free the slot. No hash lookup anywhere — the old kernel paid an
-///    `unordered_set` find+erase per pop and per cancel.
+///    current position, tagged with its tier and maintained by every move,
+///    which makes cancellation O(1): flag the entry dead in place, destroy
+///    the payload, free the slot. No hash lookup anywhere — the old kernel
+///    paid an `unordered_set` find+erase per pop and per cancel.
 ///  - An `EventId` encodes (generation << 32 | slot index). Generations bump
 ///    when a slot is freed, so cancelling a stale, fired, or never-issued id
 ///    is a harmless no-op — the guarantee all awaitable destructors rely on.
-///  - Dead (tombstoned) entries stay in the heap until popped, but a dead
-///    counter triggers compaction when more than half the heap is dead, so
-///    timeout-heavy workloads (every fired event racing a cancelled timer)
-///    keep the queue bounded by ~2x the live event count.
+///  - Dead (tombstoned) entries stay in place in either tier until they
+///    reach the front, but a dead counter triggers compaction when more than
+///    half the queue is dead, so timeout-heavy workloads (every fired event
+///    racing a cancelled timer) keep the queue bounded by ~2x the live event
+///    count.
 ///  - Same-instant coroutine wakeups (`PushNow`, about half of all events)
-///    bypass the heap: a FIFO ring of (seq, handle) with no slot, no
+///    bypass both tiers: a FIFO ring of (seq, handle) with no slot, no
 ///    generation and no sift. Every lane entry is at the current instant
 ///    and the clock cannot advance past it, so popping the lane front
-///    unless the heap top is at the same time with a smaller seq is the
+///    unless the queue's front is at the same time with a smaller seq is the
 ///    exact (time, seq) merge. Lane ids are `kLaneTag | seq`; cancelling
 ///    one tombstones the entry in place (found by binary search, since lane
 ///    seqs increase front to back).
 ///
 /// Determinism: pops are ordered by (time, seq) with seq assigned in
-/// schedule order across heap and lane — exact FIFO tie-break at equal
-/// timestamps, identical to the old kernel. Slot reuse is LIFO and
+/// schedule order across both tiers and the lane — exact FIFO tie-break at
+/// equal timestamps, identical to the old kernel. Slot reuse is LIFO and
 /// single-threaded, so ids and all queue states are a pure function of the
-/// schedule/cancel sequence. Lane entries and lane tombstones count toward
-/// `live()`, `size()` and the compaction rule exactly as heap entries would,
-/// so those observers read the same values as a heap-only queue.
+/// schedule/cancel sequence. The tiers change where an entry waits, never
+/// when it leaves: a tombstone leaves when it is the queue's front, as in a
+/// heap-only queue. Near, heap and lane entries and their tombstones all
+/// count toward `live()`, `size()` and the compaction rule, so those
+/// observers read the same values as a heap-only queue.
 
 #ifndef PSOODB_SIM_EVENT_HEAP_H_
 #define PSOODB_SIM_EVENT_HEAP_H_
 
+#include <array>
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
@@ -81,6 +96,17 @@ using InlineFunction = detail::EventCallback;
 /// The cancellable event queue. Single-threaded; owned by Simulation.
 class EventHeap {
  public:
+  /// Near-tier capacity. On perfbench's workloads a push finds 6.2 queued
+  /// entries on average on hicon_contended (18 at most), 4.6 on
+  /// private_cached (9) and 12.1 per partition on scaled_partitioned, so 32
+  /// entries hold the whole queue nearly always: only the 2000-client cold
+  /// start (582 entries at its peak) sends pushes to the heap, 1.1% of
+  /// them. A push moves 1.2, 1.9 and 2.6 entries on average there, a push
+  /// into the full tier at most 31, and 32 x 24 bytes is twelve cache
+  /// lines. A tier with no heap behind it would make every push linear in
+  /// the queue depth.
+  static constexpr std::size_t kNearCapacity = 32;
+
   // The lane's ring is allocated up front: allocated at the first wakeup,
   // in the middle of a run's setup, it raised peak RSS by ~0.9 MB on a
   // traced run (allocator placement).
@@ -134,7 +160,8 @@ class EventHeap {
     if (slot >= slot_count_) return false;
     Slot& s = SlotAt(slot);
     if (s.kind == Slot::kFree || s.gen != gen) return false;
-    Entry& e = heap_[s.heap_index];
+    Entry& e = (s.heap_index & kNearTag) != 0 ? near_[s.heap_index & ~kNearTag]
+                                              : heap_[s.heap_index];
     PSOODB_DCHECK(e.slot == slot && (e.flags & kDead) == 0,
                   "event heap index desync");
     e.flags |= kDead;
@@ -170,8 +197,9 @@ class EventHeap {
         out->handle = e.handle;
         return true;
       }
-      if (heap_.empty()) return false;
-      const Entry top = heap_[0];
+      const Entry* front = Front();
+      if (front == nullptr) return false;
+      const Entry top = *front;
       RemoveTop();
       if (top.flags & kDead) {
         --dead_;
@@ -202,13 +230,14 @@ class EventHeap {
         *at = lane_time_;
         return true;
       }
-      if (heap_.empty()) return false;
-      if (heap_[0].flags & kDead) {
+      const Entry* front = Front();
+      if (front == nullptr) return false;
+      if (front->flags & kDead) {
         RemoveTop();
         --dead_;
         continue;
       }
-      *at = heap_[0].at;
+      *at = front->at;
       return true;
     }
   }
@@ -222,6 +251,7 @@ class EventHeap {
       s.kind = Slot::kFree;
     }
     chunks_.clear();
+    near_size_ = 0;
     heap_.clear();
     lane_head_ = 0;
     lane_size_ = 0;
@@ -234,9 +264,9 @@ class EventHeap {
   bool empty() const { return live_ == 0; }
   /// Live (schedulable) events.
   std::size_t live() const { return live_; }
-  /// Queued entries (heap and lane) including tombstones — what the memory
-  /// bound tracks.
-  std::size_t size() const { return heap_.size() + lane_size_; }
+  /// Queued entries (both tiers and the lane) including tombstones — what
+  /// the memory bound tracks.
+  std::size_t size() const { return near_size_ + heap_.size() + lane_size_; }
   std::size_t dead() const { return dead_; }
   std::uint64_t compactions() const { return compactions_; }
 
@@ -247,6 +277,9 @@ class EventHeap {
   /// slot id never has this bit, and 0 stays invalid for both kinds.
   static constexpr EventId kLaneTag = EventId{1} << 63;
   static constexpr std::uint32_t kMaxGen = 0x7fffffffu;
+  /// Tags a slot's position as a near-tier index. Heap indexes stay below
+  /// 2^31 (that many 24-byte entries would take 48 GB).
+  static constexpr std::uint32_t kNearTag = 1u << 31;
   static constexpr std::size_t kLaneInitialCapacity = 64;
   static constexpr std::size_t kCompactMin = 64;
   static constexpr std::uint32_t kChunkShift = 8;  // 256 slots per chunk
@@ -272,7 +305,7 @@ class EventHeap {
   struct Slot {
     enum Kind : std::uint8_t { kFree, kHandle, kCallback };
     std::uint32_t gen = 1;  // never 0: forged/stale ids can't match
-    std::uint32_t heap_index = 0;
+    std::uint32_t heap_index = 0;  // heap index, or kNearTag | near index
     std::uint32_t next_free = kNoSlot;
     Kind kind = kFree;
     std::coroutine_handle<> handle;
@@ -313,13 +346,21 @@ class EventHeap {
     return lane_[(lane_head_ + i) & (lane_.size() - 1)];
   }
 
-  /// True when the lane front precedes the heap top in (time, seq) order.
-  /// Every heap time is >= the lane's instant, so the heap goes first only
-  /// with an entry at that same instant and a smaller seq.
+  /// The queue's front: near's back, or the heap top when near is empty.
+  /// Null when both tiers are empty.
+  const Entry* Front() const {
+    if (near_size_ != 0) return &near_[near_size_ - 1];
+    return heap_.empty() ? nullptr : &heap_[0];
+  }
+
+  /// True when the lane front precedes the queue's front in (time, seq)
+  /// order. Every queued time is >= the lane's instant, so the front goes
+  /// first only with an entry at that same instant and a smaller seq.
   bool LaneFirst() {
-    return lane_size_ != 0 &&
-           (heap_.empty() ||
-            !(heap_[0].at == lane_time_ && heap_[0].seq < LaneAt(0).seq));
+    if (lane_size_ == 0) return false;
+    const Entry* front = Front();
+    return front == nullptr ||
+           !(front->at == lane_time_ && front->seq < LaneAt(0).seq);
   }
 
   LaneEntry PopLane() {
@@ -365,6 +406,16 @@ class EventHeap {
     if (dead_ > size() / 2 && size() >= kCompactMin) Compact();
   }
 
+  /// Writes `e` at near position `i`, maintaining the slot's back-index.
+  /// Dead entries reference freed (possibly reused) slots and must never
+  /// write through them.
+  void PlaceNear(std::size_t i, const Entry& e) {
+    near_[i] = e;
+    if ((e.flags & kDead) == 0) {
+      SlotAt(e.slot).heap_index = kNearTag | static_cast<std::uint32_t>(i);
+    }
+  }
+
   /// Writes `e` at heap position `i`, maintaining the slot's back-index.
   /// Dead entries reference freed (possibly reused) slots and must never
   /// write through them.
@@ -402,29 +453,83 @@ class EventHeap {
     PlaceAt(i, e);
   }
 
+  /// Queues a new entry. It carries the largest seq yet, so it precedes
+  /// exactly the entries with a later time; the tier it enters keeps every
+  /// near entry ahead of every heap entry.
   EventId PushEntry(SimTime at, std::uint32_t slot, std::uint32_t gen) {
-    heap_.emplace_back();  // space for the sift; value written by PlaceAt
-    SiftUp(heap_.size() - 1, Entry{at, ++last_seq_, slot, 0});
+    const Entry e{at, ++last_seq_, slot, 0};
+    if (near_size_ < kNearCapacity) {
+      if (heap_.empty() || at < heap_[0].at) {
+        InsertNear(e);
+      } else {
+        PushHeap(e);
+      }
+    } else if (at < near_[0].at) {
+      ReplaceLatestNear(e);
+    } else {
+      PushHeap(e);
+    }
     ++live_;
     return (static_cast<EventId>(gen) << 32) | slot;
   }
 
+  /// Inserts `e` into near, which has room, scanning from the early end:
+  /// each entry whose time is not later than `e`'s precedes it (smaller
+  /// seq) and moves one place toward the back.
+  void InsertNear(const Entry& e) {
+    std::size_t i = near_size_++;
+    while (i > 0 && near_[i - 1].at <= e.at) {
+      PlaceNear(i, near_[i - 1]);
+      --i;
+    }
+    PlaceNear(i, e);
+  }
+
+  /// Full near, `e` earlier than near's latest entry: that entry moves to
+  /// the heap, where it becomes the top (it precedes every heap entry), and
+  /// `e` takes a place among the rest, scanning from the late end.
+  void ReplaceLatestNear(const Entry& e) {
+    PushHeap(near_[0]);
+    std::size_t i = 0;
+    while (i + 1 < kNearCapacity && e.at < near_[i + 1].at) {
+      PlaceNear(i, near_[i + 1]);
+      ++i;
+    }
+    PlaceNear(i, e);
+  }
+
+  void PushHeap(const Entry& e) {
+    heap_.emplace_back();  // space for the sift; value written by PlaceAt
+    SiftUp(heap_.size() - 1, e);
+  }
+
+  /// Removes the queue's front entry; the heap sifts only when near is
+  /// empty.
   void RemoveTop() {
+    if (near_size_ != 0) {
+      if ((near_[--near_size_].flags & kDead) == 0) --live_;
+      return;
+    }
     if ((heap_[0].flags & kDead) == 0) --live_;
     const Entry last = heap_.back();
     heap_.pop_back();
     if (!heap_.empty()) SiftDown(0, last);
   }
 
-  /// Drops every tombstone (heap and lane) and re-heapifies (Floyd,
-  /// bottom-up), then rebuilds the slot back-indexes. O(n) with n = live
-  /// entries.
+  /// Drops every tombstone (both tiers and the lane), keeping near's order
+  /// and re-heapifying the heap (Floyd, bottom-up), then rebuilds the slot
+  /// back-indexes. O(n) with n = live entries.
   void Compact() {
     std::size_t lw = 0;
     for (std::size_t r = 0; r < lane_size_; ++r) {
       if (LaneAt(r).handle) LaneAt(lw++) = LaneAt(r);
     }
     lane_size_ = lw;
+    std::size_t nw = 0;
+    for (std::size_t r = 0; r < near_size_; ++r) {
+      if ((near_[r].flags & kDead) == 0) PlaceNear(nw++, near_[r]);
+    }
+    near_size_ = nw;
     std::size_t w = 0;
     for (std::size_t r = 0; r < heap_.size(); ++r) {
       if ((heap_[r].flags & kDead) == 0) heap_[w++] = heap_[r];
@@ -444,6 +549,12 @@ class EventHeap {
     }
   }
 
+  /// The near tier: near_size_ entries sorted latest first, so near_[0] is
+  /// the latest and the back is the queue's front. Every entry precedes
+  /// every heap_ entry.
+  std::array<Entry, kNearCapacity> near_{};
+  std::size_t near_size_ = 0;
+  /// The far tier: a 4-ary min-heap.
   std::vector<Entry> heap_;
   /// Same-instant ring: lane_size_ entries from lane_head_, all at
   /// lane_time_; lane_.size() is a power of two.

@@ -3,11 +3,12 @@
 /// and process (Task) management. This is the DeNet replacement at the base
 /// of the page-server OODBMS model.
 ///
-/// The event queue is an index-tracked 4-ary tombstone heap (event_heap.h):
-/// scheduling is a heap push, cancellation an O(1) in-place tombstone, and
+/// The event queue (event_heap.h) is a small sorted near tier in front of an
+/// index-tracked 4-ary tombstone heap: the next event pops from the near
+/// tier's end with no sift, cancellation is an O(1) in-place tombstone, and
 /// callback events store small callables inline — no per-event allocation
 /// and no hash lookups anywhere on the hot path. Same-instant wakeups
-/// (ScheduleNow) skip the heap through a FIFO lane merged in (time, seq)
+/// (ScheduleNow) skip both tiers through a FIFO lane merged in (time, seq)
 /// order.
 
 #ifndef PSOODB_SIM_SIMULATION_H_
@@ -125,7 +126,7 @@ class Simulation {
 
   /// Pending (schedulable) events.
   std::size_t live_events() const { return heap_.live(); }
-  /// Heap entries including cancelled tombstones — the queue's memory bound
+  /// Queued entries including cancelled tombstones — the queue's memory bound
   /// (compaction keeps this <= ~2x live_events(); see event_heap.h).
   std::size_t event_queue_size() const { return heap_.size(); }
   /// Tombstone compaction passes so far.

@@ -2,11 +2,15 @@
 // brute-force reference scheduler (sorted-vector scan) is driven through
 // randomized schedule/cancel/pop interleavings in lockstep with EventHeap,
 // asserting identical pop sequences (including exact FIFO tie-break at equal
-// timestamps, across the heap and the same-instant lane) and identical
-// cancellation outcomes. Plus the tombstone-bound regression test
+// timestamps, across both tiers and the same-instant lane) and identical
+// cancellation outcomes. The reference also models tombstones and the
+// compaction rule, so the near/far boundary checks compare every queue
+// observer after every step. Plus the tombstone-bound regression test
 // (cancel-heavy queues stay within ~2x live), a lane-vs-heap-only check of
 // every queue observer, and behavioral coverage of the small-buffer callable
-// the slots store.
+// the slots store. ctest gives each case a 10 s timeout (tests/CMakeLists.txt),
+// so a queue whose insertion degrades to linear fails instead of passing
+// slowly.
 
 #include <gtest/gtest.h>
 
@@ -31,55 +35,97 @@ namespace {
 
 // The obviously-correct scheduler: a flat list scanned for the (time, seq)
 // minimum on every pop. O(n) per operation, which is exactly why the real
-// kernel doesn't work this way — and why this one is trustworthy.
+// kernel doesn't work this way — and why this one is trustworthy. It keeps
+// the queue's tombstone contract too: a cancelled event stays queued until
+// it reaches the front or a compaction drops it, and a compaction runs after
+// a cancel that leaves more than half of at least 64 queued entries dead.
 class ReferenceScheduler {
  public:
   int Schedule(SimTime at, int tag) {
-    items_.push_back({at, next_seq_++, tag, true});
+    items_.push_back({at, next_seq_++, tag, kPending});
+    ++queued_;
     return static_cast<int>(items_.size()) - 1;
   }
 
   // Returns true if the event was still pending (mirrors EventHeap::Cancel).
   bool Cancel(int ref) {
     if (ref < 0 || ref >= static_cast<int>(items_.size())) return false;
-    if (!items_[static_cast<std::size_t>(ref)].alive) return false;
-    items_[static_cast<std::size_t>(ref)].alive = false;
+    Item& it = items_[static_cast<std::size_t>(ref)];
+    if (it.state != kPending) return false;
+    it.state = kTombstone;
+    ++dead_;
+    if (dead_ > queued_ / 2 && queued_ >= 64) {
+      for (Item& x : items_) {
+        if (x.state == kTombstone) x.state = kGone;
+      }
+      queued_ -= dead_;
+      dead_ = 0;
+      ++compactions_;
+    }
     return true;
   }
 
   // Pops the earliest live event (FIFO at equal times). Returns false if
   // none remain; otherwise fills (at, tag).
   bool Pop(SimTime* at, int* tag) {
-    Item* best = nullptr;
-    for (Item& it : items_) {
-      if (!it.alive) continue;
-      if (best == nullptr || it.at < best->at ||
-          (it.at == best->at && it.seq < best->seq)) {
-        best = &it;
-      }
-    }
+    Item* best = Front();
     if (best == nullptr) return false;
     *at = best->at;
     *tag = best->tag;
-    best->alive = false;
+    best->state = kGone;
+    --queued_;
     return true;
   }
 
-  std::size_t live() const {
-    std::size_t n = 0;
-    for (const Item& it : items_) n += it.alive ? 1 : 0;
-    return n;
+  // Time of the earliest live event (mirrors EventHeap::PeekLiveTime).
+  bool Peek(SimTime* at) {
+    const Item* best = Front();
+    if (best == nullptr) return false;
+    *at = best->at;
+    return true;
   }
 
+  std::size_t live() const { return queued_ - dead_; }
+  std::size_t size() const { return queued_; }
+  std::size_t dead() const { return dead_; }
+  std::uint64_t compactions() const { return compactions_; }
+
  private:
+  enum State { kPending, kTombstone, kGone };
   struct Item {
     SimTime at;
     std::uint64_t seq;
     int tag;
-    bool alive;
+    State state;
   };
+  static bool Before(const Item& a, const Item& b) {
+    return a.at < b.at || (a.at == b.at && a.seq < b.seq);
+  }
+
+  // The earliest pending item, or null. The tombstones ahead of it leave
+  // the queue, as they do when a queue pops or peeks past them.
+  Item* Front() {
+    Item* best = nullptr;
+    for (Item& it : items_) {
+      if (it.state == kPending && (best == nullptr || Before(it, *best))) {
+        best = &it;
+      }
+    }
+    for (Item& it : items_) {
+      if (it.state == kTombstone && (best == nullptr || Before(it, *best))) {
+        it.state = kGone;
+        --queued_;
+        --dead_;
+      }
+    }
+    return best;
+  }
+
   std::vector<Item> items_;
   std::uint64_t next_seq_ = 0;
+  std::size_t queued_ = 0;  // pending items and tombstones
+  std::size_t dead_ = 0;
+  std::uint64_t compactions_ = 0;
 };
 
 // --- Model check ------------------------------------------------------------
@@ -449,6 +495,205 @@ TEST(EventHeapModelCheck, CancelEverythingMatchesReference) {
   }
   EXPECT_EQ(static_cast<std::size_t>(heap_pops), ref.live());
   EXPECT_EQ(fired, heap_pops);
+}
+
+// --- The near/far boundary -------------------------------------------------
+
+// EventHeap and the reference driven in lockstep. Every step compares the
+// queue's four observers — live(), size(), dead(), compactions() — and every
+// pop compares PeekLiveTime, the fired event and its time.
+class Lockstep {
+ public:
+  SimTime frontier() const { return frontier_; }
+  std::size_t issued() const { return issued_.size(); }
+  std::size_t live() const { return heap_.live(); }
+  std::uint64_t compactions() const { return heap_.compactions(); }
+
+  // A callback at `at` (>= frontier()): enters one of the two tiers.
+  void Schedule(SimTime at) {
+    const int tag = next_tag_++;
+    const EventId id =
+        heap_.PushCallback(at, [tag, this] { fired_.push_back(tag); });
+    issued_.push_back({id, ref_.Schedule(at, tag)});
+    CheckObservers();
+  }
+
+  // A same-instant wakeup at the frontier: enters the lane.
+  void WakeNow() {
+    const int tag = next_tag_++;
+    const EventId id = heap_.PushNow(frontier_, wakers_.Make(tag, &fired_));
+    issued_.push_back({id, ref_.Schedule(frontier_, tag)});
+    CheckObservers();
+  }
+
+  // Cancels the i-th issued id (pending, fired or already cancelled).
+  void Cancel(std::size_t i) {
+    EXPECT_EQ(heap_.Cancel(issued_[i].id), ref_.Cancel(issued_[i].ref))
+        << "issued #" << i;
+    EXPECT_FALSE(heap_.Cancel(issued_[i].id));
+    CheckObservers();
+  }
+
+  // Peeks, then pops and fires the earliest live event on both sides.
+  // Returns false once both are empty.
+  bool Pop() {
+    SimTime peek = -1;
+    SimTime ref_peek = -1;
+    const bool has = heap_.PeekLiveTime(&peek);
+    EXPECT_EQ(has, ref_.Peek(&ref_peek));
+    CheckObservers();
+    EventHeap::Fired f;
+    SimTime ref_at = -1;
+    int ref_tag = -1;
+    EXPECT_EQ(heap_.PopLive(&f), has);
+    EXPECT_EQ(ref_.Pop(&ref_at, &ref_tag), has);
+    if (!has) return false;
+    EXPECT_EQ(peek, ref_peek);
+    EXPECT_EQ(f.at, ref_at);
+    EXPECT_EQ(f.at, peek);
+    EXPECT_GE(f.at, frontier_);
+    frontier_ = f.at;
+    const std::size_t before = fired_.size();
+    Fire(f);
+    EXPECT_EQ(fired_.size(), before + 1);
+    if (fired_.size() == before + 1) {
+      EXPECT_EQ(fired_.back(), ref_tag);
+    }
+    CheckObservers();
+    return true;
+  }
+
+  void Drain() {
+    while (Pop() && !::testing::Test::HasFailure()) {
+    }
+  }
+
+ private:
+  void CheckObservers() {
+    EXPECT_EQ(heap_.live(), ref_.live());
+    EXPECT_EQ(heap_.size(), ref_.size());
+    EXPECT_EQ(heap_.dead(), ref_.dead());
+    EXPECT_EQ(heap_.compactions(), ref_.compactions());
+  }
+
+  struct Issued {
+    EventId id;
+    int ref;
+  };
+  Wakers wakers_;
+  EventHeap heap_;
+  ReferenceScheduler ref_;
+  std::vector<int> fired_;
+  std::vector<Issued> issued_;
+  SimTime frontier_ = 0;
+  int next_tag_ = 0;
+};
+
+// The boundary step by step. Pushes into an empty queue fill the near tier;
+// once it is full, a push goes to the heap unless it is earlier than near's
+// latest entry, which then moves to the heap.
+TEST(EventHeapModelCheck, NearFarBoundaryScript) {
+  constexpr std::size_t kNear = EventHeap::kNearCapacity;
+  Lockstep q;
+  // Equal timestamps split across the tiers: the first kNear entries at 2.0
+  // fill near, the next 8 go to the heap behind them.
+  for (std::size_t i = 0; i < kNear + 8; ++i) q.Schedule(2.0);
+  // Near evictions: each push at 1.0 moves near's latest 2.0 entry to the
+  // heap, ahead of the 2.0 entries already there.
+  for (int i = 0; i < 4; ++i) q.Schedule(1.0);
+  // Cancels in both tiers: a near entry at 2.0, an evicted one, a heap one
+  // pushed there directly, and a near entry at 1.0.
+  q.Cancel(0);
+  q.Cancel(kNear - 1);
+  q.Cancel(kNear + 3);
+  q.Cancel(kNear + 8);
+  // A lane tie against the near front: at 1.0, the wakeup follows the 1.0
+  // entries queued before it and precedes the one queued after it.
+  ASSERT_TRUE(q.Pop());
+  EXPECT_EQ(q.frontier(), 1.0);
+  q.WakeNow();
+  q.Schedule(1.0);
+  q.WakeNow();
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.Pop());
+  EXPECT_EQ(q.frontier(), 1.0);
+  // Into 2.0: a lane tie against the near front, then, once the near entries
+  // are gone, against the heap front. A push at the heap top's time while
+  // near is empty goes to the heap, behind the entries already there.
+  ASSERT_TRUE(q.Pop());
+  EXPECT_EQ(q.frontier(), 2.0);
+  q.WakeNow();
+  for (std::size_t i = 0; i < kNear; ++i) ASSERT_TRUE(q.Pop());
+  q.WakeNow();
+  q.Schedule(2.0);
+  q.WakeNow();
+  q.Schedule(3.0);
+  q.Drain();
+  EXPECT_EQ(q.live(), 0u);
+
+  // A compaction with both tiers populated: without pops, near stays full
+  // and the heap holds the rest, so cancelling two of every three entries
+  // compacts both.
+  Lockstep c;
+  const SimTime kTimes[] = {3, 1, 4, 1, 5, 9, 2, 6};
+  for (std::size_t i = 0; i < 3 * kNear; ++i) {
+    c.Schedule(kTimes[i % 8] + 0.5 * static_cast<double>(i % 3));
+  }
+  for (std::size_t i = 0; i < c.issued() && c.compactions() == 0; ++i) {
+    if (i % 3 != 2) c.Cancel(i);
+  }
+  EXPECT_EQ(c.compactions(), 1u);
+  for (std::size_t i = 2; i < c.issued(); i += 6) c.Cancel(i);
+  c.Drain();
+}
+
+// Random draws whose pending count crosses the near tier's capacity again
+// and again: a phase that grows the queue past it, a cancel-heavy phase that
+// compacts both tiers, another growth phase and a drain below it. Times sit
+// on a coarse grid, so equal timestamps land in both tiers; lane wakeups and
+// tier entries at the frontier tie against either tier's front.
+TEST(EventHeapModelCheck, NearFarBoundaryMatchesReference) {
+  struct Phase {
+    double schedule;  // share of schedules; pops take what cancels leave
+    double cancel;
+  };
+  constexpr Phase kPhases[] = {{0.7, 0.05}, {0.1, 0.85}, {0.7, 0.05},
+                               {0.1, 0.05}};
+  constexpr int kPhaseOps = 250;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    Lockstep q;
+    Rng rng(seed);
+    int crossings = 0;
+    bool above = false;
+    for (int op = 0; op < 8 * kPhaseOps && !HasFailure(); ++op) {
+      const Phase& phase = kPhases[(op / kPhaseOps) % 4];
+      const double dice = rng.NextDouble();
+      if (dice < phase.schedule) {
+        const double kind = rng.NextDouble();
+        if (kind < 0.15) {
+          q.WakeNow();
+        } else if (kind < 0.3) {
+          q.Schedule(q.frontier());
+        } else {
+          q.Schedule(q.frontier() +
+                     0.25 * static_cast<double>(rng.UniformInt(1, 7)));
+        }
+      } else if (dice < phase.schedule + phase.cancel) {
+        if (q.issued() == 0) continue;
+        // Mostly recent ids, so most cancels hit a pending entry.
+        const auto n = static_cast<std::int64_t>(q.issued());
+        q.Cancel(static_cast<std::size_t>(
+            rng.UniformInt(std::max<std::int64_t>(0, n - 160), n - 1)));
+      } else {
+        q.Pop();
+      }
+      const bool now_above = q.live() > EventHeap::kNearCapacity;
+      if (now_above && !above) ++crossings;
+      above = now_above;
+    }
+    q.Drain();
+    EXPECT_GE(crossings, 2) << "seed " << seed;
+    EXPECT_GE(q.compactions(), 2u) << "seed " << seed;
+  }
 }
 
 // --- Tombstone bound (the cancel-heavy memory regression test) --------------
