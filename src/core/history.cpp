@@ -1,107 +1,205 @@
 #include "core/history.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <cstdint>
+#include <iterator>
+#include <tuple>
+
+#include "util/check.h"
+#include "util/flat_set.h"
+#include "util/text_writer.h"
 
 namespace psoodb::core {
 
 namespace {
 
-/// Object version event index: for each object, who wrote version v and who
-/// read version v.
-struct ObjectHistory {
-  std::map<storage::Version, std::size_t> writer_of;  // version -> txn index
-  std::map<storage::Version, std::vector<std::size_t>> readers_of;
+/// One installed version: `obj` at `version`, by the commit at index `txn`
+/// of the record.
+struct Install {
+  storage::ObjectId obj;
+  storage::Version version;
+  std::uint32_t txn;
 };
 
-bool HasCycle(const std::vector<std::unordered_set<std::size_t>>& adj) {
-  const std::size_t n = adj.size();
-  // Iterative three-color DFS.
-  std::vector<int> color(n, 0);  // 0 white, 1 gray, 2 black
-  std::vector<std::pair<std::size_t, bool>> stack;
-  for (std::size_t root = 0; root < n; ++root) {
-    if (color[root] != 0) continue;
-    stack.emplace_back(root, false);
-    while (!stack.empty()) {
-      auto [v, processed] = stack.back();
-      stack.pop_back();
-      if (processed) {
-        color[v] = 2;
-        continue;
-      }
-      if (color[v] == 1) continue;
-      color[v] = 1;
-      stack.emplace_back(v, true);
-      for (std::size_t w : adj[v]) {
-        if (color[w] == 1) return true;
-        if (color[w] == 0) stack.emplace_back(w, false);
-      }
-    }
-  }
-  return false;
-}
-
-void BuildObjectHistories(
-    const std::vector<CommittedTxn>& txns,
-    std::unordered_map<storage::ObjectId, ObjectHistory>* out) {
+/// Every commit's writes, sorted by (object, version, commit index).
+std::vector<Install> SortedInstalls(const std::vector<CommittedTxn>& txns) {
+  PSOODB_CHECK(txns.size() <= UINT32_MAX, "history too long to check");
+  std::size_t n = 0;
+  for (const CommittedTxn& t : txns) n += t.writes.size();
+  std::vector<Install> installs;
+  installs.reserve(n);
   for (std::size_t i = 0; i < txns.size(); ++i) {
     for (const auto& [oid, v] : txns[i].writes) {
-      (*out)[oid].writer_of[v] = i;
-    }
-    for (const auto& [oid, v] : txns[i].reads) {
-      (*out)[oid].readers_of[v].push_back(i);
+      installs.push_back({oid, v, static_cast<std::uint32_t>(i)});
     }
   }
+  std::sort(installs.begin(), installs.end(),
+            [](const Install& a, const Install& b) {
+              return std::tie(a.obj, a.version, a.txn) <
+                     std::tie(b.obj, b.version, b.txn);
+            });
+  return installs;
+}
+
+/// The installs of one object: [begin, end) of the deduplicated vector.
+struct Range {
+  std::uint32_t begin;
+  std::uint32_t end;
+};
+
+/// Conflict graph in compressed sparse rows: the successors of node v are
+/// targets[offsets[v] .. offsets[v + 1]).
+struct Graph {
+  std::vector<std::uint32_t> offsets;
+  std::vector<std::uint32_t> targets;
+};
+
+using Edge = std::pair<std::uint32_t, std::uint32_t>;
+
+/// Counting sort of `edges` by source.
+Graph ToCsr(std::size_t nodes, const std::vector<Edge>& edges) {
+  Graph g;
+  g.offsets.assign(nodes + 1, 0);
+  for (const Edge& e : edges) ++g.offsets[e.first + 1];
+  for (std::size_t v = 0; v < nodes; ++v) g.offsets[v + 1] += g.offsets[v];
+  g.targets.resize(edges.size());
+  std::vector<std::uint32_t> next(g.offsets.begin(), g.offsets.end() - 1);
+  for (const Edge& e : edges) g.targets[next[e.first]++] = e.second;
+  return g;
+}
+
+/// Iterative three-colour DFS. On the first back edge, returns the gray
+/// path from its target to its source (a cycle); empty if acyclic.
+std::vector<std::uint32_t> FindCycle(const Graph& g) {
+  const std::size_t n = g.offsets.size() - 1;
+  enum : std::uint8_t { kWhite, kGray, kBlack };
+  std::vector<std::uint8_t> colour(n, kWhite);
+  // The gray path: (node, its next outgoing edge).
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> path;
+  for (std::uint32_t root = 0; root < n; ++root) {
+    if (colour[root] != kWhite) continue;
+    colour[root] = kGray;
+    path.emplace_back(root, g.offsets[root]);
+    while (!path.empty()) {
+      const std::uint32_t v = path.back().first;
+      const std::uint32_t e = path.back().second++;
+      if (e == g.offsets[v + 1]) {
+        colour[v] = kBlack;
+        path.pop_back();
+        continue;
+      }
+      const std::uint32_t w = g.targets[e];
+      if (colour[w] == kGray) {
+        auto from = path.begin();
+        while (from->first != w) ++from;
+        std::vector<std::uint32_t> cycle;
+        for (auto it = from; it != path.end(); ++it) cycle.push_back(it->first);
+        return cycle;
+      }
+      if (colour[w] == kWhite) {
+        colour[w] = kGray;
+        path.emplace_back(w, g.offsets[w]);
+      }
+    }
+  }
+  return {};
 }
 
 }  // namespace
 
-bool History::IsSerializable() const {
-  std::unordered_map<storage::ObjectId, ObjectHistory> objects;
-  BuildObjectHistories(txns_, &objects);
-
-  std::vector<std::unordered_set<std::size_t>> adj(txns_.size());
-  auto add_edge = [&](std::size_t a, std::size_t b) {
-    if (a != b) adj[a].insert(b);
-  };
-
-  for (const auto& [oid, oh] : objects) {  // det-ok: builds an edge SET; cycle test is order-independent
-    // ww: writer(v) -> writer(v') for consecutive written versions.
-    for (auto it = oh.writer_of.begin(); it != oh.writer_of.end(); ++it) {
-      auto next = std::next(it);
-      if (next != oh.writer_of.end()) add_edge(it->second, next->second);
-    }
-    for (const auto& [v, readers] : oh.readers_of) {
-      // wr: writer(v) -> readers(v). Version 0 is the initial state.
-      if (v > 0) {
-        auto w = oh.writer_of.find(v);
-        if (w != oh.writer_of.end()) {
-          for (std::size_t r : readers) add_edge(w->second, r);
-        }
-      }
-      // rw: readers(v) -> writer of the next version after v.
-      auto nw = oh.writer_of.upper_bound(v);
-      if (nw != oh.writer_of.end()) {
-        for (std::size_t r : readers) add_edge(r, nw->second);
-      }
-    }
+void History::Append(History&& other) {
+  if (txns_.empty()) {
+    txns_ = std::move(other.txns_);
+  } else {
+    txns_.insert(txns_.end(), std::make_move_iterator(other.txns_.begin()),
+                 std::make_move_iterator(other.txns_.end()));
   }
-  return !HasCycle(adj);
+  other.txns_.clear();
 }
 
-bool History::NoLostUpdates() const {
-  std::unordered_map<storage::ObjectId, std::vector<storage::Version>> writes;
-  for (const auto& t : txns_) {
-    for (const auto& [oid, v] : t.writes) writes[oid].push_back(v);
-  }
-  for (auto& [oid, vs] : writes) {  // det-ok: per-object predicate, order-independent
-    std::sort(vs.begin(), vs.end());
-    // Committed versions must start past 0 and be contiguous and unique.
-    // (The first recorded write may be >1 only if warmup commits were not
-    // recorded; we require contiguity from the first recorded version.)
-    for (std::size_t i = 1; i < vs.size(); ++i) {
-      if (vs[i] != vs[i - 1] + 1) return false;
+bool History::IsSerializable(std::string* why) const {
+  std::vector<Install> installs = SortedInstalls(txns_);
+  // Keep one install per (object, version). A version installed twice is a
+  // lost update (NoLostUpdates reports it); its writer here is the later
+  // commit in record order.
+  std::size_t kept = 0;
+  for (const Install& x : installs) {
+    if (kept > 0 && installs[kept - 1].obj == x.obj &&
+        installs[kept - 1].version == x.version) {
+      installs[kept - 1] = x;
+    } else {
+      installs[kept++] = x;
     }
+  }
+  installs.resize(kept);
+
+  std::vector<Edge> edges;
+  const auto add_edge = [&edges](std::uint32_t a, std::uint32_t b) {
+    if (a != b) edges.emplace_back(a, b);
+  };
+  // ww: writer(v) -> writer(v') for consecutive installed versions of one
+  // object; and each written object's range of installs.
+  util::FlatMap<storage::ObjectId, Range> objects;
+  for (std::uint32_t i = 0, begin = 0; i < kept; ++i) {
+    if (i + 1 < kept && installs[i + 1].obj == installs[i].obj) {
+      add_edge(installs[i].txn, installs[i + 1].txn);
+      continue;
+    }
+    objects.emplace(installs[i].obj, Range{begin, i + 1});
+    begin = i + 1;
+  }
+  const Install* const base = installs.data();
+  for (std::uint32_t r = 0; r < txns_.size(); ++r) {
+    for (const auto& [oid, v] : txns_[r].reads) {
+      const Range* range = objects.find(oid);
+      if (range == nullptr) continue;  // never written: no conflict
+      const Install* const end = base + range->end;
+      const Install* next =
+          std::partition_point(base + range->begin, end,
+                               [v](const Install& x) { return x.version < v; });
+      // wr: writer(v) -> reader. Version 0 is the initial state.
+      if (next != end && next->version == v) {
+        if (v > 0) add_edge(next->txn, r);
+        ++next;
+      }
+      // rw: reader -> writer of the next installed version after v.
+      if (next != end) add_edge(r, next->txn);
+    }
+  }
+
+  const std::vector<std::uint32_t> cycle =
+      FindCycle(ToCsr(txns_.size(), edges));
+  if (cycle.empty()) return true;
+  if (why != nullptr) {
+    why->assign("conflict cycle: ");
+    for (const std::uint32_t t : cycle) {
+      util::Append(*why, "txn ", txns_[t].txn, " -> ");
+    }
+    util::Append(*why, "txn ", txns_[cycle.front()].txn);
+  }
+  return false;
+}
+
+bool History::NoLostUpdates(std::string* why) const {
+  const std::vector<Install> installs = SortedInstalls(txns_);
+  // Committed versions must be contiguous and unique per object. (The first
+  // recorded write may be >1 only if warmup commits were not recorded; we
+  // require contiguity from the first recorded version.)
+  for (std::size_t i = 1; i < installs.size(); ++i) {
+    const Install& prev = installs[i - 1];
+    const Install& x = installs[i];
+    if (x.obj != prev.obj || x.version == prev.version + 1) continue;
+    if (why != nullptr) {
+      why->clear();
+      if (x.version == prev.version) {
+        util::Append(*why, "object ", x.obj, ": version ", x.version,
+                     " installed twice");
+      } else {
+        util::Append(*why, "object ", x.obj, ": version ", prev.version,
+                     " then ", x.version);
+      }
+    }
+    return false;
   }
   return true;
 }

@@ -66,6 +66,9 @@ struct RunResult {
   bool stalled = false;  ///< event queue drained unexpectedly (protocol hang)
   bool serializable = true;     ///< only meaningful if history was recorded
   bool no_lost_updates = true;  ///< only meaningful if history was recorded
+  /// The conflict cycle and/or the version gap or duplicate that failed the
+  /// checks above ("; "-joined); empty when both hold.
+  std::string history_violation;
   std::uint64_t events = 0;     ///< events processed during measurement
 
   // --- Latency distributions (always collected; pure observation) ----------
@@ -152,7 +155,8 @@ class System {
   Client& client(int i) { return *clients_.at(i); }
   int num_clients() const { return static_cast<int>(clients_.size()); }
   storage::Database& db() { return db_; }
-  /// The commits Run() recorded; empty unless RunConfig::record_history.
+  /// The commits Run() recorded, partition by partition (each in commit
+  /// order); empty unless RunConfig::record_history.
   const History& history() const { return history_; }
   const config::SystemParams& params() const { return params_; }
   config::Protocol protocol() const { return protocol_; }
@@ -180,6 +184,8 @@ class System {
     metrics::LatencyRecorder latency;
     /// (commit time, response time) per commit, in partition event order.
     std::vector<std::pair<double, double>> responses;
+    /// This partition's commits, when RunConfig::record_history.
+    History history;
   };
 
   /// Builds the telemetry registry (all three instrumentation layers) once

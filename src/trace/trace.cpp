@@ -90,32 +90,37 @@ void Tracer::Attribute(std::uint64_t txn, Phase p, double dt) {
       return;
     }
   }
-  txn_phases_[txn].Add(p, dt);
+  PhasesOf(txn).Add(p, dt);
+}
+
+Breakdown& Tracer::PhasesOf(std::uint64_t txn) {
+  if (Breakdown* b = txn_phases_.find(txn)) return *b;
+  txn_phases_.emplace(txn, Breakdown{});
+  return *txn_phases_.find(txn);
 }
 
 void Tracer::DrainRemoteAttributions(int home, Tracer& dest) {
   auto& pending = pending_remote_[static_cast<std::size_t>(home)];
   for (const RemoteAttribution& r : pending) {
-    dest.txn_phases_[r.txn].Add(r.phase, r.dt);
+    dest.PhasesOf(r.txn).Add(r.phase, r.dt);
   }
   pending.clear();
 }
 
 double Tracer::ServerAttributed(std::uint64_t txn) const {
-  const auto it = txn_phases_.find(txn);
-  if (it == txn_phases_.end()) return 0.0;
-  const Breakdown& b = it->second;
-  return b.phase[static_cast<int>(Phase::kLockWait)] +
-         b.phase[static_cast<int>(Phase::kCallbackWait)] +
-         b.phase[static_cast<int>(Phase::kServerCpu)] +
-         b.phase[static_cast<int>(Phase::kDisk)];
+  const Breakdown* b = txn_phases_.find(txn);
+  if (b == nullptr) return 0.0;
+  return b->phase[static_cast<int>(Phase::kLockWait)] +
+         b->phase[static_cast<int>(Phase::kCallbackWait)] +
+         b->phase[static_cast<int>(Phase::kServerCpu)] +
+         b->phase[static_cast<int>(Phase::kDisk)];
 }
 
 Breakdown Tracer::TakePhases(std::uint64_t txn) {
-  const auto it = txn_phases_.find(txn);
-  if (it == txn_phases_.end()) return Breakdown{};
-  Breakdown b = it->second;
-  txn_phases_.erase(it);
+  const Breakdown* found = txn_phases_.find(txn);
+  if (found == nullptr) return Breakdown{};
+  const Breakdown b = *found;
+  txn_phases_.erase(txn);
   return b;
 }
 

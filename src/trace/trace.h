@@ -28,18 +28,17 @@
 #ifndef PSOODB_TRACE_TRACE_H_
 #define PSOODB_TRACE_TRACE_H_
 
-#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/simulation.h"
 #include "storage/types.h"
 #include "util/annotations.h"
+#include "util/flat_set.h"
 
 namespace psoodb::trace {
 
@@ -124,7 +123,9 @@ class Tracer {
   Tracer(sim::Simulation& sim, std::size_t capacity, std::int32_t page_filter)
       : sim_(sim), capacity_(capacity == 0 ? 1 : capacity),
         page_filter_(page_filter) {
-    ring_.reserve(std::min<std::size_t>(capacity_, 4096));
+    // Once, at full size: the ring never grows or copies. Its pages are
+    // touched only as events arrive.
+    ring_.reserve(capacity_);
   }
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
@@ -245,9 +246,13 @@ class Tracer {
   std::uint64_t seq_ PSOODB_PARTITION_LOCAL = 0;
   std::uint64_t dropped_ PSOODB_PARTITION_LOCAL = 0;
 
-  // Lookup/erase only — never iterated, so unordered is determinism-safe.
-  std::unordered_map<std::uint64_t, Breakdown> txn_phases_
-      PSOODB_PARTITION_LOCAL;
+  /// `txn`'s attributed phases, added if absent.
+  Breakdown& PhasesOf(std::uint64_t txn);
+
+  // Lookup/erase only — never iterated. Erasing keeps the table's block, so
+  // attribution allocates only when more transactions are in flight than
+  // ever before.
+  util::FlatMap<std::uint64_t, Breakdown> txn_phases_ PSOODB_PARTITION_LOCAL;
 
   double phase_totals_[kNumPhases] PSOODB_PARTITION_LOCAL = {};
   std::uint64_t commits_ PSOODB_PARTITION_LOCAL = 0;

@@ -13,7 +13,9 @@
 //     register / HoldersExcept / unregister, and the detector's wait edges
 //     and wait channels;
 //   - a Database whose layout was never swapped: its version store is its
-//     one allocation, with no per-object layout table.
+//     one allocation, with no per-object layout table;
+//   - the tracer's event ring, allocated at its capacity once, and its
+//     per-transaction phase table, which keeps its block across erases.
 // Every task is spawned before counting starts: under AddressSanitizer
 // sim/pool.h passes coroutine frames through to operator new, and frame
 // allocation is not what these tests measure. The lock-manager case has to
@@ -39,6 +41,7 @@
 #include "sim/task.h"
 #include "storage/buffer_manager.h"
 #include "storage/database.h"
+#include "trace/trace.h"
 #include "workload/workload.h"
 
 namespace {
@@ -312,6 +315,52 @@ TEST(AllocationFree, UnswappedDatabaseAllocatesOnlyItsVersions) {
   const storage::Database db(100000, 20);
   EXPECT_EQ(news.count(), 1u);
   EXPECT_EQ(db.layout().PageOf(db.layout().num_objects() - 1), 99999);
+}
+
+TEST(AllocationFree, TraceRingFillsWithoutAllocating) {
+  sim::Simulation sim;
+  constexpr std::size_t kCapacity = 3 * 4096 + 5;
+  trace::Tracer tracer(sim, kCapacity, /*page_filter=*/-1);
+  const NewCounter news;
+  for (std::size_t i = 0; i < kCapacity; ++i) {
+    tracer.Emit(trace::EventKind::kMsgSend, 1, 7, 3,
+                static_cast<std::int64_t>(i));
+  }
+  EXPECT_EQ(news.count(), 0u);
+  const auto events = tracer.Events();
+  EXPECT_EQ(events[0].size() + events[1].size(), kCapacity);
+  EXPECT_EQ(tracer.events_dropped(), 0u);
+  tracer.Emit(trace::EventKind::kMsgRecv, 2, 7);  // wraps: drops the oldest
+  EXPECT_EQ(tracer.events_dropped(), 1u);
+  EXPECT_EQ(news.count(), 0u);
+}
+
+TEST(AllocationFree, PhaseAttributionAfterWarmup) {
+  sim::Simulation sim;
+  trace::Tracer tracer(sim, 16, /*page_filter=*/-1);
+  std::uint64_t txn = 1;
+  double server = 0;
+  // 64 transactions in flight, each attributed server-side phases, read
+  // back, and taken at its end; every cycle uses new txn ids.
+  const auto cycle = [&] {
+    const std::uint64_t first = txn;
+    for (; txn < first + 64; ++txn) {
+      tracer.Attribute(txn, trace::Phase::kServerCpu, 1e-3);
+      tracer.Attribute(txn, trace::Phase::kDisk, 2e-3);
+      tracer.Attribute(txn, trace::Phase::kClientCpu, 5e-4);
+      server += tracer.ServerAttributed(txn);
+    }
+    for (std::uint64_t t = first; t < txn; ++t) {
+      const trace::Breakdown b = tracer.TakePhases(t);
+      if (b.phase[static_cast<int>(trace::Phase::kDisk)] != 2e-3) std::abort();
+    }
+  };
+  cycle();  // the first cycle grows the table
+  const NewCounter news;
+  for (int r = 0; r < 20; ++r) cycle();
+  EXPECT_EQ(news.count(), 0u);
+  EXPECT_EQ(tracer.ServerAttributed(1), 0.0);  // taken
+  EXPECT_GT(server, 0.0);
 }
 
 }  // namespace

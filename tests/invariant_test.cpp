@@ -70,7 +70,7 @@ TEST(InvariantCheckerTest, CleanUnderHighContentionAllProtocols) {
     RunResult r = system.Run(QuickRun(150));
     const std::string label = config::ProtocolName(p);
     EXPECT_FALSE(r.stalled) << label;
-    EXPECT_TRUE(r.serializable) << label;
+    EXPECT_TRUE(r.serializable) << label << ": " << r.history_violation;
     ExpectClean(system, label);
   }
 }
@@ -107,7 +107,7 @@ TEST(InvariantCheckerTest, CleanUnderTokenHandoffsWithGrowingUpdates) {
   System system(Protocol::kPSWT, sys, w);
   RunResult r = system.Run(QuickRun(150));
   EXPECT_FALSE(r.stalled);
-  EXPECT_TRUE(r.serializable);
+  EXPECT_TRUE(r.serializable) << r.history_violation;
   EXPECT_GT(r.counters.token_transfers, 0u)
       << "workload failed to hand off write tokens";
   ExpectClean(system, "PS-WT growing updates");
@@ -252,7 +252,7 @@ TEST(InvariantCheckerTest, DetectsDeadlockThroughCallbackBlockers) {
     EXPECT_GT(r.deadlocks, 0u)
         << label << ": workload failed to produce callback-blocker cycles";
     EXPECT_GT(r.counters.aborts, 0u) << label;
-    EXPECT_TRUE(r.serializable) << label;
+    EXPECT_TRUE(r.serializable) << label << ": " << r.history_violation;
     ExpectClean(system, label);
   }
 }

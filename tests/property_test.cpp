@@ -92,8 +92,10 @@ TEST_P(ProtocolProperties, EveryDesignStaysCorrect) {
     auto r = RunSimulation(p, sys, w, rc);
     EXPECT_FALSE(r.stalled) << config::ProtocolName(p);
     EXPECT_EQ(r.counters.validity_violations, 0u) << config::ProtocolName(p);
-    EXPECT_TRUE(r.serializable) << config::ProtocolName(p);
-    EXPECT_TRUE(r.no_lost_updates) << config::ProtocolName(p);
+    EXPECT_TRUE(r.serializable)
+        << config::ProtocolName(p) << ": " << r.history_violation;
+    EXPECT_TRUE(r.no_lost_updates)
+        << config::ProtocolName(p) << ": " << r.history_violation;
   }
 }
 

@@ -45,8 +45,10 @@ void ExpectCorrect(const RunResult& r, const std::string& label) {
   EXPECT_GT(r.throughput, 0.0) << label;
   EXPECT_EQ(r.counters.validity_violations, 0u)
       << label << ": stale cached object was read";
-  EXPECT_TRUE(r.serializable) << label << ": non-serializable history";
-  EXPECT_TRUE(r.no_lost_updates) << label << ": lost update detected";
+  EXPECT_TRUE(r.serializable)
+      << label << ": non-serializable history: " << r.history_violation;
+  EXPECT_TRUE(r.no_lost_updates)
+      << label << ": lost update detected: " << r.history_violation;
 }
 
 struct Case {
@@ -213,7 +215,7 @@ TEST(ProtocolBehaviorTest, HiconHighWriteCausesDeadlocksInObjectLocking) {
   RunResult r = RunSimulation(Protocol::kPSAA, sys, w, rc);
   EXPECT_GT(r.counters.aborts + r.deadlocks, 0u);
   EXPECT_EQ(r.counters.validity_violations, 0u);
-  EXPECT_TRUE(r.serializable);
+  EXPECT_TRUE(r.serializable) << r.history_violation;
 }
 
 // HICON at low locality with adaptive callbacks, where callbacks often cross
@@ -235,7 +237,8 @@ TEST_P(CallbackUnregisterRace, PageCopyTableStaysExact) {
   for (Protocol p : {Protocol::kPSOA, Protocol::kPSAA}) {
     RunResult r = RunSimulation(p, sys, w, rc);
     EXPECT_EQ(r.counters.validity_violations, 0u) << config::ProtocolName(p);
-    EXPECT_TRUE(r.serializable) << config::ProtocolName(p);
+    EXPECT_TRUE(r.serializable)
+        << config::ProtocolName(p) << ": " << r.history_violation;
   }
 }
 

@@ -213,6 +213,7 @@ psoodb::core::RunResult RunPartitioned(int shards, Protocol proto,
   rc.warmup_commits = 50;
   rc.measure_commits = 400;
   rc.max_sim_seconds = 600;
+  rc.record_history = true;
   return psoodb::core::RunSimulation(proto, sys, w, rc);
 }
 
@@ -239,11 +240,17 @@ TEST(ShardedSystem, ByteIdenticalAcrossShardCounts) {
 TEST(ShardedSystem, EveryProtocolByteIdenticalAcrossShardCounts) {
   // The same 4-server run on one and on four partitions, for every
   // protocol (PS-WT runs partitioned nowhere else): results, both trace
-  // sinks and the telemetry match byte for byte.
+  // sinks and the telemetry match byte for byte, and the history merged
+  // from the four partitions' logs is serializable with no lost update.
   for (Protocol p : psoodb::config::AllProtocolsExtended()) {
     const char* name = psoodb::config::ProtocolName(p);
     const auto r1 = RunPartitioned(1, p, /*trace=*/true, /*telemetry=*/true);
     const auto r4 = RunPartitioned(4, p, /*trace=*/true, /*telemetry=*/true);
+    for (const auto* r : {&r1, &r4}) {
+      EXPECT_TRUE(r->serializable) << name;
+      EXPECT_TRUE(r->no_lost_updates) << name;
+      EXPECT_EQ(r->history_violation, "") << name;
+    }
     EXPECT_FALSE(r1.stalled) << name;
     EXPECT_EQ(Fingerprint(r1), Fingerprint(r4)) << name;
     EXPECT_EQ(r1.trace_jsonl, r4.trace_jsonl) << name;
@@ -398,8 +405,8 @@ TEST(ShardedSystem, OneServerKeepsHistoryAndInvariantChecks) {
   const auto r = system.Run(rc);
   EXPECT_TRUE(system.partitioned());
   EXPECT_FALSE(r.stalled);
-  EXPECT_TRUE(r.serializable);
-  EXPECT_TRUE(r.no_lost_updates);
+  EXPECT_TRUE(r.serializable) << r.history_violation;
+  EXPECT_TRUE(r.no_lost_updates) << r.history_violation;
   const psoodb::check::InvariantChecker* inv = system.invariants();
   ASSERT_NE(inv, nullptr);
   EXPECT_GT(inv->sweeps_run(), 0u);

@@ -31,8 +31,8 @@ void ExpectHealthy(const RunResult& r, const char* label) {
   EXPECT_FALSE(r.stalled) << label;
   EXPECT_GT(r.throughput, 0.0) << label;
   EXPECT_EQ(r.counters.validity_violations, 0u) << label;
-  EXPECT_TRUE(r.serializable) << label;
-  EXPECT_TRUE(r.no_lost_updates) << label;
+  EXPECT_TRUE(r.serializable) << label << ": " << r.history_violation;
+  EXPECT_TRUE(r.no_lost_updates) << label << ": " << r.history_violation;
 }
 
 TEST(SystemEdgeTest, SingleClientHasNoContention) {

@@ -69,6 +69,9 @@ int main() {
                     (int)r.serializable, (int)!r.no_lost_updates,
                     invariants_ok ? "ok" : "VIOLATED",
                     (unsigned long long)r.breakdown_violations);
+        if (!r.history_violation.empty()) {
+          std::printf("    history: %s\n", r.history_violation.c_str());
+        }
         if (inv != nullptr && !inv->ok()) inv->Report(stdout);
       }
       if (which == 0) {
