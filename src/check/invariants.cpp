@@ -225,7 +225,7 @@ void InvariantChecker::CheckClientCaches() {
                  "client %d: dirty object %lld not in the transaction's "
                  "write set",
                  cid, L(oid));
-          Expect(ll.HasPageWrite(page) || ll.HasObjectWrite(oid),
+          Expect(ll.HoldsWrite(oid),
                  "client %d: dirty object %lld without a write permission",
                  cid, L(oid));
         }
@@ -258,7 +258,8 @@ void InvariantChecker::CheckSingleWriter() {
     const TxnId txn = c.active_txn();
     const cc::LocalTxnLocks& ll = c.local_locks();
 
-    for (PageId p : ll.page_write_locks()) {  // det-ok: invariant sweep; Expect only reports, nothing feeds the sim
+    for (const auto& [p, fp] : ll.footprint()) {  // det-ok: invariant sweep; Expect only reports, nothing feeds the sim
+      if (!fp.page_write_locked) continue;
       Expect(txn != kNoTxn,
              "client %d holds a page write permission on %d with no active "
              "transaction",
@@ -279,28 +280,30 @@ void InvariantChecker::CheckSingleWriter() {
              cid, U(txn), p, U(holder));
     }
 
-    for (ObjectId o : ll.object_write_locks()) {  // det-ok: invariant sweep; Expect only reports, nothing feeds the sim
-      Expect(txn != kNoTxn,
-             "client %d holds an object write permission on %lld with no "
-             "active transaction",
-             cid, L(o));
-      auto [it, fresh] = object_writers.emplace(o, cid);
-      Expect(fresh, "object %lld write-permitted at two clients (%d and %d)",
-             L(o), it->second, cid);
-      const PageId p = layout.PageOf(o);
+    for (const auto& [p, fp] : ll.footprint()) {  // det-ok: invariant sweep; Expect only reports, nothing feeds the sim
       cc::LockManager& lm = system_.server(params.ServerOfPage(p))
                                 .lock_manager();
-      // The page-lock disjunct covers two windows: PS-AA transactions
-      // writing under a page lock, and the de-escalation round trip where
-      // the client already swapped its page permission for object
-      // permissions while the server still holds the page lock.
-      TxnId oh = lm.ObjectXHolder(o);
-      TxnId ph = lm.PageXHolder(p);
-      Expect(oh == txn || ph == txn,
-             "client %d txn %llu has a write permission on object %lld but "
-             "the server holds neither the object lock (txn %llu) nor the "
-             "page lock (txn %llu) for it",
-             cid, U(txn), L(o), U(oh), U(ph));
+      cc::ForEachObject(layout, p, fp.write_locked, [&](ObjectId o) {
+        Expect(txn != kNoTxn,
+               "client %d holds an object write permission on %lld with no "
+               "active transaction",
+               cid, L(o));
+        auto [it, fresh] = object_writers.emplace(o, cid);
+        Expect(fresh,
+               "object %lld write-permitted at two clients (%d and %d)", L(o),
+               it->second, cid);
+        // The page-lock disjunct covers two windows: PS-AA transactions
+        // writing under a page lock, and the de-escalation round trip where
+        // the client already swapped its page permission for object
+        // permissions while the server still holds the page lock.
+        TxnId oh = lm.ObjectXHolder(o);
+        TxnId ph = lm.PageXHolder(p);
+        Expect(oh == txn || ph == txn,
+               "client %d txn %llu has a write permission on object %lld but "
+               "the server holds neither the object lock (txn %llu) nor the "
+               "page lock (txn %llu) for it",
+               cid, U(txn), L(o), U(oh), U(ph));
+      });
     }
   }
 
@@ -314,7 +317,7 @@ void InvariantChecker::CheckSingleWriter() {
              "client %d",
              p, writer, other.id());
       if (other.active_txn() != kNoTxn) {
-        Expect(other.local_locks().read_pages().count(p) == 0,
+        Expect(!other.local_locks().UsesPage(p),
                "page %d is write-permitted at client %d but read by txn %llu "
                "at client %d",
                p, writer, U(other.active_txn()), other.id());
@@ -336,25 +339,27 @@ void InvariantChecker::CheckSingleWriter() {
 
 void InvariantChecker::CheckReadFootprints() {
   const Protocol proto = system_.protocol();
+  const auto& layout = system_.db().layout();
   for (int ci = 0; ci < system_.num_clients(); ++ci) {
     core::Client& c = system_.client(ci);
     if (c.terminating()) continue;
     const TxnId txn = c.active_txn();
     if (txn == kNoTxn) continue;
-    const cc::LocalTxnLocks& ll = c.local_locks();
-    if (proto == Protocol::kOS) {
-      for (ObjectId o : ll.read_objects()) {  // det-ok: invariant sweep; Expect only reports, nothing feeds the sim
-        Expect(c.PeekObject(o) != nullptr,
-               "client %d txn %llu read object %lld but no longer caches it "
-               "(a local read lock was silently dropped)",
-               c.id(), U(txn), L(o));
-      }
-    } else {
-      // Page-family protocols: a cached page is the read permission for the
-      // objects read from it. Slot availability is *not* invariant here — a
-      // later ship may mark a locally-read object unavailable while the
-      // deferred "in use" callback reply is still outstanding.
-      for (PageId p : ll.read_pages()) {  // det-ok: invariant sweep; Expect only reports, nothing feeds the sim
+    // The footprint lives outside the cache frames, so a dropped frame
+    // leaves its reads behind for this check to find.
+    for (const auto& [p, fp] : c.local_locks().footprint()) {  // det-ok: invariant sweep; Expect only reports, nothing feeds the sim
+      if (proto == Protocol::kOS) {
+        cc::ForEachObject(layout, p, fp.read, [&](ObjectId o) {
+          Expect(c.PeekObject(o) != nullptr,
+                 "client %d txn %llu read object %lld but no longer caches "
+                 "it (a local read lock was silently dropped)",
+                 c.id(), U(txn), L(o));
+        });
+      } else if (fp.read != 0) {
+        // Page-family protocols: a cached page is the read permission for
+        // the objects read from it. Slot availability is *not* invariant
+        // here — a later ship may mark a locally-read object unavailable
+        // while the deferred "in use" callback reply is still outstanding.
         Expect(c.PeekPage(p) != nullptr,
                "client %d txn %llu uses page %d but no longer caches it "
                "(a local read lock was silently dropped)",

@@ -21,7 +21,8 @@ Client::Client(SystemContext& ctx, ClientId id,
       servers_(std::move(servers)),
       cpu_(ctx.sim, ctx.params.client_mips),
       source_(workload, ctx.params, id, ctx.params.seed),
-      rng_(ctx.params.seed, 0xBAC0FF + static_cast<std::uint64_t>(id)) {
+      rng_(ctx.params.seed, 0xBAC0FF + static_cast<std::uint64_t>(id)),
+      locks_(ctx.db.layout()) {
   ctx_.transport.AttachCpu(static_cast<NodeId>(id), &cpu_);
   // System creates the tracer (when enabled) before building any client, so
   // the context pointer is final here.
@@ -76,8 +77,8 @@ sim::Task Client::Commit() {
   // A server holding updates this transaction already flushed (a PS-WT
   // token recall staged them there, clearing the cached dirty bits) still
   // needs the commit: it installs them and releases the locks.
-  for (ObjectId oid : locks_.write_objects()) {  // det-ok: fills an ordered map
-    by_server.try_emplace(ctx_.params.ServerOfPage(PageOf(oid)));
+  for (const auto& [page, fp] : locks_.footprint()) {  // det-ok: fills an ordered map
+    if (fp.written != 0) by_server.try_emplace(ctx_.params.ServerOfPage(page));
   }
   // A read-only transaction still confirms its commit with its home server
   // (releasing any server-side state and forcing the commit record).
@@ -251,15 +252,11 @@ bool PageFamilyClient::CachedAvailable(ObjectId oid) const {
   return f->IsAvailable(slot);
 }
 
-void PageFamilyClient::PinForTxn(PageId page) {
-  if (pinned_pages_.insert(page)) cache_.Pin(page);
-}
-
 void PageFamilyClient::UnpinAll() {
-  for (PageId p : pinned_pages_) {  // det-ok: commutative unpin, no events
-    if (cache_.Contains(p)) cache_.Unpin(p);
+  if (!locks_.ReleasePins()) return;
+  for (const auto& [page, fp] : locks_.footprint()) {  // det-ok: commutative unpin, no events
+    if (fp.read != 0 && cache_.Contains(page)) cache_.Unpin(page);
   }
-  pinned_pages_.clear();
 }
 
 sim::Task PageFamilyClient::Read(ObjectId oid) {
@@ -296,7 +293,7 @@ sim::Task PageFamilyClient::FetchFor(ObjectId oid) {
 
 sim::Task PageFamilyClient::Write(ObjectId oid) {
   co_await Read(oid);  // a write access reads the object first
-  if (!locks_.HasPageWrite(PageOf(oid)) && !locks_.HasObjectWrite(oid)) {
+  if (!locks_.HoldsWrite(oid)) {
     sim::Promise<WriteGrant> pr(ctx_.sim);
     auto fut = pr.GetFuture();
     Server* srv = ServerFor(PageOf(oid));
@@ -327,12 +324,16 @@ void PageFamilyClient::ApplyGrant(ObjectId oid, GrantLevel level) {
 }
 
 void PageFamilyClient::LocalRead(ObjectId oid) {
-  storage::PageFrame* f = cache_.Get(PageOf(oid));
+  const PageId page = PageOf(oid);
+  storage::PageFrame* f = cache_.Get(page);
   PSOODB_CHECK(f != nullptr, "read of oid %lld but page %d not cached",
-               static_cast<long long>(oid), PageOf(oid));
+               static_cast<long long>(oid), page);
   const int slot = SlotOf(oid);
-  const bool own = (f->dirty & storage::SlotBit(slot)) != 0 ||
-                   locks_.WritesObject(oid);
+  const cc::LocalTxnLocks::Access before = locks_.RecordRead(oid);
+  // The cached copy is this transaction's read lock: keep it resident.
+  if (before.first_on_page) cache_.Pin(page);
+  const bool own =
+      (f->dirty & storage::SlotBit(slot)) != 0 || before.own_write;
   // Debug aid: set PSOODB_TRACE_VIOLATIONS=1 to dump state when a stale
   // cached object is read (a protocol bug; tests keep this at zero). Read
   // on this rare path only, so setting it mid-process takes effect.
@@ -345,16 +346,13 @@ void PageFamilyClient::LocalRead(ObjectId oid) {
                  "slot=%d held=%llu committed=%llu unavail=%016llx "
                  "dirty=%016llx\n",
                  ctx_.sim.now(), id_, (unsigned long long)txn_,
-                 (long long)oid, PageOf(oid), slot,
+                 (long long)oid, page, slot,
                  (unsigned long long)f->versions[slot],
                  (unsigned long long)ctx_.db.committed_version(oid),
                  (unsigned long long)f->unavailable,
                  (unsigned long long)f->dirty);
   }
   NoteRead(oid, f->versions[static_cast<std::size_t>(slot)], own);
-  locks_.RecordRead(oid, PageOf(oid));
-  // The cached copy is this transaction's read lock: keep it resident.
-  PinForTxn(PageOf(oid));
 }
 
 void PageFamilyClient::MarkLocalWrite(ObjectId oid) {
@@ -370,8 +368,7 @@ void PageFamilyClient::MarkLocalWrite(ObjectId oid) {
     f->pending_growth +=
         static_cast<int>(rng_.UniformInt(1, std::max(1, (int)max_growth)));
   }
-  locks_.RecordWrite(oid, PageOf(oid));
-  PinForTxn(PageOf(oid));
+  if (locks_.RecordWrite(oid).first_on_page) cache_.Pin(PageOf(oid));
 }
 
 void PageFamilyClient::HandleEviction(PageId page,

@@ -135,6 +135,7 @@ class Client {
   /// written by the active transaction are pinned until it ends — evicting
   /// one would silently drop a read lock (requires the client cache to be
   /// larger than a transaction's page footprint; System asserts this).
+  /// Safe to call twice in one transaction (LocalTxnLocks::ReleasePins).
   virtual void UnpinAll() PSOODB_RELEASES(pin) {}
   /// Records the version observed by a read (first read wins) and checks the
   /// cache-validity invariant. Call with own_write=true for reads of objects
@@ -286,11 +287,10 @@ class PageFamilyClient : public Client {
   /// Tells the owning server that the (clean) evicted `page` is gone.
   void HandleEviction(storage::PageId page, const storage::PageFrame& frame);
 
+  /// Unpins every page the transaction read.
   void UnpinAll() PSOODB_RELEASES(pin) override;
-  void PinForTxn(storage::PageId page) PSOODB_ACQUIRES(pin);
 
   storage::PageCache cache_;
-  util::FlatSet<storage::PageId> pinned_pages_;
 };
 
 }  // namespace psoodb::core

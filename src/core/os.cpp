@@ -87,15 +87,14 @@ sim::Task OsClient::FetchObject(ObjectId oid) {
   }
 }
 
-void OsClient::PinForTxn(ObjectId oid) {
-  if (pinned_objects_.insert(oid)) cache_.Pin(oid);
-}
-
 void OsClient::UnpinAll() {
-  for (ObjectId oid : pinned_objects_) {  // det-ok: commutative unpin, no events
-    if (cache_.Contains(oid)) cache_.Unpin(oid);
+  if (!locks_.ReleasePins()) return;
+  const auto& layout = ctx_.db.layout();
+  for (const auto& [page, fp] : locks_.footprint()) {  // det-ok: commutative unpin, no events
+    cc::ForEachObject(layout, page, fp.read, [this](ObjectId oid) {
+      if (cache_.Contains(oid)) cache_.Unpin(oid);
+    });
   }
-  pinned_objects_.clear();
 }
 
 sim::Task OsClient::Read(ObjectId oid) {
@@ -109,10 +108,10 @@ sim::Task OsClient::Read(ObjectId oid) {
   } else {
     ++ctx_.counters.cache_hits;
   }
-  NoteRead(oid, f->version, f->dirty || locks_.WritesObject(oid));
-  locks_.RecordRead(oid, PageOf(oid));
+  const cc::LocalTxnLocks::Access before = locks_.RecordRead(oid);
   // The cached copy is this transaction's read lock: keep it resident.
-  PinForTxn(oid);
+  if (before.first_of_object) cache_.Pin(oid);
+  NoteRead(oid, f->version, f->dirty || before.own_write);
 }
 
 sim::Task OsClient::Write(ObjectId oid) {
@@ -135,8 +134,7 @@ sim::Task OsClient::Write(ObjectId oid) {
   if (cache_.Peek(oid) == nullptr) co_await FetchObject(oid);
   storage::ObjectFrame* f = cache_.Get(oid);
   f->dirty = true;
-  locks_.RecordWrite(oid, PageOf(oid));
-  PinForTxn(oid);
+  if (locks_.RecordWrite(oid).first_of_object) cache_.Pin(oid);
 }
 
 void OsClient::CollectUpdates(UpdatesByServer& by_server) const {

@@ -10,7 +10,6 @@
 
 #include "core/client.h"
 #include "core/server.h"
-#include "util/flat_set.h"
 
 namespace psoodb::core {
 
@@ -78,11 +77,10 @@ class OsClient : public Client {
   sim::Task FetchObject(storage::ObjectId oid);
   /// Tells the owning server that the (clean) evicted `oid` is gone.
   void HandleEviction(storage::ObjectId oid, const storage::ObjectFrame& frame);
+  /// Unpins every object the transaction read.
   void UnpinAll() PSOODB_RELEASES(pin) override;
-  void PinForTxn(storage::ObjectId oid) PSOODB_ACQUIRES(pin);
 
   storage::ObjectCache cache_;
-  util::FlatSet<storage::ObjectId> pinned_objects_;
 };
 
 }  // namespace psoodb::core

@@ -169,12 +169,13 @@ void PsAaClient::ApplyGrant(ObjectId oid, GrantLevel level) {
 void PsAaClient::OnDeEscalate(PageId page,
                               sim::Promise<std::vector<ObjectId>> reply) {
   std::vector<ObjectId> written;
-  if (locks_.HasPageWrite(page)) {
-    for (ObjectId oid : locks_.write_objects()) {  // det-ok: sorted below
-      if (PageOf(oid) == page) written.push_back(oid);
-    }
+  const cc::PageFootprint* fp = locks_.footprint().find(page);
+  if (fp != nullptr && fp->page_write_locked) {
+    cc::ForEachObject(ctx_.db.layout(), page, fp->written,
+                      [&written](ObjectId oid) { written.push_back(oid); });
     // The list rides the de-escalation reply and the server takes object
-    // locks in list order; sort so the wire content is hash-independent.
+    // locks in list order: ascending oid, which slot order is not under a
+    // relocated layout.
     std::sort(written.begin(), written.end());
     locks_.RevokePageWrite(page);
     for (ObjectId oid : written) locks_.GrantObjectWrite(oid);

@@ -1,7 +1,6 @@
 #include "core/server.h"
 
 #include <algorithm>
-#include <map>
 
 #include "cc/abort.h"
 #include "check/invariants.h"
@@ -236,7 +235,6 @@ void Server::FinishCallbackReply(const std::shared_ptr<CallbackBatch>& batch,
     ++ctx_.counters.callbacks_blocked;
     batch->new_blockers.push_back(reply.blocking_txn);
   } else {
-    batch->outcomes.emplace_back(from, reply.outcome);
     --batch->pending;
     if (batch->on_final) batch->on_final(from, reply.outcome);
   }
@@ -304,28 +302,31 @@ sim::Task Server::InstallCommittedPage(TxnId txn, PageId page, SlotMask mask,
 sim::Task Server::HandleCommit(TxnId txn, ClientId client,
                                std::vector<PageUpdate> updates,
                                sim::Promise<CommitAck> reply) {
-  // Fold the updates a PS-WT token flush staged into the update set.
-  struct Pending {
-    SlotMask mask = 0;
-    int growth = 0;
-  };
-  // Ordered: the install loop below co_awaits per page, so the install
-  // order is event order and must not follow a hash table's bucket layout.
-  std::map<PageId, Pending> masks;
-  const auto fold = [&masks](const PageUpdate& u) {
-    masks[u.page].mask |= u.dirty;
-    masks[u.page].growth += u.growth_bytes;
-  };
-  for (const auto& u : updates) fold(u);
+  // Fold the updates a PS-WT token flush staged into the update set, one
+  // entry per page in ascending page order: the install loop below
+  // co_awaits per page, so the install order is event order.
   if (auto it = staging_.find(txn); it != staging_.end()) {
-    for (const auto& u : it->second) fold(u);
+    updates.insert(updates.end(), it->second.begin(), it->second.end());
     staging_.erase(it);
   }
+  std::sort(updates.begin(), updates.end(),
+            [](const PageUpdate& a, const PageUpdate& b) {
+              return a.page < b.page;
+            });
+  std::size_t pages = 0;
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    if (pages > 0 && updates[pages - 1].page == updates[i].page) {
+      updates[pages - 1].dirty |= updates[i].dirty;
+      updates[pages - 1].growth_bytes += updates[i].growth_bytes;
+    } else {
+      updates[pages++] = updates[i];
+    }
+  }
+  updates.resize(pages);
 
   CommitAck ack;
-  for (const auto& [page, pending] : masks) {
-    co_await InstallCommittedPage(txn, page, pending.mask, pending.growth,
-                                  &ack);
+  for (const PageUpdate& u : updates) {
+    co_await InstallCommittedPage(txn, u.page, u.dirty, u.growth_bytes, &ack);
   }
 
   if (ctx_.params.commit_log_io) {

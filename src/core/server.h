@@ -46,8 +46,8 @@ struct CallbackBatch {
   /// Blocking transactions discovered via "in use" replies, not yet
   /// registered in the waits-for graph by the handler.
   std::vector<storage::TxnId> new_blockers;
-  /// Final outcomes, as (client, outcome).
-  std::vector<std::pair<storage::ClientId, CallbackOutcome>> outcomes;
+  /// Final outcomes that dropped the holder's copy (counted by on_final).
+  int dropped = 0;
   /// The holders called back, with the epochs the callbacks were issued
   /// against (Server::CallbackRound's snapshot of the copy table).
   util::SmallVector<cc::CopyHolder, 4> holders;
@@ -354,6 +354,7 @@ sim::Task Server::CallbackRound(cc::CopyTable<ItemId>& copies, ItemId item,
   batch->on_final = [&copies, item, b = batch.get()](storage::ClientId c,
                                                      CallbackOutcome outcome) {
     if (!DropsCopy(copies, outcome)) return;
+    ++b->dropped;
     for (const cc::CopyHolder& h : b->holders) {
       if (h.client == c) {
         copies.UnregisterIfEpoch(item, c, h.epoch);
@@ -371,12 +372,8 @@ sim::Task Server::CallbackRound(cc::CopyTable<ItemId>& copies, ItemId item,
   co_await AwaitCallbacks(batch, txn);
   // Issued even when nothing was dropped (every holder kept its page): the
   // zero-length job is still an event.
-  int dropped = 0;
-  for (const auto& [c, outcome] : batch->outcomes) {
-    if (DropsCopy(copies, outcome)) ++dropped;
-  }
   trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
-  co_await cpu_.System(ctx_.params.register_copy_inst * dropped);
+  co_await cpu_.System(ctx_.params.register_copy_inst * batch->dropped);
 }
 
 }  // namespace psoodb::core

@@ -124,13 +124,19 @@ class EventHeap {
     return PushEntry(at, slot, s.gen);
   }
 
-  /// Schedules a callable. Small callables are stored inline in the slot.
+  /// Schedules a callable. Small callables are stored inline in the slot;
+  /// an EventCallback (a cross-partition message's payload) moves in as it
+  /// is, since wrapping one in another would box it.
   template <typename F>
   EventId PushCallback(SimTime at, F&& fn) {
     const std::uint32_t slot = AllocSlot();
     Slot& s = SlotAt(slot);
     s.kind = Slot::kCallback;
-    s.cb.Emplace(std::forward<F>(fn));
+    if constexpr (std::is_same_v<std::decay_t<F>, detail::EventCallback>) {
+      s.cb = std::forward<F>(fn);
+    } else {
+      s.cb.Emplace(std::forward<F>(fn));
+    }
     return PushEntry(at, slot, s.gen);
   }
 

@@ -1,7 +1,7 @@
 /// \file flat_set.h
 /// Open-addressing hash set and map for integral keys, for the per-
-/// transaction footprint tables every client clears at each commit (read
-/// and write sets, pinned items, read versions). std::unordered_* allocate a
+/// transaction tables every client clears at each commit (its footprint and
+/// read versions) and the request-path indexes. std::unordered_* allocate a
 /// node per insert and free them all at clear(); these tables allocate only
 /// when they grow, so a client's steady state is allocation-free.
 ///
@@ -148,14 +148,31 @@ class Table {
 
   /// Inserts `slot` unless its key is present; returns true if inserted.
   bool Insert(const Slot& slot) {
+    const std::size_t before = size_;
+    FindOrInsert(slot);
+    return size_ != before;
+  }
+
+  /// Slot of `slot`'s key, inserting `slot` first if the key is absent. One
+  /// probe run: a missing key's run ends at the slot it goes into, unless
+  /// the table has to grow first.
+  std::size_t FindOrInsert(const Slot& slot) {
     const K k = KeyOf(slot);
-    if (Find(k) != cap_) return false;
-    if ((size_ + 1) * 4 > cap_ * 3) Grow();
-    const std::size_t i = FreeSlotFor(k);
+    std::size_t i = 0;
+    if (cap_ != 0) {
+      const std::size_t mask = cap_ - 1;
+      for (i = Home(k); full_[i] != 0; i = (i + 1) & mask) {
+        if (KeyOf(slots_[i]) == k) return i;
+      }
+    }
+    if ((size_ + 1) * 4 > cap_ * 3) {
+      Grow();
+      i = FreeSlotFor(k);
+    }
     ::new (static_cast<void*>(&slots_[i])) Slot(slot);
     full_[i] = 1;
     ++size_;
-    return true;
+    return i;
   }
 
   Slot* slots_ = nullptr;  // owns the block; full_ points into its tail
@@ -224,6 +241,14 @@ class FlatMap : public flat_detail::Table<K, std::pair<K, V>> {
   /// Inserts (k, v) unless `k` is present (the existing value wins);
   /// returns true if inserted.
   bool emplace(K k, V v) { return this->Insert({k, v}); }
+
+  /// The value mapped to `k`, inserting a value-initialized one if absent.
+  /// The reference is valid until the next insert or erase.
+  V& operator[](K k) {
+    // Probe first: the insert may grow the table and move slots_.
+    const std::size_t i = this->FindOrInsert({k, V{}});
+    return this->slots_[i].second;
+  }
 
   /// The value mapped to `k`, or null. The pointer is valid until the next
   /// insert or erase.

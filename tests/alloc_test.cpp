@@ -4,10 +4,12 @@
 //   - CPU completions: K tasks issuing User/System requests, so a container
 //     built per completion shows up;
 //   - a client's transaction footprint: LocalTxnLocks Clear / Record /
-//     Clear cycles over a fixed footprint, so node-based tables show up;
+//     Grant / Revoke / ReleasePins / Clear cycles over a fixed footprint,
+//     so a table that allocates per transaction shows up;
 //   - transaction generation into a client's reused reference string;
 //   - CondVar / Promise hand-offs, where every event is a same-instant
 //     wakeup through the event queue's lane;
+//   - a small closure posted, merged and fired between two partitions;
 //   - the request-path tables on util::Slab: LRU insert-with-eviction over
 //     a full cache, lock acquire / wait / ReleaseAll cycles, copy-table
 //     register / HoldersExcept / unregister, and the detector's wait edges
@@ -37,6 +39,7 @@
 #include "resources/cpu.h"
 #include "sim/awaitables.h"
 #include "sim/pool.h"
+#include "sim/shard.h"
 #include "sim/simulation.h"
 #include "sim/task.h"
 #include "storage/buffer_manager.h"
@@ -142,27 +145,71 @@ TEST(AllocationFree, WakeupOnlyPingPongAfterWarmup) {
   EXPECT_EQ(allocations, 0u) << "over " << events << " events";
 }
 
+// A closure bouncing between two partitions: each firing posts the next hop
+// to the other partition one lookahead later. It fits the event queue's
+// inline buffer, so only the cross-partition path could box it.
+struct Bounce {
+  sim::ShardGroup* group;
+  int at;  ///< the partition it fires in
+  int* hops;
+  void operator()() const {
+    ++*hops;
+    group->Post(at, 1 - at, group->sim(at).now() + group->lookahead(),
+                Bounce{group, 1 - at, hops});
+  }
+};
+
+TEST(AllocationFree, CrossPartitionPostMergeAndFireAfterWarmup) {
+  constexpr std::uint64_t kWarmupWindows = 50;
+  constexpr std::uint64_t kCountedWindows = 500;
+  // One worker thread: the windows and their serial phases run on this
+  // thread, so the counter is read between windows without a race.
+  sim::ShardGroup group(/*partitions=*/2, /*threads=*/1, /*lookahead=*/1e-3);
+  int hops = 0;
+  group.sim(0).ScheduleCallback(0.0, Bounce{&group, 0, &hops});
+  std::uint64_t start = 0;
+  std::uint64_t allocations = 0;
+  int counted_hops = 0;
+  group.Run([&](sim::ShardGroup& g) {
+    if (g.windows() == kWarmupWindows) {
+      start = g_news;
+      counted_hops = -hops;
+    }
+    if (g.windows() < kWarmupWindows + kCountedWindows) return false;
+    allocations = g_news - start;
+    counted_hops += hops;
+    return true;
+  });
+  EXPECT_GT(counted_hops, 200);
+  EXPECT_EQ(allocations, 0u) << "over " << counted_hops << " hops";
+}
+
 TEST(AllocationFree, LocalTxnLocksCycleAfterFirst) {
-  cc::LocalTxnLocks locks;
-  // A fixed footprint of 120 objects on 30 pages, a fifth of them written,
-  // with page and object write permissions granted and some revoked.
-  const auto cycle = [&locks] {
+  const storage::ObjectLayout layout(/*num_pages=*/100,
+                                     /*objects_per_page=*/20);
+  cc::LocalTxnLocks locks(layout);
+  // A fixed footprint of 120 objects, four on each of 30 pages, a fifth of
+  // them written, with page and object write permissions granted, some
+  // revoked, and the pins released twice as an abort does.
+  const auto cycle = [&locks, &layout] {
     locks.Clear();
     for (int i = 0; i < 120; ++i) {
-      const storage::ObjectId oid = 1000 + 37 * i;
       const storage::PageId page = static_cast<storage::PageId>(i % 30);
+      const storage::ObjectId oid = layout.ObjectAt(page, i / 30);
       if (i % 5 == 0) {
-        locks.RecordWrite(oid, page);
+        locks.RecordWrite(oid);
         locks.GrantPageWrite(page);
         locks.GrantObjectWrite(oid);
       } else {
-        locks.RecordRead(oid, page);
+        locks.RecordRead(oid);
       }
     }
     for (storage::PageId p = 0; p < 30; p += 2) locks.RevokePageWrite(p);
+    locks.ReleasePins();
+    locks.ReleasePins();
     locks.Clear();
   };
-  cycle();  // the first cycle grows the tables
+  cycle();  // the first cycle grows the table
   const NewCounter news;
   for (int r = 0; r < 20; ++r) cycle();
   EXPECT_EQ(news.count(), 0u);

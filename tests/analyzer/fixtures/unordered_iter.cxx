@@ -167,3 +167,25 @@ long SumBoundSet(unsigned slot) {
   }
   return s;
 }
+
+// A client's footprint table (src/cc/local_locks.h) is reached through an
+// accessor returning the FlatMap itself, so loops over it stay visible.
+struct Footprint {
+  unsigned long read;
+  unsigned long written;
+};
+struct TxnLocks {
+  const util::FlatMap<int, Footprint>& footprint() const;
+  bool UsesPage(int page) const;
+};
+
+int CountReadPages(const TxnLocks& locks) {
+  int n = 0;
+  for (const auto& [page, fp] : locks.footprint()) {  // EXPECT: unordered-iter
+    if (fp.read != 0) ++n;
+  }
+  for (int page : vec) {  // FP-GUARD: unordered-iter
+    if (locks.UsesPage(page)) ++n;
+  }
+  return n;
+}

@@ -15,6 +15,7 @@
 #include "cc/local_locks.h"
 #include "cc/lock_manager.h"
 #include "sim/simulation.h"
+#include "storage/database.h"
 
 namespace psoodb::cc {
 namespace {
@@ -493,29 +494,52 @@ TEST(CopyTableTest, EpochUnregisterOnAbsentEntryIsNoop) {
 }
 
 // --- LocalTxnLocks -----------------------------------------------------------
+// Ids follow the layout: with 20 objects per page, objects 100 and 101 are
+// slots 0 and 1 of page 5.
 
 TEST(LocalLocksTest, RecordsFootprint) {
-  LocalTxnLocks l;
-  l.RecordRead(100, 5);
-  l.RecordWrite(101, 5);
+  const storage::ObjectLayout layout(/*num_pages=*/10, /*objects_per_page=*/20);
+  LocalTxnLocks l(layout);
+  const LocalTxnLocks::Access first = l.RecordRead(100);
+  EXPECT_TRUE(first.first_on_page);
+  EXPECT_TRUE(first.first_of_object);
+  EXPECT_FALSE(first.own_write);
+  const LocalTxnLocks::Access write = l.RecordWrite(101);
+  EXPECT_FALSE(write.first_on_page);
+  EXPECT_TRUE(write.first_of_object);
+  EXPECT_FALSE(write.own_write);
+  const LocalTxnLocks::Access reread = l.RecordRead(101);
+  EXPECT_FALSE(reread.first_of_object);
+  EXPECT_TRUE(reread.own_write);
   EXPECT_TRUE(l.ReadsObject(100));
   EXPECT_FALSE(l.WritesObject(100));
   EXPECT_TRUE(l.WritesObject(101));
   EXPECT_TRUE(l.ReadsObject(101));  // writers also read
   EXPECT_TRUE(l.UsesPage(5));
   EXPECT_FALSE(l.UsesPage(6));
+  EXPECT_EQ(l.footprint().size(), 1u);  // one entry per page
+  EXPECT_TRUE(l.ReleasePins());   // Abort unpins before its purge ...
+  EXPECT_FALSE(l.ReleasePins());  // ... and EndTxnLocal finds nothing left
+  l.Clear();
+  EXPECT_TRUE(l.ReleasePins());
 }
 
 TEST(LocalLocksTest, WritePermissions) {
-  LocalTxnLocks l;
+  const storage::ObjectLayout layout(/*num_pages=*/10, /*objects_per_page=*/20);
+  LocalTxnLocks l(layout);
   l.GrantPageWrite(5);
-  l.GrantObjectWrite(100);
+  l.GrantObjectWrite(120);  // page 6, slot 0
   EXPECT_TRUE(l.HasPageWrite(5));
-  EXPECT_TRUE(l.HasObjectWrite(100));
+  EXPECT_TRUE(l.HasObjectWrite(120));
+  EXPECT_TRUE(l.HoldsWrite(101));  // under the page lock
+  EXPECT_TRUE(l.HoldsWrite(120));
+  EXPECT_FALSE(l.HoldsWrite(121));
+  EXPECT_FALSE(l.UsesPage(5));  // a write lock alone is no access
   l.RevokePageWrite(5);
   EXPECT_FALSE(l.HasPageWrite(5));
+  EXPECT_FALSE(l.HoldsWrite(101));
   l.Clear();
-  EXPECT_FALSE(l.HasObjectWrite(100));
+  EXPECT_FALSE(l.HasObjectWrite(120));
   EXPECT_FALSE(l.UsesPage(5));
 }
 

@@ -134,9 +134,13 @@ void MapRound(std::uint64_t seed, int ops) {
         rng.UniformInt(0, static_cast<std::int64_t>(pool.size()) - 1))];
     const std::uint64_t v = rng.Next();
     const double dice = rng.NextDouble();
-    if (dice < 0.5) {
+    if (dice < 0.35) {
       // First insert wins, as with unordered_map::emplace.
       ASSERT_EQ(flat.emplace(k, v), ref.emplace(k, v).second);
+    } else if (dice < 0.5) {
+      // Find or insert a zero, then update in place (growth included).
+      flat[k] ^= v;
+      ref[k] ^= v;
     } else if (dice < 0.8) {
       ASSERT_EQ(flat.erase(k), ref.erase(k));
     } else if (dice < 0.99) {
