@@ -100,8 +100,10 @@ class LocalTxnLocks {
   }
 
   /// One entry per page the transaction accessed or holds a write lock on.
-  /// Iterates in slot order: a loop whose effects depend on the order must
-  /// sort first.
+  /// Client::Commit and Client::Abort walk it for the write set (the pages
+  /// with a `written` mask); no other record of what the transaction wrote
+  /// exists at the client. Iterates in slot order: a loop whose effects
+  /// depend on the order must sort first.
   const util::FlatMap<storage::PageId, PageFootprint>& footprint() const {
     return table_;
   }

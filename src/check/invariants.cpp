@@ -167,27 +167,22 @@ void InvariantChecker::CheckClientCaches() {
     const cc::LocalTxnLocks& ll = c.local_locks();
 
     if (proto == Protocol::kOS) {
-      c.ForEachCachedObject([&](ObjectId oid,
-                                const storage::ObjectFrame& f) {
+      c.ForEachCachedObject([&](ObjectId oid, const storage::ObjectFrame&) {
         core::Server& srv =
             system_.server(params.ServerOfPage(layout.PageOf(oid)));
         Expect(srv.object_copies().Holds(oid, cid),
                "client %d caches object %lld without a server copy "
                "registration",
                cid, L(oid));
-        if (f.dirty && !terminating) {
-          Expect(c.active_txn() != kNoTxn,
-                 "client %d: dirty object %lld with no active transaction",
-                 cid, L(oid));
-          Expect(ll.WritesObject(oid),
-                 "client %d: dirty object %lld not in the transaction's "
-                 "write set",
-                 cid, L(oid));
-          Expect(ll.HasObjectWrite(oid),
-                 "client %d: dirty object %lld without a write permission",
-                 cid, L(oid));
-        }
       });
+      if (terminating) continue;
+      for (const auto& [p, fp] : ll.footprint()) {  // det-ok: invariant sweep; Expect only reports, nothing feeds the sim
+        cc::ForEachObject(layout, p, fp.written, [&](ObjectId oid) {
+          Expect(ll.HasObjectWrite(oid),
+                 "client %d: written object %lld without a write permission",
+                 cid, L(oid));
+        });
+      }
       continue;
     }
 

@@ -11,6 +11,7 @@ namespace psoodb::core {
 using storage::ClientId;
 using storage::ObjectId;
 using storage::PageId;
+using storage::SlotMask;
 using storage::Version;
 
 Client::Client(SystemContext& ctx, ClientId id,
@@ -53,11 +54,13 @@ void Client::EndTxnLocal() {
   for (auto& a : actions) a();
 }
 
-void Client::NoteRead(ObjectId oid, Version version, bool own_write) {
-  if (own_write) return;
+void Client::NoteRead(ObjectId oid, Version version,
+                      cc::LocalTxnLocks::Access before) {
+  if (before.own_write) return;
   ctx_.CheckCacheValidity(oid, version);
-  // First read wins.
-  if (ctx_.history != nullptr) read_versions_.emplace(oid, version);
+  if (before.first_of_object && ctx_.history != nullptr) {
+    read_versions_.emplace_back(oid, version);
+  }
 }
 
 void Client::ReplyCallback(const std::shared_ptr<CallbackBatch>& batch,
@@ -70,28 +73,46 @@ void Client::ReplyCallback(const std::shared_ptr<CallbackBatch>& batch,
                });
 }
 
+template <typename Fn>
+void Client::ForEachWrittenPage(Fn&& fn) const {
+  for (const auto& [page, fp] : locks_.footprint()) {  // det-ok: order-free; HandleCommit sorts a commit's updates by page, and each abort unregistration touches its own item
+    if (fp.written == 0) continue;
+    fn(static_cast<std::size_t>(ctx_.params.ServerOfPage(page)), page,
+       fp.written);
+  }
+}
+
 sim::Task Client::Commit() {
   txn_committing_ = true;
-  UpdatesByServer by_server;
-  CollectUpdates(by_server);
-  // A server holding updates this transaction already flushed (a PS-WT
-  // token recall staged them there, clearing the cached dirty bits) still
-  // needs the commit: it installs them and releases the locks.
-  for (const auto& [page, fp] : locks_.footprint()) {  // det-ok: fills an ordered map
-    if (fp.written != 0) by_server.try_emplace(ctx_.params.ServerOfPage(page));
-  }
+  // One slot per server, in server order. Every server the write set
+  // touches joins the commit, also one whose updates a PS-WT token recall
+  // already staged there (clearing the cached dirty bits): the commit
+  // installs them and releases the locks.
+  struct ServerCommit {
+    bool joins = false;
+    std::vector<PageUpdate> updates;
+  };
+  std::vector<ServerCommit> commits(servers_.size());
+  bool wrote = false;
+  ForEachWrittenPage([&](std::size_t sidx, PageId page, SlotMask written) {
+    commits[sidx].joins = true;
+    wrote = true;
+    CollectUpdate(page, written, commits[sidx].updates);
+  });
   // A read-only transaction still confirms its commit with its home server
   // (releasing any server-side state and forcing the commit record).
-  if (by_server.empty()) by_server[0] = {};
+  if (!wrote) commits[0].joins = true;
 
   std::vector<sim::Future<CommitAck>> acks;
-  for (auto& [sidx, updates] : by_server) {
+  for (std::size_t sidx = 0; sidx < commits.size(); ++sidx) {
+    if (!commits[sidx].joins) continue;
     sim::Promise<CommitAck> pr(ctx_.sim);
     acks.push_back(pr.GetFuture());
-    Server* srv = servers_[static_cast<std::size_t>(sidx)];
-    SendToServer(srv, MsgKind::kCommitReq,
-                 ctx_.transport.DataBytes(CommitPayload(updates)),
-                 [srv, txn = txn_, from = id_, updates,
+    Server* srv = servers_[sidx];
+    std::vector<PageUpdate>& updates = commits[sidx].updates;
+    const int bytes = ctx_.transport.DataBytes(CommitPayload(updates));
+    SendToServer(srv, MsgKind::kCommitReq, bytes,
+                 [srv, txn = txn_, from = id_, updates = std::move(updates),
                   pr = std::move(pr)]() mutable {
                    srv->OnCommitReq(txn, from, std::move(updates),
                                     std::move(pr));
@@ -116,7 +137,7 @@ sim::Task Client::Commit() {
     record.writes = merged.new_versions;
     ctx_.history->RecordCommit(std::move(record));
   }
-  ApplyCommitted(by_server, merged);
+  ApplyCommitted(merged);
   EndTxnLocal();
 }
 
@@ -127,7 +148,9 @@ sim::Task Client::Abort() {
   // them.
   UnpinAll();
   std::vector<PurgedItems> purged(servers_.size());
-  PurgeDirty(purged);
+  ForEachWrittenPage([&](std::size_t sidx, PageId page, SlotMask written) {
+    PurgeUpdate(page, written, purged[sidx]);
+  });
 
   std::vector<sim::Future<bool>> acks;
   for (std::size_t sidx = 0; sidx < servers_.size(); ++sidx) {
@@ -148,8 +171,8 @@ sim::Task Client::Abort() {
 }
 
 sim::Task Client::MainLoop() {
-  // One reference string, refilled for every transaction: generation then
-  // allocates nothing once it has grown to the workload's size.
+  // One reference string, refilled for every transaction: generation sizes
+  // it for the workload's largest transaction once, in the first.
   workload::ReferenceString refs;
   for (;;) {
     if (ctx_.tracer != nullptr) cycle_.Clear();
@@ -332,12 +355,10 @@ void PageFamilyClient::LocalRead(ObjectId oid) {
   const cc::LocalTxnLocks::Access before = locks_.RecordRead(oid);
   // The cached copy is this transaction's read lock: keep it resident.
   if (before.first_on_page) cache_.Pin(page);
-  const bool own =
-      (f->dirty & storage::SlotBit(slot)) != 0 || before.own_write;
   // Debug aid: set PSOODB_TRACE_VIOLATIONS=1 to dump state when a stale
   // cached object is read (a protocol bug; tests keep this at zero). Read
   // on this rare path only, so setting it mid-process takes effect.
-  if (!own &&
+  if (!before.own_write &&
       f->versions[static_cast<std::size_t>(slot)] !=
           ctx_.db.committed_version(oid) &&
       std::getenv("PSOODB_TRACE_VIOLATIONS") != nullptr) {
@@ -352,7 +373,7 @@ void PageFamilyClient::LocalRead(ObjectId oid) {
                  (unsigned long long)f->unavailable,
                  (unsigned long long)f->dirty);
   }
-  NoteRead(oid, f->versions[static_cast<std::size_t>(slot)], own);
+  NoteRead(oid, f->versions[static_cast<std::size_t>(slot)], before);
 }
 
 void PageFamilyClient::MarkLocalWrite(ObjectId oid) {
@@ -413,13 +434,12 @@ sim::Task PageFamilyClient::ApplyShip(PageShip ship) {
   }
 }
 
-void PageFamilyClient::CollectUpdates(UpdatesByServer& by_server) const {
-  cache_.ForEach([&](PageId p, const storage::PageFrame& f) {
-    if (f.IsDirty()) {
-      by_server[ctx_.params.ServerOfPage(p)].push_back(
-          {p, f.dirty, f.pending_growth});
-    }
-  });
+void PageFamilyClient::CollectUpdate(PageId page, SlotMask /*written*/,
+                                     std::vector<PageUpdate>& updates) const {
+  const storage::PageFrame* f = cache_.Peek(page);
+  if (f != nullptr && f->IsDirty()) {
+    updates.push_back({page, f->dirty, f->pending_growth});
+  }
 }
 
 int PageFamilyClient::CommitPayload(
@@ -433,33 +453,26 @@ int PageFamilyClient::CommitPayload(
          (ctx_.params.log_record_bytes + ctx_.params.object_size_bytes());
 }
 
-void PageFamilyClient::ApplyCommitted(const UpdatesByServer& by_server,
-                                      const CommitAck& ack) {
+void PageFamilyClient::ApplyCommitted(const CommitAck& ack) {
+  // The ack names every object the transaction wrote, so this cleans every
+  // frame it dirtied.
   for (const auto& [oid, v] : ack.new_versions) {
     if (storage::PageFrame* f = cache_.Peek(PageOf(oid))) {
       f->versions[static_cast<std::size_t>(SlotOf(oid))] = v;
-    }
-  }
-  for (const auto& [sidx, updates] : by_server) {
-    for (const PageUpdate& u : updates) {
-      if (storage::PageFrame* f = cache_.Peek(u.page)) {
-        f->dirty = 0;
-        f->pending_growth = 0;
-      }
+      f->dirty = 0;
+      f->pending_growth = 0;
     }
   }
 }
 
-void PageFamilyClient::PurgeDirty(std::vector<PurgedItems>& purged) {
-  std::vector<PageId> dirty;
-  cache_.ForEach([&](PageId p, const storage::PageFrame& f) {
-    if (f.IsDirty()) dirty.push_back(p);
-  });
-  for (PageId p : dirty) {
-    cache_.Remove(p);
-    purged[static_cast<std::size_t>(ctx_.params.ServerOfPage(p))]
-        .pages.push_back(p);
-  }
+void PageFamilyClient::PurgeUpdate(PageId page, SlotMask /*written*/,
+                                   PurgedItems& purged) {
+  // A page a PS-WT token flush left clean stays: the server discards what
+  // the flush staged.
+  const storage::PageFrame* f = cache_.Peek(page);
+  if (f == nullptr || !f->IsDirty()) return;
+  cache_.Remove(page);
+  purged.pages.push_back(page);
 }
 
 }  // namespace psoodb::core

@@ -11,8 +11,8 @@
 #define PSOODB_CORE_CLIENT_H_
 
 #include <functional>
-#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cc/local_locks.h"
@@ -25,7 +25,6 @@
 #include "storage/object_cache.h"
 #include "trace/trace.h"
 #include "util/annotations.h"
-#include "util/flat_set.h"
 #include "workload/workload.h"
 
 namespace psoodb::core {
@@ -87,10 +86,6 @@ class Client {
                              sim::Promise<bool> done) PSOODB_REPLIES;
 
  protected:
-  /// Updated items, one PageUpdate per page, grouped by owning server.
-  /// Ordered: Commit sends one message per server in key order, and that
-  /// wire order must not depend on a hash table's bucket layout.
-  using UpdatesByServer = std::map<int, std::vector<PageUpdate>>;
   /// Items an aborting transaction purged from the cache at one server.
   struct PurgedItems {
     std::vector<storage::PageId> pages;
@@ -105,28 +100,39 @@ class Client {
   virtual sim::Task Write(storage::ObjectId oid) PSOODB_ACQUIRES(pin) = 0;
 
   // --- Cache-granularity hooks of Commit and Abort --------------------------
-  /// Adds the transaction's still-cached updates to `by_server`.
-  virtual void CollectUpdates(UpdatesByServer& by_server) const = 0;
+  // Commit and Abort find the transaction's updates in its footprint, one
+  // written page at a time (ForEachWrittenPage); `written` is the page's
+  // written mask there.
+  /// Appends the update of `page` that the cache still holds to `updates`
+  /// (nothing when a PS-WT token flush left the page clean).
+  virtual void CollectUpdate(storage::PageId page, storage::SlotMask written,
+                             std::vector<PageUpdate>& updates) const = 0;
   /// Data bytes of a commit message carrying `updates`.
   virtual int CommitPayload(const std::vector<PageUpdate>& updates) const = 0;
   /// Refreshes cached copies with the committed versions of `ack` and cleans
-  /// the frames `by_server` collected.
-  virtual void ApplyCommitted(const UpdatesByServer& by_server,
-                              const CommitAck& ack) = 0;
-  /// Removes every dirty item from the cache, recording it under its owning
-  /// server (`purged` has one entry per server).
-  virtual void PurgeDirty(std::vector<PurgedItems>& purged) = 0;
+  /// them.
+  virtual void ApplyCommitted(const CommitAck& ack) = 0;
+  /// Removes the transaction's updates of `page` from the cache, recording
+  /// what it removed in `purged`.
+  virtual void PurgeUpdate(storage::PageId page, storage::SlotMask written,
+                           PurgedItems& purged) = 0;
 
   // --- Shared machinery ----------------------------------------------------
   sim::Task MainLoop();
   /// Ships the still-cached updates to their owning servers (one kCommitReq
-  /// per server, in server order), waits for every ack, records the history,
-  /// applies the new versions, and ends the transaction.
+  /// per server the write set touches, in server order), waits for every
+  /// ack, records the history, applies the new versions, and ends the
+  /// transaction.
   sim::Task Commit() PSOODB_RELEASES(pin);
-  /// Purges the dirty items, tells every server (each may hold locks or
+  /// Purges the written items, tells every server (each may hold locks or
   /// wait-edges for the transaction), waits for the acks, and ends the
   /// transaction.
   sim::Task Abort() PSOODB_RELEASES(pin);
+  /// Calls `fn(server, page, written)` for every page the transaction wrote:
+  /// `server` indexes the page's owning server, `written` is the page's
+  /// written mask. Commit and Abort read the write set here only.
+  template <typename Fn>
+  void ForEachWrittenPage(Fn&& fn) const;
   void BeginTxn();
   /// Clears transaction state and runs deferred callback actions.
   void EndTxnLocal() PSOODB_RELEASES(pin);
@@ -137,11 +143,12 @@ class Client {
   /// larger than a transaction's page footprint; System asserts this).
   /// Safe to call twice in one transaction (LocalTxnLocks::ReleasePins).
   virtual void UnpinAll() PSOODB_RELEASES(pin) {}
-  /// Records the version observed by a read (first read wins) and checks the
-  /// cache-validity invariant. Call with own_write=true for reads of objects
-  /// this transaction has already written (skips both).
+  /// Checks the cache-validity invariant for a read of `oid` that found
+  /// `version`, and records the version when the read is the object's first
+  /// (`before`: what LocalTxnLocks::RecordRead returned). A read of an object
+  /// this transaction has already written skips both.
   void NoteRead(storage::ObjectId oid, storage::Version version,
-                bool own_write);
+                cc::LocalTxnLocks::Access before);
   /// Defers an action until the current transaction ends. Small callables
   /// are stored inline (sim::InlineFunction), so deferring is allocation-
   /// free on the hot path.
@@ -210,9 +217,9 @@ class Client {
   bool txn_committing_ = false;
   bool txn_aborting_ = false;
   cc::LocalTxnLocks locks_;
-  /// First-read versions for the history record; filled only when a
-  /// history is kept.
-  util::FlatMap<storage::ObjectId, storage::Version> read_versions_;
+  /// First-read versions for the history record, one per object read, in
+  /// read order; filled only when a history is kept.
+  std::vector<std::pair<storage::ObjectId, storage::Version>> read_versions_;
   std::vector<sim::InlineFunction> deferred_;
 
   /// Client-side phase accumulator for the current commit cycle (think,
@@ -272,14 +279,16 @@ class PageFamilyClient : public Client {
   /// Marks a local update of `oid` in the cached frame (which must exist).
   void MarkLocalWrite(storage::ObjectId oid) PSOODB_ACQUIRES(pin);
 
-  /// Dirty cached pages, with their dirty slots and pending growth.
-  void CollectUpdates(UpdatesByServer& by_server) const override;
+  /// The cached frame's dirty slots and pending growth, if it is dirty.
+  void CollectUpdate(storage::PageId page, storage::SlotMask written,
+                     std::vector<PageUpdate>& updates) const override;
   /// Whole pages, or one log record plus object image per updated object
   /// under redo-at-server.
   int CommitPayload(const std::vector<PageUpdate>& updates) const override;
-  void ApplyCommitted(const UpdatesByServer& by_server,
-                      const CommitAck& ack) override;
-  void PurgeDirty(std::vector<PurgedItems>& purged) override;
+  void ApplyCommitted(const CommitAck& ack) override;
+  /// Drops the page if its cached frame is dirty.
+  void PurgeUpdate(storage::PageId page, storage::SlotMask written,
+                   PurgedItems& purged) override;
 
   /// Local read bookkeeping once `oid` is cached and available.
   void LocalRead(storage::ObjectId oid) PSOODB_ACQUIRES(pin);

@@ -34,10 +34,13 @@ struct SystemContext {
   storage::Database& db;
   metrics::Counters& counters;
   Transport& transport;
-  /// Central deadlock detector shared by all (partition) servers — the
-  /// waits-for graph spans servers, so detection must too. Owned by System.
+  /// This partition's deadlock detector, shared by the partition's
+  /// servers. Owned by the System::Partition; with more than one
+  /// partition, cc::DeadlockCoordinator joins the partitions' waits-for
+  /// graphs so cycles that span them are found too.
   cc::DeadlockDetector* detector = nullptr;
-  /// Optional committed-history recorder (tests). May be null.
+  /// The partition's committed-history recorder: set at every layout when
+  /// RunConfig::record_history is, null otherwise.
   History* history = nullptr;
   /// Cross-component invariant checker (null unless enabled). Owned by
   /// System; protocol code calls its hooks at grant/drain/de-escalation

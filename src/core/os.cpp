@@ -1,7 +1,5 @@
 #include "core/os.h"
 
-#include <map>
-
 #include "cc/abort.h"
 #include "util/check.h"
 
@@ -53,10 +51,10 @@ OsClient::OsClient(SystemContext& ctx, ClientId id,
     : Client(ctx, id, workload, std::move(servers)),
       cache_(static_cast<std::size_t>(ctx.params.client_buf_objects())) {}
 
-void OsClient::HandleEviction(ObjectId oid, const storage::ObjectFrame& frame) {
-  // A dirty object is pinned until its transaction ends (Write), and the
+void OsClient::HandleEviction(ObjectId oid) {
+  // A written object is pinned until its transaction ends (Write), and the
   // cache never evicts a pinned object.
-  PSOODB_CHECK(!frame.dirty, "dirty object %lld evicted",
+  PSOODB_CHECK(!locks_.WritesObject(oid), "written object %lld evicted",
                static_cast<long long>(oid));
   Server* srv = ServerFor(PageOf(oid));
   SendToServer(srv, MsgKind::kEvictionNotice, ctx_.transport.ControlBytes(),
@@ -81,10 +79,7 @@ sim::Task OsClient::FetchObject(ObjectId oid) {
   if (ship.aborted) throw cc::TxnAborted(txn_, cc::AbortReason::kVictim);
   auto r = cache_.Insert(oid);
   r.value->version = ship.version;
-  r.value->dirty = false;
-  if (r.evicted.has_value()) {
-    HandleEviction(r.evicted->first, r.evicted->second);
-  }
+  if (r.evicted.has_value()) HandleEviction(r.evicted->first);
 }
 
 void OsClient::UnpinAll() {
@@ -111,7 +106,7 @@ sim::Task OsClient::Read(ObjectId oid) {
   const cc::LocalTxnLocks::Access before = locks_.RecordRead(oid);
   // The cached copy is this transaction's read lock: keep it resident.
   if (before.first_of_object) cache_.Pin(oid);
-  NoteRead(oid, f->version, f->dirty || before.own_write);
+  NoteRead(oid, f->version, before);
 }
 
 sim::Task OsClient::Write(ObjectId oid) {
@@ -131,22 +126,16 @@ sim::Task OsClient::Write(ObjectId oid) {
     if (grant.aborted) throw cc::TxnAborted(txn_, cc::AbortReason::kVictim);
     locks_.GrantObjectWrite(oid);
   }
-  if (cache_.Peek(oid) == nullptr) co_await FetchObject(oid);
-  storage::ObjectFrame* f = cache_.Get(oid);
-  f->dirty = true;
+  // The write makes the copy most recently used. The read pinned it, and a
+  // callback on it waits for the transaction to end, so the fetch is only
+  // a guard.
+  if (cache_.Get(oid) == nullptr) co_await FetchObject(oid);
   if (locks_.RecordWrite(oid).first_of_object) cache_.Pin(oid);
 }
 
-void OsClient::CollectUpdates(UpdatesByServer& by_server) const {
-  // Ordered by page: the per-message update order must not depend on a
-  // hash table's bucket layout.
-  std::map<PageId, SlotMask> masks;
-  cache_.ForEach([&](ObjectId oid, const storage::ObjectFrame& f) {
-    if (f.dirty) masks[PageOf(oid)] |= storage::SlotBit(SlotOf(oid));
-  });
-  for (const auto& [p, m] : masks) {
-    by_server[ctx_.params.ServerOfPage(p)].push_back({p, m});
-  }
+void OsClient::CollectUpdate(PageId page, SlotMask written,
+                             std::vector<PageUpdate>& updates) const {
+  updates.push_back({page, written});
 }
 
 int OsClient::CommitPayload(const std::vector<PageUpdate>& updates) const {
@@ -155,32 +144,22 @@ int OsClient::CommitPayload(const std::vector<PageUpdate>& updates) const {
   return objects * ctx_.params.object_size_bytes();
 }
 
-void OsClient::ApplyCommitted(const UpdatesByServer& /*by_server*/,
-                              const CommitAck& ack) {
+void OsClient::ApplyCommitted(const CommitAck& ack) {
   for (const auto& [oid, v] : ack.new_versions) {
-    if (storage::ObjectFrame* f = cache_.Peek(oid)) {
-      f->version = v;
-      f->dirty = false;
-    }
+    if (storage::ObjectFrame* f = cache_.Peek(oid)) f->version = v;
   }
 }
 
-void OsClient::PurgeDirty(std::vector<PurgedItems>& purged) {
-  std::vector<ObjectId> dirty;
-  cache_.ForEach([&](ObjectId oid, const storage::ObjectFrame& f) {
-    if (f.dirty) dirty.push_back(oid);
+void OsClient::PurgeUpdate(PageId page, SlotMask written,
+                           PurgedItems& purged) {
+  cc::ForEachObject(ctx_.db.layout(), page, written, [&](ObjectId oid) {
+    if (cache_.Remove(oid).has_value()) purged.objects.push_back(oid);
   });
-  for (ObjectId oid : dirty) {
-    cache_.Remove(oid);
-    purged[static_cast<std::size_t>(ctx_.params.ServerOfPage(PageOf(oid)))]
-        .objects.push_back(oid);
-  }
 }
 
 void OsClient::OnCallback(PageId /*page*/, ObjectId oid, TxnId /*requester*/,
                           std::shared_ptr<CallbackBatch> batch) {
-  storage::ObjectFrame* f = cache_.Peek(oid);
-  if (f == nullptr) {
+  if (!cache_.Contains(oid)) {
     ReplyCallback(batch, {CallbackOutcome::kNotCached, kNoTxn});
     return;
   }
@@ -196,8 +175,6 @@ void OsClient::OnCallback(PageId /*page*/, ObjectId oid, TxnId /*requester*/,
     });
     return;
   }
-  PSOODB_CHECK(!f->dirty, "dirty object %lld without active transaction",
-               static_cast<long long>(oid));
   cache_.Remove(oid);
   ReplyCallback(batch, {CallbackOutcome::kPurged, kNoTxn});
 }

@@ -65,18 +65,21 @@ class OsClient : public Client {
   sim::Task Read(storage::ObjectId oid) PSOODB_ACQUIRES(pin) override;
   sim::Task Write(storage::ObjectId oid) PSOODB_ACQUIRES(pin) override;
 
-  /// Dirty cached objects, merged into one update per page.
-  void CollectUpdates(UpdatesByServer& by_server) const override;
+  /// The page's written objects, as one update.
+  void CollectUpdate(storage::PageId page, storage::SlotMask written,
+                     std::vector<PageUpdate>& updates) const override;
   /// One object image per updated object.
   int CommitPayload(const std::vector<PageUpdate>& updates) const override;
-  void ApplyCommitted(const UpdatesByServer& by_server,
-                      const CommitAck& ack) override;
-  void PurgeDirty(std::vector<PurgedItems>& purged) override;
+  void ApplyCommitted(const CommitAck& ack) override;
+  /// Drops the page's written objects.
+  void PurgeUpdate(storage::PageId page, storage::SlotMask written,
+                   PurgedItems& purged) override;
 
  private:
   sim::Task FetchObject(storage::ObjectId oid);
-  /// Tells the owning server that the (clean) evicted `oid` is gone.
-  void HandleEviction(storage::ObjectId oid, const storage::ObjectFrame& frame);
+  /// Tells the owning server that the evicted `oid` (which the transaction
+  /// did not write) is gone.
+  void HandleEviction(storage::ObjectId oid);
   /// Unpins every object the transaction read.
   void UnpinAll() PSOODB_RELEASES(pin) override;
 

@@ -1,6 +1,6 @@
 /// \file awaitables.h
-/// Synchronization awaitables for simulation processes: condition variables,
-/// one-shot futures/promises (RPC-style), and wait groups.
+/// Synchronization awaitables for simulation processes: condition variables
+/// and one-shot futures/promises (RPC-style).
 ///
 /// All awaitables unregister themselves on destruction, so frames can be torn
 /// down at any point. Notification never resumes a waiter inline; waiters are
@@ -262,31 +262,6 @@ class Promise {
 
  private:
   detail::ChannelState<T>* state_ = nullptr;
-};
-
-/// Counts outstanding sub-operations; `co_await wg.Wait()` resumes when the
-/// count reaches zero. Used e.g. by the server to collect callback acks.
-class WaitGroup {
- public:
-  explicit WaitGroup(Simulation& sim) : cv_(sim) {}
-
-  void Add(int n = 1) { count_ += n; }
-  void Done() {
-    PSOODB_CHECK(count_ > 0, "WaitGroup::Done without matching Add");
-    if (--count_ == 0) cv_.NotifyAll();
-  }
-  int count() const { return count_; }
-
-  /// Awaitable process-side wait until count()==0.
-  [[nodiscard]] Task Wait() {
-    while (count_ > 0) {
-      co_await cv_.Wait();
-    }
-  }
-
- private:
-  int count_ = 0;
-  CondVar cv_;
 };
 
 }  // namespace psoodb::sim

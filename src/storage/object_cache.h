@@ -11,10 +11,9 @@
 
 namespace psoodb::storage {
 
-/// One cached object copy.
+/// One cached object copy. Whether the active transaction updated it is
+/// the client's footprint's business (cc::LocalTxnLocks), not the frame's.
 struct ObjectFrame {
-  /// Updated by this client's active (uncommitted) transaction.
-  bool dirty = false;
   /// Version held (correctness checking only).
   Version version = 0;
 };

@@ -97,6 +97,12 @@ void TransactionSource::NextTransaction(ReferenceString& out) {
   }
   ++ordinal_;
   const int opp = sys_.objects_per_page;
+  // Room for the largest transaction the regions can draw, so the client's
+  // one string is allocated once, in its first transaction, rather than
+  // grown by doubling.
+  out.reserve(static_cast<std::size_t>(workload_.trans_size_pages) *
+              static_cast<std::size_t>(
+                  std::min(workload_.page_locality_max, opp)));
   PageDraws pages;
   ChoosePages(workload_.trans_size_pages, pages);
 

@@ -41,9 +41,10 @@ class TransactionSource {
   ReferenceString NextTransaction();
 
   /// Writes the next transaction's reference string into `out` (replacing
-  /// its contents). A client reuses one string across its transactions, so
-  /// generation allocates nothing once that string has grown: the per-call
-  /// scratch lives on the stack and covers every paper workload.
+  /// its contents). A client reuses one string across its transactions: a
+  /// region workload reserves its largest transaction on the first call, so
+  /// the string is allocated once, and the per-call scratch lives on the
+  /// stack and covers every paper workload.
   void NextTransaction(ReferenceString& out);
 
   const std::vector<config::RegionSpec>& regions() const { return *regions_; }

@@ -191,28 +191,5 @@ TEST(FifoServerStress, ZeroLengthServiceCompletes) {
   EXPECT_EQ(done, 1);
 }
 
-Task GroupNested(Simulation& sim, WaitGroup& outer, WaitGroup& inner) {  // analyzer-ok(suspend-ref): referent outlives sim.Run() in the test body
-  inner.Add();
-  co_await sim.Delay(1.0);
-  inner.Done();
-  co_await inner.Wait();
-  outer.Done();
-}
-
-TEST(WaitGroupStress, NestedGroupsResolveInOrder) {
-  Simulation sim;
-  WaitGroup outer(sim), inner(sim);
-  outer.Add(4);
-  for (int i = 0; i < 4; ++i) sim.Spawn(GroupNested(sim, outer, inner));
-  bool outer_done = false;
-  sim.Spawn([](WaitGroup& wg, bool* flag) -> Task {
-    co_await wg.Wait();
-    *flag = true;
-  }(outer, &outer_done));
-  sim.Run();
-  EXPECT_TRUE(outer_done);
-  EXPECT_EQ(inner.count(), 0);
-}
-
 }  // namespace
 }  // namespace psoodb::sim

@@ -142,6 +142,28 @@ TEST(MultiServerTest, HiconContentionAcrossTwoPartitions) {
   EXPECT_GT(r.counters.aborts + r.deadlocks, 0u);
 }
 
+TEST(MultiServerTest, PsWtCommitReachesAServerHoldingOnlyFlushedUpdates) {
+  // Small, write-heavy transactions over a small database: PS-WT token
+  // recalls often flush an active transaction's only dirty page at one
+  // server, which stages the update and leaves the cached frame clean. The
+  // commit must still go to that server to install the staged update and
+  // release the transaction's locks; skipping it leaves a staged entry for
+  // a finished transaction (an invariant violation) and stalls the run.
+  SystemParams sys;
+  sys.num_clients = 8;
+  sys.num_servers = 2;
+  sys.db_pages = 200;
+  sys.client_buf_fraction = 0.5;
+  sys.invariant_checks = true;
+  sys.invariant_event_period = 100;
+  sys.invariant_failfast = true;
+  auto w = config::MakeUniform(sys, Locality::kLow, 0.5);
+  w.trans_size_pages = 4;
+  auto r = RunSimulation(Protocol::kPSWT, sys, w, Quick(200));
+  ExpectHealthy(r, "PS-WT flushed-only server");
+  EXPECT_GT(r.counters.token_transfers, 0u);
+}
+
 TEST(MultiServerTest, MoreServersRelieveAResourceBottleneck) {
   // UNIFORM low locality is dominated by server disk queueing (the paper's
   // Section 5.3 observation); partitioning across 4 servers quadruples the

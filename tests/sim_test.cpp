@@ -243,38 +243,6 @@ TEST(FutureTest, DeliversValueSetAfterAwait) {
   EXPECT_EQ(log, (std::vector<int>{7}));
 }
 
-Task GroupWorker(Simulation& sim, WaitGroup& wg, double delay) {  // analyzer-ok(suspend-ref): referent outlives sim.Run() in the test body
-  co_await sim.Delay(delay);
-  wg.Done();
-}
-
-Task GroupWaiter(WaitGroup& wg, double* done_at, Simulation& sim) {  // analyzer-ok(suspend-ref): referent outlives sim.Run() in the test body
-  co_await wg.Wait();
-  *done_at = sim.now();
-}
-
-TEST(WaitGroupTest, WaitResumesWhenCountReachesZero) {
-  Simulation sim;
-  WaitGroup wg(sim);
-  double done_at = -1;
-  wg.Add(3);
-  sim.Spawn(GroupWorker(sim, wg, 1.0));
-  sim.Spawn(GroupWorker(sim, wg, 5.0));
-  sim.Spawn(GroupWorker(sim, wg, 3.0));
-  sim.Spawn(GroupWaiter(wg, &done_at, sim));
-  sim.Run();
-  EXPECT_DOUBLE_EQ(done_at, 5.0);
-}
-
-TEST(WaitGroupTest, WaitWithZeroCountReturnsImmediately) {
-  Simulation sim;
-  WaitGroup wg(sim);
-  double done_at = -1;
-  sim.Spawn(GroupWaiter(wg, &done_at, sim));
-  sim.Run();
-  EXPECT_DOUBLE_EQ(done_at, 0.0);
-}
-
 // Property-style sweep: N delayed processes always all complete, regardless
 // of interleaving, and the event count matches expectations.
 class SpawnSweepTest : public ::testing::TestWithParam<int> {};

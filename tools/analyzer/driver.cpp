@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <map>
 #include <sstream>
 
@@ -16,7 +15,6 @@
 #include "analyzer/lexer.h"
 #include "analyzer/protocol_spec.h"
 #include "analyzer/symbols.h"
-#include "util/thread_pool.h"
 
 namespace psoodb::analyzer {
 
@@ -214,34 +212,17 @@ void ApplySuppressions(const LexedFile& lf, std::vector<Finding>* findings) {
 }
 
 AnalysisResult Analyze(std::vector<LexedFile> files,
-                       std::vector<std::string> errors, int threads) {
+                       std::vector<std::string> errors) {
   AnalysisResult result;
   result.errors = std::move(errors);
   result.files_scanned = static_cast<int>(files.size());
-  const std::size_t nthreads =
-      threads < 1 ? 1 : static_cast<std::size_t>(threads);
 
-  // The symbol passes and the call graph mutate one shared index and stay
-  // sequential; frame building and the per-file checks are pure functions of
-  // (file, shared indices) and parallelize, collected back in file order so
-  // the report is identical at any thread count.
-  //
   // Frames for every file up front: symbol pass B tells members from locals
   // by them, and the call graph needs the whole tree's frames before any
   // per-file check can consult MayBlock().
   std::vector<FrameIndex> frames(files.size());
-  if (nthreads > 1) {
-    util::ThreadPool pool(nthreads);
-    std::vector<std::future<FrameIndex>> futs;
-    futs.reserve(files.size());
-    for (std::size_t i = 0; i < files.size(); ++i) {
-      futs.push_back(pool.Submit([&files, i] { return BuildFrames(files[i]); }));
-    }
-    for (std::size_t i = 0; i < files.size(); ++i) frames[i] = futs[i].get();
-  } else {
-    for (std::size_t i = 0; i < files.size(); ++i) {
-      frames[i] = BuildFrames(files[i]);
-    }
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    frames[i] = BuildFrames(files[i]);
   }
 
   SymbolIndex sym;
@@ -258,7 +239,7 @@ AnalysisResult Analyze(std::vector<LexedFile> files,
 
   const ObligationIndex oi = BuildObligationIndex(files, frames, sym, cg);
 
-  auto run_file = [&files, &frames, &sym, &cg, &oi](std::size_t i) {
+  for (std::size_t i = 0; i < files.size(); ++i) {
     std::vector<Finding> found = RunChecks(files[i], frames[i], sym);
     std::vector<Finding> conc =
         RunConcurrencyChecks(files[i], frames[i], sym, cg);
@@ -269,21 +250,6 @@ AnalysisResult Analyze(std::vector<LexedFile> files,
     std::vector<Finding> proto = RunProtocolChecks(files[i]);
     found.insert(found.end(), proto.begin(), proto.end());
     ApplySuppressions(files[i], &found);
-    return found;
-  };
-  std::vector<std::vector<Finding>> per_file(files.size());
-  if (nthreads > 1) {
-    util::ThreadPool pool(nthreads);
-    std::vector<std::future<std::vector<Finding>>> futs;
-    futs.reserve(files.size());
-    for (std::size_t i = 0; i < files.size(); ++i) {
-      futs.push_back(pool.Submit([&run_file, i] { return run_file(i); }));
-    }
-    for (std::size_t i = 0; i < files.size(); ++i) per_file[i] = futs[i].get();
-  } else {
-    for (std::size_t i = 0; i < files.size(); ++i) per_file[i] = run_file(i);
-  }
-  for (std::vector<Finding>& found : per_file) {
     result.findings.insert(result.findings.end(), found.begin(), found.end());
   }
 
@@ -362,38 +328,23 @@ LexedFile ReadAndLex(const std::string& path, std::string* error) {
 
 }  // namespace
 
-AnalysisResult AnalyzePaths(const std::vector<std::string>& paths,
-                            int threads) {
+AnalysisResult AnalyzePaths(const std::vector<std::string>& paths) {
   std::vector<std::string> files;
   std::vector<std::string> errors;
   for (const std::string& p : paths) CollectFiles(p, &files, &errors);
 
   std::vector<LexedFile> lexed;
   lexed.reserve(files.size());
-  std::vector<std::string> read_errors(files.size());
-  if (threads > 1) {
-    util::ThreadPool pool(static_cast<std::size_t>(threads));
-    std::vector<std::future<LexedFile>> futs;
-    futs.reserve(files.size());
-    for (std::size_t i = 0; i < files.size(); ++i) {
-      futs.push_back(pool.Submit([&files, &read_errors, i] {
-        return ReadAndLex(files[i], &read_errors[i]);
-      }));
-    }
-    for (std::size_t i = 0; i < files.size(); ++i) {
-      LexedFile lf = futs[i].get();
-      if (!lf.path.empty()) lexed.push_back(std::move(lf));
-    }
-  } else {
-    for (std::size_t i = 0; i < files.size(); ++i) {
-      LexedFile lf = ReadAndLex(files[i], &read_errors[i]);
-      if (!lf.path.empty()) lexed.push_back(std::move(lf));
+  for (const std::string& path : files) {
+    std::string error;
+    LexedFile lf = ReadAndLex(path, &error);
+    if (lf.path.empty()) {
+      errors.push_back(std::move(error));
+    } else {
+      lexed.push_back(std::move(lf));
     }
   }
-  for (std::string& e : read_errors) {
-    if (!e.empty()) errors.push_back(std::move(e));
-  }
-  return Analyze(std::move(lexed), std::move(errors), threads);
+  return Analyze(std::move(lexed), std::move(errors));
 }
 
 AnalysisResult AnalyzeSources(
@@ -403,7 +354,7 @@ AnalysisResult AnalyzeSources(
   for (const auto& [path, src] : sources) {
     lexed.push_back(Lex(path, src));
   }
-  return Analyze(std::move(lexed), {}, 1);
+  return Analyze(std::move(lexed), {});
 }
 
 void PrintReport(const AnalysisResult& r, bool verbose, std::string* out) {

@@ -46,12 +46,8 @@ struct AnalysisResult {
 /// (skipping hidden and build*/ entries) collecting .cpp/.cc/.h/.hpp in
 /// sorted order; explicitly named files are always lexed, whatever their
 /// extension (this is how the .cxx test fixtures get analyzed without being
-/// picked up by tree scans). With `threads > 1`, lexing, frame building and
-/// the per-file checks fan out over a util::ThreadPool; results are
-/// collected back in file order, so the report is byte-identical at any
-/// thread count.
-AnalysisResult AnalyzePaths(const std::vector<std::string>& paths,
-                            int threads = 1);
+/// picked up by tree scans).
+AnalysisResult AnalyzePaths(const std::vector<std::string>& paths);
 
 /// In-memory variant for unit tests: (path, source) pairs.
 AnalysisResult AnalyzeSources(

@@ -2,13 +2,12 @@
 /// CLI for psoodb-analyze.
 ///
 ///   psoodb_analyze [--json FILE] [--sarif FILE] [--only CHECK,...]
-///                  [--threads N] [--verbose] [--list-checks] [PATH...]
+///                  [--verbose] [--list-checks] [PATH...]
 ///
 /// PATHs default to `src bench tests tools` (relative to the working
 /// directory, which ctest pins to the repository root).
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -42,8 +41,8 @@ std::string CheckCatalog(const std::string& indent) {
 int Usage() {
   std::cerr
       << "usage: psoodb_analyze [--json FILE] [--sarif FILE]\n"
-         "                      [--only CHECK[,CHECK...]] [--threads N]\n"
-         "                      [--verbose] [--list-checks] [PATH...]\n"
+         "                      [--only CHECK[,CHECK...]] [--verbose]\n"
+         "                      [--list-checks] [PATH...]\n"
          "\n"
          "Scope-aware coroutine, determinism, concurrency & obligation\n"
          "static analyzer for the psoodb simulator. PATHs default to:\n"
@@ -55,8 +54,6 @@ int Usage() {
          "                 analysis still runs in full, so suppression\n"
          "                 staleness is judged against every check, not the\n"
          "                 subset\n"
-         "  --threads N    analyze files on N worker threads (default 1);\n"
-         "                 the report is byte-identical at any N\n"
          "  --verbose      also print suppressed findings\n"
          "  --list-checks  print every check name and exit 0\n"
          "\n"
@@ -92,18 +89,6 @@ bool ParseOnly(const std::string& arg, std::vector<std::string>* only) {
   return !only->empty();
 }
 
-/// Parses a positive --threads value; returns 0 on bad input.
-int ParseThreads(const std::string& arg) {
-  if (arg.empty() ||
-      !std::all_of(arg.begin(), arg.end(),
-                   [](char c) { return c >= '0' && c <= '9'; })) {
-    return 0;
-  }
-  const long v = std::strtol(arg.c_str(), nullptr, 10);
-  if (v < 1 || v > 256) return 0;
-  return static_cast<int>(v);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -111,7 +96,6 @@ int main(int argc, char** argv) {
   std::string sarif_path;
   std::vector<std::string> only;
   bool verbose = false;
-  int threads = 1;
   std::vector<std::string> paths;
 
   for (int i = 1; i < argc; ++i) {
@@ -127,13 +111,6 @@ int main(int argc, char** argv) {
       if (!ParseOnly(argv[++i], &only)) return kUsageError;
     } else if (arg.rfind("--only=", 0) == 0) {
       if (!ParseOnly(arg.substr(7), &only)) return kUsageError;
-    } else if (arg == "--threads") {
-      if (i + 1 >= argc) return Usage();
-      threads = ParseThreads(argv[++i]);
-      if (threads == 0) return Usage();
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = ParseThreads(arg.substr(10));
-      if (threads == 0) return Usage();
     } else if (arg == "--verbose" || arg == "-v") {
       verbose = true;
     } else if (arg == "--list-checks") {
@@ -153,7 +130,7 @@ int main(int argc, char** argv) {
   if (paths.empty()) paths = {"src", "bench", "tests", "tools"};
 
   psoodb::analyzer::AnalysisResult result =
-      psoodb::analyzer::AnalyzePaths(paths, threads);
+      psoodb::analyzer::AnalyzePaths(paths);
 
   // --only filters *reporting*, after suppression matching, so a marker's
   // staleness never depends on which subset this invocation asked for.
