@@ -395,6 +395,23 @@ void InvariantChecker::OnAbortReleased(core::Server& server, TxnId txn) {
          U(txn), objects);
 }
 
+void InvariantChecker::OnAbortPurged(const core::Client& client) {
+  const auto& layout = system_.db().layout();
+  for (const auto& [p, fp] : client.local_locks().footprint()) {  // det-ok: invariant hook; Expect only reports, nothing feeds the sim
+    if (fp.written == 0) continue;
+    Expect(client.PeekPage(p) == nullptr,
+           "client %d aborting txn %llu still caches page %d of its write "
+           "set after the purge",
+           client.id(), U(client.active_txn()), p);
+    cc::ForEachObject(layout, p, fp.written, [&](ObjectId o) {
+      Expect(client.PeekObject(o) == nullptr,
+             "client %d aborting txn %llu still caches object %lld of its "
+             "write set after the purge",
+             client.id(), U(client.active_txn()), L(o));
+    });
+  }
+}
+
 void InvariantChecker::OnWriteGrant(core::Server& server,
                                     core::GrantLevel level, PageId page,
                                     ObjectId oid, TxnId txn, ClientId client) {

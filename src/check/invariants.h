@@ -19,6 +19,8 @@
 ///  * PS-WT staging: every transaction with token-flush updates staged at a
 ///    server is some client's active transaction (its commit folds the
 ///    entry, its abort discards it).
+///  * Abort purge: after an abort's purge the client caches nothing of its
+///    write set, so no later transaction reads an aborted update.
 ///  * PS-AA de-escalation: requested only against the actual page X holder;
 ///    on completion the page lock is released, the written objects are
 ///    object-locked by the holder, and the holder client dropped its page
@@ -41,6 +43,7 @@
 #include "storage/types.h"
 
 namespace psoodb::core {
+class Client;
 class Server;
 class System;
 struct CallbackBatch;
@@ -94,6 +97,10 @@ class InvariantChecker {
   /// (the abort path released everything — the runtime twin of the
   /// analyzer's lock-leak abort-path rule).
   void OnAbortReleased(core::Server& server, storage::TxnId txn);
+  /// A client's abort purged its updates from its cache: it caches no page
+  /// (page family) and no object (object server) of its write set, also
+  /// none a PS-WT token flush left clean.
+  void OnAbortPurged(const core::Client& client);
   /// A write permission is about to be granted to `client` for `txn`.
   /// `oid` is negative for page-level grants without a staked object lock
   /// (plain PS).

@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "cc/abort.h"
+#include "check/invariants.h"
 #include "util/check.h"
 
 namespace psoodb::core {
@@ -151,6 +152,7 @@ sim::Task Client::Abort() {
   ForEachWrittenPage([&](std::size_t sidx, PageId page, SlotMask written) {
     PurgeUpdate(page, written, purged[sidx]);
   });
+  if (ctx_.invariants != nullptr) ctx_.invariants->OnAbortPurged(*this);
 
   std::vector<sim::Future<bool>> acks;
   for (std::size_t sidx = 0; sidx < servers_.size(); ++sidx) {
@@ -467,12 +469,9 @@ void PageFamilyClient::ApplyCommitted(const CommitAck& ack) {
 
 void PageFamilyClient::PurgeUpdate(PageId page, SlotMask /*written*/,
                                    PurgedItems& purged) {
-  // A page a PS-WT token flush left clean stays: the server discards what
-  // the flush staged.
-  const storage::PageFrame* f = cache_.Peek(page);
-  if (f == nullptr || !f->IsDirty()) return;
-  cache_.Remove(page);
-  purged.pages.push_back(page);
+  // Every written page goes, also one a PS-WT token flush left clean: the
+  // server discards what the flush staged, but the cached image holds it.
+  if (cache_.Remove(page).has_value()) purged.pages.push_back(page);
 }
 
 }  // namespace psoodb::core

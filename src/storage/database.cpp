@@ -39,4 +39,30 @@ void ObjectLayout::Swap(ObjectId a, ObjectId b) {
   at_[static_cast<std::size_t>(lb.first) * objects_per_page_ + lb.second] = a;
 }
 
+Database::Database(int num_pages, int objects_per_page)
+    : layout_(num_pages, objects_per_page),
+      num_blocks_((static_cast<std::size_t>(layout_.num_objects()) +
+                   kBlockObjects - 1) >>
+                  kBlockBits),
+      blocks_(std::make_unique<std::atomic<Version*>[]>(num_blocks_)) {}
+
+Database::~Database() {
+  for (std::size_t b = 0; b < num_blocks_; ++b) {
+    delete[] blocks_[b].load(std::memory_order_relaxed);
+  }
+}
+
+Version* Database::Publish(std::size_t b) {
+  Version* fresh = new Version[kBlockObjects]();
+  Version* seen = nullptr;
+  if (blocks_[b].compare_exchange_strong(seen, fresh,
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire)) {
+    return fresh;
+  }
+  // Another worker published the block first: use its copy.
+  delete[] fresh;
+  return seen;
+}
+
 }  // namespace psoodb::storage

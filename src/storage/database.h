@@ -3,15 +3,28 @@
 /// committed version of every object. The version store does not model any
 /// cost; it exists so tests can verify the protocols' cache-consistency and
 /// serializability guarantees on every run.
+///
+/// The ground truth is stored by block: 64 consecutive object ids share one
+/// block of versions, allocated at the first commit to any of them, and an
+/// object whose block was never written reads as version 0. A run's memory
+/// for it therefore follows the objects it writes, not the database size.
+/// At P > 1 a server's commit (on its partition's worker) and a client's
+/// validity check of the same block (on another worker) can meet: a block
+/// is published with a compare-and-swap and its pointer read with an
+/// acquire load, and a published block never moves.
 
 #ifndef PSOODB_STORAGE_DATABASE_H_
 #define PSOODB_STORAGE_DATABASE_H_
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "storage/types.h"
+#include "util/annotations.h"
 
 namespace psoodb::storage {
 
@@ -67,25 +80,52 @@ class ObjectLayout {
 /// every object.
 class Database {
  public:
-  Database(int num_pages, int objects_per_page)
-      : layout_(num_pages, objects_per_page),
-        committed_(static_cast<std::size_t>(layout_.num_objects()), 0) {}
+  Database(int num_pages, int objects_per_page);
+  ~Database();
+  Database(const Database&) = delete;
+  Database& operator=(const Database&) = delete;
 
   ObjectLayout& layout() { return layout_; }
   const ObjectLayout& layout() const { return layout_; }
 
   Version committed_version(ObjectId oid) const {
-    return committed_[static_cast<std::size_t>(oid)];
+    const Version* block =
+        blocks_[BlockOf(oid)].load(std::memory_order_acquire);
+    return block == nullptr ? 0 : block[OffsetOf(oid)];
   }
 
   /// Installs a new committed version for `oid`; returns the new version.
   Version CommitWrite(ObjectId oid) {
-    return ++committed_[static_cast<std::size_t>(oid)];
+    Version* block = blocks_[BlockOf(oid)].load(std::memory_order_acquire);
+    if (block == nullptr) block = Publish(BlockOf(oid));
+    return ++block[OffsetOf(oid)];
   }
 
  private:
+  /// Object ids per block of versions (a power of two).
+  static constexpr int kBlockBits = 6;
+  static constexpr std::uint32_t kBlockObjects = 1u << kBlockBits;
+
+  static std::size_t BlockOf(ObjectId oid) {
+    return static_cast<std::uint32_t>(oid) >> kBlockBits;
+  }
+  static std::size_t OffsetOf(ObjectId oid) {
+    return static_cast<std::uint32_t>(oid) & (kBlockObjects - 1);
+  }
+  /// Allocates block `b` zeroed and publishes it, or returns the block
+  /// another worker published first.
+  Version* Publish(std::size_t b);
+
   ObjectLayout layout_;
-  std::vector<Version> committed_;
+  std::size_t num_blocks_;
+  // Block index -> block of kBlockObjects versions, null until its first
+  // commit. Shared by every partition's worker: a block is published by a
+  // compare-and-swap (release) and its pointer read by an acquire load, so
+  // a reader sees null (every object at version 0) or the zeroed block. An
+  // object is written only on its owning server's worker, and a commit
+  // follows every remote read of the older version through the callback
+  // that dropped the reader's copy and the window barrier that crossed it.
+  std::unique_ptr<std::atomic<Version*>[]> blocks_ PSOODB_SHARD_SHARED;
 };
 
 }  // namespace psoodb::storage

@@ -14,8 +14,9 @@
 //     a full cache, lock acquire / wait / ReleaseAll cycles, copy-table
 //     register / HoldersExcept / unregister, and the detector's wait edges
 //     and wait channels;
-//   - a Database whose layout was never swapped: its version store is its
-//     one allocation, with no per-object layout table;
+//   - a Database whose layout was never swapped: its one allocation is the
+//     version store's block index, a small fraction of a dense per-object
+//     array, and the first commit to a block allocates that block only;
 //   - the tracer's event ring, allocated at its capacity once, and its
 //     per-transaction phase table, which keeps its block across erases.
 // Every task is spawned before counting starts: under AddressSanitizer
@@ -48,13 +49,15 @@
 #include "workload/workload.h"
 
 namespace {
-std::uint64_t g_news = 0;  // operator new calls since process start
+std::uint64_t g_news = 0;       // operator new calls since process start
+std::uint64_t g_new_bytes = 0;  // bytes they asked for
 }  // namespace
 
 // Kept out of line: inlined into a delete-expression, GCC would pair the
 // free() with the new-expression and warn (-Wmismatched-new-delete).
 [[gnu::noinline]] void* operator new(std::size_t n) {
   ++g_news;
+  g_new_bytes += n;
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
@@ -62,17 +65,30 @@ std::uint64_t g_news = 0;  // operator new calls since process start
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
   std::free(p);
 }
+// The array forms go through the counting operator new, as the default ones
+// do; AddressSanitizer's runtime brings array forms that would bypass it.
+[[gnu::noinline]] void* operator new[](std::size_t n) {
+  return ::operator new(n);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept {
+  ::operator delete(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  ::operator delete(p);
+}
 
 namespace psoodb {
 namespace {
 
-/// operator new calls made since construction.
+/// operator new calls made, and bytes asked for, since construction.
 class NewCounter {
  public:
   std::uint64_t count() const { return g_news - start_; }
+  std::uint64_t bytes() const { return g_new_bytes - start_bytes_; }
 
  private:
   std::uint64_t start_ = g_news;
+  std::uint64_t start_bytes_ = g_new_bytes;
 };
 
 sim::Task Requester(resources::Cpu& cpu, int n, double inst, bool system) {  // analyzer-ok(suspend-ref): referent outlives sim.Run() in the test body
@@ -358,9 +374,22 @@ TEST(AllocationFree, DetectorWaitsAndWaitChannelsCycles) {
 
 TEST(AllocationFree, UnswappedDatabaseAllocatesOnlyItsVersions) {
   const NewCounter news;
-  const storage::Database db(100000, 20);
+  storage::Database db(100000, 20);
   EXPECT_EQ(news.count(), 1u);
+  // A dense store would hold 8 bytes for each of the 2,000,000 objects
+  // (16 MB); the block index is at most 1/32 of that.
+  EXPECT_LE(news.bytes(), 2000000 * sizeof(storage::Version) / 32);
   EXPECT_EQ(db.layout().PageOf(db.layout().num_objects() - 1), 99999);
+  // The first commit to a block allocates exactly that block of 64
+  // versions; the next commit to the same block allocates nothing.
+  const NewCounter first;
+  EXPECT_EQ(db.CommitWrite(1999999), 1u);
+  EXPECT_EQ(first.count(), 1u);
+  EXPECT_EQ(first.bytes(), 64 * sizeof(storage::Version));
+  const NewCounter again;
+  EXPECT_EQ(db.CommitWrite(1999936), 1u);
+  EXPECT_EQ(db.committed_version(1999999), 1u);
+  EXPECT_EQ(again.count(), 0u);
 }
 
 TEST(AllocationFree, TraceRingFillsWithoutAllocating) {

@@ -1,12 +1,18 @@
 // Tests for the storage layer: object layout (including relocation), the
-// generic LRU cache with pinning, and page/object frame state.
+// block-sparse version store (sequential and from four threads), the generic
+// LRU cache with pinning, and page/object frame state.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstddef>
+#include <latch>
 #include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "config/params.h"
 #include "sim/random.h"
 #include "storage/buffer_manager.h"
 #include "storage/database.h"
@@ -146,6 +152,141 @@ TEST(DatabaseTest, CommitWriteBumpsVersions) {
   EXPECT_EQ(db.CommitWrite(42), 2u);
   EXPECT_EQ(db.committed_version(42), 2u);
   EXPECT_EQ(db.committed_version(41), 0u);
+}
+
+// Seeded commits, reads and swaps against a dense reference vector: every
+// object reads the version the reference holds. The shapes cover object
+// counts that are multiples of the 64-object block (64, 192) and that are
+// not (1, 63, 65, 99, 200); the first and the last id get extra commits and
+// reads, and swaps between commits move objects without moving versions.
+TEST(DatabaseTest, CommitsMatchADenseReference) {
+  struct Shape {
+    int pages;
+    int opp;
+  };
+  for (const Shape shape : {Shape{1, 1}, Shape{7, 9}, Shape{8, 8},
+                            Shape{65, 1}, Shape{33, 3}, Shape{3, 64},
+                            Shape{10, 20}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << shape.pages << " pages x " << shape.opp << " objects");
+    Database db(shape.pages, shape.opp);
+    const ObjectId n = db.layout().num_objects();
+    std::vector<Version> ref(static_cast<std::size_t>(n), 0);
+    const auto matches = [&] {
+      for (ObjectId oid = 0; oid < n; ++oid) {
+        if (db.committed_version(oid) != ref[static_cast<std::size_t>(oid)]) {
+          return false;
+        }
+      }
+      return true;
+    };
+    ASSERT_TRUE(matches());
+    sim::Rng rng(static_cast<std::uint64_t>(shape.pages * 100 + shape.opp));
+    int swaps = 0;
+    for (int step = 0; step < 3000; ++step) {
+      ObjectId oid = rng.UniformInt(0, n - 1);
+      const double dice = rng.NextDouble();
+      if (dice < 0.05) {
+        oid = 0;
+      } else if (dice < 0.1) {
+        oid = n - 1;
+      }
+      const double op = rng.NextDouble();
+      if (op < 0.45) {
+        ASSERT_EQ(db.CommitWrite(oid), ++ref[static_cast<std::size_t>(oid)])
+            << "step " << step << " oid " << oid;
+      } else if (op < 0.9) {
+        ASSERT_EQ(db.committed_version(oid),
+                  ref[static_cast<std::size_t>(oid)])
+            << "step " << step << " oid " << oid;
+      } else {
+        // A version belongs to its object id: after a swap the object now
+        // at the other's location reads its own version.
+        const ObjectId other = rng.UniformInt(0, n - 1);
+        const PageId page = db.layout().PageOf(oid);
+        const int slot = db.layout().SlotOf(oid);
+        db.layout().Swap(oid, other);
+        ++swaps;
+        ASSERT_EQ(db.committed_version(db.layout().ObjectAt(page, slot)),
+                  ref[static_cast<std::size_t>(other)])
+            << "step " << step;
+      }
+      if (step % 250 == 0) {
+        ASSERT_TRUE(matches()) << "step " << step;
+      }
+    }
+    EXPECT_GT(swaps, 0);
+    EXPECT_GT(ref.front(), 0u);
+    EXPECT_GT(ref.back(), 0u);
+    EXPECT_TRUE(matches());
+  }
+}
+
+// Four threads write objects of the same blocks for the first time at once,
+// the way the workers of four server partitions commit, while reading
+// neighbouring objects that nobody writes and their own: every block's
+// first commit races to publish it. Block 7812 of the paper-scale database
+// straddles servers 0 and 1 at four servers. Each object is written by one
+// thread only, as each is owned by one server, and ends at the number of
+// commits it received.
+TEST(DatabaseThreads, FirstWritesToSharedBlocksFromFourThreads) {
+  constexpr int kThreads = 4;
+  constexpr int kBlock = 64;
+  constexpr int kStraddling = 7812;
+  Database db(100000, 20);
+  config::SystemParams params;
+  params.db_pages = 100000;
+  params.num_servers = 4;
+  const ObjectId straddle_first = ObjectId{kStraddling} * kBlock;
+  ASSERT_EQ(params.ServerOfPage(db.layout().PageOf(straddle_first)), 0);
+  ASSERT_EQ(params.ServerOfPage(db.layout().PageOf(straddle_first + 63)), 1);
+  std::vector<ObjectId> blocks;
+  for (int b = 0; b < 512; ++b) blocks.push_back(b);
+  blocks.push_back(kStraddling);
+  blocks.push_back(db.layout().num_objects() / kBlock - 1);  // the last
+  // Offset o of each block is written by thread o % 5, 1 + o % 3 times;
+  // offsets o % 5 == 4 stay unwritten.
+  const auto writer = [](int offset) { return offset % 5; };
+  const auto commits = [](int offset) { return 1 + offset % 3; };
+  std::latch start(kThreads);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (int round = 0; round < 3; ++round) {
+        for (const ObjectId b : blocks) {
+          for (int o = t; o < kBlock; o += 5) {
+            if (round >= commits(o)) continue;
+            const ObjectId oid = b * kBlock + o;
+            if (db.CommitWrite(oid) != static_cast<Version>(round + 1) ||
+                db.committed_version(oid) !=
+                    static_cast<Version>(round + 1)) {
+              ++mismatches;
+            }
+            for (const int n : {o - 1, o + 1}) {
+              if (n >= 0 && n < kBlock && writer(n) == 4 &&
+                  db.committed_version(b * kBlock + n) != 0) {
+                ++mismatches;
+              }
+            }
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  for (const ObjectId b : blocks) {
+    for (int o = 0; o < kBlock; ++o) {
+      const Version want =
+          writer(o) == 4 ? 0 : static_cast<Version>(commits(o));
+      ASSERT_EQ(db.committed_version(b * kBlock + o), want)
+          << "block " << b << " offset " << o;
+    }
+  }
+  // A block no thread wrote still reads as version 0.
+  EXPECT_EQ(db.committed_version(600 * kBlock), 0u);
 }
 
 TEST(LruCacheTest, InsertAndGet) {
