@@ -55,13 +55,14 @@ void Client::EndTxnLocal() {
   for (auto& a : actions) a();
 }
 
-void Client::NoteRead(ObjectId oid, Version version,
+bool Client::NoteRead(ObjectId oid, Version version,
                       cc::LocalTxnLocks::Access before) {
-  if (before.own_write) return;
-  ctx_.CheckCacheValidity(oid, version);
+  if (before.own_write) return true;
+  const bool valid = ctx_.CheckCacheValidity(oid, version);
   if (before.first_of_object && ctx_.history != nullptr) {
     read_versions_.emplace_back(oid, version);
   }
+  return valid;
 }
 
 void Client::ReplyCallback(const std::shared_ptr<CallbackBatch>& batch,
@@ -357,12 +358,11 @@ void PageFamilyClient::LocalRead(ObjectId oid) {
   const cc::LocalTxnLocks::Access before = locks_.RecordRead(oid);
   // The cached copy is this transaction's read lock: keep it resident.
   if (before.first_on_page) cache_.Pin(page);
-  // Debug aid: set PSOODB_TRACE_VIOLATIONS=1 to dump state when a stale
-  // cached object is read (a protocol bug; tests keep this at zero). Read
-  // on this rare path only, so setting it mid-process takes effect.
-  if (!before.own_write &&
-      f->versions[static_cast<std::size_t>(slot)] !=
-          ctx_.db.committed_version(oid) &&
+  // NoteRead checks the version held against the store. Debug aid: set
+  // PSOODB_TRACE_VIOLATIONS=1 to dump state when a stale cached object is
+  // read (a protocol bug; tests keep this at zero). The variable is read on
+  // this rare path only, so setting it mid-process takes effect.
+  if (!NoteRead(oid, f->versions[static_cast<std::size_t>(slot)], before) &&
       std::getenv("PSOODB_TRACE_VIOLATIONS") != nullptr) {
     std::fprintf(stderr,
                  "[t=%.6f] VIOLATION client=%d txn=%llu oid=%lld page=%d "
@@ -375,7 +375,6 @@ void PageFamilyClient::LocalRead(ObjectId oid) {
                  (unsigned long long)f->unavailable,
                  (unsigned long long)f->dirty);
   }
-  NoteRead(oid, f->versions[static_cast<std::size_t>(slot)], before);
 }
 
 void PageFamilyClient::MarkLocalWrite(ObjectId oid) {

@@ -146,8 +146,9 @@ class Client {
   /// Checks the cache-validity invariant for a read of `oid` that found
   /// `version`, and records the version when the read is the object's first
   /// (`before`: what LocalTxnLocks::RecordRead returned). A read of an object
-  /// this transaction has already written skips both.
-  void NoteRead(storage::ObjectId oid, storage::Version version,
+  /// this transaction has already written skips both. Returns false when
+  /// the check finds a stale version.
+  bool NoteRead(storage::ObjectId oid, storage::Version version,
                 cc::LocalTxnLocks::Access before);
   /// Defers an action until the current transaction ends. Small callables
   /// are stored inline (sim::InlineFunction), so deferring is allocation-

@@ -83,8 +83,11 @@ struct SystemContext {
   /// Checks the callback-locking cache-validity invariant: a locally readable
   /// cached object must hold the latest committed version. Violations are
   /// counted (and indicate a protocol bug; tests assert the count is zero).
-  void CheckCacheValidity(storage::ObjectId oid, storage::Version held) {
-    if (held != db.committed_version(oid)) ++counters.validity_violations;
+  /// Returns false on a violation.
+  bool CheckCacheValidity(storage::ObjectId oid, storage::Version held) {
+    if (held == db.committed_version(oid)) return true;
+    ++counters.validity_violations;
+    return false;
   }
 };
 

@@ -13,7 +13,14 @@ namespace {
 constexpr double kEpsilonInst = 1e-2;
 }  // namespace
 
-Cpu::Cpu(sim::Simulation& sim, double mips) : sim_(sim), rate_(mips * 1e6) {
+Cpu::Cpu(sim::Simulation& sim, double mips)
+    : sim_(sim),
+      rate_(mips * 1e6),
+      timer_(sim.RegisterTimer(
+          [](void* self, std::uint64_t token) {
+            static_cast<Cpu*>(self)->OnCompletion(token);
+          },
+          this)) {
   PSOODB_CHECK(mips > 0, "CPU rate must be positive, got %g MIPS", mips);
   last_advance_ = sim_.now();
   window_start_ = sim_.now();
@@ -77,7 +84,7 @@ void Cpu::Advance() {
 }
 
 void Cpu::Reschedule() {
-  ++generation_;  // invalidate any previously scheduled completion
+  token_ = 0;  // a pending completion, if any, now fires as a no-op
   if (system_.empty() && user_.empty()) return;  // idle
   double dt;
   if (!system_.empty()) {
@@ -90,12 +97,11 @@ void Cpu::Reschedule() {
     dt = min_remaining * user_.size / rate_;
   }
   if (dt < 0) dt = 0;  // floating-point drift
-  const std::uint64_t gen = generation_;
-  sim_.ScheduleCallback(sim_.now() + dt, [this, gen]() { OnCompletion(gen); });
+  token_ = sim_.ScheduleTimer(sim_.now() + dt, timer_);
 }
 
-void Cpu::OnCompletion(std::uint64_t generation) {
-  if (generation != generation_) return;  // stale
+void Cpu::OnCompletion(std::uint64_t token) {
+  if (token != token_) return;  // superseded
   Advance();
   // Wake the due jobs in place: the system head if it is due (user jobs make
   // no progress while it runs), otherwise every due user job in list order.
@@ -123,9 +129,8 @@ void Cpu::OnCompletion(std::uint64_t generation) {
     // This callback was scheduled for a completion, but the clock could not
     // advance far enough for the residual to drain (time resolution limit).
     // Force the due job to complete; the lost work is < kEpsilonInst.
-    // Safe: a generation-matching completion event only fires at the due
-    // instant computed for the then-minimal job; membership changes bump
-    // the generation.
+    // Safe: the live completion only fires at the due instant computed for
+    // the then-minimal job; membership changes supersede it.
     Wake(due);
   }
   Reschedule();

@@ -3,6 +3,11 @@
 /// *system* requests (lock handling, message protocol processing, I/O
 /// initiation) are served FIFO and take absolute priority over *user*
 /// requests, which share the processor via processor sharing.
+///
+/// The next completion is a timer entry in the event queue
+/// (Simulation::ScheduleTimer). Every change to the job set reschedules it;
+/// the CPU keeps only the newest entry's token, so a superseded completion
+/// fires as a no-op instead of being cancelled.
 
 #ifndef PSOODB_RESOURCES_CPU_H_
 #define PSOODB_RESOURCES_CPU_H_
@@ -83,10 +88,11 @@ class Cpu {
 
   /// Accrues progress on the active jobs from last_advance_ to now().
   void Advance();
-  /// (Re)schedules the next-completion callback.
+  /// (Re)schedules the next completion, superseding any pending one.
   void Reschedule();
-  /// Completion callback: finish all due jobs, wake them, reschedule.
-  void OnCompletion(std::uint64_t generation);
+  /// Timer target: if `token` is the live completion's, finish all due
+  /// jobs, wake them, reschedule; otherwise it was superseded.
+  void OnCompletion(std::uint64_t token);
   /// Unlinks a finished job and schedules its resumption.
   void Wake(Node* n);
 
@@ -95,6 +101,7 @@ class Cpu {
 
   sim::Simulation& sim_;
   double rate_;  // instructions per second
+  sim::TimerId timer_;  // this CPU's completion target
 
   List system_;  // FIFO; only the head makes progress
   List user_;    // processor sharing across all members
@@ -103,7 +110,7 @@ class Cpu {
   double busy_time_ = 0;
   sim::SimTime window_start_ = 0;
 
-  std::uint64_t generation_ = 0;  // invalidates stale completion callbacks
+  std::uint64_t token_ = 0;  // the live completion's token; 0 when none
   std::uint64_t system_requests_ = 0;
   std::uint64_t user_requests_ = 0;
 

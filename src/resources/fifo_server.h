@@ -1,6 +1,11 @@
 /// \file fifo_server.h
 /// A single FIFO server with per-request service times. Shared implementation
 /// for the disk and network models (both are plain FIFO queues in the paper).
+///
+/// The request in service completes through a timer entry in the event queue
+/// (Simulation::ScheduleTimer). The server keeps that entry's token; when the
+/// request in service leaves early (its waiter is destroyed), the token is
+/// dropped and the entry later fires as a no-op.
 
 #ifndef PSOODB_RESOURCES_FIFO_SERVER_H_
 #define PSOODB_RESOURCES_FIFO_SERVER_H_
@@ -19,7 +24,13 @@ namespace psoodb::resources {
 /// may return it by value (guaranteed elision) for their callers to await.
 class FifoServer {
  public:
-  explicit FifoServer(sim::Simulation& sim) : sim_(sim) {
+  explicit FifoServer(sim::Simulation& sim)
+      : sim_(sim),
+        timer_(sim.RegisterTimer(
+            [](void* self, std::uint64_t token) {
+              static_cast<FifoServer*>(self)->OnCompletion(token);
+            },
+            this)) {
     head_.prev = head_.next = &head_;
     window_start_ = sim_.now();
   }
@@ -27,7 +38,7 @@ class FifoServer {
     // Safety net only: the intended teardown order is Simulation first (which
     // empties these queues via awaitable destructors). If the server dies
     // first, orphan remaining nodes without scheduling anything.
-    ++generation_;
+    token_ = 0;
     in_service_ = nullptr;
     for (Node* n = head_.next; n != &head_;) {
       Node* next = n->next;
@@ -89,38 +100,46 @@ class FifoServer {
     if (was_in_service) {
       busy_time_ += sim_.now() - service_started_;
       in_service_ = nullptr;
-      ++generation_;  // cancel pending completion
       StartNext();
     }
   }
 
+  /// Puts the queue's front in service and schedules its completion, or
+  /// records that no completion is pending.
   void StartNext() {
     Node* n = head_.next;
-    if (n == &head_) return;
+    if (n == &head_) {
+      token_ = 0;
+      return;
+    }
     in_service_ = n;
     service_started_ = sim_.now();
-    const std::uint64_t gen = ++generation_;
-    sim_.ScheduleCallback(sim_.now() + n->service, [this, gen]() {
-      if (gen != generation_) return;
-      Node* done = in_service_;
-      busy_time_ += sim_.now() - service_started_;
-      in_service_ = nullptr;
-      // Unlink without re-triggering the in-service path of Remove().
-      done->prev->next = done->next;
-      done->next->prev = done->prev;
-      done->prev = done->next = nullptr;
-      --size_;
-      done->sched = sim_.ScheduleNow(done->handle);
-      StartNext();
-    });
+    token_ = sim_.ScheduleTimer(sim_.now() + n->service, timer_);
+  }
+
+  /// Timer target: completes the request in service if `token` is its
+  /// completion's; otherwise that request left early and this is a no-op.
+  void OnCompletion(std::uint64_t token) {
+    if (token != token_) return;
+    Node* done = in_service_;
+    busy_time_ += sim_.now() - service_started_;
+    in_service_ = nullptr;
+    // Unlink without re-triggering the in-service path of Remove().
+    done->prev->next = done->next;
+    done->next->prev = done->prev;
+    done->prev = done->next = nullptr;
+    --size_;
+    done->sched = sim_.ScheduleNow(done->handle);
+    StartNext();
   }
 
   sim::Simulation& sim_;
+  sim::TimerId timer_;  // this server's completion target
   Node head_;  // sentinel; front is in service when in_service_ != nullptr
   int size_ = 0;
   Node* in_service_ = nullptr;
   sim::SimTime service_started_ = 0;
-  std::uint64_t generation_ = 0;
+  std::uint64_t token_ = 0;  // the live completion's token; 0 when none
   double busy_time_ = 0;
   sim::SimTime window_start_ = 0;
   std::uint64_t requests_ = 0;

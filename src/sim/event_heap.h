@@ -2,13 +2,14 @@
 /// The simulator's event queue: a small sorted near tier in front of an
 /// index-tracked 4-ary min-heap, with in-place tombstones, slot-encoded event
 /// ids, and small-buffer-optimized callback storage, plus a slot-free FIFO
-/// lane for same-instant wakeups.
+/// lane for same-instant wakeups and slot-free timer entries for resource
+/// completions.
 ///
 /// Design (see docs/SIMULATOR.md "Scheduler internals"):
 ///
-///  - Entries are 24 bytes — (time, seq, slot, flags) — so every move is of
-///    cache-line-sized PODs instead of the 64-byte `std::function`-bearing
-///    records the old `std::priority_queue` carried.
+///  - Entries are 24 bytes — (time, seq, slot or timer id, flags) — so every
+///    move is of cache-line-sized PODs instead of the 64-byte
+///    `std::function`-bearing records the old `std::priority_queue` carried.
 ///  - Two tiers hold the entries. The near tier is a sorted array of at most
 ///    kNearCapacity entries with the earliest at the back, so the next event
 ///    pops with no sift. The far tier is a 4-ary min-heap (half the depth of
@@ -44,16 +45,24 @@
 ///    exact (time, seq) merge. Lane ids are `kLaneTag | seq`; cancelling
 ///    one tombstones the entry in place (found by binary search, since lane
 ///    seqs increase front to back).
+///  - Timer entries (`PushTimer`) carry a registered target's id in place of
+///    a slot and a flag bit that marks them. They are never cancelled, so
+///    they need no slot, no generation and no back-index: a push allocates
+///    nothing, a move writes only the entry, and a pop hands the target its
+///    entry's seq as a token. Resource completions (`resources::Cpu`,
+///    `FifoServer`), the commonest timed events, use them: a resource keeps
+///    the token of its live completion, and a superseded one still fires
+///    and does nothing.
 ///
 /// Determinism: pops are ordered by (time, seq) with seq assigned in
-/// schedule order across both tiers and the lane — exact FIFO tie-break at
-/// equal timestamps, identical to the old kernel. Slot reuse is LIFO and
-/// single-threaded, so ids and all queue states are a pure function of the
-/// schedule/cancel sequence. The tiers change where an entry waits, never
-/// when it leaves: a tombstone leaves when it is the queue's front, as in a
-/// heap-only queue. Near, heap and lane entries and their tombstones all
-/// count toward `live()`, `size()` and the compaction rule, so those
-/// observers read the same values as a heap-only queue.
+/// schedule order across both tiers, the lane and timer entries — exact
+/// FIFO tie-break at equal timestamps, identical to the old kernel. Slot
+/// reuse is LIFO and single-threaded, so ids and all queue states are a pure
+/// function of the schedule/cancel sequence. The tiers change where an entry
+/// waits, never when it leaves: a tombstone leaves when it is the queue's
+/// front, as in a heap-only queue. Near, heap, lane and timer entries and the
+/// tombstones all count toward `live()`, `size()` and the compaction rule, so
+/// those observers read the same values as a heap-only queue.
 
 #ifndef PSOODB_SIM_EVENT_HEAP_H_
 #define PSOODB_SIM_EVENT_HEAP_H_
@@ -93,6 +102,13 @@ using EventCallback = psoodb::util::InlineFunction<void(), 48>;
 /// stored at high rates (event payloads, deferred client actions).
 using InlineFunction = detail::EventCallback;
 
+/// Target of timer entries: `fire(self, token)` runs when one pops, with
+/// the token its push returned.
+using TimerFn = void (*)(void* self, std::uint64_t token);
+
+/// Index of a registered timer target (EventHeap::RegisterTimer).
+using TimerId = std::uint32_t;
+
 /// The cancellable event queue. Single-threaded; owned by Simulation.
 class EventHeap {
  public:
@@ -109,8 +125,13 @@ class EventHeap {
 
   // The lane's ring is allocated up front: allocated at the first wakeup,
   // in the middle of a run's setup, it raised peak RSS by ~0.9 MB on a
-  // traced run (allocator placement).
-  EventHeap() : lane_(kLaneInitialCapacity) {}
+  // traced run (allocator placement). The timer table too, so a run's setup
+  // does not grow it step by step: the paper's one-server configuration
+  // registers 14 targets (10 client CPUs, the server's CPU and two disks,
+  // and the network).
+  EventHeap() : lane_(kLaneInitialCapacity) {
+    timers_.reserve(kTimersInitialCapacity);
+  }
   EventHeap(const EventHeap&) = delete;
   EventHeap& operator=(const EventHeap&) = delete;
   ~EventHeap() { Clear(); }
@@ -121,7 +142,7 @@ class EventHeap {
     Slot& s = SlotAt(slot);
     s.kind = Slot::kHandle;
     s.handle = h;
-    return PushEntry(at, slot, s.gen);
+    return PushSlot(at, slot, s.gen);
   }
 
   /// Schedules a callable. Small callables are stored inline in the slot;
@@ -137,7 +158,7 @@ class EventHeap {
     } else {
       s.cb.Emplace(std::forward<F>(fn));
     }
-    return PushEntry(at, slot, s.gen);
+    return PushSlot(at, slot, s.gen);
   }
 
   /// Schedules a coroutine resumption at `now`, the current instant, after
@@ -154,6 +175,22 @@ class EventHeap {
     ++lane_size_;
     ++live_;
     return kLaneTag | seq;
+  }
+
+  /// Registers a timer target for the queue's lifetime (Clear keeps it) and
+  /// returns its id.
+  TimerId RegisterTimer(TimerFn fire, void* self) {
+    PSOODB_CHECK(fire != nullptr, "null timer function");
+    timers_.push_back(Timer{fire, self});
+    return static_cast<TimerId>(timers_.size() - 1);
+  }
+
+  /// Queues a timer entry for target `id` at `at` and returns its token (the
+  /// entry's seq, never 0). A timer entry cannot be cancelled: its target
+  /// tells a superseded token from its live one when it fires.
+  std::uint64_t PushTimer(SimTime at, TimerId id) {
+    PSOODB_DCHECK(id < timers_.size(), "unregistered timer %u", id);
+    return PushEntry(at, id, kTimer);
   }
 
   /// Cancels a pending event: O(1) tombstone write plus payload teardown
@@ -179,13 +216,16 @@ class EventHeap {
     return true;
   }
 
-  /// An event extracted by PopLive. Exactly one of handle/callback is set;
-  /// its slot or lane entry is already released, so the payload may
-  /// reschedule or cancel anything (including its own now-stale id) while
-  /// running.
+  /// An event extracted by PopLive: a handle to resume, else a timer
+  /// target to call with its token, else a callback. Its slot or lane entry
+  /// is already released, so the payload may reschedule or cancel anything
+  /// (including its own now-stale id) while running.
   struct Fired {
     SimTime at = 0;
     std::coroutine_handle<> handle;
+    TimerFn fire = nullptr;
+    void* self = nullptr;
+    std::uint64_t token = 0;
     detail::EventCallback callback;
   };
 
@@ -211,12 +251,21 @@ class EventHeap {
         --dead_;
         continue;
       }
-      Slot& s = SlotAt(top.slot);
       out->at = top.at;
+      if (top.flags & kTimer) {
+        const Timer& t = timers_[top.slot];
+        out->handle = {};
+        out->fire = t.fire;
+        out->self = t.self;
+        out->token = top.seq;
+        return true;
+      }
+      Slot& s = SlotAt(top.slot);
       if (s.kind == Slot::kHandle) {
         out->handle = s.handle;
       } else {
         out->handle = {};
+        out->fire = nullptr;
         out->callback = std::move(s.cb);
       }
       FreeSlot(top.slot, s);
@@ -249,7 +298,8 @@ class EventHeap {
   }
 
   /// Destroys every pending payload without running it and resets the heap.
-  /// Pending ids become stale (Cancel remains a no-op on them).
+  /// Pending ids become stale (Cancel remains a no-op on them); pending
+  /// timer entries are dropped, and the registered targets stay.
   void Clear() {
     for (std::uint32_t i = 0; i < slot_count_; ++i) {
       Slot& s = SlotAt(i);
@@ -270,14 +320,17 @@ class EventHeap {
   bool empty() const { return live_ == 0; }
   /// Live (schedulable) events.
   std::size_t live() const { return live_; }
-  /// Queued entries (both tiers and the lane) including tombstones — what
-  /// the memory bound tracks.
+  /// Queued entries (both tiers and the lane, timer entries too) including
+  /// tombstones — what the memory bound tracks.
   std::size_t size() const { return near_size_ + heap_.size() + lane_size_; }
   std::size_t dead() const { return dead_; }
   std::uint64_t compactions() const { return compactions_; }
 
  private:
   static constexpr std::uint32_t kDead = 1;
+  /// Marks a timer entry, whose slot field is a timer id. Only entries with
+  /// no flag set own a slot and its back-index.
+  static constexpr std::uint32_t kTimer = 2;
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   /// Marks a lane id. Slot generations stay below 2^31 (FreeSlot), so a
   /// slot id never has this bit, and 0 stays invalid for both kinds.
@@ -287,6 +340,7 @@ class EventHeap {
   /// 2^31 (that many 24-byte entries would take 48 GB).
   static constexpr std::uint32_t kNearTag = 1u << 31;
   static constexpr std::size_t kLaneInitialCapacity = 64;
+  static constexpr std::size_t kTimersInitialCapacity = 16;
   static constexpr std::size_t kCompactMin = 64;
   static constexpr std::uint32_t kChunkShift = 8;  // 256 slots per chunk
   static constexpr std::uint32_t kChunkMask = (1u << kChunkShift) - 1;
@@ -294,7 +348,7 @@ class EventHeap {
   struct Entry {
     SimTime at;
     std::uint64_t seq;
-    std::uint32_t slot;
+    std::uint32_t slot;  // a slot index, or a TimerId under kTimer
     std::uint32_t flags;
   };
   // The whole point of the rebuild: sift ops move small PODs. Growing this
@@ -306,6 +360,11 @@ class EventHeap {
   struct LaneEntry {
     std::uint64_t seq;
     std::coroutine_handle<> handle;
+  };
+
+  struct Timer {
+    TimerFn fire;
+    void* self;
   };
 
   struct Slot {
@@ -414,20 +473,20 @@ class EventHeap {
 
   /// Writes `e` at near position `i`, maintaining the slot's back-index.
   /// Dead entries reference freed (possibly reused) slots and must never
-  /// write through them.
+  /// write through them; timer entries own no slot.
   void PlaceNear(std::size_t i, const Entry& e) {
     near_[i] = e;
-    if ((e.flags & kDead) == 0) {
+    if (e.flags == 0) {
       SlotAt(e.slot).heap_index = kNearTag | static_cast<std::uint32_t>(i);
     }
   }
 
   /// Writes `e` at heap position `i`, maintaining the slot's back-index.
   /// Dead entries reference freed (possibly reused) slots and must never
-  /// write through them.
+  /// write through them; timer entries own no slot.
   void PlaceAt(std::size_t i, const Entry& e) {
     heap_[i] = e;
-    if ((e.flags & kDead) == 0) {
+    if (e.flags == 0) {
       SlotAt(e.slot).heap_index = static_cast<std::uint32_t>(i);
     }
   }
@@ -459,11 +518,18 @@ class EventHeap {
     PlaceAt(i, e);
   }
 
-  /// Queues a new entry. It carries the largest seq yet, so it precedes
-  /// exactly the entries with a later time; the tier it enters keeps every
-  /// near entry ahead of every heap entry.
-  EventId PushEntry(SimTime at, std::uint32_t slot, std::uint32_t gen) {
-    const Entry e{at, ++last_seq_, slot, 0};
+  /// Queues the entry of a slot event and returns its id.
+  EventId PushSlot(SimTime at, std::uint32_t slot, std::uint32_t gen) {
+    PushEntry(at, slot, 0);
+    return (static_cast<EventId>(gen) << 32) | slot;
+  }
+
+  /// Queues a new entry and returns its seq. It carries the largest seq yet,
+  /// so it precedes exactly the entries with a later time; the tier it
+  /// enters keeps every near entry ahead of every heap entry.
+  std::uint64_t PushEntry(SimTime at, std::uint32_t slot,
+                          std::uint32_t flags) {
+    const Entry e{at, ++last_seq_, slot, flags};
     if (near_size_ < kNearCapacity) {
       if (heap_.empty() || at < heap_[0].at) {
         InsertNear(e);
@@ -476,7 +542,7 @@ class EventHeap {
       PushHeap(e);
     }
     ++live_;
-    return (static_cast<EventId>(gen) << 32) | slot;
+    return e.seq;
   }
 
   /// Inserts `e` into near, which has room, scanning from the early end:
@@ -551,7 +617,9 @@ class EventHeap {
       }
     }
     for (std::size_t i = 0; i < w; ++i) {
-      SlotAt(heap_[i].slot).heap_index = static_cast<std::uint32_t>(i);
+      if (heap_[i].flags == 0) {
+        SlotAt(heap_[i].slot).heap_index = static_cast<std::uint32_t>(i);
+      }
     }
   }
 
@@ -569,6 +637,8 @@ class EventHeap {
   std::size_t lane_size_ = 0;
   SimTime lane_time_ = 0;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
+  /// Registered timer targets, indexed by TimerId.
+  std::vector<Timer> timers_;
   std::uint32_t slot_count_ = 0;
   std::uint32_t free_head_ = kNoSlot;
   std::size_t live_ = 0;

@@ -9,7 +9,8 @@
 /// callback events store small callables inline — no per-event allocation
 /// and no hash lookups anywhere on the hot path. Same-instant wakeups
 /// (ScheduleNow) skip both tiers through a FIFO lane merged in (time, seq)
-/// order.
+/// order. Resource completions (ScheduleTimer) are uncancellable timer
+/// entries: no slot, no id, just a registered target called with a token.
 
 #ifndef PSOODB_SIM_SIMULATION_H_
 #define PSOODB_SIM_SIMULATION_H_
@@ -29,9 +30,10 @@ namespace psoodb::sim {
 
 /// The discrete-event simulation engine.
 ///
-/// Events at equal timestamps fire in FIFO (schedule) order. Events can be
-/// cancelled; cancelling an id that already fired (or was never scheduled)
-/// is a harmless no-op, which is what makes awaitable destructors safe.
+/// Events at equal timestamps fire in FIFO (schedule) order, whatever their
+/// kind. Events other than timers can be cancelled; cancelling an id that
+/// already fired (or was never scheduled) is a harmless no-op, which is what
+/// makes awaitable destructors safe.
 class Simulation {
  public:
   Simulation() = default;
@@ -71,6 +73,24 @@ class Simulation {
     return heap_.PushNow(now_, h);
   }
 
+  /// Registers `fire(self, token)` as the target of timer entries and
+  /// returns its id, valid for this simulation's lifetime. `self` must
+  /// outlive every entry scheduled for it, or the simulation's teardown.
+  TimerId RegisterTimer(TimerFn fire, void* self) {
+    return heap_.RegisterTimer(fire, self);
+  }
+
+  /// Schedules a timer entry for target `id` at absolute time `at` (>=
+  /// now()) and returns its token, which is never 0; the target receives it
+  /// when the entry fires. A timer entry cannot be cancelled: a target that
+  /// supersedes one keeps the new token and ignores the old one when it
+  /// fires (which still counts as a processed event).
+  std::uint64_t ScheduleTimer(SimTime at, TimerId id) {
+    PSOODB_CHECK(at >= now_, "cannot schedule into the past (at=%g now=%g)",
+                 at, now_);
+    return heap_.PushTimer(at, id);
+  }
+
   /// Cancels a pending event. Safe to call with stale or zero ids.
   void Cancel(EventId id) { heap_.Cancel(id); }
 
@@ -87,6 +107,8 @@ class Simulation {
     ++events_processed_;
     if (f.handle) {
       f.handle.resume();
+    } else if (f.fire != nullptr) {
+      f.fire(f.self, f.token);
     } else {
       f.callback.Invoke();
     }

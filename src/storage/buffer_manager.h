@@ -40,6 +40,9 @@ struct PageFrame {
   /// At the server: slots updated since the frame was last clean on disk.
   SlotMask dirty = 0;
   /// Version of the object held in each slot (correctness checking only).
+  /// A client frame takes them from the page ship that filled it; the
+  /// server's buffer frames leave them empty (the store's committed
+  /// versions are the server's copy).
   std::vector<Version> versions;
   /// Net object growth accumulated by the active transaction (client side;
   /// size-changing updates, Section 6.1).
@@ -50,10 +53,6 @@ struct PageFrame {
   void MarkUnavailable(int slot) { unavailable |= SlotBit(slot); }
   void MarkAvailable(int slot) { unavailable &= ~SlotBit(slot); }
   void MarkDirty(int slot) { dirty |= SlotBit(slot); }
-
-  void InitVersions(int objects_per_page) {
-    versions.assign(static_cast<std::size_t>(objects_per_page), 0);
-  }
 };
 
 /// An LRU cache of page copies. Under Callback Locking a cached copy *is*

@@ -7,8 +7,10 @@
 // compaction rule, so the near/far boundary checks compare every queue
 // observer after every step. Plus the tombstone-bound regression test
 // (cancel-heavy queues stay within ~2x live), a lane-vs-heap-only check of
-// every queue observer, and behavioral coverage of the small-buffer callable
-// the slots store. ctest gives each case a 10 s timeout (tests/CMakeLists.txt),
+// every queue observer, a model check of the uncancellable timer entries
+// among the other kinds, and behavioral coverage of the small-buffer
+// callable the slots store. ctest gives each case a 10 s timeout
+// (tests/CMakeLists.txt),
 // so a queue whose insertion degrades to linear fails instead of passing
 // slowly.
 
@@ -19,6 +21,7 @@
 #include <cstdint>
 #include <deque>
 #include <exception>
+#include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -39,12 +42,21 @@ namespace {
 // the queue's tombstone contract too: a cancelled event stays queued until
 // it reaches the front or a compaction drops it, and a compaction runs after
 // a cancel that leaves more than half of at least 64 queued entries dead.
+// Timer entries are never cancelled; a pop reports a timer entry's target and
+// its token, the entry's seq (counted from 1, as the queue counts).
 class ReferenceScheduler {
  public:
   int Schedule(SimTime at, int tag) {
-    items_.push_back({at, next_seq_++, tag, kPending});
+    items_.push_back({at, next_seq_++, tag, kPending, false, 0});
     ++queued_;
     return static_cast<int>(items_.size()) - 1;
+  }
+
+  // A timer entry for target `timer`; it has no ref, since nothing can
+  // cancel it.
+  void ScheduleTimer(SimTime at, int tag, TimerId timer) {
+    items_.push_back({at, next_seq_++, tag, kPending, true, timer});
+    ++queued_;
   }
 
   // Returns true if the event was still pending (mirrors EventHeap::Cancel).
@@ -65,15 +77,31 @@ class ReferenceScheduler {
     return true;
   }
 
+  struct Popped {
+    SimTime at = -1;
+    int tag = -1;
+    bool timer = false;
+    TimerId timer_id = 0;
+    std::uint64_t token = 0;
+  };
+
   // Pops the earliest live event (FIFO at equal times). Returns false if
-  // none remain; otherwise fills (at, tag).
-  bool Pop(SimTime* at, int* tag) {
+  // none remain.
+  bool Pop(Popped* out) {
     Item* best = Front();
     if (best == nullptr) return false;
-    *at = best->at;
-    *tag = best->tag;
+    *out = Popped{best->at, best->tag, best->timer, best->timer_id, best->seq};
     best->state = kGone;
     --queued_;
+    return true;
+  }
+
+  // Pop, reporting (at, tag) only.
+  bool Pop(SimTime* at, int* tag) {
+    Popped p;
+    if (!Pop(&p)) return false;
+    *at = p.at;
+    *tag = p.tag;
     return true;
   }
 
@@ -97,6 +125,8 @@ class ReferenceScheduler {
     std::uint64_t seq;
     int tag;
     State state;
+    bool timer;
+    TimerId timer_id;
   };
   static bool Before(const Item& a, const Item& b) {
     return a.at < b.at || (a.at == b.at && a.seq < b.seq);
@@ -122,7 +152,7 @@ class ReferenceScheduler {
   }
 
   std::vector<Item> items_;
-  std::uint64_t next_seq_ = 0;
+  std::uint64_t next_seq_ = 1;
   std::size_t queued_ = 0;  // pending items and tombstones
   std::size_t dead_ = 0;
   std::uint64_t compactions_ = 0;
@@ -168,10 +198,13 @@ class Wakers {
   std::deque<std::coroutine_handle<Waker::promise_type>> frames_;
 };
 
-/// Runs a popped event: resumes a wakeup or invokes a callback.
+/// Runs a popped event: resumes a wakeup, calls a timer target or invokes
+/// a callback, in Simulation::Step's order.
 void Fire(EventHeap::Fired& f) {
   if (f.handle) {
     f.handle.resume();
+  } else if (f.fire != nullptr) {
+    f.fire(f.self, f.token);
   } else {
     f.callback.Invoke();
   }
@@ -501,28 +534,62 @@ TEST(EventHeapModelCheck, CancelEverythingMatchesReference) {
 
 // EventHeap and the reference driven in lockstep. Every step compares the
 // queue's four observers — live(), size(), dead(), compactions() — and every
-// pop compares PeekLiveTime, the fired event and its time.
+// pop compares PeekLiveTime, the fired event's kind (handle, timer or
+// callback) and time, and its tag, or a timer's target and token.
 class Lockstep {
  public:
   SimTime frontier() const { return frontier_; }
   std::size_t issued() const { return issued_.size(); }
   std::size_t live() const { return heap_.live(); }
   std::uint64_t compactions() const { return heap_.compactions(); }
+  std::size_t timer_pops() const { return timer_log_.size(); }
 
   // A callback at `at` (>= frontier()): enters one of the two tiers.
   void Schedule(SimTime at) {
-    const int tag = next_tag_++;
+    const int tag = NextTag(Kind::kCallback);
     const EventId id =
         heap_.PushCallback(at, [tag, this] { fired_.push_back(tag); });
     issued_.push_back({id, ref_.Schedule(at, tag)});
     CheckObservers();
   }
 
+  // A coroutine resumption at `at` through a slot (Simulation::Schedule).
+  void ScheduleHandle(SimTime at) {
+    const int tag = NextTag(Kind::kHandle);
+    const EventId id = heap_.PushHandle(at, wakers_.Make(tag, &fired_));
+    issued_.push_back({id, ref_.Schedule(at, tag)});
+    CheckObservers();
+  }
+
   // A same-instant wakeup at the frontier: enters the lane.
   void WakeNow() {
-    const int tag = next_tag_++;
+    const int tag = NextTag(Kind::kHandle);
     const EventId id = heap_.PushNow(frontier_, wakers_.Make(tag, &fired_));
     issued_.push_back({id, ref_.Schedule(frontier_, tag)});
+    CheckObservers();
+  }
+
+  // Registers `n` more timer targets; ScheduleTimer picks one by index.
+  void RegisterTimers(std::size_t n) {
+    while (n-- > 0) {
+      targets_.push_back(std::make_unique<Target>(Target{0, &timer_log_}));
+      Target& t = *targets_.back();
+      t.id = heap_.RegisterTimer(&RecordTimer, &t);
+    }
+  }
+
+  // A timer entry for the `target`-th registered target at `at`. It has no
+  // id, so it never enters issued() and nothing cancels it.
+  void ScheduleTimer(SimTime at, std::size_t target) {
+    const int tag = NextTag(Kind::kTimer);
+    const TimerId id = targets_[target]->id;
+    const std::uint64_t token = heap_.PushTimer(at, id);
+    ref_.ScheduleTimer(at, tag, id);
+    tokens_.push_back(token);
+    EXPECT_NE(token, 0u);
+    if (tokens_.size() > 1) {
+      EXPECT_GT(token, tokens_[tokens_.size() - 2]);
+    }
     CheckObservers();
   }
 
@@ -543,21 +610,36 @@ class Lockstep {
     EXPECT_EQ(has, ref_.Peek(&ref_peek));
     CheckObservers();
     EventHeap::Fired f;
-    SimTime ref_at = -1;
-    int ref_tag = -1;
+    ReferenceScheduler::Popped want;
     EXPECT_EQ(heap_.PopLive(&f), has);
-    EXPECT_EQ(ref_.Pop(&ref_at, &ref_tag), has);
+    EXPECT_EQ(ref_.Pop(&want), has);
     if (!has) return false;
     EXPECT_EQ(peek, ref_peek);
-    EXPECT_EQ(f.at, ref_at);
+    EXPECT_EQ(f.at, want.at);
     EXPECT_EQ(f.at, peek);
     EXPECT_GE(f.at, frontier_);
     frontier_ = f.at;
+    const Kind kind = f.handle             ? Kind::kHandle
+                      : f.fire != nullptr ? Kind::kTimer
+                                          : Kind::kCallback;
+    EXPECT_EQ(kind, kinds_[static_cast<std::size_t>(want.tag)])
+        << "tag " << want.tag;
+    EXPECT_EQ(kind == Kind::kTimer, want.timer);
     const std::size_t before = fired_.size();
+    const std::size_t timers_before = timer_log_.size();
     Fire(f);
-    EXPECT_EQ(fired_.size(), before + 1);
-    if (fired_.size() == before + 1) {
-      EXPECT_EQ(fired_.back(), ref_tag);
+    if (want.timer) {
+      EXPECT_EQ(fired_.size(), before);
+      EXPECT_EQ(timer_log_.size(), timers_before + 1);
+      if (timer_log_.size() == timers_before + 1) {
+        EXPECT_EQ(timer_log_.back(), std::make_pair(want.timer_id, want.token));
+      }
+    } else {
+      EXPECT_EQ(timer_log_.size(), timers_before);
+      EXPECT_EQ(fired_.size(), before + 1);
+      if (fired_.size() == before + 1) {
+        EXPECT_EQ(fired_.back(), want.tag);
+      }
     }
     CheckObservers();
     return true;
@@ -576,6 +658,23 @@ class Lockstep {
     EXPECT_EQ(heap_.compactions(), ref_.compactions());
   }
 
+  enum class Kind { kHandle, kTimer, kCallback };
+
+  // A timer target: logs (its id, token) for every entry fired for it.
+  struct Target {
+    TimerId id;
+    std::vector<std::pair<TimerId, std::uint64_t>>* log;
+  };
+  static void RecordTimer(void* self, std::uint64_t token) {
+    auto* t = static_cast<Target*>(self);
+    t->log->emplace_back(t->id, token);
+  }
+
+  int NextTag(Kind kind) {
+    kinds_.push_back(kind);
+    return next_tag_++;
+  }
+
   struct Issued {
     EventId id;
     int ref;
@@ -585,6 +684,10 @@ class Lockstep {
   ReferenceScheduler ref_;
   std::vector<int> fired_;
   std::vector<Issued> issued_;
+  std::vector<Kind> kinds_;  // by tag
+  std::vector<std::unique_ptr<Target>> targets_;
+  std::vector<std::pair<TimerId, std::uint64_t>> timer_log_;
+  std::vector<std::uint64_t> tokens_;  // every timer token, in push order
   SimTime frontier_ = 0;
   int next_tag_ = 0;
 };
@@ -693,6 +796,88 @@ TEST(EventHeapModelCheck, NearFarBoundaryMatchesReference) {
     q.Drain();
     EXPECT_GE(crossings, 2) << "seed " << seed;
     EXPECT_GE(q.compactions(), 2u) << "seed " << seed;
+  }
+}
+
+// --- Timer entries -----------------------------------------------------------
+
+// Timer pushes drawn together with every other kind: slot handles,
+// callbacks, lane wakeups, and cancels of the kinds that have ids. Each
+// round grows the queue past the near tier's capacity, cancels most of the
+// round's slot and lane entries (so a compaction runs with timer entries in
+// both tiers; it keeps them, and their moves write no back-index), then
+// drains the queue below the capacity with a few pushes still mixed in.
+// Every pop reports its kind, and a timer pop its target and token (the
+// entry's seq); every step compares the four observers.
+TEST(EventHeapModelCheck, TimerEntriesMatchReference) {
+  constexpr int kRounds = 3;
+  constexpr int kGrowOps = 200;
+  constexpr int kCancelOps = 400;
+  constexpr std::size_t kTargets = 3;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    Lockstep q;
+    q.RegisterTimers(kTargets);
+    Rng rng(seed);
+    const auto push = [&] {
+      // Grid times, so timer entries tie with every other kind.
+      const SimTime at =
+          q.frontier() + 0.25 * static_cast<double>(rng.UniformInt(0, 7));
+      const double kind = rng.NextDouble();
+      if (kind < 0.25) {
+        q.ScheduleTimer(at, static_cast<std::size_t>(rng.UniformInt(
+                                0, static_cast<std::int64_t>(kTargets) - 1)));
+      } else if (kind < 0.4) {
+        q.ScheduleHandle(at);
+      } else if (kind < 0.85) {
+        q.Schedule(at);
+      } else {
+        q.WakeNow();
+      }
+    };
+    // Cancels an id issued this round (pending, fired or cancelled).
+    const auto cancel = [&](std::size_t first) {
+      if (q.issued() == first) return;
+      q.Cancel(static_cast<std::size_t>(
+          rng.UniformInt(static_cast<std::int64_t>(first),
+                         static_cast<std::int64_t>(q.issued()) - 1)));
+    };
+    int crossings = 0;
+    for (int round = 0; round < kRounds && !HasFailure(); ++round) {
+      const std::size_t first = q.issued();
+      for (int op = 0; op < kGrowOps; ++op) {
+        const double dice = rng.NextDouble();
+        if (dice < 0.85) {
+          push();
+        } else if (dice < 0.87) {
+          cancel(first);
+        } else {
+          q.Pop();
+        }
+      }
+      if (q.live() > EventHeap::kNearCapacity) ++crossings;
+      for (int op = 0; op < kCancelOps; ++op) {
+        const double dice = rng.NextDouble();
+        if (dice < 0.05) {
+          push();
+        } else if (dice < 0.95) {
+          cancel(first);
+        } else {
+          q.Pop();
+        }
+      }
+      while (q.live() >= EventHeap::kNearCapacity / 4 && !HasFailure()) {
+        if (rng.Bernoulli(0.1)) {
+          push();
+        } else {
+          q.Pop();
+        }
+      }
+    }
+    q.Drain();
+    EXPECT_EQ(crossings, kRounds) << "seed " << seed;
+    EXPECT_GE(q.compactions(), static_cast<std::uint64_t>(kRounds))
+        << "seed " << seed;
+    EXPECT_GE(q.timer_pops(), 100u) << "seed " << seed;
   }
 }
 

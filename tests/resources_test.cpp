@@ -3,11 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <coroutine>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "resources/cpu.h"
 #include "resources/disk.h"
+#include "resources/fifo_server.h"
 #include "resources/network.h"
 #include "sim/simulation.h"
 #include "sim/task.h"
@@ -140,6 +143,76 @@ TEST(CpuTest, ManyJobsConserveWork) {
     last = std::max(last, d);
   }
   EXPECT_NEAR(last, total_inst / 1e7, 1e-6);
+}
+
+// A script whose job set changes five times, pinned by its exact completion
+// instants and event count. Every change supersedes the pending completion,
+// which still fires at its old instant and does nothing; a completion that
+// wrongly acted would wake a job early (OnCompletion forces the due job
+// when none has drained), and a dropped one would lose an event.
+TEST(CpuTest, PinnedScriptWithPreemptionAndQueuedSystemJobs) {
+  Simulation sim;
+  Cpu cpu(sim, 10);  // 1e7 inst/sec
+  double u1 = -1, u2 = -1, s1 = -1, s2 = -1, s3 = -1;
+  sim.Spawn(UserJob(cpu, 2e7, &u1, sim));
+  sim.Spawn(UserJob(cpu, 0.5e7, &u2, sim));
+  // At 0.5 a system job preempts both users, with a second queued behind
+  // it; at 1.0 a third queues behind the running one.
+  sim.ScheduleCallback(0.5, [&] {
+    sim.Spawn(SystemJob(cpu, 1e7, &s1, sim));
+    sim.Spawn(SystemJob(cpu, 0.5e7, &s2, sim));
+  });
+  sim.ScheduleCallback(1.0, [&] {
+    sim.Spawn(SystemJob(cpu, 0.25e7, &s3, sim));
+  });
+  sim.Run();
+  // The users share 0..0.5; the system jobs run 0.5..2.25 in FIFO order;
+  // the users share again until u2's last 0.25e7 drains, then u1 runs
+  // alone.
+  EXPECT_EQ(s1, 1.5);
+  EXPECT_EQ(s2, 2.0);
+  EXPECT_EQ(s3, 2.25);
+  EXPECT_EQ(u2, 2.75);
+  EXPECT_EQ(u1, 4.25);
+  // 2 arrival callbacks, 5 job wakeups and 9 completions. Four of those are
+  // superseded and fire as no-ops: the ones due at 2.0 (u1 alone) and 1.0
+  // (the two users), and two of the three due at 1.5 (s1 after each of
+  // the later arrivals).
+  EXPECT_EQ(sim.events_processed(), 16u);
+  EXPECT_EQ(cpu.active_jobs(), 0);
+}
+
+Task Served(FifoServer& server, double service, double* done_at,
+            Simulation& sim) {  // analyzer-ok(suspend-ref): referent outlives sim.Run() in the test body
+  co_await server.Serve(service);
+  *done_at = sim.now();
+}
+
+// Requests queued behind the one in service, which leaves service early (its
+// waiter is destroyed) so the next starts at once, plus one arriving while
+// another is in service. The leaver's completion still fires at its old
+// instant, between the others, and does nothing: acting on it would end the
+// request then in service early.
+TEST(FifoServerTest, PinnedScriptWithQueueAndEarlyLeave) {
+  Simulation sim;
+  FifoServer server(sim);
+  std::optional<FifoServer::Awaiter> leaver;
+  leaver.emplace(server, 1.0);
+  leaver->await_suspend(std::noop_coroutine());  // in service, due at 1.0
+  double b = -1, c = -1, d = -1;
+  sim.Spawn(Served(server, 0.25, &b, sim));
+  sim.Spawn(Served(server, 0.5, &c, sim));
+  sim.ScheduleCallback(0.5, [&] { leaver.reset(); });
+  sim.ScheduleCallback(1.0, [&] { sim.Spawn(Served(server, 0.125, &d, sim)); });
+  sim.Run();
+  EXPECT_EQ(b, 0.75);
+  EXPECT_EQ(c, 1.25);
+  EXPECT_EQ(d, 1.375);
+  // 2 callbacks, 3 wakeups and 4 completions, one of them the leaver's
+  // no-op at 1.0.
+  EXPECT_EQ(sim.events_processed(), 9u);
+  EXPECT_EQ(server.queue_length(), 0);
+  EXPECT_EQ(server.Utilization(), 1.0);  // busy from 0 to 1.375
 }
 
 Task DiskJob(DiskArray& disks, double* done_at, Simulation& sim) {  // analyzer-ok(suspend-ref): referent outlives sim.Run() in the test body

@@ -387,7 +387,6 @@ TEST(LruCacheTest, ForEachIteratesMruToLru) {
 
 TEST(PageFrameTest, AvailabilityMask) {
   PageFrame f;
-  f.InitVersions(20);
   EXPECT_TRUE(f.IsAvailable(5));
   f.MarkUnavailable(5);
   EXPECT_FALSE(f.IsAvailable(5));
