@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "cc/abort.h"
-
 namespace psoodb::cc {
 
 namespace {
@@ -18,9 +16,9 @@ std::size_t LowerBound(const util::SmallVector<storage::TxnId, 8>& v,
 
 }  // namespace
 
-void DeadlockDetector::OnWait(storage::TxnId waiter,
+bool DeadlockDetector::OnWait(storage::TxnId waiter,
                               std::span<const storage::TxnId> holders) {
-  CheckVictim(waiter);
+  if (CheckVictim(waiter)) return true;
   const std::uint32_t* found = out_index_.find(waiter);
   std::uint32_t slot = found == nullptr ? util::kNoSlot : *found;
   EdgeList added;
@@ -45,9 +43,10 @@ void DeadlockDetector::OnWait(storage::TxnId waiter,
     ++deadlocks_;
     // The rollback leaves the edge set exactly as before the call, so the
     // delta log (written only below, on success) never sees the round trip.
-    throw TxnAborted(waiter, AbortReason::kDeadlock);
+    return true;
   }
   for (storage::TxnId h : added) LogDelta(waiter, h, /*add=*/true);
+  return false;
 }
 
 void DeadlockDetector::ClearWaits(storage::TxnId waiter) {
@@ -96,10 +95,9 @@ void DeadlockDetector::MarkVictim(storage::TxnId txn) {
   if (victims_.insert(txn)) ++deadlocks_;
 }
 
-void DeadlockDetector::CheckVictim(storage::TxnId txn) {
-  if (victims_.empty()) return;  // hot path: no pending cross-partition abort
-  if (victims_.erase(txn) == 0) return;
-  throw TxnAborted(txn, AbortReason::kDeadlock);
+bool DeadlockDetector::CheckVictim(storage::TxnId txn) {
+  // Hot path: no pending cross-partition abort.
+  return !victims_.empty() && victims_.erase(txn) != 0;
 }
 
 void DeadlockDetector::RegisterWaitChannel(storage::TxnId txn,

@@ -41,15 +41,17 @@ struct EdgeDelta {
 class DeadlockDetector {
  public:
   /// Records that `waiter` is (about to be) blocked on each of `holders`.
-  /// Throws TxnAborted{waiter, kDeadlock} if this closes a cycle through
-  /// `waiter`; in that case the new edges are removed before throwing.
-  void OnWait(storage::TxnId waiter, std::span<const storage::TxnId> holders);
+  /// Returns true if `waiter` must abort instead: it is a marked victim
+  /// (see CheckVictim), or the wait closes a cycle through it, in which case
+  /// the new edges are removed again and the deadlock is counted.
+  [[nodiscard]] bool OnWait(storage::TxnId waiter,
+                            std::span<const storage::TxnId> holders);
   /// The same for a braced list (`OnWait(txn, {holder})`), which needs no
   /// heap block.
-  void OnWait(storage::TxnId waiter,
-              std::initializer_list<storage::TxnId> holders) {
-    OnWait(waiter, std::span<const storage::TxnId>(holders.begin(),
-                                                   holders.size()));
+  [[nodiscard]] bool OnWait(storage::TxnId waiter,
+                            std::initializer_list<storage::TxnId> holders) {
+    return OnWait(waiter, std::span<const storage::TxnId>(holders.begin(),
+                                                          holders.size()));
   }
 
   /// Removes all outgoing wait edges of `waiter` (call when its wait ends,
@@ -81,10 +83,10 @@ class DeadlockDetector {
   // edge deltas into a persistent union graph, finds cycles, and aborts a
   // victim per cycle. The victim is parked inside a partition's event loop,
   // so the abort is delivered asynchronously: MarkVictim() here, a wake poke
-  // through the victim's registered wait channel, and a CheckVictim() throw
-  // from the re-entered wait loop. Victim marks survive ClearWaits (the wait
-  // loops clear edges on wake *before* re-checking) and are erased only by
-  // the CheckVictim throw or RemoveTxn.
+  // through the victim's registered wait channel, and a CheckVictim() abort
+  // verdict in the re-entered wait loop. Victim marks survive ClearWaits (the
+  // wait loops clear edges on wake *before* re-checking) and are erased only
+  // by that verdict or RemoveTxn.
 
   /// Enables the edge-delta log (see EdgeDelta). Only runs with several
   /// partitions turn this on; one partition pays nothing for the machinery.
@@ -104,10 +106,10 @@ class DeadlockDetector {
     return !victims_.empty() && victims_.count(txn) != 0;
   }
 
-  /// Throws TxnAborted{txn, kDeadlock} (erasing the mark) if `txn` is a
-  /// marked victim; otherwise a no-op. Wait loops call this on entry and
-  /// after every wake, so a victim aborts even if a racing grant woke it.
-  void CheckVictim(storage::TxnId txn);
+  /// Returns true (erasing the mark) if `txn` is a marked victim that must
+  /// abort; otherwise false. Wait loops call this on entry and after every
+  /// wake, so a victim aborts even if a racing grant woke it.
+  [[nodiscard]] bool CheckVictim(storage::TxnId txn);
 
   /// Wait-channel registry: while a transaction is parked on a CondVar it
   /// registers the CondVar here (RAII at the wait sites) so the coordinator

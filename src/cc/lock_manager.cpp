@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "cc/abort.h"
 #include "util/check.h"
 
 namespace psoodb::cc {
@@ -44,78 +43,67 @@ sim::Task LockManager::AcquireX(Table<Key>& table, Key key, PageId page,
   // Entry time == first-block time: nothing suspends before the first
   // conflict check, so a blocked acquire's wait span starts here.
   const double wait_start = sim_.now();
-  try {
-    for (;;) {
-      // A cross-partition deadlock coordinator may have marked this
-      // transaction for abort while it was parked (partitioned runs only;
-      // a no-op otherwise). Check on entry and after every wake, before the
-      // holder re-check: a racing grant must not let a victim slip through.
-      try {
-        detector_.CheckVictim(txn);
-      } catch (...) {
-        MaybeErase(table, key);
-        throw;
+  for (;;) {
+    // A cross-partition deadlock coordinator may have marked this
+    // transaction for abort while it was parked (partitioned runs only;
+    // a no-op otherwise). Check on entry and after every wake, before the
+    // holder re-check: a racing grant must not let a victim slip through.
+    if (detector_.CheckVictim(txn)) {
+      MaybeErase(table, key);
+      if (waited) {
+        RecordWaitEnd(kIsObject, static_cast<std::int64_t>(key), page, txn,
+                      wait_start, /*granted=*/false);
       }
-      const std::uint32_t* found = table.index.find(key);
-      const TxnId holder =
-          found == nullptr ? kNoTxn : table.entries[*found].holder;
-      if (holder == kNoTxn || holder == txn) {
-        if (acquire && holder == kNoTxn) {
-          const std::uint32_t slot =
-              found == nullptr ? NewEntry(table, key) : *found;
-          Grant(table, slot, key, page, txn, client);
-        }
-        // A wait on a free item leaves no entry behind (it creates none).
-        if (!acquire && found != nullptr) MaybeErase(table, key);
-        if (waited) {
-          detector_.ClearWaits(txn);
-          RecordWaitEnd(kIsObject, static_cast<std::int64_t>(key), page, txn,
-                        wait_start, /*granted=*/true);
-        }
-        co_return;
-      }
-      // Conflict: register the wait edge (may throw TxnAborted) and block.
-      // The entry is held, so it stays in its slot for the whole wait.
-      const std::uint32_t slot = *found;
-      if (!waited && tracer_ != nullptr) {
-        tracer_->Emit(trace::EventKind::kLockWait, node_, txn, page,
-                      kIsObject ? static_cast<std::int64_t>(key) : -1,
-                      static_cast<std::int64_t>(holder));
-      }
-      ++lock_waits_;
-      waited = true;
-      try {
-        detector_.OnWait(txn, {holder});
-      } catch (...) {
-        detector_.ClearWaits(txn);
-        MaybeErase(table, key);
-        throw;
-      }
-      ++table.entries[slot].waiters;
-      ++waiting_;
-      try {
-        // Registered strictly for the duration of the wait so the detector
-        // never holds a dangling CondVar pointer (cross-partition victim
-        // pokes go through this channel).
-        sim::CondVar& cv = table.entries[slot].cv;
-        ScopedWaitChannel channel(detector_, txn, &cv);
-        co_await cv.Wait();
-      } catch (...) {
-        // Wait() does not throw, but keep the waiter count exception-safe.
-        --table.entries[slot].waiters;
-        --waiting_;
-        throw;
-      }
-      --table.entries[slot].waiters;
-      --waiting_;
-      detector_.ClearWaits(txn);
+      co_await sim::EndAborted();
     }
-  } catch (...) {
-    if (waited) {
+    const std::uint32_t* found = table.index.find(key);
+    const TxnId holder =
+        found == nullptr ? kNoTxn : table.entries[*found].holder;
+    if (holder == kNoTxn || holder == txn) {
+      if (acquire && holder == kNoTxn) {
+        const std::uint32_t slot =
+            found == nullptr ? NewEntry(table, key) : *found;
+        Grant(table, slot, key, page, txn, client);
+      }
+      // A wait on a free item leaves no entry behind (it creates none).
+      if (!acquire && found != nullptr) MaybeErase(table, key);
+      if (waited) {
+        detector_.ClearWaits(txn);
+        RecordWaitEnd(kIsObject, static_cast<std::int64_t>(key), page, txn,
+                      wait_start, /*granted=*/true);
+      }
+      co_return;
+    }
+    // Conflict: register the wait edge (the detector may answer abort) and
+    // block. The entry is held, so it stays in its slot for the whole wait.
+    const std::uint32_t slot = *found;
+    if (!waited && tracer_ != nullptr) {
+      tracer_->Emit(trace::EventKind::kLockWait, node_, txn, page,
+                    kIsObject ? static_cast<std::int64_t>(key) : -1,
+                    static_cast<std::int64_t>(holder));
+    }
+    ++lock_waits_;
+    waited = true;
+    if (detector_.OnWait(txn, {holder})) {
+      detector_.ClearWaits(txn);
+      MaybeErase(table, key);
       RecordWaitEnd(kIsObject, static_cast<std::int64_t>(key), page, txn,
                     wait_start, /*granted=*/false);
+      co_await sim::EndAborted();
     }
-    throw;
+    ++table.entries[slot].waiters;
+    ++waiting_;
+    {
+      // Registered strictly for the duration of the wait so the detector
+      // never holds a dangling CondVar pointer (cross-partition victim
+      // pokes go through this channel).
+      sim::CondVar& cv = table.entries[slot].cv;
+      ScopedWaitChannel channel(detector_, txn, &cv);
+      co_await cv.Wait();
+    }
+    --table.entries[slot].waiters;
+    --waiting_;
+    detector_.ClearWaits(txn);
   }
 }
 
@@ -240,11 +228,11 @@ void LockManager::Unhold(TxnId txn, Key key) {
 }
 
 sim::Task LockManager::AcquirePageX(PageId page, TxnId txn, ClientId client) {
-  co_await AcquireX(pages_, page, page, txn, client, /*acquire=*/true);
+  return AcquireX(pages_, page, page, txn, client, /*acquire=*/true);
 }
 
 sim::Task LockManager::WaitPageFree(PageId page, TxnId txn) {
-  co_await AcquireX(pages_, page, page, txn, kNoClient, /*acquire=*/false);
+  return AcquireX(pages_, page, page, txn, kNoClient, /*acquire=*/false);
 }
 
 void LockManager::ReleasePageX(PageId page, TxnId txn) {
@@ -263,11 +251,11 @@ ClientId LockManager::PageXHolderClient(PageId page) const {
 
 sim::Task LockManager::AcquireObjectX(ObjectId oid, PageId page, TxnId txn,
                                       ClientId client) {
-  co_await AcquireX(objects_, oid, page, txn, client, /*acquire=*/true);
+  return AcquireX(objects_, oid, page, txn, client, /*acquire=*/true);
 }
 
 sim::Task LockManager::WaitObjectFree(ObjectId oid, PageId page, TxnId txn) {
-  co_await AcquireX(objects_, oid, page, txn, kNoClient, /*acquire=*/false);
+  return AcquireX(objects_, oid, page, txn, kNoClient, /*acquire=*/false);
 }
 
 void LockManager::GrantObjectXDirect(ObjectId oid, PageId page, TxnId txn,
@@ -298,26 +286,15 @@ ClientId LockManager::ObjectXHolderClient(ObjectId oid) const {
   return e == nullptr ? kNoClient : e->holder_client;
 }
 
-std::vector<std::pair<ObjectId, TxnId>> LockManager::ObjectLocksOnPage(
-    PageId page) const {
-  std::vector<std::pair<ObjectId, TxnId>> out;
+storage::SlotMask LockManager::OtherObjectLockMask(
+    PageId page, TxnId txn, const storage::ObjectLayout& layout) const {
+  storage::SlotMask mask = 0;
   const std::uint32_t* list = page_objects_index_.find(page);
-  if (list == nullptr) return out;
-  // Sorted by object id: protocol layers walk this list to fan out
-  // callbacks.
-  const auto& oids = page_objects_[*list];
-  out.reserve(oids.size());
-  for (ObjectId oid : oids) out.emplace_back(oid, ObjectXHolder(oid));
-  return out;
-}
-
-bool LockManager::OtherObjectLocksOnPage(PageId page, TxnId txn) const {
-  const std::uint32_t* list = page_objects_index_.find(page);
-  if (list == nullptr) return false;
+  if (list == nullptr) return mask;
   for (ObjectId oid : page_objects_[*list]) {
-    if (ObjectXHolder(oid) != txn) return true;
+    if (ObjectXHolder(oid) != txn) mask |= storage::SlotBit(layout.SlotOf(oid));
   }
-  return false;
+  return mask;
 }
 
 int LockManager::ReleaseAll(TxnId txn) {

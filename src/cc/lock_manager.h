@@ -7,8 +7,9 @@
 /// objects by other transactions, and vice versa).
 ///
 /// Blocking is implemented with per-resource condition variables; waiters
-/// register waits-for edges with the DeadlockDetector and abort (exception)
-/// if they close a cycle.
+/// register waits-for edges with the DeadlockDetector and abort if they close
+/// a cycle: the acquire or wait stops, and `co_await` on it evaluates to true
+/// (see sim/task.h).
 ///
 /// Every table here is a util::Slab indexed by a util::FlatMap: a lock
 /// entry (with its CondVar, which never moves while a waiter is parked on
@@ -30,6 +31,8 @@
 #include "sim/awaitables.h"
 #include "sim/simulation.h"
 #include "sim/task.h"
+#include "storage/buffer_manager.h"
+#include "storage/database.h"
 #include "storage/types.h"
 #include "trace/trace.h"
 #include "util/annotations.h"
@@ -61,14 +64,16 @@ class LockManager {
   // --- Page-granularity X locks -------------------------------------------
 
   /// Acquires an X lock on `page` for `txn`. Waits behind the current holder;
-  /// throws TxnAborted on deadlock. Re-acquiring a held lock is a no-op.
-  /// [[nodiscard]]: dropping the returned Task would skip the acquire.
+  /// on deadlock it acquires nothing and ends aborted (its `co_await` is
+  /// true). Re-acquiring a held lock is a no-op. [[nodiscard]]: dropping the
+  /// returned Task would skip the acquire.
   [[nodiscard]] sim::Task AcquirePageX(storage::PageId page, storage::TxnId txn,
                                        storage::ClientId client)
       PSOODB_ACQUIRES(lock);
 
   /// Waits until no *other* transaction holds a page X lock on `page`
-  /// without acquiring anything (used by read requests).
+  /// without acquiring anything (used by read requests). Ends aborted on
+  /// deadlock, like AcquirePageX.
   [[nodiscard]] sim::Task WaitPageFree(storage::PageId page,
                                        storage::TxnId txn);
 
@@ -105,13 +110,12 @@ class LockManager {
   storage::TxnId ObjectXHolder(storage::ObjectId oid) const;
   storage::ClientId ObjectXHolderClient(storage::ObjectId oid) const;
 
-  /// Object X locks currently held on objects of `page`, as (oid, holder).
-  std::vector<std::pair<storage::ObjectId, storage::TxnId>> ObjectLocksOnPage(
-      storage::PageId page) const;
-
-  /// True if some transaction other than `txn` holds an object X lock on an
-  /// object of `page`.
-  bool OtherObjectLocksOnPage(storage::PageId page, storage::TxnId txn) const;
+  /// The slots (under `layout`) of `page`'s objects that transactions other
+  /// than `txn` hold object X locks on; 0 if there are none. Walks the
+  /// per-page index and allocates nothing.
+  storage::SlotMask OtherObjectLockMask(
+      storage::PageId page, storage::TxnId txn,
+      const storage::ObjectLayout& layout) const;
 
   // --- Transaction teardown -----------------------------------------------
 
@@ -167,7 +171,9 @@ class LockManager {
 
   /// Shared acquire/wait loop. If `acquire` is false, returns as soon as the
   /// entry is free without taking it. `page` tags trace events (equals `key`
-  /// for page locks) and indexes granted object locks.
+  /// for page locks) and indexes granted object locks. On an abort verdict it
+  /// leaves no entry it made behind, clears its wait edges, records an
+  /// aborted wait, and ends aborted.
   template <typename Key>
   sim::Task AcquireX(Table<Key>& table, Key key, storage::PageId page,
                      storage::TxnId txn, storage::ClientId client,

@@ -107,6 +107,7 @@ void InvariantChecker::OnEvent() {
 void InvariantChecker::CheckAll() {
   ++sweeps_run_;
   CheckLockTables();
+  CheckDirtyPages();
   CheckWaitsFor();
   CheckStaging();
   CheckClientCaches();
@@ -121,6 +122,20 @@ void InvariantChecker::CheckLockTables() {
       Expect(false, "server %d lock tables: %s", i, msg.c_str());
     }
     ++checks_run_;  // count the coherence pass itself
+  }
+}
+
+void InvariantChecker::CheckDirtyPages() {
+  for (int i = 0; i < system_.num_servers(); ++i) {
+    core::Server& server = system_.server(i);
+    int walked = 0;
+    server.buffer().ForEach(
+        [&walked](storage::PageId, const storage::PageFrame& f) {
+          if (f.IsDirty()) ++walked;
+        });
+    Expect(server.dirty_pages() == walked,
+           "server %d counts %d dirty pages but its buffer holds %d", i,
+           server.dirty_pages(), walked);
   }
 }
 

@@ -27,6 +27,8 @@
 ///    write permission.
 ///  * Lock-manager internal coherence (forward maps vs. reverse maps vs. the
 ///    per-page object-lock index).
+///  * Dirty-page count: each server's running count of dirty buffer frames
+///    (the telemetry gauge) equals a walk of its buffer.
 ///
 /// Enabled via SystemParams::invariant_checks (or the PSOODB_INVARIANTS
 /// environment variable); see docs/SIMULATOR.md for the full catalog with
@@ -134,6 +136,7 @@ class InvariantChecker {
   void Record(const char* what);
 
   void CheckLockTables();
+  void CheckDirtyPages();
   void CheckWaitsFor();
   void CheckStaging();
   void CheckClientCaches();

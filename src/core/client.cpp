@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "cc/abort.h"
 #include "check/invariants.h"
 #include "util/check.h"
 
@@ -195,19 +194,16 @@ sim::Task Client::MainLoop() {
         ctx_.tracer->Emit(trace::EventKind::kTxnBegin, id_, txn_);
       }
       bool aborted = false;
-      try {
-        for (const auto& op : refs) {
-          if (op.is_write) {
-            co_await Write(op.oid);
-          } else {
-            co_await Read(op.oid);
-          }
-          trace::PhaseTimer cpu_time(ctx_.tracer, txn_,
-                                     trace::Phase::kClientCpu);
-          co_await cpu_.User(ctx_.params.object_inst * (op.is_write ? 2 : 1));
+      for (const auto& op : refs) {
+        if (op.is_write) {
+          aborted = co_await Write(op.oid);
+        } else {
+          aborted = co_await Read(op.oid);
         }
-      } catch (const cc::TxnAborted&) {
-        aborted = true;
+        if (aborted) break;
+        trace::PhaseTimer cpu_time(ctx_.tracer, txn_,
+                                   trace::Phase::kClientCpu);
+        co_await cpu_.User(ctx_.params.object_inst * (op.is_write ? 2 : 1));
       }
       if (aborted) {
         ++ctx_.counters.aborts;
@@ -293,7 +289,9 @@ sim::Task PageFamilyClient::Read(ObjectId oid) {
       ++ctx_.counters.unavailable_rerequests;
     }
     ++ctx_.counters.cache_misses;
-    co_await FetchFor(oid);
+    if (const bool aborted = co_await FetchFor(oid); aborted) {
+      co_await sim::EndAborted();
+    }
   }
   LocalRead(oid);
 }
@@ -312,13 +310,16 @@ sim::Task PageFamilyClient::FetchFor(ObjectId oid) {
     BeginRpc();
     PageShip ship = co_await std::move(fut);
     EndRpc();
-    if (ship.aborted) throw cc::TxnAborted(txn_, cc::AbortReason::kVictim);
+    if (ship.aborted) co_await sim::EndAborted();
     co_await ApplyShip(std::move(ship));
   }
 }
 
 sim::Task PageFamilyClient::Write(ObjectId oid) {
-  co_await Read(oid);  // a write access reads the object first
+  // A write access reads the object first.
+  if (const bool aborted = co_await Read(oid); aborted) {
+    co_await sim::EndAborted();
+  }
   if (!locks_.HoldsWrite(oid)) {
     sim::Promise<WriteGrant> pr(ctx_.sim);
     auto fut = pr.GetFuture();
@@ -331,13 +332,17 @@ sim::Task PageFamilyClient::Write(ObjectId oid) {
     BeginRpc();
     WriteGrant grant = co_await std::move(fut);
     EndRpc();
-    if (grant.aborted) throw cc::TxnAborted(txn_, cc::AbortReason::kVictim);
+    if (grant.aborted) co_await sim::EndAborted();
     if (grant.ship) co_await ApplyShip(std::move(*grant.ship));
     ApplyGrant(oid, grant.level);
   }
   // The read pinned the page, and callbacks on an object this transaction
   // read wait for it to end, so this fetch is only a guard.
-  if (!CachedAvailable(oid)) co_await FetchFor(oid);
+  if (!CachedAvailable(oid)) {
+    if (const bool aborted = co_await FetchFor(oid); aborted) {
+      co_await sim::EndAborted();
+    }
+  }
   MarkLocalWrite(oid);
 }
 

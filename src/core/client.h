@@ -95,7 +95,9 @@ class Client {
   // --- Protocol hooks ------------------------------------------------------
   // Read/Write pin the touched item into the client cache for the life of
   // the transaction (a cached copy *is* the read permission — see UnpinAll);
-  // Commit/Abort end the transaction and drop every pin.
+  // Commit/Abort end the transaction and drop every pin. Read and Write end
+  // aborted (their `co_await` is true) when a server answers a request with
+  // an aborted reply; MainLoop then runs the abort protocol.
   virtual sim::Task Read(storage::ObjectId oid) PSOODB_ACQUIRES(pin) = 0;
   virtual sim::Task Write(storage::ObjectId oid) PSOODB_ACQUIRES(pin) = 0;
 
@@ -172,8 +174,8 @@ class Client {
     rpc_start_ = ctx_.sim.now();
     rpc_server0_ = ctx_.tracer->ServerAttributed(txn_);
   }
-  /// Call right after the reply future resolves (before any throw based on
-  /// the reply's contents).
+  /// Call right after the reply future resolves (before acting on the
+  /// reply's `aborted` flag).
   void EndRpc() {
     if (ctx_.tracer == nullptr) return;
     const double elapsed = ctx_.sim.now() - rpc_start_;
@@ -266,7 +268,8 @@ class PageFamilyClient : public Client {
   sim::Task Write(storage::ObjectId oid) PSOODB_ACQUIRES(pin) override;
   /// Fetches the page containing `oid` until the object is readable (a
   /// callback can purge the page, or mark the object unavailable, while an
-  /// arriving ship's merge cost is being charged).
+  /// arriving ship's merge cost is being charged). Ends aborted on an
+  /// aborted ship.
   sim::Task FetchFor(storage::ObjectId oid);
 
   /// True if `oid` can be read from the local cache right now.

@@ -1,6 +1,5 @@
 #include "core/os.h"
 
-#include "cc/abort.h"
 #include "util/check.h"
 
 namespace psoodb::core {
@@ -22,25 +21,23 @@ void OsServer::OnObjectReadReq(ObjectId oid, TxnId txn, ClientId client,
 sim::Task OsServer::HandleRead(ObjectId oid, TxnId txn, ClientId client,
                                sim::Promise<ObjectShip> reply) {
   const PageId page = ctx_.db.layout().PageOf(oid);
-  try {
-    {
-      // Costs up front: the final check-register-ship runs without
-      // suspension.
-      trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
-      co_await cpu_.System(ctx_.params.lock_inst +
-                           ctx_.params.register_copy_inst);
-    }
-    co_await WaitObjectReadable(oid, page, txn);
-    object_copies_.Register(oid, client);
-    ObjectShip ship{oid, ctx_.db.committed_version(oid), false};
-    SendToClient(client, MsgKind::kDataReply,
-                 ctx_.transport.DataBytes(ctx_.params.object_size_bytes()),
-                 [reply = std::move(reply), ship]() mutable {
-                   reply.Set(ship);
-                 });
-  } catch (const cc::TxnAborted&) {
-    ReplyAborted(client, std::move(reply));
+  {
+    // Costs up front: the final check-register-ship runs without
+    // suspension.
+    trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
+    co_await cpu_.System(ctx_.params.lock_inst +
+                         ctx_.params.register_copy_inst);
   }
+  if (const bool aborted = co_await WaitObjectReadable(oid, page, txn);
+      aborted) {
+    ReplyAborted(client, std::move(reply));
+    co_return;
+  }
+  object_copies_.Register(oid, client);
+  ObjectShip ship{oid, ctx_.db.committed_version(oid), false};
+  SendToClient(client, MsgKind::kDataReply,
+               ctx_.transport.DataBytes(ctx_.params.object_size_bytes()),
+               [reply = std::move(reply), ship]() mutable { reply.Set(ship); });
 }
 
 // --- Client ------------------------------------------------------------------
@@ -76,7 +73,7 @@ sim::Task OsClient::FetchObject(ObjectId oid) {
   BeginRpc();
   ObjectShip ship = co_await std::move(fut);
   EndRpc();
-  if (ship.aborted) throw cc::TxnAborted(txn_, cc::AbortReason::kVictim);
+  if (ship.aborted) co_await sim::EndAborted();
   auto r = cache_.Insert(oid);
   r.value->version = ship.version;
   if (r.evicted.has_value()) HandleEviction(r.evicted->first);
@@ -96,7 +93,9 @@ sim::Task OsClient::Read(ObjectId oid) {
   storage::ObjectFrame* f = cache_.Get(oid);
   if (f == nullptr) {
     ++ctx_.counters.cache_misses;
-    co_await FetchObject(oid);
+    if (const bool aborted = co_await FetchObject(oid); aborted) {
+      co_await sim::EndAborted();
+    }
     f = cache_.Get(oid);
     PSOODB_CHECK(f != nullptr, "oid %lld missing after fetch",
                  static_cast<long long>(oid));
@@ -110,7 +109,9 @@ sim::Task OsClient::Read(ObjectId oid) {
 }
 
 sim::Task OsClient::Write(ObjectId oid) {
-  co_await Read(oid);
+  if (const bool aborted = co_await Read(oid); aborted) {
+    co_await sim::EndAborted();
+  }
   if (!locks_.HasObjectWrite(oid)) {
     sim::Promise<WriteGrant> pr(ctx_.sim);
     auto fut = pr.GetFuture();
@@ -123,13 +124,17 @@ sim::Task OsClient::Write(ObjectId oid) {
     BeginRpc();
     WriteGrant grant = co_await std::move(fut);
     EndRpc();
-    if (grant.aborted) throw cc::TxnAborted(txn_, cc::AbortReason::kVictim);
+    if (grant.aborted) co_await sim::EndAborted();
     locks_.GrantObjectWrite(oid);
   }
   // The write makes the copy most recently used. The read pinned it, and a
   // callback on it waits for the transaction to end, so the fetch is only
   // a guard.
-  if (cache_.Get(oid) == nullptr) co_await FetchObject(oid);
+  if (cache_.Get(oid) == nullptr) {
+    if (const bool aborted = co_await FetchObject(oid); aborted) {
+      co_await sim::EndAborted();
+    }
+  }
   if (locks_.RecordWrite(oid).first_of_object) cache_.Pin(oid);
 }
 

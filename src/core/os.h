@@ -76,6 +76,7 @@ class OsClient : public Client {
                    PurgedItems& purged) override;
 
  private:
+  /// Fetches `oid` into the cache; ends aborted on an aborted ship.
   sim::Task FetchObject(storage::ObjectId oid);
   /// Tells the owning server that the evicted `oid` (which the transaction
   /// did not write) is gone.

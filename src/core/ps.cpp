@@ -1,6 +1,5 @@
 #include "core/ps.h"
 
-#include "cc/abort.h"
 #include "check/invariants.h"
 #include "util/check.h"
 
@@ -17,58 +16,60 @@ using storage::TxnId;
 sim::Task PsServer::HandleRead(ObjectId oid, TxnId txn, ClientId client,
                                sim::Promise<PageShip> reply) {
   const PageId page = ctx_.db.layout().PageOf(oid);
-  try {
-    {
-      // Charge the request's CPU costs up front so the final
-      // check-register-ship sequence below runs without suspension.
-      trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
-      co_await cpu_.System(ctx_.params.lock_inst +
-                           ctx_.params.register_copy_inst);
-    }
-    for (;;) {
-      // Block while any other transaction holds a page write lock.
-      co_await lm_.WaitPageFree(page, txn);
-      co_await EnsureBuffered(page, /*load=*/true, txn);
-      TxnId holder = lm_.PageXHolder(page);  // disk read may have let one in
-      if (holder == kNoTxn || holder == txn) break;
-    }
-    // Registration, version gathering, and send are a single atomic step so
-    // later callbacks cannot overtake this ship on the wire.
-    page_copies_.Register(page, client);
-    PageShip ship = MakeShip(page, /*unavailable=*/0);
-    SendToClient(client, MsgKind::kDataReply,
-                 ctx_.transport.DataBytes(ctx_.params.page_size_bytes),
-                 [reply = std::move(reply), ship = std::move(ship)]() mutable {
-                   reply.Set(std::move(ship));
-                 });
-  } catch (const cc::TxnAborted&) {
-    ReplyAborted(client, std::move(reply));
+  {
+    // Charge the request's CPU costs up front so the final
+    // check-register-ship sequence below runs without suspension.
+    trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
+    co_await cpu_.System(ctx_.params.lock_inst +
+                         ctx_.params.register_copy_inst);
   }
+  for (;;) {
+    // Block while any other transaction holds a page write lock.
+    if (const bool aborted = co_await lm_.WaitPageFree(page, txn); aborted) {
+      ReplyAborted(client, std::move(reply));
+      co_return;
+    }
+    co_await EnsureBuffered(page, /*load=*/true, txn);
+    TxnId holder = lm_.PageXHolder(page);  // disk read may have let one in
+    if (holder == kNoTxn || holder == txn) break;
+  }
+  // Registration, version gathering, and send are a single atomic step so
+  // later callbacks cannot overtake this ship on the wire.
+  page_copies_.Register(page, client);
+  PageShip ship = MakeShip(page, /*unavailable=*/0);
+  SendToClient(client, MsgKind::kDataReply,
+               ctx_.transport.DataBytes(ctx_.params.page_size_bytes),
+               [reply = std::move(reply), ship = std::move(ship)]() mutable {
+                 reply.Set(std::move(ship));
+               });
 }
 
 sim::Task PsServer::HandleWrite(ObjectId oid, TxnId txn, ClientId client,
                                 sim::Promise<WriteGrant> reply) {
   const PageId page = ctx_.db.layout().PageOf(oid);
-  try {
-    {
-      trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
-      co_await cpu_.System(ctx_.params.lock_inst);
-    }
-    co_await lm_.AcquirePageX(page, txn, client);
-    co_await CallbackRound(page_copies_, page, client, txn, page,
-                           /*oid=*/-1);
-    if (ctx_.invariants != nullptr) {
-      ctx_.invariants->OnWriteGrant(*this, GrantLevel::kPage, page,
-                                    /*oid=*/-1, txn, client);
-    }
-    SendToClient(client, MsgKind::kControlReply, ctx_.transport.ControlBytes(),
-                 [reply = std::move(reply)]() mutable {
-                   reply.Set(WriteGrant{GrantLevel::kPage, false,
-                                        std::nullopt});
-                 });
-  } catch (const cc::TxnAborted&) {
-    ReplyAborted(client, std::move(reply));
+  {
+    trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
+    co_await cpu_.System(ctx_.params.lock_inst);
   }
+  if (const bool aborted = co_await lm_.AcquirePageX(page, txn, client);
+      aborted) {
+    ReplyAborted(client, std::move(reply));
+    co_return;
+  }
+  if (const bool aborted = co_await CallbackRound(page_copies_, page, client,
+                                                  txn, page, /*oid=*/-1);
+      aborted) {
+    ReplyAborted(client, std::move(reply));
+    co_return;
+  }
+  if (ctx_.invariants != nullptr) {
+    ctx_.invariants->OnWriteGrant(*this, GrantLevel::kPage, page, /*oid=*/-1,
+                                  txn, client);
+  }
+  SendToClient(client, MsgKind::kControlReply, ctx_.transport.ControlBytes(),
+               [reply = std::move(reply)]() mutable {
+                 reply.Set(WriteGrant{GrantLevel::kPage, false, std::nullopt});
+               });
 }
 
 // --- Client ------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "cc/abort.h"
 #include "check/invariants.h"
 
 namespace psoodb::core {
@@ -78,7 +77,10 @@ sim::Task PsAaServer::ResolveConflicts(ObjectId oid, PageId page, TxnId txn,
     TxnId obj_holder = lm_.ObjectXHolder(oid);
     if (obj_holder != kNoTxn && obj_holder != txn) {
       // Object-level conflict: block until the holder terminates.
-      co_await lm_.WaitObjectFree(oid, page, txn);
+      if (const bool aborted = co_await lm_.WaitObjectFree(oid, page, txn);
+          aborted) {
+        co_await sim::EndAborted();
+      }
       continue;
     }
     if (buffer_page) {
@@ -96,66 +98,83 @@ sim::Task PsAaServer::ResolveConflicts(ObjectId oid, PageId page, TxnId txn,
 sim::Task PsAaServer::HandleRead(ObjectId oid, TxnId txn, ClientId client,
                                  sim::Promise<PageShip> reply) {
   const PageId page = ctx_.db.layout().PageOf(oid);
-  try {
-    {
-      // Costs up front: ResolveConflicts returns with its checks validated
-      // synchronously, so register + ship stay atomic with them.
-      trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
-      co_await cpu_.System(ctx_.params.lock_inst +
-                           ctx_.params.register_copy_inst);
-    }
-    co_await ResolveConflicts(oid, page, txn, /*buffer_page=*/true);
-    page_copies_.Register(page, client);
-    PageShip ship = MakeShip(page, UnavailableMask(page, txn));
-    SendToClient(client, MsgKind::kDataReply,
-                 ctx_.transport.DataBytes(ctx_.params.page_size_bytes),
-                 [reply = std::move(reply), ship = std::move(ship)]() mutable {
-                   reply.Set(std::move(ship));
-                 });
-  } catch (const cc::TxnAborted&) {
-    ReplyAborted(client, std::move(reply));
+  {
+    // Costs up front: ResolveConflicts returns with its checks validated
+    // synchronously, so register + ship stay atomic with them.
+    trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
+    co_await cpu_.System(ctx_.params.lock_inst +
+                         ctx_.params.register_copy_inst);
   }
+  if (const bool aborted =
+          co_await ResolveConflicts(oid, page, txn, /*buffer_page=*/true);
+      aborted) {
+    ReplyAborted(client, std::move(reply));
+    co_return;
+  }
+  page_copies_.Register(page, client);
+  PageShip ship = MakeShip(page, UnavailableMask(page, txn));
+  SendToClient(client, MsgKind::kDataReply,
+               ctx_.transport.DataBytes(ctx_.params.page_size_bytes),
+               [reply = std::move(reply), ship = std::move(ship)]() mutable {
+                 reply.Set(std::move(ship));
+               });
 }
 
 sim::Task PsAaServer::HandleWrite(ObjectId oid, TxnId txn, ClientId client,
                                   sim::Promise<WriteGrant> reply) {
   const PageId page = ctx_.db.layout().PageOf(oid);
-  try {
-    {
-      trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
-      co_await cpu_.System(ctx_.params.lock_inst);
-    }
-    co_await ResolveConflicts(oid, page, txn, /*buffer_page=*/false);
-    // Stake the claim at object granularity (no conflict: synchronous).
-    co_await lm_.AcquireObjectX(oid, page, txn, client);
-
-    // Adaptive callbacks: each holder invalidates the whole page if it can.
-    co_await CallbackRound(page_copies_, page, client, txn, page, oid);
-
-    // Re-escalation decision (Section 3.3.3): a page write lock is possible
-    // only if nobody holds a copy of the page anymore (checked against the
-    // *current* copy table: readers may have registered while callback
-    // outcomes were processed) and no other transaction holds object locks.
-    GrantLevel level = GrantLevel::kObject;
-    if (page_copies_.HoldersExcept(page, client).empty() &&
-        !lm_.OtherObjectLocksOnPage(page, txn) &&
-        (lm_.PageXHolder(page) == kNoTxn || lm_.PageXHolder(page) == txn)) {
-      co_await lm_.AcquirePageX(page, txn, client);  // free: synchronous
-      level = GrantLevel::kPage;
-      ++ctx_.counters.page_lock_grants;
-    } else {
-      ++ctx_.counters.object_lock_grants;
-    }
-    if (ctx_.invariants != nullptr) {
-      ctx_.invariants->OnWriteGrant(*this, level, page, oid, txn, client);
-    }
-    SendToClient(client, MsgKind::kControlReply, ctx_.transport.ControlBytes(),
-                 [reply = std::move(reply), level]() mutable {
-                   reply.Set(WriteGrant{level, false, std::nullopt});
-                 });
-  } catch (const cc::TxnAborted&) {
-    ReplyAborted(client, std::move(reply));
+  {
+    trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
+    co_await cpu_.System(ctx_.params.lock_inst);
   }
+  if (const bool aborted =
+          co_await ResolveConflicts(oid, page, txn, /*buffer_page=*/false);
+      aborted) {
+    ReplyAborted(client, std::move(reply));
+    co_return;
+  }
+  // Stake the claim at object granularity (no conflict left: synchronous,
+  // and it aborts only a marked victim).
+  if (const bool aborted = co_await lm_.AcquireObjectX(oid, page, txn, client);
+      aborted) {
+    ReplyAborted(client, std::move(reply));
+    co_return;
+  }
+
+  // Adaptive callbacks: each holder invalidates the whole page if it can.
+  if (const bool aborted = co_await CallbackRound(page_copies_, page, client,
+                                                  txn, page, oid);
+      aborted) {
+    ReplyAborted(client, std::move(reply));
+    co_return;
+  }
+
+  // Re-escalation decision (Section 3.3.3): a page write lock is possible
+  // only if nobody holds a copy of the page anymore (checked against the
+  // *current* copy table: readers may have registered while callback
+  // outcomes were processed) and no other transaction holds object locks.
+  GrantLevel level = GrantLevel::kObject;
+  if (page_copies_.HoldersExcept(page, client).empty() &&
+      UnavailableMask(page, txn) == 0 &&
+      (lm_.PageXHolder(page) == kNoTxn || lm_.PageXHolder(page) == txn)) {
+    // Free: synchronous, and it aborts only a marked victim.
+    if (const bool aborted = co_await lm_.AcquirePageX(page, txn, client);
+        aborted) {
+      ReplyAborted(client, std::move(reply));
+      co_return;
+    }
+    level = GrantLevel::kPage;
+    ++ctx_.counters.page_lock_grants;
+  } else {
+    ++ctx_.counters.object_lock_grants;
+  }
+  if (ctx_.invariants != nullptr) {
+    ctx_.invariants->OnWriteGrant(*this, level, page, oid, txn, client);
+  }
+  SendToClient(client, MsgKind::kControlReply, ctx_.transport.ControlBytes(),
+               [reply = std::move(reply), level]() mutable {
+                 reply.Set(WriteGrant{level, false, std::nullopt});
+               });
 }
 
 // --- Client ------------------------------------------------------------------

@@ -1,6 +1,5 @@
 #include "core/ps_oa.h"
 
-#include "cc/abort.h"
 #include "check/invariants.h"
 
 namespace psoodb::core {
@@ -16,49 +15,54 @@ using storage::TxnId;
 sim::Task PsOaServer::HandleRead(ObjectId oid, TxnId txn, ClientId client,
                                  sim::Promise<PageShip> reply) {
   const PageId page = ctx_.db.layout().PageOf(oid);
-  try {
-    {
-      // Page-granularity replica tracking: one registration per ship. Costs
-      // up front so the final check-register-ship runs without suspension.
-      trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
-      co_await cpu_.System(ctx_.params.lock_inst +
-                           ctx_.params.register_copy_inst);
-    }
-    co_await WaitObjectReadable(oid, page, txn);
-    page_copies_.Register(page, client);
-    PageShip ship = MakeShip(page, UnavailableMask(page, txn));
-    SendToClient(client, MsgKind::kDataReply,
-                 ctx_.transport.DataBytes(ctx_.params.page_size_bytes),
-                 [reply = std::move(reply), ship = std::move(ship)]() mutable {
-                   reply.Set(std::move(ship));
-                 });
-  } catch (const cc::TxnAborted&) {
-    ReplyAborted(client, std::move(reply));
+  {
+    // Page-granularity replica tracking: one registration per ship. Costs
+    // up front so the final check-register-ship runs without suspension.
+    trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
+    co_await cpu_.System(ctx_.params.lock_inst +
+                         ctx_.params.register_copy_inst);
   }
+  if (const bool aborted = co_await WaitObjectReadable(oid, page, txn);
+      aborted) {
+    ReplyAborted(client, std::move(reply));
+    co_return;
+  }
+  page_copies_.Register(page, client);
+  PageShip ship = MakeShip(page, UnavailableMask(page, txn));
+  SendToClient(client, MsgKind::kDataReply,
+               ctx_.transport.DataBytes(ctx_.params.page_size_bytes),
+               [reply = std::move(reply), ship = std::move(ship)]() mutable {
+                 reply.Set(std::move(ship));
+               });
 }
 
 sim::Task PsOaServer::HandleWrite(ObjectId oid, TxnId txn, ClientId client,
                                   sim::Promise<WriteGrant> reply) {
   const PageId page = ctx_.db.layout().PageOf(oid);
-  try {
-    {
-      trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
-      co_await cpu_.System(ctx_.params.lock_inst);
-    }
-    co_await lm_.AcquireObjectX(oid, page, txn, client);
-    co_await CallbackRound(page_copies_, page, client, txn, page, oid);
-    if (ctx_.invariants != nullptr) {
-      ctx_.invariants->OnWriteGrant(*this, GrantLevel::kObject, page, oid,
-                                    txn, client);
-    }
-    SendToClient(client, MsgKind::kControlReply, ctx_.transport.ControlBytes(),
-                 [reply = std::move(reply)]() mutable {
-                   reply.Set(WriteGrant{GrantLevel::kObject, false,
-                                        std::nullopt});
-                 });
-  } catch (const cc::TxnAborted&) {
-    ReplyAborted(client, std::move(reply));
+  {
+    trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
+    co_await cpu_.System(ctx_.params.lock_inst);
   }
+  if (const bool aborted = co_await lm_.AcquireObjectX(oid, page, txn, client);
+      aborted) {
+    ReplyAborted(client, std::move(reply));
+    co_return;
+  }
+  if (const bool aborted = co_await CallbackRound(page_copies_, page, client,
+                                                  txn, page, oid);
+      aborted) {
+    ReplyAborted(client, std::move(reply));
+    co_return;
+  }
+  if (ctx_.invariants != nullptr) {
+    ctx_.invariants->OnWriteGrant(*this, GrantLevel::kObject, page, oid, txn,
+                                  client);
+  }
+  SendToClient(client, MsgKind::kControlReply, ctx_.transport.ControlBytes(),
+               [reply = std::move(reply)]() mutable {
+                 reply.Set(WriteGrant{GrantLevel::kObject, false,
+                                      std::nullopt});
+               });
 }
 
 // --- Client ------------------------------------------------------------------

@@ -1,7 +1,5 @@
 #include "core/ps_oo.h"
 
-#include "cc/abort.h"
-
 namespace psoodb::core {
 
 using storage::ClientId;
@@ -43,31 +41,31 @@ PageShip PsOoServer::ShipAvailableObjects(PageId page, TxnId txn,
 sim::Task PsOoServer::HandleRead(ObjectId oid, TxnId txn, ClientId client,
                                  sim::Promise<PageShip> reply) {
   const PageId page = ctx_.db.layout().PageOf(oid);
-  try {
-    {
-      trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
-      co_await cpu_.System(ctx_.params.lock_inst);
-    }
-    do {
-      co_await WaitObjectReadable(oid, page, txn);
-      // Object-granularity registration for every available object shipped
-      // — a real per-object cost of fine-grained replica management.
-      const int est = ctx_.params.objects_per_page -
-                      storage::PopCount(UnavailableMask(page, txn));
-      trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
-      co_await cpu_.System(ctx_.params.register_copy_inst * est);
-      // Re-validate after the charge so registration + ship are atomic with
-      // the conflict checks.
-    } while (ObjectLockedByOther(oid, txn));
-    PageShip ship = ShipAvailableObjects(page, txn, client);
-    SendToClient(client, MsgKind::kDataReply,
-                 ctx_.transport.DataBytes(ctx_.params.page_size_bytes),
-                 [reply = std::move(reply), ship = std::move(ship)]() mutable {
-                   reply.Set(std::move(ship));
-                 });
-  } catch (const cc::TxnAborted&) {
-    ReplyAborted(client, std::move(reply));
+  {
+    trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
+    co_await cpu_.System(ctx_.params.lock_inst);
   }
+  do {
+    if (const bool aborted = co_await WaitObjectReadable(oid, page, txn);
+        aborted) {
+      ReplyAborted(client, std::move(reply));
+      co_return;
+    }
+    // Object-granularity registration for every available object shipped
+    // — a real per-object cost of fine-grained replica management.
+    const int est = ctx_.params.objects_per_page -
+                    storage::PopCount(UnavailableMask(page, txn));
+    trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
+    co_await cpu_.System(ctx_.params.register_copy_inst * est);
+    // Re-validate after the charge so registration + ship are atomic with
+    // the conflict checks.
+  } while (ObjectLockedByOther(oid, txn));
+  PageShip ship = ShipAvailableObjects(page, txn, client);
+  SendToClient(client, MsgKind::kDataReply,
+               ctx_.transport.DataBytes(ctx_.params.page_size_bytes),
+               [reply = std::move(reply), ship = std::move(ship)]() mutable {
+                 reply.Set(std::move(ship));
+               });
 }
 
 // --- Client ------------------------------------------------------------------

@@ -1,6 +1,5 @@
 #include "core/ps_wt.h"
 
-#include "cc/abort.h"
 #include "check/invariants.h"
 
 namespace psoodb::core {
@@ -24,74 +23,79 @@ void PsWtServer::OnClientDroppedPage(PageId page, ClientId client) {
 sim::Task PsWtServer::HandleWrite(ObjectId oid, TxnId txn, ClientId client,
                                   sim::Promise<WriteGrant> reply) {
   const PageId page = ctx_.db.layout().PageOf(oid);
-  try {
+  {
+    trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
+    co_await cpu_.System(ctx_.params.lock_inst);
+  }
+  // Serializability: strict 2PL at object granularity, as in PS-OO.
+  if (const bool aborted = co_await lm_.AcquireObjectX(oid, page, txn, client);
+      aborted) {
+    ReplyAborted(client, std::move(reply));
+    co_return;
+  }
+
+  // Invalidate remote cached copies of the object (PS-OO callbacks).
+  if (const bool aborted = co_await CallbackRound(object_copies_, oid, client,
+                                                  txn, page, oid);
+      aborted) {
+    ReplyAborted(client, std::move(reply));
+    co_return;
+  }
+
+  // Write-token check: a different owner must surrender the page, routing
+  // the current page image through the server.
+  std::optional<PageShip> ship;
+  const ClientId owner = TokenOwner(page);
+  if (owner != kNoClient && owner != client) {
+    ++ctx_.counters.token_transfers;
+    sim::Promise<bool> flushed(ctx_.sim);
+    auto fut = flushed.GetFuture();
+    SendToClient(owner, MsgKind::kTokenRecall,
+                 ctx_.transport.ControlBytes(),
+                 [cl = this->client(owner), page,
+                  flushed = std::move(flushed)]() mutable {
+                   cl->OnTokenRecall(page, std::move(flushed));
+                 });
+    const double recall_start = ctx_.sim.now();
+    co_await std::move(fut);
+    if (ctx_.tracer != nullptr) {
+      // The requester is stalled for the recall round trip, like a
+      // callback round.
+      const double dt = ctx_.sim.now() - recall_start;
+      ctx_.tracer->Attribute(txn, trace::Phase::kCallbackWait, dt);
+      ctx_.tracer->EmitSpan(recall_start, dt,
+                            trace::EventKind::kTokenRecall, node_, txn,
+                            page, -1, -1, owner);
+    }
+    token_owner_[page] = client;
+    co_await EnsureBuffered(page, /*load=*/true, txn);
+    // Ship the freshest image with the grant; objects write-locked by
+    // other transactions travel marked unavailable.
+    const int avail = ctx_.params.objects_per_page -
+                      storage::PopCount(UnavailableMask(page, txn));
     {
       trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
-      co_await cpu_.System(ctx_.params.lock_inst);
+      co_await cpu_.System(ctx_.params.register_copy_inst * avail);
     }
-    // Serializability: strict 2PL at object granularity, as in PS-OO.
-    co_await lm_.AcquireObjectX(oid, page, txn, client);
-
-    // Invalidate remote cached copies of the object (PS-OO callbacks).
-    co_await CallbackRound(object_copies_, oid, client, txn, page, oid);
-
-    // Write-token check: a different owner must surrender the page, routing
-    // the current page image through the server.
-    std::optional<PageShip> ship;
-    const ClientId owner = TokenOwner(page);
-    if (owner != kNoClient && owner != client) {
-      ++ctx_.counters.token_transfers;
-      sim::Promise<bool> flushed(ctx_.sim);
-      auto fut = flushed.GetFuture();
-      SendToClient(owner, MsgKind::kTokenRecall,
-                   ctx_.transport.ControlBytes(),
-                   [cl = this->client(owner), page,
-                    flushed = std::move(flushed)]() mutable {
-                     cl->OnTokenRecall(page, std::move(flushed));
-                   });
-      const double recall_start = ctx_.sim.now();
-      co_await std::move(fut);
-      if (ctx_.tracer != nullptr) {
-        // The requester is stalled for the recall round trip, like a
-        // callback round.
-        const double dt = ctx_.sim.now() - recall_start;
-        ctx_.tracer->Attribute(txn, trace::Phase::kCallbackWait, dt);
-        ctx_.tracer->EmitSpan(recall_start, dt,
-                              trace::EventKind::kTokenRecall, node_, txn,
-                              page, -1, -1, owner);
-      }
-      token_owner_[page] = client;
-      co_await EnsureBuffered(page, /*load=*/true, txn);
-      // Ship the freshest image with the grant; objects write-locked by
-      // other transactions travel marked unavailable.
-      const int avail = ctx_.params.objects_per_page -
-                        storage::PopCount(UnavailableMask(page, txn));
-      {
-        trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
-        co_await cpu_.System(ctx_.params.register_copy_inst * avail);
-      }
-      ship = ShipAvailableObjects(page, txn, client);
-    } else {
-      token_owner_[page] = client;
-    }
-
-    if (ctx_.invariants != nullptr) {
-      ctx_.invariants->OnWriteGrant(*this, GrantLevel::kObject, page, oid,
-                                    txn, client);
-    }
-    const bool shipped = ship.has_value();
-    const int bytes = shipped
-                          ? ctx_.transport.DataBytes(ctx_.params.page_size_bytes)
-                          : ctx_.transport.ControlBytes();
-    SendToClient(client, shipped ? MsgKind::kDataReply : MsgKind::kControlReply,
-                 bytes,
-                 [reply = std::move(reply), ship = std::move(ship)]() mutable {
-                   reply.Set(WriteGrant{GrantLevel::kObject, false,
-                                        std::move(ship)});
-                 });
-  } catch (const cc::TxnAborted&) {
-    ReplyAborted(client, std::move(reply));
+    ship = ShipAvailableObjects(page, txn, client);
+  } else {
+    token_owner_[page] = client;
   }
+
+  if (ctx_.invariants != nullptr) {
+    ctx_.invariants->OnWriteGrant(*this, GrantLevel::kObject, page, oid,
+                                  txn, client);
+  }
+  const bool shipped = ship.has_value();
+  const int bytes = shipped
+                        ? ctx_.transport.DataBytes(ctx_.params.page_size_bytes)
+                        : ctx_.transport.ControlBytes();
+  SendToClient(client, shipped ? MsgKind::kDataReply : MsgKind::kControlReply,
+               bytes,
+               [reply = std::move(reply), ship = std::move(ship)]() mutable {
+                 reply.Set(WriteGrant{GrantLevel::kObject, false,
+                                      std::move(ship)});
+               });
 }
 
 // --- Client ------------------------------------------------------------------

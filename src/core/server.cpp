@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "cc/abort.h"
 #include "check/invariants.h"
 #include "core/client.h"
 #include "trace/trace.h"
@@ -73,6 +72,7 @@ sim::Task Server::EnsureBuffered(PageId page, bool load, TxnId txn) {
   }
   auto r = buffer_.Insert(page);
   if (r.evicted.has_value() && r.evicted->second.IsDirty()) {
+    --dirty_pages_;
     co_await DiskIo(/*write=*/true, txn, r.evicted->first);
   }
 }
@@ -92,18 +92,16 @@ PageShip Server::MakeShip(PageId page, SlotMask unavailable) const {
 }
 
 SlotMask Server::UnavailableMask(PageId page, TxnId txn) const {
-  SlotMask mask = 0;
-  const auto& layout = ctx_.db.layout();
-  for (const auto& [oid, holder] : lm_.ObjectLocksOnPage(page)) {
-    if (holder != txn) mask |= storage::SlotBit(layout.SlotOf(oid));
-  }
-  return mask;
+  return lm_.OtherObjectLockMask(page, txn, ctx_.db.layout());
 }
 
 sim::Task Server::WaitObjectReadable(ObjectId oid, PageId page, TxnId txn) {
   for (;;) {
     if (ObjectLockedByOther(oid, txn)) {
-      co_await lm_.WaitObjectFree(oid, page, txn);
+      if (const bool aborted = co_await lm_.WaitObjectFree(oid, page, txn);
+          aborted) {
+        co_await sim::EndAborted();
+      }
       continue;
     }
     co_await EnsureBuffered(page, /*load=*/true, txn);
@@ -133,43 +131,42 @@ sim::Task Server::AwaitCallbacks(std::shared_ptr<CallbackBatch> batch,
       }
     }
   };
-  try {
-    // test_skip_callback_drain is a test-only fault injection: it grants
-    // write permissions without waiting for the callback fan-in, which the
-    // invariant checker must catch (see tests/invariant_test.cpp).
-    if (!ctx_.params.test_skip_callback_drain) {
-      for (;;) {
-        // A cross-partition deadlock coordinator may have marked this
-        // transaction while it was parked (partitioned runs only); check
-        // before the drain re-check so a victim aborts even if the last ack
-        // arrived in the same window as the poke.
-        ctx_.detector->CheckVictim(txn);
-        while (!batch->new_blockers.empty()) {
-          TxnId blocker = batch->new_blockers.back();
-          batch->new_blockers.pop_back();
-          // May throw TxnAborted if this wait closes a cycle.
-          ctx_.detector->OnWait(txn, {blocker});
-        }
-        if (batch->pending == 0) break;
-        {
-          // Registered strictly around the wait so the detector never holds
-          // a dangling CondVar pointer (victim pokes use this channel).
-          cc::ScopedWaitChannel channel(*ctx_.detector, txn, &batch->cv);
-          co_await batch->cv.Wait();
-        }
+  // test_skip_callback_drain is a test-only fault injection: it grants
+  // write permissions without waiting for the callback fan-in, which the
+  // invariant checker must catch (see tests/invariant_test.cpp).
+  if (!ctx_.params.test_skip_callback_drain) {
+    for (;;) {
+      // A cross-partition deadlock coordinator may have marked this
+      // transaction while it was parked (partitioned runs only); check
+      // before the drain re-check so a victim aborts even if the last ack
+      // arrived in the same window as the poke.
+      bool abort = ctx_.detector->CheckVictim(txn);
+      while (!abort && !batch->new_blockers.empty()) {
+        TxnId blocker = batch->new_blockers.back();
+        batch->new_blockers.pop_back();
+        abort = ctx_.detector->OnWait(txn, {blocker});
+      }
+      if (abort) {
+        // Later replies to the dead batch are stale (FinishCallbackReply).
+        batch->dead = true;
+        ctx_.detector->ClearWaits(txn);
+        record();
+        co_await sim::EndAborted();
+      }
+      if (batch->pending == 0) break;
+      {
+        // Registered strictly around the wait so the detector never holds
+        // a dangling CondVar pointer (victim pokes use this channel).
+        cc::ScopedWaitChannel channel(*ctx_.detector, txn, &batch->cv);
+        co_await batch->cv.Wait();
       }
     }
-    ctx_.detector->ClearWaits(txn);
-    if (ctx_.invariants != nullptr) {
-      ctx_.invariants->OnCallbacksDrained(*this, *batch, txn);
-    }
-    record();
-  } catch (...) {
-    batch->dead = true;
-    ctx_.detector->ClearWaits(txn);
-    record();
-    throw;
   }
+  ctx_.detector->ClearWaits(txn);
+  if (ctx_.invariants != nullptr) {
+    ctx_.invariants->OnCallbacksDrained(*this, *batch, txn);
+  }
+  record();
 }
 
 void Server::OnWriteReq(ObjectId oid, TxnId txn, ClientId client,
@@ -272,6 +269,7 @@ sim::Task Server::InstallCommittedPage(TxnId txn, PageId page, SlotMask mask,
   storage::PageFrame* frame = buffer_.Get(page);
   PSOODB_CHECK(frame != nullptr, "committed page %d not resident at server",
                page);
+  if (!frame->IsDirty() && mask != 0) ++dirty_pages_;
   frame->dirty |= mask;  // needs a disk write before the frame is reused
   const auto& layout = ctx_.db.layout();
   for (int s = 0; s < ctx_.params.objects_per_page; ++s) {
@@ -347,25 +345,30 @@ sim::Task Server::HandleCommit(TxnId txn, ClientId client,
 sim::Task Server::HandleWrite(ObjectId oid, TxnId txn, ClientId client,
                               sim::Promise<WriteGrant> reply) {
   const PageId page = ctx_.db.layout().PageOf(oid);
-  try {
-    {
-      trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
-      co_await cpu_.System(ctx_.params.lock_inst);
-    }
-    co_await lm_.AcquireObjectX(oid, page, txn, client);
-    co_await CallbackRound(object_copies_, oid, client, txn, page, oid);
-    if (ctx_.invariants != nullptr) {
-      ctx_.invariants->OnWriteGrant(*this, GrantLevel::kObject, page, oid,
-                                    txn, client);
-    }
-    SendToClient(client, MsgKind::kControlReply, ctx_.transport.ControlBytes(),
-                 [reply = std::move(reply)]() mutable {
-                   reply.Set(WriteGrant{GrantLevel::kObject, false,
-                                        std::nullopt});
-                 });
-  } catch (const cc::TxnAborted&) {
-    ReplyAborted(client, std::move(reply));
+  {
+    trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);
+    co_await cpu_.System(ctx_.params.lock_inst);
   }
+  if (const bool aborted = co_await lm_.AcquireObjectX(oid, page, txn, client);
+      aborted) {
+    ReplyAborted(client, std::move(reply));
+    co_return;
+  }
+  if (const bool aborted = co_await CallbackRound(object_copies_, oid, client,
+                                                  txn, page, oid);
+      aborted) {
+    ReplyAborted(client, std::move(reply));
+    co_return;
+  }
+  if (ctx_.invariants != nullptr) {
+    ctx_.invariants->OnWriteGrant(*this, GrantLevel::kObject, page, oid, txn,
+                                  client);
+  }
+  SendToClient(client, MsgKind::kControlReply, ctx_.transport.ControlBytes(),
+               [reply = std::move(reply)]() mutable {
+                 reply.Set(WriteGrant{GrantLevel::kObject, false,
+                                      std::nullopt});
+               });
 }
 
 void Server::OnAbortPurge(TxnId txn, ClientId client,
@@ -410,15 +413,22 @@ sim::Task Server::HandleAbort(TxnId txn, ClientId client,
 
 sim::Task Server::HandleAbortSeededLeak(TxnId txn, ClientId client,
                                         sim::Promise<bool> reply) {
-  try {
-    co_await lm_.AcquirePageX(0, txn, client);
-    lm_.ReleaseAll(txn);
-    SendToClient(client, MsgKind::kControlReply, ctx_.transport.ControlBytes(),
-                 [reply = std::move(reply)]() mutable { reply.Set(true); });
-  } catch (const cc::TxnAborted&) {  // analyzer-ok(lock-leak): seeded defect — the abort unwind skips ReleaseAll, leaking the page lock
+  if (const bool aborted = co_await lm_.AcquirePageX(0, txn, client);
+      aborted) {
     SendToClient(client, MsgKind::kControlReply, ctx_.transport.ControlBytes(),
                  [reply = std::move(reply)]() mutable { reply.Set(false); });
+    co_return;
   }
+  if (const bool aborted = co_await CallbackRound(page_copies_, 0, client, txn,
+                                                  0, -1);
+      aborted) {  // analyzer-ok(lock-leak): seeded defect — the abort branch skips ReleaseAll, leaking the page lock
+    SendToClient(client, MsgKind::kControlReply, ctx_.transport.ControlBytes(),
+                 [reply = std::move(reply)]() mutable { reply.Set(false); });
+    co_return;
+  }
+  lm_.ReleaseAll(txn);
+  SendToClient(client, MsgKind::kControlReply, ctx_.transport.ControlBytes(),
+               [reply = std::move(reply)]() mutable { reply.Set(true); });
 }
 
 sim::Task Server::HandleReadSeededDrop(PageId page, TxnId txn, ClientId client,

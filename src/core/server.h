@@ -90,15 +90,11 @@ class Server {
   std::uint64_t buffer_hits() const { return buf_hits_; }
   /// Callback fan-out rounds currently awaiting their drain.
   int callback_rounds_inflight() const { return cb_rounds_inflight_; }
-  /// Dirty pages currently in the buffer pool (O(buffer) scan; telemetry
-  /// probes call it once per tick).
-  int CountDirtyPages() const {
-    int n = 0;
-    buffer_.ForEach([&n](storage::PageId, const storage::PageFrame& f) {
-      if (f.IsDirty()) ++n;
-    });
-    return n;
-  }
+  /// Dirty pages currently in the buffer pool, counted where a frame turns
+  /// dirty (InstallCommittedPage) and where a dirty frame leaves it
+  /// (EnsureBuffered's eviction); the invariant sweep checks the count
+  /// against a walk of the buffer.
+  int dirty_pages() const { return dirty_pages_; }
   cc::DeadlockDetector& detector() { return *ctx_.detector; }
   storage::PageCache& buffer() { return buffer_; }
   cc::PageCopyTable& page_copies() { return page_copies_; }
@@ -183,6 +179,8 @@ class Server {
 
   /// Replies to a request whose transaction was aborted (a deadlock victim):
   /// a control message carrying a default `Reply` with only `aborted` set.
+  /// Every handler's abort branch sends it; the client turns the flag back
+  /// into an aborted outcome.
   template <typename Reply>
   void ReplyAborted(storage::ClientId client, sim::Promise<Reply> reply) {
     SendToClient(client, MsgKind::kControlReply, ctx_.transport.ControlBytes(),
@@ -203,7 +201,7 @@ class Server {
   /// callback was issued against: the replying client may purge an old copy
   /// while a fresh ship to it is already in flight. After the drain it
   /// charges RegisterCopyInst per dropped copy.
-  /// Throws TxnAborted if `txn` closes a deadlock cycle while waiting.
+  /// Ends aborted if `txn` must abort while waiting (AwaitCallbacks).
   template <typename ItemId>
   sim::Task CallbackRound(cc::CopyTable<ItemId>& copies, ItemId item,
                           storage::ClientId client, storage::TxnId txn,
@@ -230,8 +228,9 @@ class Server {
   }
 
   /// Waits for all callbacks in `batch` to reach a final outcome,
-  /// registering waits-for edges for blockers as they appear. Throws
-  /// TxnAborted if `txn` closes a deadlock cycle (marking the batch dead).
+  /// registering waits-for edges for blockers as they appear. Ends aborted
+  /// if `txn` closes a deadlock cycle or is a marked victim, marking the
+  /// batch dead first.
   sim::Task AwaitCallbacks(std::shared_ptr<CallbackBatch> batch,
                            storage::TxnId txn) PSOODB_RELEASES(batch);
 
@@ -243,7 +242,7 @@ class Server {
 
   /// Waits until no other transaction holds `oid`'s X lock and `page` is in
   /// the buffer pool; both hold on return, with no suspension after the
-  /// last check.
+  /// last check. Ends aborted if the lock wait does.
   sim::Task WaitObjectReadable(storage::ObjectId oid, storage::PageId page,
                                storage::TxnId txn);
 
@@ -281,7 +280,7 @@ class Server {
 #if PSOODB_SEED_OBLIGATION_BUGS
   // Test-only seeded defects (never compiled — the flag is never defined).
   // The analyzer still lexes this block; tests/analyzer_test.cpp asserts
-  // that lock-leak catches the abort-path leak and reply-obligation the
+  // that lock-leak catches the abort-branch leak and reply-obligation the
   // dropped reply in the definitions (src/core/server.cpp).
   sim::Task HandleAbortSeededLeak(storage::TxnId txn, storage::ClientId client,
                                   sim::Promise<bool> reply) PSOODB_REPLIES;
@@ -312,6 +311,8 @@ class Server {
   std::uint64_t buf_lookups_ = 0;
   std::uint64_t buf_hits_ = 0;
   int cb_rounds_inflight_ = 0;
+  /// Frames in buffer_ with a dirty slot (see dirty_pages()).
+  int dirty_pages_ = 0;
 
  private:
   /// Sends one callback of a round to `holder` (CallbackRound's only send).
@@ -369,7 +370,9 @@ sim::Task Server::CallbackRound(cc::CopyTable<ItemId>& copies, ItemId item,
     }
     SendCallback(h.client, page, oid, txn, batch);
   }
-  co_await AwaitCallbacks(batch, txn);
+  if (const bool aborted = co_await AwaitCallbacks(batch, txn); aborted) {
+    co_await sim::EndAborted();
+  }
   // Issued even when nothing was dropped (every holder kept its page): the
   // zero-length job is still an event.
   trace::PhaseTimer cpu_time(ctx_.tracer, txn, trace::Phase::kServerCpu);

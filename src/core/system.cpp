@@ -333,7 +333,7 @@ void System::BuildTelemetry() {
       return static_cast<double>(srv->callback_rounds_inflight());
     });
     ts.AddGauge(prefix + ".dirty_pages", [srv] {
-      return static_cast<double>(srv->CountDirtyPages());
+      return static_cast<double>(srv->dirty_pages());
     });
     ts.AddGauge(prefix + ".disk_queue", [srv] {
       return static_cast<double>(srv->disks().QueueLength());
@@ -724,8 +724,7 @@ void System::CrossPartitionDeadlockStep(bool force_full) {
       // serial phase may inject an event there (sim/shard.h) — clamped to
       // the local clock as defence in depth (both are pure simulated-time
       // quantities, so the wake time stays deterministic). The wait loop
-      // re-runs CheckVictim on wake and throws TxnAborted{v.txn,
-      // kDeadlock}.
+      // re-runs CheckVictim on wake, and its wait ends aborted.
       const sim::SimTime wake = std::max(
           shards_->window_end(v.partition), shards_->sim(v.partition).now());
       shards_->sim(v.partition)

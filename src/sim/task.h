@@ -8,6 +8,22 @@
 ///   - `Simulation::Spawn(Task)`: the simulation takes ownership and the task
 ///     becomes a detached root process; its frame self-destroys on completion.
 ///
+/// Aborts travel as values, not exceptions. A task that must stop because its
+/// transaction aborts runs `co_await EndAborted()`: it ends there, and
+/// `co_await` on it evaluates to true in the awaiting parent, which runs its
+/// abort branch. A task that runs to its end evaluates to false. There is no
+/// exception channel: an exception escaping a task's body terminates the
+/// process (`unhandled_exception`), as does `EndAborted` in a detached
+/// process, which has no awaiter to take it.
+///
+/// An abort branch binds the outcome in the `if`'s init-statement:
+///
+///   if (const bool aborted = co_await Child(); aborted) { ... }
+///
+/// never `if (co_await Child())`: GCC 12 miscompiles a condition that awaits
+/// a temporary outside a loop (the coroutine's body never runs), and a
+/// declaration as the condition warns as unused.
+///
 /// Teardown safety: destroying a suspended Task frame runs the destructors of
 /// in-frame awaitables. Every awaitable in this library unregisters itself
 /// from whatever queue it is waiting in, so a `Simulation` (and all of its
@@ -18,7 +34,6 @@
 
 #include <coroutine>
 #include <cstdlib>
-#include <exception>
 #include <utility>
 
 #include "sim/pool.h"
@@ -51,7 +66,9 @@ struct TaskPromise {
   /// True once detached via Simulation::Spawn: the final awaiter destroys the
   /// frame itself and unlinks it from the owner's root list.
   bool detached = false;
-  std::exception_ptr exception;
+  /// Set when the task ended at `co_await EndAborted()` rather than at its
+  /// end; what `co_await` on the task evaluates to.
+  bool aborted = false;
 
   Task get_return_object();
   std::suspend_always initial_suspend() noexcept { return {}; }
@@ -64,11 +81,6 @@ struct TaskPromise {
       std::coroutine_handle<> cont =
           p.continuation ? p.continuation : std::noop_coroutine();
       if (p.detached) {
-        if (p.exception) {
-          // A detached simulation process must not leak exceptions; there is
-          // nobody to observe them.
-          std::abort();
-        }
         if (p.root_prev != nullptr) {
           p.root_prev->root_next = p.root_next;
         } else {
@@ -84,10 +96,33 @@ struct TaskPromise {
   FinalAwaiter final_suspend() noexcept { return {}; }
 
   void return_void() noexcept {}
-  void unhandled_exception() noexcept { exception = std::current_exception(); }
+  /// Nothing in the simulator throws through a task; one that does is a bug
+  /// with no awaiter prepared for it.
+  void unhandled_exception() noexcept { std::abort(); }
+};
+
+/// The awaiter of EndAborted(): marks the task aborted and hands control to
+/// its awaiter, leaving the frame suspended here for its owning Task to
+/// destroy (at the end of the awaiting full-expression, which runs the
+/// destructors of the locals still in scope).
+struct AbortAwaiter {
+  bool await_ready() const noexcept { return false; }
+  std::coroutine_handle<> await_suspend(
+      std::coroutine_handle<TaskPromise> h) noexcept {
+    TaskPromise& p = h.promise();
+    // A detached process has nobody to hand the abort to.
+    if (p.detached) std::abort();
+    p.aborted = true;
+    return p.continuation ? p.continuation : std::noop_coroutine();
+  }
+  void await_resume() const noexcept {}  // never resumed
 };
 
 }  // namespace detail
+
+/// `co_await EndAborted()` ends the running task with an aborted outcome:
+/// nothing after it runs, and its awaiter's `co_await` evaluates to true.
+inline detail::AbortAwaiter EndAborted() { return {}; }
 
 /// A simulation process. See file comment for ownership rules.
 ///
@@ -119,7 +154,8 @@ class [[nodiscard]] Task {
     return std::exchange(handle_, {});
   }
 
-  /// Awaiting a Task starts it and suspends the awaiter until it completes.
+  /// Awaiting a Task starts it and suspends the awaiter until it completes
+  /// or aborts; the `co_await` evaluates to true if it aborted.
   auto operator co_await() && noexcept {
     struct Awaiter {
       std::coroutine_handle<promise_type> child;
@@ -129,10 +165,8 @@ class [[nodiscard]] Task {
         child.promise().continuation = parent;
         return child;  // symmetric transfer: start the child
       }
-      void await_resume() {
-        if (child && child.promise().exception) {
-          std::rethrow_exception(child.promise().exception);
-        }
+      bool await_resume() const noexcept {
+        return child && child.promise().aborted;
       }
     };
     return Awaiter{handle_};

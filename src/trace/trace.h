@@ -68,7 +68,7 @@ enum class EventKind : std::uint8_t {
   kMsgRecv,        ///< node=receiver, aux=sender, a=bytes, b=MsgKind
   kLockWait,       ///< first conflict: page/a=oid, b=holder txn
   kLockGrant,      ///< span: blocked-acquire wait that ended in a grant
-  kLockAbort,      ///< span: blocked-acquire wait that ended in TxnAborted
+  kLockAbort,      ///< span: blocked-acquire wait that ended aborted
   kLockRelease,    ///< end-of-txn ReleaseAll, a=#locks released
   kDeEscalate,     ///< span: PS-AA de-escalation round trip, b=holder txn
   kCallbackIssue,  ///< one callback message queued, aux=target client
@@ -301,8 +301,9 @@ class MergedEvents {
 
 /// RAII phase attribution for one interval in a coroutine: captures now()
 /// at construction and attributes the elapsed time on destruction, so the
-/// attribution survives both normal exit and TxnAborted unwinding across
-/// co_await points. Inert (no clock read) when `tracer` is null.
+/// attribution survives both normal exit and a task that ends aborted
+/// (its frame is destroyed with the timer in scope). Inert (no clock read)
+/// when `tracer` is null.
 class PhaseTimer {
  public:
   PhaseTimer(Tracer* tracer, std::uint64_t txn, Phase phase)

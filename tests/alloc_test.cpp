@@ -14,6 +14,8 @@
 //     a full cache, lock acquire / wait / ReleaseAll cycles, copy-table
 //     register / HoldersExcept / unregister, and the detector's wait edges
 //     and wait channels;
+//   - a deadlock abort: the acquire that closes the cycle ends aborted, a
+//     returned outcome with nothing to allocate;
 //   - a Database whose layout was never swapped: its one allocation is the
 //     version store's block index, a small fraction of a dense per-object
 //     array, and the first commit to a block allocates that block only;
@@ -21,9 +23,9 @@
 //     per-transaction phase table, which keeps its block across erases.
 // Every task is spawned before counting starts: under AddressSanitizer
 // sim/pool.h passes coroutine frames through to operator new, and frame
-// allocation is not what these tests measure. The lock-manager case has to
-// create coroutines while counting (each acquire is one), so it runs only
-// where the frame pool is on.
+// allocation is not what these tests measure. The lock-manager and deadlock
+// cases have to create coroutines while counting (each acquire is one), so
+// they run only where the frame pool is on.
 
 #include <gtest/gtest.h>
 
@@ -315,6 +317,54 @@ TEST(AllocationFree, LockManagerAcquireWaitReleaseAllCycles) {
   EXPECT_TRUE(lm.CheckCoherence().empty());
 }
 
+/// Takes `first`, then waits for `second`. An aborted acquire releases what
+/// the transaction holds, as a server's abort handler does.
+sim::Task CrossLockTxn(sim::Simulation& sim, cc::LockManager& lm,
+                       storage::TxnId txn, storage::PageId first,
+                       storage::PageId second, int* aborts) {  // analyzer-ok(suspend-ref): referent outlives sim.Run() in the test body
+  // The first acquire is uncontested.
+  if (const bool aborted = co_await lm.AcquirePageX(first, txn, 0); aborted) {
+    std::abort();
+  }
+  co_await sim.Delay(1.0);  // let the other transaction take its first page
+  if (const bool aborted = co_await lm.AcquirePageX(second, txn, 0); aborted) {
+    ++*aborts;
+    lm.ReleaseAll(txn);
+  }
+}
+
+TEST(AllocationFree, DeadlockAbortAfterWarmup) {
+#if defined(PSOODB_SIM_POOL_PASSTHROUGH)
+  GTEST_SKIP() << "coroutine frames bypass the pool under AddressSanitizer";
+#endif
+  sim::Simulation sim;
+  cc::DeadlockDetector detector;
+  cc::LockManager lm(sim, detector);
+  storage::TxnId txn = 1;
+  int aborts = 0;
+  // Two transactions take one page each, then each waits for the other's:
+  // the second wait closes the cycle, that acquire ends aborted (a wait
+  // edge rolled back, a lock_abort wait recorded) and its transaction
+  // releases, which grants the first its second page.
+  const auto cycle = [&] {
+    const storage::TxnId a = txn++;
+    const storage::TxnId b = txn++;
+    sim.Spawn(CrossLockTxn(sim, lm, a, 1, 2, &aborts));
+    sim.Spawn(CrossLockTxn(sim, lm, b, 2, 1, &aborts));
+    sim.Run();
+    if (lm.ReleaseAll(a) != 2) std::abort();
+  };
+  cycle();  // the first cycles grow the tables
+  cycle();
+  const NewCounter news;
+  for (int r = 0; r < 20; ++r) cycle();
+  EXPECT_EQ(news.count(), 0u);
+  EXPECT_EQ(aborts, 22);
+  EXPECT_EQ(detector.deadlocks_detected(), 22u);
+  EXPECT_EQ(lm.lock_waits(), 44u);
+  EXPECT_TRUE(lm.CheckCoherence().empty());
+}
+
 TEST(AllocationFree, CopyTableRegisterHoldersUnregisterCycles) {
   cc::PageCopyTable table;
   std::uint64_t seen = 0;
@@ -354,7 +404,7 @@ TEST(AllocationFree, DetectorWaitsAndWaitChannelsCycles) {
   const auto cycle = [&] {
     for (storage::TxnId t = base; t < base + 20; ++t) {
       detector.RegisterWaitChannel(t, &cv);
-      detector.OnWait(t, {t + 1});
+      if (detector.OnWait(t, {t + 1})) std::abort();  // a chain, no cycle
     }
     if (detector.HasCycleFrom(base)) std::abort();
     for (storage::TxnId t = base; t < base + 20; t += 2) {

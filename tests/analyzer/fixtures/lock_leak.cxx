@@ -1,19 +1,25 @@
 // Fixture: lock-leak — acquire/release obligation dataflow with exit-path
 // enumeration: a never-released acquire, an early return past one, and an
-// abort (catch) path that skips the cleanup. The annotated declarations
-// below seed the obligation index; the file is lexed only, never compiled.
+// abort branch (an `if` testing an awaited task's abort outcome, or the
+// deadlock detector's verdict) that skips the cleanup. The annotated
+// declarations below seed the obligation index; the file is lexed only,
+// never compiled.
 
 struct LockManager {
   sim::Task AcquirePageX(int page, int txn) PSOODB_ACQUIRES(lock);
   void ReleaseAll(int txn) PSOODB_RELEASES(lock);
 };
 
-struct TxnAborted {};
+struct Detector {
+  bool OnWait(int waiter, int holder);
+};
 
 LockManager lm;
+Detector detector;
 
 void Note(int txn);
 void Spawn(sim::Task t);
+sim::Task Fetch(int page);
 
 // TP: acquired here, released on no path at all.
 sim::Task NeverReleases(int txn) {
@@ -32,38 +38,51 @@ sim::Task EarlyExitLeaks(int txn, bool busy) {
   co_return;  // FP-GUARD: lock-leak — released above, this exit is clean
 }
 
-// TP: the abort unwind skips ReleaseAll (the catch neither releases,
-// rethrows, nor falls through to a release).
+// TP: the abort branch returns without ReleaseAll (it neither releases,
+// ends the task aborted, nor falls through to a release).
 sim::Task AbortPathLeaks(int txn) {
-  try {
-    co_await lm.AcquirePageX(3, txn);
-    lm.ReleaseAll(txn);
-  } catch (const TxnAborted&) {  // EXPECT: lock-leak
-    Note(txn);
+  if (const bool aborted = co_await lm.AcquirePageX(3, txn); aborted) {
+    co_return;  // FP-GUARD: lock-leak — the aborted acquire holds nothing
   }
+  if (const bool aborted = co_await Fetch(3); aborted) {  // EXPECT: lock-leak
+    Note(txn);
+    co_return;
+  }
+  lm.ReleaseAll(txn);
   co_return;
 }
 
-// FP guard: releasing after the catch covers the abort path too.
-sim::Task ReleaseAfterCatchOk(int txn) {
-  try {
-    co_await lm.AcquirePageX(4, txn);
-    Note(txn);
-  } catch (const TxnAborted&) {  // FP-GUARD: lock-leak — falls through to the release below
+// TP: the detector's verdict opens an abort branch too.
+sim::Task VerdictBranchLeaks(int txn, int holder) {
+  if (const bool aborted = co_await lm.AcquirePageX(9, txn); aborted) {
+    co_return;
+  }
+  if (detector.OnWait(txn, holder)) co_return;  // EXPECT: lock-leak
+  lm.ReleaseAll(txn);
+}
+
+// FP guard: releasing after the branch covers the abort path too.
+sim::Task ReleaseAfterBranchOk(int txn) {
+  if (const bool aborted = co_await lm.AcquirePageX(4, txn); aborted) {
+    co_return;
+  }
+  if (const bool aborted = co_await Fetch(4); aborted) {  // FP-GUARD: lock-leak — falls through to the release below
     Note(txn);
   }
   lm.ReleaseAll(txn);
   co_return;
 }
 
-// FP guard: a rethrowing catch hands the obligation to the caller's unwind.
-sim::Task RethrowOk(int txn) {
-  try {
-    co_await lm.AcquirePageX(5, txn);
-    lm.ReleaseAll(txn);
-  } catch (const TxnAborted&) {  // FP-GUARD: lock-leak — rethrow, caller owns cleanup
-    throw;
+// FP guard: ending the task aborted hands the obligation to the awaiter's
+// abort branch.
+sim::Task PropagateOk(int txn) {
+  if (const bool aborted = co_await lm.AcquirePageX(5, txn); aborted) {
+    co_await sim::EndAborted();
   }
+  if (const bool aborted = co_await Fetch(5); aborted) {  // FP-GUARD: lock-leak — propagated, the awaiter owns cleanup
+    co_await sim::EndAborted();
+  }
+  lm.ReleaseAll(txn);
   co_return;
 }
 

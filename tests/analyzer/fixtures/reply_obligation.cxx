@@ -1,8 +1,6 @@
 // Fixture: reply-obligation — a handler taking a sim::Promise by value owes
 // exactly one reply on every exit path: never-consumed promises, early
-// exits, and abort paths that drop the reply. Lexed only.
-
-struct TxnAborted {};
+// exits, and abort branches that drop the reply. Lexed only.
 
 sim::Task Fetch(int page);
 bool Missing(int page);
@@ -31,12 +29,25 @@ sim::Task HandleEarlyDrop(int page, sim::Promise<bool> reply) PSOODB_REPLIES {
   co_return;  // FP-GUARD: reply-obligation — consumed above
 }
 
-// TP: the catch returns without consuming; the send below is unreachable on
-// the abort path.
+// TP: the abort branch returns without consuming; the send below is
+// unreachable on the abort path.
 sim::Task HandleAbortDrop(int page, sim::Promise<bool> reply) PSOODB_REPLIES {
-  try {
-    co_await Fetch(page);
-  } catch (const TxnAborted&) {  // EXPECT: reply-obligation
+  if (const bool aborted = co_await Fetch(page); aborted) {  // EXPECT: reply-obligation
+    co_return;
+  }
+  reply.Set(true);
+  co_return;
+}
+
+// TP: each abort branch owes its own reply — the first branch's send does
+// not cover the second.
+sim::Task HandleSecondBranchDrops(int page,
+                                  sim::Promise<bool> reply) PSOODB_REPLIES {
+  if (const bool aborted = co_await Fetch(page); aborted) {
+    reply.Set(false);
+    co_return;
+  }
+  if (const bool aborted = co_await Fetch(page + 1); aborted) {  // EXPECT: reply-obligation
     co_return;
   }
   reply.Set(true);
@@ -45,12 +56,11 @@ sim::Task HandleAbortDrop(int page, sim::Promise<bool> reply) PSOODB_REPLIES {
 
 // FP guard: both the normal and the abort path send.
 sim::Task HandleBothPaths(int page, sim::Promise<bool> reply) PSOODB_REPLIES {
-  try {
-    co_await Fetch(page);
-    reply.Set(true);
-  } catch (const TxnAborted&) {  // FP-GUARD: reply-obligation — failure reply below
+  if (const bool aborted = co_await Fetch(page); aborted) {  // FP-GUARD: reply-obligation — failure reply inside
     reply.Set(false);
+    co_return;
   }
+  reply.Set(true);
   co_return;
 }
 

@@ -99,6 +99,9 @@ TEST(AnalyzerFixtures, UnorderedIter) { RunFixture("unordered_iter.cxx"); }
 TEST(AnalyzerFixtures, DetHazard) { RunFixture("det_hazard.cxx"); }
 TEST(AnalyzerFixtures, DcheckSideEffect) { RunFixture("dcheck.cxx"); }
 TEST(AnalyzerFixtures, EnumSwitch) { RunFixture("enum_switch.cxx"); }
+TEST(AnalyzerFixtures, AwaitInCondition) {
+  RunFixture("await_condition.cxx");
+}
 TEST(AnalyzerFixtures, Suppressions) { RunFixture("suppressions.cxx"); }
 TEST(AnalyzerFixtures, GuardedBy) { RunFixture("guarded_by.cxx"); }
 TEST(AnalyzerFixtures, BlockingInCoroutine) {

@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "cc/abort.h"
 #include "cc/copy_table.h"
 #include "cc/deadlock_detector.h"
 #include "cc/local_locks.h"
@@ -32,59 +31,63 @@ using storage::TxnId;
 
 TEST(DeadlockDetectorTest, NoCycleNoThrow) {
   DeadlockDetector d;
-  EXPECT_NO_THROW(d.OnWait(1, {2}));
-  EXPECT_NO_THROW(d.OnWait(2, {3}));
+  EXPECT_FALSE(d.OnWait(1, {2}));
+  EXPECT_FALSE(d.OnWait(2, {3}));
   EXPECT_EQ(d.deadlocks_detected(), 0u);
 }
 
-TEST(DeadlockDetectorTest, DirectCycleThrows) {
+TEST(DeadlockDetectorTest, DirectCycleAborts) {
   DeadlockDetector d;
-  d.OnWait(1, {2});
-  EXPECT_THROW(d.OnWait(2, {1}), TxnAborted);
+  EXPECT_FALSE(d.OnWait(1, {2}));
+  EXPECT_TRUE(d.OnWait(2, {1}));
   EXPECT_EQ(d.deadlocks_detected(), 1u);
   // The failed wait's edges were rolled back: 2 has no out-edges.
-  EXPECT_NO_THROW(d.OnWait(3, {2}));
+  EXPECT_FALSE(d.OnWait(3, {2}));
 }
 
-TEST(DeadlockDetectorTest, TransitiveCycleThrows) {
+TEST(DeadlockDetectorTest, TransitiveCycleAborts) {
   DeadlockDetector d;
-  d.OnWait(1, {2});
-  d.OnWait(2, {3});
-  d.OnWait(3, {4});
-  EXPECT_THROW(d.OnWait(4, {1}), TxnAborted);
+  EXPECT_FALSE(d.OnWait(1, {2}));
+  EXPECT_FALSE(d.OnWait(2, {3}));
+  EXPECT_FALSE(d.OnWait(3, {4}));
+  EXPECT_TRUE(d.OnWait(4, {1}));
 }
 
 TEST(DeadlockDetectorTest, SelfAndNullHoldersIgnored) {
   DeadlockDetector d;
-  EXPECT_NO_THROW(d.OnWait(1, {1, kNoTxn}));
+  EXPECT_FALSE(d.OnWait(1, {1, kNoTxn}));
   EXPECT_EQ(d.edge_count(), 0u);
 }
 
 TEST(DeadlockDetectorTest, ClearWaitsBreaksCycle) {
   DeadlockDetector d;
-  d.OnWait(1, {2});
+  EXPECT_FALSE(d.OnWait(1, {2}));
   d.ClearWaits(1);
-  EXPECT_NO_THROW(d.OnWait(2, {1}));
+  EXPECT_FALSE(d.OnWait(2, {1}));
 }
 
 TEST(DeadlockDetectorTest, RemoveTxnDropsIncomingEdges) {
   DeadlockDetector d;
-  d.OnWait(1, {2});
-  d.OnWait(3, {2});
+  EXPECT_FALSE(d.OnWait(1, {2}));
+  EXPECT_FALSE(d.OnWait(3, {2}));
   d.RemoveTxn(2);
   EXPECT_EQ(d.edge_count(), 0u);
 }
 
 TEST(DeadlockDetectorTest, AbortCarriesTxnAndReason) {
+  // The verdict goes to the waiter whose wait closes the cycle, and counts
+  // a deadlock; a marked victim gets it once, from its next check.
   DeadlockDetector d;
-  d.OnWait(1, {2});
-  try {
-    d.OnWait(2, {1});
-    FAIL() << "expected TxnAborted";
-  } catch (const TxnAborted& e) {
-    EXPECT_EQ(e.txn(), 2u);
-    EXPECT_EQ(e.reason(), AbortReason::kDeadlock);
-  }
+  EXPECT_FALSE(d.OnWait(1, {2}));
+  EXPECT_TRUE(d.OnWait(2, {1}));
+  EXPECT_EQ(d.deadlocks_detected(), 1u);
+  EXPECT_EQ(d.edge_count(), 1u);  // 1 -> 2 stays; 2 -> 1 was rolled back
+  d.MarkVictim(1);
+  EXPECT_EQ(d.deadlocks_detected(), 2u);
+  EXPECT_FALSE(d.CheckVictim(2));
+  EXPECT_TRUE(d.OnWait(1, {3}));  // a victim's next wait aborts it
+  EXPECT_FALSE(d.CheckVictim(1));
+  EXPECT_EQ(d.deadlocks_detected(), 2u);
 }
 
 // --- LockManager -------------------------------------------------------------
@@ -184,37 +187,41 @@ TEST(LockManagerTest, ObjectLocksOnPageIndex) {
   Simulation sim;
   DeadlockDetector d;
   LockManager lm(sim, d);
+  const storage::ObjectLayout layout(10, 20);  // page p holds 20p .. 20p+19
   bool g = false;
   sim.Spawn(AcquireObject(lm, 100, 5, 1, 0, &g));
   sim.Spawn(AcquireObject(lm, 101, 5, 1, 0, &g));
   sim.Spawn(AcquireObject(lm, 120, 6, 2, 1, &g));
   sim.Run();
-  auto on5 = lm.ObjectLocksOnPage(5);
-  EXPECT_EQ(on5.size(), 2u);
-  EXPECT_TRUE(lm.OtherObjectLocksOnPage(5, 2));
-  EXPECT_FALSE(lm.OtherObjectLocksOnPage(5, 1));
-  EXPECT_FALSE(lm.OtherObjectLocksOnPage(6, 2));
+  EXPECT_EQ(lm.OtherObjectLockMask(5, 2, layout), 0b11u);
+  EXPECT_EQ(lm.OtherObjectLockMask(5, 1, layout), 0u);
+  EXPECT_EQ(lm.OtherObjectLockMask(6, 2, layout), 0u);
+  EXPECT_EQ(lm.OtherObjectLockMask(6, 1, layout), 0b1u);
   lm.ReleaseObjectX(100, 1);
+  EXPECT_EQ(lm.OtherObjectLockMask(5, 2, layout), 0b10u);
   lm.ReleaseObjectX(101, 1);
-  EXPECT_TRUE(lm.ObjectLocksOnPage(5).empty());
+  EXPECT_EQ(lm.OtherObjectLockMask(5, 2, layout), 0u);
 }
 
-TEST(LockManagerTest, ObjectLocksOnPageIsSortedByObject) {
-  // Regression: the per-page index is an unordered set; the returned list
-  // must be sorted so protocol fan-outs do not follow hash-bucket layout.
+TEST(LockManagerTest, OtherObjectLockMaskIgnoresGrantOrder) {
+  // Locks granted out of slot order, by two transactions: the mask holds
+  // exactly the other transaction's slots, whatever the grant order.
   Simulation sim;
   DeadlockDetector d;
   LockManager lm(sim, d);
+  const storage::ObjectLayout layout(10, 20);
   bool g = false;
-  for (ObjectId o : {507, 501, 540, 512, 503}) {
-    sim.Spawn(AcquireObject(lm, o, 5, 1, 0, &g));
+  for (ObjectId o : {107, 101, 119, 112, 103}) {
+    sim.Spawn(AcquireObject(lm, o, 5, o % 2 == 1 ? 1 : 2, 0, &g));
   }
   sim.Run();
-  auto on5 = lm.ObjectLocksOnPage(5);
-  ASSERT_EQ(on5.size(), 5u);
-  for (std::size_t i = 1; i < on5.size(); ++i) {
-    EXPECT_LT(on5[i - 1].first, on5[i].first);
-  }
+  const storage::SlotMask all = storage::SlotBit(7) | storage::SlotBit(1) |
+                                storage::SlotBit(19) | storage::SlotBit(12) |
+                                storage::SlotBit(3);
+  EXPECT_EQ(lm.OtherObjectLockMask(5, 2, layout),
+            all & ~storage::SlotBit(12));
+  EXPECT_EQ(lm.OtherObjectLockMask(5, 1, layout), storage::SlotBit(12));
+  EXPECT_EQ(lm.OtherObjectLockMask(5, kNoTxn, layout), all);
 }
 
 TEST(LockManagerTest, ReleaseAllFreesEverything) {
@@ -273,15 +280,17 @@ TEST(LockManagerTest, ReleaseByNonHolderIsIgnored) {
 
 Task AcquireTwo(Simulation& sim, LockManager& lm, PageId first, PageId second,
                 TxnId t, bool* got_both, bool* aborted) {  // analyzer-ok(suspend-ref): referent outlives sim.Run() in the test body
-  try {
-    co_await lm.AcquirePageX(first, t, 0);
+  bool abort = co_await lm.AcquirePageX(first, t, 0);
+  if (!abort) {
     co_await sim.Delay(0.001);  // let the other transaction take its first lock
-    co_await lm.AcquirePageX(second, t, 0);
-    *got_both = true;
-  } catch (const TxnAborted&) {
+    abort = co_await lm.AcquirePageX(second, t, 0);
+  }
+  if (abort) {
     *aborted = true;
     lm.ReleaseAll(t);
+    co_return;
   }
+  *got_both = true;
 }
 
 TEST(LockManagerTest, DeadlockAbortsOneTransaction) {
@@ -361,16 +370,17 @@ TEST(LockManagerTest, RecycledEntryStartsFree) {
   EXPECT_EQ(lm.ReleaseAll(4), 1);
 
   // An object entry and a per-page list, recycled for another page.
+  const storage::ObjectLayout layout(10, 20);
   bool o1 = false, o2 = false;
   sim.Spawn(AcquireObject(lm, 100, 5, 1, 0, &o1));
   lm.ReleaseAll(1);
-  sim.Spawn(AcquireObject(lm, 200, 6, 2, 1, &o2));
+  sim.Spawn(AcquireObject(lm, 125, 6, 2, 1, &o2));
   ASSERT_TRUE(o1 && o2);
-  EXPECT_TRUE(lm.ObjectLocksOnPage(5).empty());
-  const auto on6 = lm.ObjectLocksOnPage(6);
-  ASSERT_EQ(on6.size(), 1u);
-  EXPECT_EQ(on6[0], std::make_pair(ObjectId{200}, TxnId{2}));
-  EXPECT_EQ(lm.ObjectXHolderClient(200), 1);
+  EXPECT_EQ(lm.OtherObjectLockMask(5, kNoTxn, layout), 0u);
+  EXPECT_EQ(lm.OtherObjectLockMask(6, kNoTxn, layout), storage::SlotBit(5));
+  EXPECT_EQ(lm.OtherObjectLockMask(6, 2, layout), 0u);
+  EXPECT_EQ(lm.ObjectXHolder(125), 2u);
+  EXPECT_EQ(lm.ObjectXHolderClient(125), 1);
   EXPECT_EQ(lm.PagesHeldBy(2), 0u);
   EXPECT_EQ(lm.ObjectsHeldBy(2), 1u);
   EXPECT_TRUE(lm.CheckCoherence().empty());

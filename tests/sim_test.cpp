@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -162,25 +163,74 @@ TEST(TaskTest, TeardownDestroysNestedChildren) {
   EXPECT_EQ(iterations, 5);
 }
 
+/// Sets `*flag` when destroyed.
+struct SetOnDestroy {
+  bool* flag;
+  ~SetOnDestroy() { *flag = true; }
+};
+
+/// Takes one step, ends aborted, and never takes the second.
+Task Aborter(Simulation& sim, int* steps, bool* local_destroyed) {  // analyzer-ok(suspend-ref): referent outlives sim.Run() in the test body
+  SetOnDestroy local{local_destroyed};
+  co_await sim.Delay(1.0);
+  ++*steps;
+  co_await EndAborted();
+  ++*steps;
+}
+
+Task Finisher(Simulation& sim, int* steps) {
+  co_await sim.Delay(1.0);
+  ++*steps;
+}
+
+Task AbortParent(Simulation& sim, std::vector<int>* log) {  // analyzer-ok(suspend-ref): referent outlives sim.Run() in the test body
+  int steps = 0;
+  bool destroyed = false;
+  const bool finished_aborted = co_await Finisher(sim, &steps);
+  const bool aborted = co_await Aborter(sim, &steps, &destroyed);
+  // The aborted child's locals are gone before the parent goes on.
+  log->insert(log->end(), {finished_aborted, aborted, steps, destroyed});
+}
+
+TEST(TaskTest, AbortIsReturnedToTheAwaitingParent) {
+  Simulation sim;
+  std::vector<int> log;
+  sim.Spawn(AbortParent(sim, &log));
+  sim.Run();
+  EXPECT_EQ(log, (std::vector<int>{false, true, 2, true}));
+  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
+  EXPECT_EQ(sim.live_processes(), 0u);
+}
+
 Task Thrower(Simulation& sim) {
   co_await sim.Delay(1.0);
   throw std::runtime_error("boom");
 }
 
-Task Catcher(Simulation& sim, bool* caught) {  // analyzer-ok(suspend-ref): referent outlives sim.Run() in the test body
-  try {
-    co_await Thrower(sim);
-  } catch (const std::runtime_error&) {
-    *caught = true;
-  }
+Task AwaitThrower(Simulation& sim) {  // analyzer-ok(suspend-ref): referent outlives sim.Run() in the test body
+  co_await Thrower(sim);
 }
 
-TEST(TaskTest, ExceptionsPropagateToAwaitingParent) {
-  Simulation sim;
-  bool caught = false;
-  sim.Spawn(Catcher(sim, &caught));
-  sim.Run();
-  EXPECT_TRUE(caught);
+// Tasks carry no exception: one escaping a task's body terminates the
+// process, even with an awaiting parent there to take it, and so does an
+// abort in a detached process, which has no awaiter.
+TEST(TaskDeathTest, ExceptionOrAbortWithNoAwaiterTerminates) {
+  EXPECT_DEATH(
+      {
+        Simulation sim;
+        sim.Spawn(AwaitThrower(sim));
+        sim.Run();
+      },
+      "");
+  EXPECT_DEATH(
+      {
+        Simulation sim;
+        int steps = 0;
+        bool destroyed = false;
+        sim.Spawn(Aborter(sim, &steps, &destroyed));
+        sim.Run();
+      },
+      "");
 }
 
 Task Waiter(CondVar& cv, std::vector<int>* log, int id) {  // analyzer-ok(suspend-ref): referent outlives sim.Run() in the test body

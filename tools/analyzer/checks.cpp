@@ -768,6 +768,40 @@ void CheckEnumSwitch(const Ctx& c) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// await-in-condition
+// ---------------------------------------------------------------------------
+
+void CheckAwaitInCondition(const Ctx& c) {
+  const Tokens& t = c.f.tokens;
+  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+    if (!(t[i].Is("if") || t[i].Is("while") || t[i].Is("switch")) ||
+        !t[i + 1].Is("(")) {
+      continue;
+    }
+    const int close = c.fx.match[i + 1];
+    if (close < 0) continue;
+    // The condition starts after the init-statement's top-level ';', if any.
+    std::size_t cond = i + 2;
+    int depth = 0;
+    for (int j = static_cast<int>(i) + 2; j < close; ++j) {
+      if (t[j].Is("(") || t[j].Is("[") || t[j].Is("{")) ++depth;
+      if (t[j].Is(")") || t[j].Is("]") || t[j].Is("}")) --depth;
+      if (depth == 0 && t[j].Is(";")) cond = static_cast<std::size_t>(j) + 1;
+    }
+    for (int j = static_cast<int>(cond); j < close; ++j) {
+      if (!t[j].Is("co_await")) continue;
+      c.Report(t[j].line, kCheckAwaitInCondition,
+               "co_await in a " + t[i].text +
+                   " condition — GCC 12 miscompiles a condition that awaits "
+                   "a temporary (the coroutine's body never runs); bind the "
+                   "result in the init-statement: `if (const bool aborted = "
+                   "co_await ...; aborted)`");
+      break;
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<std::string> AllCheckNames() {
@@ -777,6 +811,7 @@ std::vector<std::string> AllCheckNames() {
           kCheckDetHazard,
           kCheckDcheckSideEffect,
           kCheckEnumSwitch,
+          kCheckAwaitInCondition,
           kCheckShardEscape,
           kCheckGuardedBy,
           kCheckBlockingInCoroutine,
@@ -796,6 +831,7 @@ std::vector<Finding> RunChecks(const LexedFile& f, const FrameIndex& fx,
   CheckDetHazard(c);
   CheckDcheckSideEffect(c);
   CheckEnumSwitch(c);
+  CheckAwaitInCondition(c);
   for (std::size_t fi = 0; fi < fx.frames.size(); ++fi) {
     CheckUnorderedIterFrame(c, static_cast<int>(fi));
     CheckSuspendRefFrame(c, static_cast<int>(fi));

@@ -1,5 +1,5 @@
 /// \file checks.h
-/// The six psoodb-analyze checks. Each runs over one lexed file with the
+/// The seven psoodb-analyze checks. Each runs over one lexed file with the
 /// global SymbolIndex and the file's FrameIndex:
 ///
 ///   suspend-ref         local ref/pointer/iterator bound to a container
@@ -19,6 +19,10 @@
 ///                       under NDEBUG
 ///   enum-switch         switch over a protocol enum missing enumerators
 ///                       without a checked default
+///   await-in-condition  co_await in an if/while/switch condition (past any
+///                       init-statement): GCC 12 miscompiles a condition
+///                       that awaits a temporary outside a loop, and the
+///                       coroutine's body never runs
 ///
 /// The concurrency check family (shard-escape, guarded-by,
 /// blocking-in-coroutine, unannotated-shared-static) lives in
@@ -61,6 +65,7 @@ inline constexpr const char* kCheckUnorderedIter = "unordered-iter";
 inline constexpr const char* kCheckDetHazard = "det-hazard";
 inline constexpr const char* kCheckDcheckSideEffect = "dcheck-side-effect";
 inline constexpr const char* kCheckEnumSwitch = "enum-switch";
+inline constexpr const char* kCheckAwaitInCondition = "await-in-condition";
 inline constexpr const char* kCheckBadSuppression = "bad-suppression";
 // Concurrency family (tools/analyzer/concurrency.cpp; vocabulary in
 // src/util/annotations.h):

@@ -136,9 +136,10 @@ bool ObligationDeclTarget(const Tokens& t, std::size_t i, DeclTarget* out) {
   }
 }
 
-/// AwaitCallbacks marks the batch dead before rethrowing, so for `batch` a
-/// release reached before the catch also covers the throwing path.
-bool ReleasedOnThrow(const std::string& resource) {
+/// AwaitCallbacks marks the batch dead on its abort path too, so for `batch`
+/// a release reached before an abort branch — the AwaitCallbacks its
+/// condition awaits — also covers that branch.
+bool ReleasedOnAbort(const std::string& resource) {
   return resource == "batch";
 }
 
@@ -151,24 +152,28 @@ bool IsHandlerName(const std::string& name) {
          name[6] >= 'A' && name[6] <= 'Z';
 }
 
-/// One frame's regions: the body minus frame-owned catch blocks ("main"),
-/// plus each catch block, plus the Spawn(...) argument spans whose calls
-/// transfer their obligations to a detached coroutine.
+/// One frame's regions: the body minus its abort branches ("main"), plus
+/// each abort branch, plus the Spawn(...) argument spans whose calls
+/// transfer their obligations to a detached coroutine. An abort branch is
+/// the statement an `if` runs when its parentheses test an abort outcome:
+/// they `co_await` a task (which evaluates to true when it ended aborted)
+/// or ask the deadlock detector (`OnWait`, `CheckVictim`).
 struct FrameRegions {
   std::size_t body_open = 0;
   std::size_t body_close = 0;
-  struct Catch {
-    std::size_t open = 0;   ///< token index of the catch body '{'
-    std::size_t close = 0;  ///< matching '}'
-    int line = 0;           ///< line of the `catch` keyword
+  struct Branch {
+    std::size_t test = 0;   ///< token index of the `if`
+    std::size_t open = 0;   ///< the branch's '{', or the condition's ')'
+    std::size_t close = 0;  ///< the matching '}', or one past the ';'
+    int line = 0;           ///< line of the condition's ')'
   };
-  std::vector<Catch> catches;
+  std::vector<Branch> branches;
   std::vector<std::pair<std::size_t, std::size_t>> spawn_spans;
 
-  int InCatch(std::size_t j) const {
-    for (std::size_t c = 0; c < catches.size(); ++c) {
-      if (j > catches[c].open && j < catches[c].close) {
-        return static_cast<int>(c);
+  int InBranch(std::size_t j) const {
+    for (std::size_t b = 0; b < branches.size(); ++b) {
+      if (j > branches[b].open && j < branches[b].close) {
+        return static_cast<int>(b);
       }
     }
     return -1;
@@ -181,6 +186,18 @@ struct FrameRegions {
   }
 };
 
+/// True if the `if` parentheses (open, close) test an abort outcome.
+bool IsAbortTest(const Tokens& t, std::size_t open, std::size_t close) {
+  for (std::size_t k = open + 1; k < close; ++k) {
+    if (t[k].Is("co_await")) return true;
+    if ((t[k].Is("OnWait") || t[k].Is("CheckVictim")) && k + 1 < close &&
+        t[k + 1].Is("(")) {
+      return true;
+    }
+  }
+  return false;
+}
+
 FrameRegions BuildRegions(const LexedFile& f, const FrameIndex& fx,
                           std::size_t fi) {
   const Tokens& t = f.tokens;
@@ -190,17 +207,29 @@ FrameRegions BuildRegions(const LexedFile& f, const FrameIndex& fx,
   r.body_close = static_cast<std::size_t>(fr.body_close);
   for (std::size_t j = r.body_open + 1; j < r.body_close; ++j) {
     if (!t[j].IsIdent()) continue;
-    if (t[j].Is("catch") &&
-        fx.owner[j] == static_cast<int>(fi) && j + 1 < t.size() &&
-        t[j + 1].Is("(") && fx.match[j + 1] > 0) {
-      const std::size_t after_parens =
-          static_cast<std::size_t>(fx.match[j + 1]) + 1;
-      if (after_parens < t.size() && t[after_parens].Is("{") &&
-          fx.match[after_parens] > 0) {
-        r.catches.push_back(FrameRegions::Catch{
-            after_parens, static_cast<std::size_t>(fx.match[after_parens]),
-            t[j].line});
+    if (t[j].Is("if") && fx.owner[j] == static_cast<int>(fi) &&
+        j + 1 < t.size() && t[j + 1].Is("(") && fx.match[j + 1] > 0) {
+      const std::size_t cond_close = static_cast<std::size_t>(fx.match[j + 1]);
+      if (cond_close + 1 >= t.size() || !IsAbortTest(t, j + 1, cond_close)) {
+        continue;
       }
+      FrameRegions::Branch b{j, cond_close, 0, t[cond_close].line};
+      const std::size_t first = cond_close + 1;
+      if (t[first].Is("{") && fx.match[first] > 0) {
+        b.open = first;
+        b.close = static_cast<std::size_t>(fx.match[first]);
+      } else {
+        // A single statement: up to its ';' outside any brackets.
+        int depth = 0;
+        std::size_t k = first;
+        for (; k < r.body_close; ++k) {
+          if (t[k].Is("(") || t[k].Is("{") || t[k].Is("[")) ++depth;
+          if (t[k].Is(")") || t[k].Is("}") || t[k].Is("]")) --depth;
+          if (depth == 0 && t[k].Is(";")) break;
+        }
+        b.close = k + 1;
+      }
+      r.branches.push_back(b);
       continue;
     }
     if (t[j].Is("Spawn") && j + 1 < t.size() && t[j + 1].Is("(")) {
@@ -209,6 +238,13 @@ FrameRegions BuildRegions(const LexedFile& f, const FrameIndex& fx,
   }
   return r;
 }
+
+/// Per-branch facts both exit-path checks read.
+struct BranchFacts {
+  bool returns = false;     ///< a frame-owned return / co_return inside
+  bool propagates = false;  ///< `co_await sim::EndAborted()`: the awaiter
+                            ///< owns the abort path from here
+};
 
 /// lock-leak over one frame: exit-path enumeration of the frame's acquire
 /// events against its release events, per resource class.
@@ -233,34 +269,33 @@ void CheckFrameObligations(const LexedFile& f, const FrameIndex& fx,
   };
   std::map<std::string, std::vector<Acq>> acquires;
   std::map<std::string, std::vector<std::size_t>> releases;  // main region
-  std::vector<std::set<std::string>> catch_releases(rg.catches.size());
-  std::vector<char> catch_throws(rg.catches.size(), 0);
-  std::vector<char> catch_returns(rg.catches.size(), 0);
+  std::vector<std::set<std::string>> branch_releases(rg.branches.size());
+  std::vector<BranchFacts> facts(rg.branches.size());
   std::vector<std::size_t> exits;  // frame-owned return/co_return, main
 
   for (std::size_t j = rg.body_open + 1; j < rg.body_close; ++j) {
     if (!t[j].IsIdent()) continue;
-    const int c = rg.InCatch(j);
+    const int b = rg.InBranch(j);
     const bool owned = fx.owner[j] == static_cast<int>(fi);
     if ((t[j].Is("return") || t[j].Is("co_return")) && owned) {
-      if (c >= 0) {
-        catch_returns[static_cast<std::size_t>(c)] = 1;
+      if (b >= 0) {
+        facts[static_cast<std::size_t>(b)].returns = true;
       } else {
         exits.push_back(j);
       }
       continue;
     }
-    if (t[j].Is("throw") && c >= 0) {
-      catch_throws[static_cast<std::size_t>(c)] = 1;
+    if (t[j].Is("EndAborted") && b >= 0) {
+      facts[static_cast<std::size_t>(b)].propagates = true;
       continue;
     }
     if (j + 1 >= t.size() || !t[j + 1].Is("(")) continue;
     if (rg.InSpawn(j)) continue;  // obligation moves to the spawned coroutine
     const ObligationIndex::Entry* e = oi.Lookup(t[j].text, stem);
     if (e == nullptr) continue;
-    if (c >= 0) {
-      catch_releases[static_cast<std::size_t>(c)].insert(e->releases.begin(),
-                                                         e->releases.end());
+    if (b >= 0) {
+      branch_releases[static_cast<std::size_t>(b)].insert(
+          e->releases.begin(), e->releases.end());
       continue;
     }
     for (const std::string& r : e->releases) releases[r].push_back(j);
@@ -300,30 +335,33 @@ void CheckFrameObligations(const LexedFile& f, const FrameIndex& fx,
             false, "", ""});
       }
     }
-    for (std::size_t c = 0; c < rg.catches.size(); ++c) {
-      const FrameRegions::Catch& cat = rg.catches[c];
+    for (std::size_t b = 0; b < rg.branches.size(); ++b) {
+      const FrameRegions::Branch& br = rg.branches[b];
+      // An acquire the branch's own test awaits ended aborted: it holds
+      // nothing, so only acquires before the `if` are owed here.
       const bool acquired_before = std::any_of(
           acqs.begin(), acqs.end(),
-          [&](const Acq& a) { return a.pos < cat.open; });
+          [&](const Acq& a) { return a.pos < br.test; });
       if (!acquired_before) continue;
-      const bool released_in_catch = catch_releases[c].count(res) != 0;
-      const bool released_pre_throw =
-          ReleasedOnThrow(res) &&
+      const bool released_in_branch = branch_releases[b].count(res) != 0;
+      const bool released_pre_abort =
+          ReleasedOnAbort(res) &&
           std::any_of(rels.begin(), rels.end(),
-                      [&](std::size_t r) { return r < cat.open; });
+                      [&](std::size_t r) { return r < br.open; });
       const bool released_after =
-          catch_returns[c] == 0 &&
+          !facts[b].returns &&
           std::any_of(rels.begin(), rels.end(),
-                      [&](std::size_t r) { return r > cat.close; });
-      if (released_in_catch || catch_throws[c] != 0 || released_pre_throw ||
+                      [&](std::size_t r) { return r > br.close; });
+      if (released_in_branch || facts[b].propagates || released_pre_abort ||
           released_after) {
         continue;
       }
       out->push_back(Finding{
-          f.path, cat.line, kCheckLockLeak,
-          "abort path leaks '" + res + "' acquired at line " +
+          f.path, br.line, kCheckLockLeak,
+          "abort branch leaks '" + res + "' acquired at line " +
               std::to_string(first.line) + " (" + first.fn +
-              ") — release it inside this catch or after it on every path",
+              ") — release it in this branch, end the task aborted, or fall "
+              "through to a release",
           false, "", ""});
     }
   }
@@ -375,25 +413,24 @@ void CheckFrameReply(const LexedFile& f, const FrameIndex& fx, std::size_t fi,
   const std::string& p = pp.name;
 
   std::vector<std::size_t> consumed;  // main region (nested lambdas included)
-  std::vector<char> catch_consumed(rg.catches.size(), 0);
-  std::vector<char> catch_throws(rg.catches.size(), 0);
-  std::vector<char> catch_returns(rg.catches.size(), 0);
+  std::vector<char> branch_consumed(rg.branches.size(), 0);
+  std::vector<BranchFacts> facts(rg.branches.size());
   std::vector<std::size_t> exits;
 
   for (std::size_t j = rg.body_open + 1; j < rg.body_close; ++j) {
     if (!t[j].IsIdent()) continue;
-    const int c = rg.InCatch(j);
+    const int b = rg.InBranch(j);
     if ((t[j].Is("return") || t[j].Is("co_return")) &&
         fx.owner[j] == static_cast<int>(fi)) {
-      if (c >= 0) {
-        catch_returns[static_cast<std::size_t>(c)] = 1;
+      if (b >= 0) {
+        facts[static_cast<std::size_t>(b)].returns = true;
       } else {
         exits.push_back(j);
       }
       continue;
     }
-    if (t[j].Is("throw") && c >= 0) {
-      catch_throws[static_cast<std::size_t>(c)] = 1;
+    if (t[j].Is("EndAborted") && b >= 0) {
+      facts[static_cast<std::size_t>(b)].propagates = true;
       continue;
     }
     const bool moved = t[j].Is("move") && j + 2 < t.size() &&
@@ -402,17 +439,17 @@ void CheckFrameReply(const LexedFile& f, const FrameIndex& fx, std::size_t fi,
     const bool set = t[j].text == p && j + 3 < t.size() && t[j + 1].Is(".") &&
                      t[j + 2].Is("Set") && t[j + 3].Is("(");
     if (!moved && !set) continue;
-    if (c >= 0) {
-      catch_consumed[static_cast<std::size_t>(c)] = 1;
+    if (b >= 0) {
+      branch_consumed[static_cast<std::size_t>(b)] = 1;
     } else {
       consumed.push_back(j);
     }
   }
 
-  const bool any_catch_consumed =
-      std::any_of(catch_consumed.begin(), catch_consumed.end(),
+  const bool any_branch_consumed =
+      std::any_of(branch_consumed.begin(), branch_consumed.end(),
                   [](char v) { return v != 0; });
-  if (consumed.empty() && !any_catch_consumed) {
+  if (consumed.empty() && !any_branch_consumed) {
     out->push_back(Finding{
         f.path, fr.line, kCheckReplyObligation,
         "handler '" + fr.name + "' never consumes its reply promise '" + p +
@@ -432,23 +469,25 @@ void CheckFrameReply(const LexedFile& f, const FrameIndex& fx, std::size_t fi,
           false, "", ""});
     }
   }
-  for (std::size_t c = 0; c < rg.catches.size(); ++c) {
-    const FrameRegions::Catch& cat = rg.catches[c];
-    const bool consumed_pre_try = std::any_of(
+  for (std::size_t b = 0; b < rg.branches.size(); ++b) {
+    const FrameRegions::Branch& br = rg.branches[b];
+    // Another branch's reply does not cover this one: main-region
+    // consumption only.
+    const bool consumed_pre = std::any_of(
         consumed.begin(), consumed.end(),
-        [&](std::size_t cpos) { return cpos < cat.open; });
+        [&](std::size_t cpos) { return cpos < br.open; });
     const bool consumed_after =
-        catch_returns[c] == 0 &&
+        !facts[b].returns &&
         std::any_of(consumed.begin(), consumed.end(),
-                    [&](std::size_t cpos) { return cpos > cat.close; });
-    if (catch_consumed[c] != 0 || catch_throws[c] != 0 || consumed_pre_try ||
+                    [&](std::size_t cpos) { return cpos > br.close; });
+    if (branch_consumed[b] != 0 || facts[b].propagates || consumed_pre ||
         consumed_after) {
       continue;
     }
     out->push_back(Finding{
-        f.path, cat.line, kCheckReplyObligation,
-        "abort path of '" + fr.name + "' drops the reply — consume '" + p +
-            "' inside this catch",
+        f.path, br.line, kCheckReplyObligation,
+        "abort branch of '" + fr.name + "' drops the reply — consume '" + p +
+            "' in this branch",
         false, "", ""});
   }
 }

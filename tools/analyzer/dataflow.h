@@ -9,10 +9,11 @@
 /// helper that only forwards to an annotated release function discharges the
 /// same obligation at its own call sites. On top of the per-function
 /// summaries, exit-path enumeration over each frame — early `return` /
-/// `co_return`, `catch` unwinds of the abort exception, fall-through — drives
-/// three checks:
+/// `co_return`, abort branches (the statement an `if` runs when it tests a
+/// returned abort outcome: a `co_await` of a task, or the detector's
+/// `OnWait` / `CheckVictim`), fall-through — drives three checks:
 ///
-///   lock-leak            an exit path (including abort/catch paths) that
+///   lock-leak            an exit path (including abort branches) that
 ///                        acquires a resource (lock, buffer pin, copy-table
 ///                        registration, callback batch) without a matching
 ///                        release reachable on that path
@@ -41,9 +42,14 @@
 ///  - Calls inside a Spawn(...) argument list transfer the obligation to the
 ///    detached coroutine and are never effects of the spawning frame —
 ///    except promise *consumption*, which is the transfer.
-///  - The `batch` resource is released-on-throw (AwaitCallbacks marks the
-///    batch dead before rethrowing), so a pre-catch release satisfies the
-///    catch path for `batch` only.
+///  - An abort branch that ends its task aborted (`co_await
+///    sim::EndAborted()`) hands its obligations to the awaiter's abort
+///    branch.
+///  - An acquire awaited by an abort branch's own test ended aborted and
+///    holds nothing: only acquires before the `if` are owed in the branch.
+///  - The `batch` resource is released-on-abort (AwaitCallbacks marks the
+///    batch dead before it ends aborted), so a release before the branch —
+///    the AwaitCallbacks its test awaits — satisfies it for `batch` only.
 
 #ifndef PSOODB_TOOLS_ANALYZER_DATAFLOW_H_
 #define PSOODB_TOOLS_ANALYZER_DATAFLOW_H_
